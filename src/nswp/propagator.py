@@ -5,6 +5,11 @@ the potential evaluated at the midpoint time, so the scheme is second
 order in dt for time-dependent potentials and exactly unitary up to the
 tridiagonal-solve round-off. Non-normalizable (Airy) runs use a cos^2-ramp
 multiplicative absorbing mask instead of hard Dirichlet walls.
+
+The implicit half step 1 + i dt H / (2 hbar) is LU-factored with LAPACK
+``zgttrf`` once per distinct midpoint potential and each step is solved
+with ``zgttrs``. A static V is therefore factored once per run; a
+time-dependent V is refactored (and its dt guard re-checked) every step.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import BoundaryError, ConfigurationError
 from .grids import (Grid1D, PhysicalConstants, WaveField, observables,
@@ -48,11 +53,21 @@ class PropagationConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= self.t_start:
             raise ConfigurationError("need dt > 0 and t_end > t_start")
+        steps = (self.t_end - self.t_start) / self.dt
+        if abs(steps - self.n_steps) > 1e-9 * steps:
+            raise ConfigurationError(
+                f"t_end - t_start = {self.t_end - self.t_start:.12g} is not a "
+                f"whole number of steps dt = {self.dt:.12g}"
+            )
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
         if isinstance(self.boundary, AbsorbingMask):
             if not 0 < self.boundary.width < 0.5 * self.grid.width:
                 raise ConfigurationError("mask width must be < half the domain")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round((self.t_end - self.t_start) / self.dt))
 
 
 @dataclass
@@ -88,32 +103,49 @@ class RunReport:
 def crank_nicolson_step(psi: WaveField, v_mid: np.ndarray, dt: float,
                         consts: PhysicalConstants) -> WaveField:
     """One CN step; ``v_mid`` holds the potential at the midpoint time."""
-    values = _cn_step_values(psi.values, np.asarray(v_mid, dtype=float),
-                             dt, psi.grid.dx, consts)
-    return WaveField(grid=psi.grid, values=values, time=psi.time + dt)
+    step = _cn_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
+    return WaveField(grid=psi.grid, values=_cn_solve(step, psi.values),
+                     time=psi.time + dt)
 
 
-def _cn_step_values(values, v_mid, dt, dx, consts):
-    if dt * np.max(np.abs(v_mid)) / consts.hbar >= 0.5:
+@dataclass(frozen=True)
+class _CNStep:
+    """Explicit half-step coefficients and LU factors of the implicit one."""
+
+    rhs_diag: np.ndarray
+    off: complex
+    lu: tuple
+
+
+def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
+    v_mid = np.broadcast_to(np.asarray(v_mid, dtype=float), (n,))
+    # written so that a NaN in V fails the guard too
+    if not abs(dt) * np.max(np.abs(v_mid)) / consts.hbar < 0.5:
         raise ConfigurationError(
-            "dt * max|V| / hbar >= 0.5; reduce the time step"
+            "dt * max|V| / hbar >= 0.5 or V not finite; reduce the time step"
         )
-    n = len(values)
     kin = consts.hbar**2 / (consts.mass * dx**2)
     lam = 1j * dt / (2.0 * consts.hbar)
     diag = lam * (kin + v_mid)
     off = lam * (-0.5 * kin)
 
-    # rhs = (I - i dt/(2 hbar) H) psi
-    rhs = (1.0 - diag) * values
-    rhs[:-1] -= off * values[1:]
-    rhs[1:] -= off * values[:-1]
+    lower = np.full(n - 1, off)
+    *lu, info = zgttrf(lower, 1.0 + diag, lower.copy(),
+                       overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise ConfigurationError(f"zgttrf failed (info={info}): singular CN matrix")
+    return _CNStep(rhs_diag=1.0 - diag, off=off, lu=tuple(lu))
 
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = 1.0 + diag
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
+
+def _cn_solve(step: _CNStep, values: np.ndarray) -> np.ndarray:
+    # rhs = (I - i dt/(2 hbar) H) psi
+    rhs = step.rhs_diag * values
+    rhs[:-1] -= step.off * values[1:]
+    rhs[1:] -= step.off * values[:-1]
+    out, info = zgttrs(*step.lu, rhs, overwrite_b=1)
+    if info != 0:
+        raise ConfigurationError(f"zgttrs failed (info={info})")
+    return out
 
 
 def _mask_profile(grid: Grid1D, mask: AbsorbingMask, dt: float) -> np.ndarray:
@@ -150,7 +182,7 @@ def propagate(
         raise ConfigurationError("initial field grid does not match config grid")
     x = grid.x
     dt = config.dt
-    n_steps = int(round((config.t_end - config.t_start) / dt))
+    n_steps = config.n_steps
     dirichlet = isinstance(config.boundary, Dirichlet)
     mask = None
     if isinstance(config.boundary, AbsorbingMask):
@@ -228,9 +260,13 @@ def propagate(
                 )
 
     record(values, t)
+    step = v_last = None
     for i in range(n_steps):
         v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
-        values = _cn_step_values(values, v_mid, dt, grid.dx, consts)
+        if step is None or not np.array_equal(v_mid, v_last):
+            step = _cn_factor(v_mid, dt, grid.n, grid.dx, consts)
+            v_last = v_mid.copy()
+        values = _cn_solve(step, values)
         if mask is not None:
             values = values * mask
         t = config.t_start + (i + 1) * dt

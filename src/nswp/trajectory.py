@@ -123,7 +123,7 @@ class ForceTrajectory(Trajectory):
     """Motion satisfying m * d_ddot = A + F(t), with d(0) = d_dot(0) = 0.
 
     d(t) = A t^2/(2m) + (1/m) * double integral of F, via cached cumulative
-    antiderivatives on [0, t_max].
+    antiderivatives on [0, t_max]; t outside that range raises RangeError.
     """
 
     kind = "from_force"
@@ -137,11 +137,17 @@ class ForceTrajectory(Trajectory):
         self._int_f = cumulative_antiderivative(F, self.t_max, tol)
         self._int2_f = self._int_f.antiderivative()
 
+    def _check_range(self, t: float) -> None:
+        if t < 0.0 or t > self.t_max:
+            raise RangeError(f"t={t} outside cached force range [0, {self.t_max}]")
+
     def int_f(self, t: float) -> float:
         """Cached integral_0^t F."""
+        self._check_range(t)
         return float(self._int_f(t))
 
     def eval(self, t):
+        self._check_range(t)
         m = self.m
         d = 0.5 * self.A * t**2 / m + float(self._int2_f(t)) / m
         d_dot = (self.A * t + float(self._int_f(t))) / m

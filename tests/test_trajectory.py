@@ -115,3 +115,15 @@ def test_force_trajectory_sinusoidal_force():
 def test_force_trajectory_cached_integral():
     traj = trajectory_from_force(0.0, math.cos, CONSTS, t_max=4.0)
     assert abs(traj.int_f(2.0) - math.sin(2.0)) < 1e-10
+
+
+def test_force_trajectory_rejects_t_outside_cache():
+    # the cached antiderivatives end at t_max; extrapolating the end cubic
+    # gave d(10) = -36.8 here, against the exact 10 - sin(10) = 10.54
+    traj = trajectory_from_force(0.0, math.sin, CONSTS, t_max=2.0)
+    assert abs(traj.d(2.0) - (2.0 - math.sin(2.0))) < 1e-9
+    for t in (10.0, 2.0 + 1e-6, -1e-6):
+        with pytest.raises(RangeError):
+            traj.eval(t)
+        with pytest.raises(RangeError):
+            traj.int_f(t)
