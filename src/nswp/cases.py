@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import cumulative_simpson, simpson
 
 from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
@@ -23,7 +24,7 @@ from .grids import (Grid1D, PhysicalConstants, WaveField, inner_product,
                     observables, shift_field)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
                          RunReport, propagate)
-from .quadrature import (integrate_time, nested_triple_integral)
+from .quadrature import mesh_doubling
 from .trajectory import (Rest, Sinusoid, Trajectory, UniformAcceleration,
                          trajectory_from_force)
 from .verifier import (CheckResult, classical_motion_check, energy_split_check,
@@ -306,28 +307,36 @@ def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float
     """Global phase of the forced Airy packet from the nested-integral formula.
 
     phi0 = -E_f t/hbar - A^2 t^3/(3 m hbar)
-           - (1/(2 m hbar)) * int_0^t [int_0^tau F]^2 dtau
-           - (A/(m hbar)) * [ int_0^t tau (int_0^tau F) dtau + triple integral of F ].
+           - (1/(2 m hbar)) * int_0^t I1^2 dtau
+           - (A/(m hbar)) * [ int_0^t tau I1 dtau + int_0^t I2 dtau ],
+    with I1(tau) = int_0^tau F and I2(tau) = int_0^tau I1.
 
-    Independent of the direct quadrature of the accumulated-phase integrand;
-    the two routes must agree.
+    Primitives: F is sampled on one uniform mesh over [0, t]; I1 and I2 are
+    cumulative Simpson sums (scipy ``cumulative_simpson``) on that mesh and
+    the three outer integrals are composite Simpson sums (``simpson``) of
+    I1^2, tau I1 and I2. ``mesh_doubling`` doubles the mesh until phi0 is
+    stable to ``tol``. The direct route, ``NswpSolution.phi0_direct``, uses
+    adaptive Simpson (``integrate_time``) over d_dot from
+    ``ForceTrajectory``'s ``CubicSpline`` antiderivative of F
+    (``cumulative_antiderivative``). This route uses none of those, so the
+    two share no primitive and an error in either shows as a disagreement.
     """
     hbar, m = consts.hbar, consts.mass
-    if t == 0.0:
-        return 0.0
 
-    def int_f(tau):
-        return integrate_time(F, 0.0, tau, tol * 0.1)
+    def phi0_on_mesh(ts, f):
+        i1 = cumulative_simpson(f, x=ts, initial=0.0)
+        i2 = cumulative_simpson(i1, x=ts, initial=0.0)
+        sq_term = simpson(i1**2, x=ts)
+        tau_term = simpson(ts * i1, x=ts)
+        triple = simpson(i2, x=ts)
+        return (
+            -E_f * t / hbar
+            - A**2 * t**3 / (3.0 * m * hbar)
+            - sq_term / (2.0 * m * hbar)
+            - A / (m * hbar) * (tau_term + triple)
+        )
 
-    sq_term = integrate_time(lambda tau: int_f(tau) ** 2, 0.0, t, tol)
-    tau_term = integrate_time(lambda tau: tau * int_f(tau), 0.0, t, tol)
-    triple = nested_triple_integral(F, t, tol)
-    return (
-        -E_f * t / hbar
-        - A**2 * t**3 / (3.0 * m * hbar)
-        - sq_term / (2.0 * m * hbar)
-        - A / (m * hbar) * (tau_term + triple)
-    )
+    return mesh_doubling(phi0_on_mesh, F, t, tol)
 
 
 def forced_airy_solution(B: float, F, consts: PhysicalConstants,
@@ -376,8 +385,8 @@ def run_airy_forced(
     # dual-route phase: nested-integral formula vs direct quadrature
     ts = np.linspace(0.0, min(3.0, sol.t_max - 0.5), 13)
     phase_dev = max(
-        abs(phi0_forced_airy(A, F, sol.E_f, t, consts) - sol.phi0_direct(t))
-        for t in ts
+        abs(phi0_forced_airy(A, F, sol.E_f, t, consts) - direct)
+        for t, direct in zip(ts, sol.phi0_direct(ts))
     )
     psi0 = _taper_into_mask(psi0, mask)
 
@@ -484,7 +493,8 @@ def run_sho_timedep_frequency(
     if grid is None:
         grid = Grid1D(-12.0, 12.0, 3072)
     if t_end is None:
-        t_end = 10.0 / omega0
+        # about 10/omega0, rounded to a whole number of steps
+        t_end = dt * round(10.0 / (omega0 * dt))
     m = consts.mass
     v_static = StaticPotential.harmonic(omega0, m)
     pair = lowest_eigenpairs(v_static, grid, consts, 1)[0]

@@ -145,9 +145,34 @@ class NswpSolution:
             raise RangeError(f"t={t} beyond phi0 cache horizon {self.t_max}")
         return -float(self._phi0_anti(t)) / self.consts.hbar
 
-    def phi0_direct(self, t: float, tol: float = 1e-12) -> float:
-        """phi0 by direct adaptive quadrature, independent of the cache."""
-        return -integrate_time(self._phi0_integrand, 0.0, t, tol) / self.consts.hbar
+    def phi0_direct(self, t, tol: float = 1e-12):
+        """phi0 by direct adaptive quadrature, independent of the cache.
+
+        ``t`` is a time, or an ascending 1-D array of times, in [0, t_max];
+        anything else raises RangeError. An array is integrated piece by
+        piece over [0, t_0], [t_0, t_1], ... and the pieces summed
+        cumulatively, so each stretch of time is integrated once; a scalar
+        is the one-piece case and returns a float.
+
+        Primitives: adaptive Simpson (``integrate_time``) of
+        E_f + G + m d_dot^2/2, where for a ``ForceTrajectory`` d_dot comes
+        from the ``CubicSpline`` antiderivative of F
+        (``cumulative_antiderivative``). The nested-integral formula of the
+        forced Airy case (``cases.phi0_forced_airy``) uses only cumulative
+        and composite Simpson sums on a uniform mesh, so the two routes
+        share no primitive.
+        """
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1 or not np.all((times >= 0.0) & (times <= self.t_max)):
+            raise RangeError(f"phi0_direct needs times in [0, {self.t_max}], got {t}")
+        ends = np.atleast_1d(times)
+        if np.any(np.diff(ends) < 0.0):
+            raise RangeError(f"phi0_direct needs ascending times, got {t}")
+        starts = np.concatenate(([0.0], ends[:-1]))
+        pieces = [integrate_time(self._phi0_integrand, float(a), float(b), tol)
+                  for a, b in zip(starts, ends)]
+        phi0 = -np.cumsum(pieces) / self.consts.hbar
+        return float(phi0[0]) if times.ndim == 0 else phi0
 
 
 def v_nswp(sol: NswpSolution, v: StaticPotential, x, t: float):

@@ -1,9 +1,12 @@
-"""Adaptive Simpson quadrature and nested time integrals.
+"""Adaptive Simpson quadrature, mesh-doubled nested time integrals, and a
+cubic-spline antiderivative.
 
-The nested double/triple integrals reduce to single integrals of cumulative
-antiderivatives built on a fixed fine mesh; the mesh is doubled until the
-result is stable to the requested tolerance. This matters because the
-triple integral reuses the same inner antiderivative at every outer node.
+Nested double/triple integrals (and any other functional of F's samples,
+such as the forced-Airy phase) are evaluated on one uniform mesh with
+cumulative Simpson antiderivatives; the mesh is doubled until the result
+is stable to the requested tolerance. Each inner antiderivative is built
+once per mesh and reused at every outer node, never re-integrated
+adaptively.
 """
 
 from __future__ import annotations
@@ -56,7 +59,13 @@ def integrate_time(f, t0: float, t1: float, tol: float = 1e-12) -> float:
     return _adaptive(f, a, fa, m, fm, b, fb, whole, tol, 0)
 
 
-def _nested(F, t: float, tol: float, order: int) -> float:
+def mesh_doubling(functional, F, t: float, tol: float) -> float:
+    """functional(ts, F(ts)) on a uniform mesh ts over [0, t], converged.
+
+    F is sampled once per mesh; the mesh starts at 64 intervals and doubles
+    until two successive results differ by at most tol. Raises
+    AccuracyError (carrying the last result) past _MAX_MESH intervals.
+    """
     if t == 0.0:
         return 0.0
     n = 64
@@ -64,27 +73,31 @@ def _nested(F, t: float, tol: float, order: int) -> float:
     while n <= _MAX_MESH:
         ts = np.linspace(0.0, t, n + 1)
         y = np.asarray([F(ti) for ti in ts], dtype=float)
-        for _ in range(order - 1):
-            y = cumulative_simpson(y, x=ts, initial=0.0)
-        result = float(simpson(y, x=ts))
+        result = float(functional(ts, y))
         if prev is not None and abs(result - prev) <= tol:
             return result
         prev = result
         n *= 2
     raise AccuracyError(
-        f"nested integral did not stabilize to {tol} by mesh {_MAX_MESH}",
+        f"mesh functional did not stabilize to {tol} by mesh {_MAX_MESH}",
         best_estimate=prev,
     )
 
 
+def _iterated(ts, y, order: int) -> float:
+    for _ in range(order - 1):
+        y = cumulative_simpson(y, x=ts, initial=0.0)
+    return simpson(y, x=ts)
+
+
 def nested_double_integral(F, t: float, tol: float = 1e-10) -> float:
     """integral_0^t integral_0^tau F(s) ds dtau."""
-    return _nested(F, t, tol, order=2)
+    return mesh_doubling(lambda ts, y: _iterated(ts, y, 2), F, t, tol)
 
 
 def nested_triple_integral(F, t: float, tol: float = 1e-10) -> float:
     """integral_0^t integral_0^tau integral_0^eta F(s) ds deta dtau."""
-    return _nested(F, t, tol, order=3)
+    return mesh_doubling(lambda ts, y: _iterated(ts, y, 3), F, t, tol)
 
 
 def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):

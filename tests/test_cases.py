@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nswp import PhysicalConstants
+from nswp import Grid1D, PhysicalConstants
 from nswp.cases import (airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy)
+                        phi0_forced_airy, run_sho_timedep_frequency)
 
 from conftest import check_by_name
 
@@ -76,6 +76,71 @@ def test_phi0_forced_formula_constant_force():
         val = phi0_forced_airy(A, lambda s: F0, 0.0, t, CONSTS)
         closed = -(0.5 * A * (A + F0) + 0.5 * (A + F0) ** 2) * t**3 / 3.0
         assert abs(val - closed) < 1e-9
+
+
+def _sin_force_phi0(A, a, w, t):
+    # closed form of the nested-integral formula for F = a sin(w t), E_f = 0,
+    # hbar = m = 1, with I1(tau) = (a/w)(1 - cos w tau)
+    sq = (a / w) ** 2 * (1.5 * t - 2.0 * math.sin(w * t) / w
+                         + math.sin(2.0 * w * t) / (4.0 * w))
+    tau = (a / w) * (t**2 / 2.0 - t * math.sin(w * t) / w
+                     - (math.cos(w * t) - 1.0) / w**2)
+    triple = (a / w) * (t**2 / 2.0 + (math.cos(w * t) - 1.0) / w**2)
+    return -A**2 * t**3 / 3.0 - sq / 2.0 - A * (tau + triple)
+
+
+def test_phi0_both_routes_match_sine_force_closed_form():
+    # Simpson's rule is exact for F = 0 and F = const; a sine is not
+    a, w = 0.3, 2.0
+    F = lambda s: a * math.sin(w * s)
+    sol = forced_airy_solution(1.0, F, CONSTS, t_max=3.0)
+    A = sol.shape.A
+    ts = np.array([0.3, 0.9, 1.6, 2.2, 2.5])
+    direct = sol.phi0_direct(ts)
+    for t, d in zip(ts, direct):
+        closed = _sin_force_phi0(A, a, w, t)
+        assert abs(phi0_forced_airy(A, F, sol.E_f, t, CONSTS) - closed) < 1e-10
+        assert abs(d - closed) < 1e-10
+
+
+def test_phase_check_work_counts():
+    # counts, not timings: the 13 check times of run_airy_forced's defaults.
+    # An adaptive quadrature nested in an adaptive integrand made ~1.5e6
+    # force calls here.
+    a, w = 0.3, 2.0
+    calls = {"F": 0, "integrand": 0}
+
+    def F(s):
+        calls["F"] += 1
+        return a * math.sin(w * s)
+
+    sol = forced_airy_solution(1.0, F, CONSTS, t_max=3.0)
+    ts = np.linspace(0.0, 2.5, 13)
+    calls["F"] = 0
+    for t in ts:
+        phi0_forced_airy(sol.shape.A, F, sol.E_f, t, CONSTS)
+    assert 0 < calls["F"] < 20_000
+
+    integrand = sol._phi0_integrand
+
+    def counted(t):
+        calls["integrand"] += 1
+        return integrand(t)
+
+    sol._phi0_integrand = counted
+    sol.phi0_direct(ts)
+    assert 0 < calls["integrand"] < 2_000
+
+
+def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
+    # 10/omega0 is not a whole number of 1e-3 steps for omega0 = 3; the
+    # grid is narrow enough for the CN guard dt max|V| < 0.5 at this omega0
+    res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256))
+    t_end = res.extras["t_end"]
+    assert abs(t_end - 10.0 / 3.0) <= 0.5e-3
+    assert res.report.times[-1] == pytest.approx(t_end, abs=1e-12)
+    # omega0 = 1 keeps exactly the old horizon
+    assert timedep_control.extras["t_end"] == 10.0
 
 
 def test_scenario_serialization(sho_result):

@@ -7,7 +7,7 @@ from nswp import (AiryShape, GaugeFunction, Grid1D, NswpSolution,
                   PhysicalConstants, Rest, SampledShape, Sinusoid,
                   StaticPotential, UniformAcceleration, analytic_psi,
                   gauge_linear_case, gauge_sho_case, lowest_eigenpairs, phase,
-                  tdse_residual, v_nswp)
+                  integrate_time, tdse_residual, v_nswp)
 from nswp.errors import RangeError
 
 CONSTS = PhysicalConstants()
@@ -83,6 +83,34 @@ def test_phi0_cache_matches_direct_quadrature(sho_pieces):
     sol = sho_pieces[0]
     for t in (0.3, 1.7, 5.1):
         assert abs(sol.phi0(t) - sol.phi0_direct(t)) < 1e-9
+
+
+def test_phi0_direct_array_matches_scalar_calls(sho_pieces):
+    sol = sho_pieces[0]
+    ts = np.array([0.0, 0.3, 1.7, 1.7, 5.1, sol.t_max])
+    chained = sol.phi0_direct(ts)
+    assert isinstance(chained, np.ndarray) and chained.shape == ts.shape
+    for t, value in zip(ts, chained):
+        assert abs(value - sol.phi0_direct(float(t))) < 1e-11
+
+
+def test_phi0_direct_scalar_is_one_adaptive_integral(sho_pieces):
+    # a scalar is the single piece [0, t]: bit-identical to one integrate_time
+    sol = sho_pieces[0]
+    for t in (0.3, 1.7, 5.1):
+        value = sol.phi0_direct(t)
+        assert isinstance(value, float)
+        assert value == -integrate_time(sol._phi0_integrand, 0.0, t, 1e-12) / CONSTS.hbar
+        assert sol.phi0_direct(np.array([t]))[0] == value
+
+
+def test_phi0_direct_range_error(sho_pieces):
+    sol = sho_pieces[0]
+    for bad in (np.array([0.5, 1.5, 1.0]), np.array([-0.1, 1.0]),
+                np.array([1.0, sol.t_max + 0.5]), -0.1, sol.t_max + 0.5,
+                np.array([[0.5, 1.0]])):
+        with pytest.raises(RangeError):
+            sol.phi0_direct(bad)
 
 
 def test_phi0_range_error(sho_pieces):

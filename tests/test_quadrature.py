@@ -5,7 +5,8 @@ import pytest
 
 from nswp import integrate_time, nested_double_integral, nested_triple_integral
 from nswp.errors import AccuracyError
-from nswp.quadrature import cumulative_antiderivative
+from nswp import quadrature
+from nswp.quadrature import cumulative_antiderivative, mesh_doubling
 
 
 def test_constant_integrand():
@@ -73,6 +74,14 @@ def test_nested_monotone_for_nonnegative():
     ts = np.linspace(0.2, 3.0, 8)
     vals = [nested_double_integral(f, float(t)) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_mesh_doubling_limit_raises_with_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_MESH", 256)
+    # a functional that never settles: the number of mesh intervals
+    with pytest.raises(AccuracyError) as exc_info:
+        mesh_doubling(lambda ts, y: len(ts) - 1, math.sin, 1.0, 1e-10)
+    assert exc_info.value.best_estimate == 256
 
 
 def test_cumulative_antiderivative():
