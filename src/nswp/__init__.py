@@ -23,8 +23,7 @@ from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
 from .quadrature import (integrate_time, nested_double_integral,
                          nested_triple_integral)
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
-                         TabulatedSpline, Trajectory, UniformAcceleration,
-                         trajectory_from_force)
+                         TabulatedSpline, Trajectory, UniformAcceleration)
 from .verifier import (CheckResult, DecompositionReport, classical_motion_check,
                        decomposition_report, energy_split_check,
                        htilde_residual, infinitesimal_evolution_check,

@@ -1,40 +1,46 @@
 """End-to-end scenario runs: free-space Airy, forced Airy, shifted SHO modes,
-plus the two controls (spreading Gaussian, time-modulated SHO frequency).
+plus the three controls (spreading Gaussian, time-modulated SHO frequency,
+corrupted phase).
 
 Each run constructs the closed-form packet, self-checks it against the
 time-dependent Schrodinger equation, propagates it independently with
 Crank-Nicolson, and reduces the result to named pass/fail checks.
+``SCENARIOS`` is the table of runs the command line offers by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
+from .constructor import (AiryShape, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
 from .errors import ConfigurationError
 from .grids import (Grid1D, PhysicalConstants, WaveField, inner_product,
                     observables, shift_field)
-from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
-                         RunReport, propagate)
+from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
+                         propagate)
 from .quadrature import mesh_doubling
-from .trajectory import (Rest, Sinusoid, Trajectory, UniformAcceleration,
-                         trajectory_from_force)
+from .trajectory import ForceTrajectory, Sinusoid, UniformAcceleration
 from .verifier import (CheckResult, classical_motion_check, energy_split_check,
-                       make_htilde_metric)
+                       make_htilde_metric, no_nswp_for_time_dependent_frequency)
+
+# dx ~ 4e-3 keeps FD dispersion below the 1e-4 motion tolerances
+_SHO_GRID = Grid1D(-8.0, 8.0, 4096)
+_AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
+_AIRY_MASK = AbsorbingMask(width=8.0, strength=40.0)
 
 
 @dataclass
 class ScenarioResult:
     name: str
-    report: RunReport
+    report: Optional[RunReport]
     checks: list
     extras: dict = dc_field(default_factory=dict)
     solution: Optional[NswpSolution] = None
@@ -63,11 +69,31 @@ def _overlap_mod(a: WaveField, b: WaveField) -> float:
 # Shifted SHO eigenstates (Schrodinger / Senitzky family)
 # ---------------------------------------------------------------------------
 
+def sho_solution(
+    n: int = 0,
+    amplitude: float = 2.0,
+    omega: float = 1.0,
+    grid: Grid1D = _SHO_GRID,
+    consts: PhysicalConstants = PhysicalConstants(),
+    t_max: float = 10.0,
+) -> tuple[NswpSolution, StaticPotential]:
+    """The n-th oscillator mode swinging on d = amplitude sin(omega t), with
+    the gauge that keeps its supporting potential the static oscillator;
+    returns the packet and that oscillator. ``t_max`` is the phi0 cache
+    horizon."""
+    v_static = StaticPotential.harmonic(omega, consts.mass)
+    pair = lowest_eigenpairs(v_static, grid, consts, n + 1)[n]
+    traj = Sinusoid(amplitude=amplitude, omega=omega)
+    sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
+                       gauge_sho_case(omega, traj, consts), consts=consts, t_max=t_max)
+    return sol, v_static
+
+
 def run_sho_shifted(
     n: int = 0,
     amplitude: float = 2.0,
     omega: float = 1.0,
-    grid: Grid1D = None,
+    grid: Grid1D = _SHO_GRID,
     dt: float = None,
     periods: float = 1.0,
     snapshot_stride: int = 100,
@@ -78,20 +104,13 @@ def run_sho_shifted(
     tol_overlap: float = 1e-4,
 ) -> ScenarioResult:
     """Propagate the shifted n-th SHO eigenstate for ``periods`` periods."""
-    if grid is None:
-        # dx ~ 4e-3 keeps FD dispersion below the 1e-4 motion tolerances
-        grid = Grid1D(-8.0, 8.0, 4096)
     period = 2.0 * math.pi / omega
     if dt is None:
         dt = period / 20000.0
     t_end = periods * period
 
-    v_static = StaticPotential.harmonic(omega, consts.mass)
-    pair = lowest_eigenpairs(v_static, grid, consts, n + 1)[n]
-    traj = Sinusoid(amplitude=amplitude, omega=omega)
-    gauge = gauge_sho_case(omega, traj, consts)
-    sol = NswpSolution(SampledShape.from_eigenpair(pair), traj, gauge,
-                       consts=consts, t_max=t_end + 1.0)
+    sol, v_static = sho_solution(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
+    traj = sol.trajectory
 
     # construction self-check before any dynamics
     psi0 = analytic_psi(sol, grid, 0.0)
@@ -114,7 +133,7 @@ def run_sho_shifted(
     report = propagate(
         psi0, lambda x, t: v_samples, config, consts,
         reference_density=ref_density,
-        htilde_fn=make_htilde_metric(v_static, traj, consts, pair.energy),
+        htilde_fn=make_htilde_metric(v_static, traj, consts, sol.E_f),
     )
 
     shape_dev = float(np.max(report.shape_deviation))
@@ -140,7 +159,7 @@ def run_sho_shifted(
         report=report,
         checks=checks,
         extras={"n": n, "amplitude": amplitude, "omega": omega,
-                "energy": pair.energy, "dt": dt, "t_end": t_end},
+                "energy": sol.E_f, "dt": dt, "t_end": t_end},
         solution=sol,
     )
 
@@ -168,7 +187,7 @@ def _windowed_momentum(psi: WaveField, sel: np.ndarray, hbar: float) -> float:
     return float(num / den)
 
 
-def airy_free_solution(B: float, consts: PhysicalConstants,
+def airy_free_solution(B: float = 1.0, consts: PhysicalConstants = PhysicalConstants(),
                        t_max: float = 10.0) -> NswpSolution:
     """Closed-form free-space Airy packet: E_f = 0, A = B^3/(2m)."""
     A = B**3 / (2.0 * consts.mass)
@@ -185,23 +204,17 @@ def _taper_into_mask(psi: WaveField, mask: AbsorbingMask) -> WaveField:
     would radiate fast spurious components across the whole window within a
     few steps.
     """
-    grid = psi.grid
-    x = grid.x
-    s = np.clip(
-        np.maximum((grid.x_min + mask.width - x) / mask.width,
-                   (x - (grid.x_max - mask.width)) / mask.width),
-        0.0, 1.0,
-    )
-    return WaveField(grid=grid, values=psi.values * np.cos(0.5 * np.pi * s) ** 2,
+    s = edge_ramp(psi.grid, mask.width)
+    return WaveField(grid=psi.grid, values=psi.values * np.cos(0.5 * np.pi * s) ** 2,
                      time=psi.time)
 
 
 def run_airy_free(
     B: float = 1.0,
-    grid: Grid1D = None,
+    grid: Grid1D = _AIRY_GRID,
     dt: float = 5e-4,
     t_end: float = 2.0,
-    mask: AbsorbingMask = None,
+    mask: AbsorbingMask = _AIRY_MASK,
     window: tuple = (-10.0, 4.0),
     snapshot_stride: int = 200,
     consts: PhysicalConstants = PhysicalConstants(),
@@ -215,10 +228,6 @@ def run_airy_free(
     tail, so the undamped region must cover every tail point whose local
     group velocity can reach the window within t_end.
     """
-    if grid is None:
-        grid = Grid1D(-36.0, 12.0, 4096)
-    if mask is None:
-        mask = AbsorbingMask(width=8.0, strength=40.0)
     sol = airy_free_solution(B, consts, t_max=t_end + 1.0)
     A = sol.shape.A
     m = consts.mass
@@ -339,11 +348,13 @@ def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float
     return mesh_doubling(phi0_on_mesh, F, t, tol)
 
 
-def forced_airy_solution(B: float, F, consts: PhysicalConstants,
+def forced_airy_solution(B: float = 1.0, F: Callable[[float], float] = lambda t: 0.0,
+                         consts: PhysicalConstants = PhysicalConstants(),
                          t_max: float = 10.0) -> NswpSolution:
+    """Closed-form Airy packet pushed by the uniform force A + F(t)."""
     A = B**3 / (2.0 * consts.mass)
     shape = AiryShape(A=A, energy=0.0, consts=consts)
-    traj = trajectory_from_force(A, F, consts, t_max=t_max)
+    traj = ForceTrajectory(A, F, consts, t_max=t_max)
     return NswpSolution(shape, traj, gauge_linear_case(A, traj),
                         consts=consts, t_max=t_max)
 
@@ -352,10 +363,10 @@ def run_airy_forced(
     F: Callable[[float], float],
     force_label: str = "custom",
     B: float = 1.0,
-    grid: Grid1D = None,
+    grid: Grid1D = _AIRY_GRID,
     dt: float = 5e-4,
     t_end: float = 2.0,
-    mask: AbsorbingMask = None,
+    mask: AbsorbingMask = _AIRY_MASK,
     window: tuple = (-10.0, 4.0),
     snapshot_stride: int = 200,
     consts: PhysicalConstants = PhysicalConstants(),
@@ -363,10 +374,6 @@ def run_airy_forced(
     tol_phase: float = 1e-8,
 ) -> ScenarioResult:
     """Propagation under V(x, t) = -F(t) x with Airy shape."""
-    if grid is None:
-        grid = Grid1D(-36.0, 12.0, 4096)
-    if mask is None:
-        mask = AbsorbingMask(width=8.0, strength=40.0)
     sol = forced_airy_solution(B, F, consts, t_max=t_end + 1.0)
     A = sol.shape.A
 
@@ -427,7 +434,7 @@ def run_airy_forced(
 
 def run_gaussian_spreading(
     sigma0: float = 1.0,
-    grid: Grid1D = None,
+    grid: Grid1D = Grid1D(-30.0, 30.0, 2048),
     dt: float = 1e-3,
     t_end: float = 2.0,
     snapshot_stride: int = 200,
@@ -439,8 +446,6 @@ def run_gaussian_spreading(
     sigma(t) = sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2); a propagator
     that kept this packet rigid would be broken.
     """
-    if grid is None:
-        grid = Grid1D(-30.0, 30.0, 2048)
     x = grid.x
     psi = np.exp(-(x**2) / (4.0 * sigma0**2)).astype(complex)
     psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
@@ -477,7 +482,7 @@ def run_sho_timedep_frequency(
     omega0: float = 1.0,
     modulation: float = 0.2,
     amplitude: float = 2.0,
-    grid: Grid1D = None,
+    grid: Grid1D = Grid1D(-12.0, 12.0, 3072),
     dt: float = 1e-3,
     t_end: float = None,
     snapshot_stride: int = 100,
@@ -490,8 +495,6 @@ def run_sho_timedep_frequency(
     Shape deviation is measured against the initial profile translated to
     the instantaneous centroid (the most charitable comparison).
     """
-    if grid is None:
-        grid = Grid1D(-12.0, 12.0, 3072)
     if t_end is None:
         # about 10/omega0, rounded to a whole number of steps
         t_end = dt * round(10.0 / (omega0 * dt))
@@ -521,3 +524,126 @@ def run_sho_timedep_frequency(
         extras={"omega0": omega0, "modulation": modulation,
                 "amplitude": amplitude, "dt": dt, "t_end": t_end},
     )
+
+
+def run_sho_timedep_with_control(**kwargs) -> ScenarioResult:
+    """``run_sho_timedep_frequency(**kwargs)`` against the same run with
+    modulation 0: the modulated packet must spread, the control must not."""
+    modulated = run_sho_timedep_frequency(**kwargs)
+    control = run_sho_timedep_frequency(**{**kwargs, "modulation": 0.0})
+    record = no_nswp_for_time_dependent_frequency(
+        modulated.report, control.report, t_limit=modulated.extras["t_end"])
+    check = CheckResult("spread_detected_with_static_control",
+                        record["modulated_max_deviation"], record["spread_threshold"],
+                        record["pass"],
+                        note="expected deviation growth demonstrates the negative claim")
+    return ScenarioResult(name="sho_timedep_freq", report=modulated.report,
+                          checks=[check], extras=record)
+
+
+def run_corrupted_phase(
+    grid: Grid1D = Grid1D(-8.0, 8.0, 2048),
+    consts: PhysicalConstants = PhysicalConstants(),
+) -> ScenarioResult:
+    """Self-test without propagation: the TDSE residual of the shifted SHO
+    packet must inflate at least 100x when its global phase is dropped."""
+    sol, v = sho_solution(grid=grid, consts=consts, t_max=20.0)
+    peak = float(np.max(np.abs(analytic_psi(sol, grid, 1.0).values)))
+    good = tdse_residual(sol, v, grid, 1.0) / peak
+    bad = tdse_residual(sol, v, grid, 1.0, drop_phi0=True) / peak
+    check = CheckResult("residual_inflates_100x", bad / good, 100.0, bad > 100.0 * good,
+                        note="corrupted/good TDSE residual ratio")
+    return ScenarioResult(name="corrupted_phase_control", report=None, checks=[check],
+                          extras={"good_residual": good, "corrupted_residual": bad})
+
+
+# ---------------------------------------------------------------------------
+# Scenario table
+# ---------------------------------------------------------------------------
+
+GRID_KEYS = {"x_min": "x_min", "x_max": "x_max", "n_points": "n"}  # key -> Grid1D field
+FORCE_KEYS = ("force_kind", "force_amp", "force_freq")
+
+
+def grid_from(config: dict, default: Grid1D) -> Grid1D:
+    """``default`` with the grid keys of ``config`` in place of its fields."""
+    return replace(default, **{f: config[k] for k, f in GRID_KEYS.items() if k in config})
+
+
+def consts_from(config: dict) -> PhysicalConstants:
+    return PhysicalConstants(**{k: config[k] for k in ("hbar", "mass") if k in config})
+
+
+def uniform_force(force_kind: str = "sin", force_amp: float = 0.3,
+                  force_freq: float = 2.0) -> tuple[Callable[[float], float], str]:
+    """F(t) and its label: ``none`` (0), ``const`` (force_amp) or ``sin``
+    (force_amp sin(force_freq t))."""
+    if force_kind == "none":
+        return (lambda t: 0.0), "none"
+    if force_kind == "const":
+        return (lambda t: force_amp), f"const{force_amp:g}"
+    if force_kind == "sin":
+        return (lambda t: force_amp * np.sin(force_freq * t)), f"sin{force_amp:g}x{force_freq:g}"
+    raise ConfigurationError(f"unknown force_kind '{force_kind}'")
+
+
+def _on_linear_v(sol: NswpSolution) -> tuple[NswpSolution, StaticPotential]:
+    return sol, StaticPotential.linear(sol.shape.A)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A run the command line offers by name.
+
+    ``run(**kwargs)`` returns a ScenarioResult. Every scenario takes hbar and
+    mass (as ``consts``) besides its own ``keys``; one with a default
+    ``grid`` also takes the grid keys (as ``grid``) and, if it has a
+    ``build``, ``build(**kwargs, t_max=...)`` returns its closed-form packet
+    and static potential. ``run`` and ``build`` are lambdas, so the module
+    functions they call are looked up when called, not when this table is
+    built.
+    """
+
+    run: Callable[..., ScenarioResult]
+    keys: tuple = ()
+    grid: Optional[Grid1D] = None
+    build: Optional[Callable] = None
+    propagates: bool = True
+
+    @property
+    def config_keys(self) -> set:
+        return {*self.keys, "hbar", "mass", *(GRID_KEYS if self.grid else ())}
+
+    def kwargs(self, config: dict) -> dict:
+        """Keyword arguments of ``run`` and ``build`` from a flat config."""
+        kw = {"n" if k == "mode_index" else k: v
+              for k, v in config.items() if k in self.keys and k not in FORCE_KEYS}
+        kw["consts"] = consts_from(config)
+        if self.grid is not None:
+            kw["grid"] = grid_from(config, self.grid)
+        if "force_kind" in self.keys:
+            kw["F"], kw["force_label"] = uniform_force(
+                **{k: config[k] for k in FORCE_KEYS if k in config})
+        return kw
+
+
+SCENARIOS = {
+    "sho": Scenario(
+        run=lambda **kw: run_sho_shifted(**kw),
+        keys=("mode_index", "amplitude", "omega", "dt"), grid=_SHO_GRID,
+        build=lambda **kw: sho_solution(**kw)),
+    "airy-free": Scenario(
+        run=lambda **kw: run_airy_free(**kw),
+        keys=("B", "dt", "t_end"), grid=_AIRY_GRID,
+        # the grid only samples a closed-form Airy packet
+        build=lambda grid, **kw: _on_linear_v(airy_free_solution(**kw))),
+    "airy-forced": Scenario(
+        run=lambda **kw: run_airy_forced(**kw),
+        keys=("B", "dt", "t_end", *FORCE_KEYS), grid=_AIRY_GRID,
+        build=lambda grid, force_label, **kw: _on_linear_v(forced_airy_solution(**kw))),
+    "gaussian-control": Scenario(run=lambda **kw: run_gaussian_spreading(**kw)),
+    "sho-timedep-freq": Scenario(run=lambda **kw: run_sho_timedep_with_control(**kw),
+                                 keys=("modulation",)),
+    "corrupted-phase": Scenario(run=lambda **kw: run_corrupted_phase(**kw),
+                                propagates=False),
+}

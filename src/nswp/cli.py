@@ -16,37 +16,44 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cases
-from .constructor import analytic_psi, phase, v_nswp
+from .constructor import analytic_psi, v_nswp
 from .eigensolver import StaticPotential, lowest_eigenpairs, write_eigenpair
 from .errors import (AccuracyError, ConfigurationError, ConvergenceError,
                      NswpError, RangeError)
-from .grids import Grid1D, PhysicalConstants, write_wavefield_csv
-from .propagator import RunReport
+from .grids import Grid1D, write_wavefield_csv
 
-_GRID_KEYS = {"x_min": float, "x_max": float, "n_points": int}
-_CONSTS_KEYS = {"hbar": float, "mass": float}
+# value type of each config key; every key not listed takes a float
+_TYPES = {"potential": str, "scenario": str, "force_kind": str, "k": int,
+          "mode_index": int, "n_points": int, "times": list, "write_snapshots": bool}
+_CONSTRUCT_T_MAX = 20.0  # phi0 cache horizon of the packets `construct` samples
 
-_KNOWN_KEYS = {
-    "eigen": {"potential": str, "omega": float, "lam": float, "k": int,
-              **_GRID_KEYS, **_CONSTS_KEYS},
-    "construct": {"scenario": str, "mode_index": int, "amplitude": float,
-                  "omega": float, "B": float, "force_kind": str,
-                  "force_amp": float, "force_freq": float, "times": list,
-                  **_GRID_KEYS, **_CONSTS_KEYS},
-    "propagate": {"scenario": str, "mode_index": int, "amplitude": float,
-                  "omega": float, "B": float, "force_kind": str,
-                  "force_amp": float, "force_freq": float, "dt": float,
-                  "t_end": float, "snapshot_stride": int, "write_snapshots": bool,
-                  **_GRID_KEYS, **_CONSTS_KEYS},
-    "verify": {"scenario": str, "mode_index": int, "amplitude": float,
-               "omega": float, "B": float, "force_kind": str,
-               "force_amp": float, "force_freq": float, "modulation": float,
-               **_GRID_KEYS, **_CONSTS_KEYS},
-    "reproduce": {},
-}
+
+def _typed(key: str, value):
+    """``value`` if it has ``key``'s type (an int also passes as a float)."""
+    kind = _TYPES.get(key, float)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
+    if kind is list:
+        ok = ok and all(isinstance(t, (int, float)) and not isinstance(t, bool)
+                        for t in value)
+    if not ok:
+        raise ConfigurationError(f"bad value for '{key}': {value!r} is not a {kind.__name__}")
+    return value
+
+
+def _scenario(command: str, config: dict) -> cases.Scenario:
+    """The table entry ``config`` names; raises unless it takes every key."""
+    name = config.get("scenario", "sho")
+    entry = cases.SCENARIOS.get(name)
+    if entry is None or (command == "construct" and entry.build is None) \
+            or (command == "propagate" and not entry.propagates):
+        raise ConfigurationError(f"'{command}' has no scenario '{name}'")
+    ignored = sorted(set(config) - entry.config_keys - {"scenario", "times", "write_snapshots"})
+    if ignored:
+        raise ConfigurationError(f"scenario '{name}' does not take {ignored}")
+    return entry
 
 
 def _load_config(command: str, path: str | None, overrides: dict) -> dict:
@@ -58,30 +65,17 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
             raise ConfigurationError("config file must hold a JSON object")
         config.update(loaded)
     config.update({k: v for k, v in overrides.items() if v is not None})
-    known = _KNOWN_KEYS[command]
-    unknown = sorted(set(config) - set(known))
+    known = set(vars(build_parser().parse_args([command]))) - {"command", "config", "out"}
+    if "scenario" in known:
+        # grid keys, hbar and mass reach the scenarios through --config only
+        known |= {*cases.GRID_KEYS, "hbar", "mass"}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise ConfigurationError(f"unknown config keys for '{command}': {unknown}")
-    for key, value in config.items():
-        try:
-            config[key] = known[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad value for '{key}': {value}") from exc
+    config = {k: _typed(k, v) for k, v in config.items()}
+    if "scenario" in known:
+        _scenario(command, config)
     return config
-
-
-def _grid_from(config: dict, default: Grid1D) -> Grid1D:
-    if not any(k in config for k in _GRID_KEYS):
-        return default
-    return Grid1D(
-        x_min=config.get("x_min", default.x_min),
-        x_max=config.get("x_max", default.x_max),
-        n=config.get("n_points", default.n),
-    )
-
-
-def _consts_from(config: dict) -> PhysicalConstants:
-    return PhysicalConstants(hbar=config.get("hbar", 1.0), mass=config.get("mass", 1.0))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -90,22 +84,9 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _force_from(config: dict):
-    kind = config.get("force_kind", "sin")
-    amp = config.get("force_amp", 0.3)
-    freq = config.get("force_freq", 2.0)
-    if kind == "none":
-        return (lambda t: 0.0), "none"
-    if kind == "const":
-        return (lambda t: amp), f"const{amp:g}"
-    if kind == "sin":
-        return (lambda t: amp * np.sin(freq * t)), f"sin{amp:g}x{freq:g}"
-    raise ConfigurationError(f"unknown force_kind '{kind}'")
-
-
 def cmd_eigen(config: dict, out: Path) -> int:
     kind = config.get("potential", "harmonic")
-    consts = _consts_from(config)
+    consts = cases.consts_from(config)
     if kind == "harmonic":
         v = StaticPotential.harmonic(config.get("omega", 1.0), consts.mass)
         default_grid = Grid1D(-12.0, 12.0, 2048)
@@ -117,7 +98,7 @@ def cmd_eigen(config: dict, out: Path) -> int:
             f"potential '{kind}' not supported by eigen (linear has a "
             "continuous spectrum; use the airy scenarios)"
         )
-    grid = _grid_from(config, default_grid)
+    grid = cases.grid_from(config, default_grid)
     k = config.get("k", 3)
     pairs = lowest_eigenpairs(v, grid, consts, k)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,37 +114,11 @@ def cmd_eigen(config: dict, out: Path) -> int:
     return 0
 
 
-def _scenario_solution(config: dict, consts: PhysicalConstants):
-    scenario = config.get("scenario", "sho")
-    if scenario == "sho":
-        grid = _grid_from(config, Grid1D(-8.0, 8.0, 4096))
-        omega = config.get("omega", 1.0)
-        amplitude = config.get("amplitude", 2.0)
-        n = config.get("mode_index", 0)
-        v = StaticPotential.harmonic(omega, consts.mass)
-        pair = lowest_eigenpairs(v, grid, consts, n + 1)[n]
-        from .constructor import NswpSolution, SampledShape, gauge_sho_case
-        from .trajectory import Sinusoid
-        traj = Sinusoid(amplitude, omega)
-        sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
-                           gauge_sho_case(omega, traj, consts), consts=consts,
-                           t_max=20.0)
-        return sol, v, grid
-    if scenario == "airy-free":
-        grid = _grid_from(config, Grid1D(-36.0, 12.0, 4096))
-        sol = cases.airy_free_solution(config.get("B", 1.0), consts, t_max=20.0)
-        return sol, StaticPotential.linear(sol.shape.A), grid
-    if scenario == "airy-forced":
-        grid = _grid_from(config, Grid1D(-36.0, 12.0, 4096))
-        F, _ = _force_from(config)
-        sol = cases.forced_airy_solution(config.get("B", 1.0), F, consts, t_max=20.0)
-        return sol, StaticPotential.linear(sol.shape.A), grid
-    raise ConfigurationError(f"unknown construct scenario '{scenario}'")
-
-
 def cmd_construct(config: dict, out: Path) -> int:
-    consts = _consts_from(config)
-    sol, v, grid = _scenario_solution(config, consts)
+    entry = _scenario("construct", config)
+    kwargs = entry.kwargs(config)
+    sol, v = entry.build(**kwargs, t_max=_CONSTRUCT_T_MAX)
+    grid, consts = kwargs["grid"], kwargs["consts"]
     times = [float(t) for t in config.get("times", [0.0, 0.5, 1.0])]
     out.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(times):
@@ -186,37 +141,13 @@ def cmd_construct(config: dict, out: Path) -> int:
     return 0
 
 
-def _run_scenario(config: dict):
-    scenario = config.get("scenario", "sho")
-    kwargs = {}
-    consts = _consts_from(config)
-    if scenario == "sho":
-        for src, dst in [("mode_index", "n"), ("amplitude", "amplitude"),
-                         ("omega", "omega"), ("dt", "dt")]:
-            if src in config:
-                kwargs[dst] = config[src]
-        return cases.run_sho_shifted(consts=consts, **kwargs)
-    if scenario == "airy-free":
-        for src in ("B", "dt", "t_end"):
-            if src in config:
-                kwargs[src] = config[src]
-        return cases.run_airy_free(consts=consts, **kwargs)
-    if scenario == "airy-forced":
-        F, label = _force_from(config)
-        for src in ("B", "dt", "t_end"):
-            if src in config:
-                kwargs[src] = config[src]
-        return cases.run_airy_forced(F, force_label=label, consts=consts, **kwargs)
-    if scenario == "gaussian-control":
-        return cases.run_gaussian_spreading(consts=consts)
-    if scenario == "sho-timedep-freq":
-        return cases.run_sho_timedep_frequency(
-            modulation=config.get("modulation", 0.2), consts=consts)
-    raise ConfigurationError(f"unknown scenario '{scenario}'")
+def _run(command: str, config: dict) -> cases.ScenarioResult:
+    entry = _scenario(command, config)
+    return entry.run(**entry.kwargs(config))
 
 
 def cmd_propagate(config: dict, out: Path) -> int:
-    result = _run_scenario(config)
+    result = _run("propagate", config)
     out.mkdir(parents=True, exist_ok=True)
     result.report.write_json(out / "report.json")
     if config.get("write_snapshots", False):
@@ -230,54 +161,10 @@ def cmd_propagate(config: dict, out: Path) -> int:
     return 0
 
 
-def _verify_corrupted_phase() -> dict:
-    """Self-test: the TDSE residual must detect a dropped global phase."""
-    from .constructor import tdse_residual
-    consts = PhysicalConstants()
-    sol, v, grid = _scenario_solution(
-        {"scenario": "sho", "n_points": 2048}, consts)
-    peak = float(np.max(np.abs(analytic_psi(sol, grid, 1.0).values)))
-    good = tdse_residual(sol, v, grid, 1.0) / peak
-    bad = tdse_residual(sol, v, grid, 1.0, drop_phi0=True) / peak
-    detected = bad > 100.0 * good
-    return {
-        "name": "corrupted_phase_control",
-        "pass": bool(detected),
-        "checks": [{
-            "name": "residual_inflates_100x", "value": bad / good,
-            "tolerance": 100.0, "pass": bool(detected),
-            "note": "corrupted/good TDSE residual ratio",
-        }],
-        "extras": {"good_residual": good, "corrupted_residual": bad},
-    }
-
-
 def cmd_verify(config: dict, out: Path) -> int:
-    scenario = config.get("scenario", "sho")
+    payload = _run("verify", config).to_dict()
+    del payload["report"]
     out.mkdir(parents=True, exist_ok=True)
-    if scenario == "corrupted-phase":
-        payload = _verify_corrupted_phase()
-    elif scenario == "sho-timedep-freq":
-        modulated = cases.run_sho_timedep_frequency(
-            modulation=config.get("modulation", 0.2))
-        control = cases.run_sho_timedep_frequency(modulation=0.0)
-        from .verifier import no_nswp_for_time_dependent_frequency
-        record = no_nswp_for_time_dependent_frequency(
-            modulated.report, control.report,
-            t_limit=modulated.extras["t_end"])
-        payload = {
-            "name": "sho_timedep_freq", "pass": record["pass"],
-            "checks": [{"name": "spread_detected_with_static_control",
-                        "value": record["modulated_max_deviation"],
-                        "tolerance": record["spread_threshold"],
-                        "pass": record["pass"],
-                        "note": "expected deviation growth demonstrates the negative claim"}],
-            "extras": record,
-        }
-    else:
-        result = _run_scenario(config)
-        payload = result.to_dict()
-        del payload["report"]
     _write_json(out / "report.json", payload)
     _write_json(out / "manifest.json", {"command": "verify", "config": config})
     for check in payload["checks"]:
@@ -290,27 +177,24 @@ def cmd_verify(config: dict, out: Path) -> int:
     return 0
 
 
-def cmd_reproduce(out: Path) -> int:
-    """Run the three closed-form families plus both controls."""
-    jobs = [
-        ("sho", {"scenario": "sho"}),
-        ("airy_free", {"scenario": "airy-free"}),
-        ("airy_forced", {"scenario": "airy-forced"}),
-        ("gaussian_control", {"scenario": "gaussian-control"}),
-        ("sho_timedep_freq", {"scenario": "sho-timedep-freq"}),
-        ("corrupted_phase", {"scenario": "corrupted-phase"}),
-    ]
+def cmd_reproduce(config: dict, out: Path) -> int:
+    """Verify every scenario of the table with its defaults."""
     summary = {}
     all_ok = True
     out.mkdir(parents=True, exist_ok=True)
-    for name, config in jobs:
-        code = cmd_verify(config, out / name)
+    for scenario in cases.SCENARIOS:
+        name = scenario.replace("-", "_")
+        code = cmd_verify({"scenario": scenario}, out / name)
         summary[name] = {"exit_code": code, "pass": code == 0}
         all_ok &= code == 0
     _write_json(out / "report.json", {"command": "reproduce", "scenarios": summary,
                                       "pass": all_ok})
     print(f"reproduce: {'all scenarios pass' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1
+
+
+_COMMANDS = {"eigen": cmd_eigen, "construct": cmd_construct, "propagate": cmd_propagate,
+             "verify": cmd_verify, "reproduce": cmd_reproduce}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,18 +255,8 @@ def main(argv=None) -> int:
                  if k not in ("command", "config", "out")}
     out = Path(args.out)
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(out)
         config = _load_config(args.command, args.config, overrides)
-        if args.command == "eigen":
-            return cmd_eigen(config, out)
-        if args.command == "construct":
-            return cmd_construct(config, out)
-        if args.command == "propagate":
-            return cmd_propagate(config, out)
-        if args.command == "verify":
-            return cmd_verify(config, out)
-        raise ConfigurationError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](config, out)
     except (ConfigurationError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ import numpy as np
 from .airy import ai_values
 from .eigensolver import EigenPair, StaticPotential
 from .errors import RangeError
-from .grids import Grid1D, PhysicalConstants, WaveField, shift_values
+from .grids import Grid1D, PhysicalConstants, WaveField, fd5_second, shift_values
 from .quadrature import cumulative_antiderivative, integrate_time
 from .trajectory import Trajectory
 
@@ -205,7 +205,6 @@ def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
     the global phase (falsification control).
     """
     hbar, m = sol.consts.hbar, sol.consts.mass
-    dx = grid.dx
 
     def psi_at(tt: float) -> np.ndarray:
         values = analytic_psi(sol, grid, tt).values
@@ -217,11 +216,7 @@ def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
     stack = [psi_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
     dpsi_dt = (stack[0] - 8 * stack[1] + 8 * stack[3] - stack[4]) / (12.0 * h)
     psi = stack[2]
-
-    d2 = np.zeros_like(psi)
-    d2[2:-2] = (
-        -psi[:-4] + 16 * psi[1:-3] - 30 * psi[2:-2] + 16 * psi[3:-1] - psi[4:]
-    ) / (12.0 * dx**2)
+    d2 = fd5_second(psi, grid.dx)
 
     vloc = v_nswp(sol, v, grid.x, t)
     residual = 1j * hbar * dpsi_dt - (-(hbar**2) / (2 * m) * d2 + vloc * psi)

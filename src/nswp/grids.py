@@ -112,6 +112,22 @@ def _second_derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return d2
 
 
+def fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
+    """5-point central first derivative; zero at the two points at each end."""
+    out = np.zeros_like(values)
+    out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * dx)
+    return out
+
+
+def fd5_second(values: np.ndarray, dx: float) -> np.ndarray:
+    """5-point central second derivative; zero at the two points at each end."""
+    out = np.zeros_like(values)
+    out[2:-2] = (
+        -values[:-4] + 16 * values[1:-3] - 30 * values[2:-2] + 16 * values[3:-1] - values[4:]
+    ) / (12 * dx**2)
+    return out
+
+
 def observables(
     psi: WaveField, v_of_x: np.ndarray | None = None,
     consts: PhysicalConstants = PhysicalConstants(),

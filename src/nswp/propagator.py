@@ -148,14 +148,16 @@ def _cn_solve(step: _CNStep, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_profile(grid: Grid1D, mask: AbsorbingMask, dt: float) -> np.ndarray:
+def edge_ramp(grid: Grid1D, width: float) -> np.ndarray:
+    """Ramp coordinate s: 0 in the interior, rising linearly to 1 at either
+    edge across the outer ``width`` of the grid."""
     x = grid.x
-    s = np.zeros(grid.n)
-    left = grid.x_min + mask.width
-    right = grid.x_max - mask.width
-    s = np.maximum((left - x) / mask.width, (x - right) / mask.width)
-    s = np.clip(s, 0.0, 1.0)
-    ramp = np.sin(0.5 * np.pi * s) ** 2
+    s = np.maximum((grid.x_min + width - x) / width, (x - (grid.x_max - width)) / width)
+    return np.clip(s, 0.0, 1.0)
+
+
+def _mask_profile(grid: Grid1D, mask: AbsorbingMask, dt: float) -> np.ndarray:
+    ramp = np.sin(0.5 * np.pi * edge_ramp(grid, mask.width)) ** 2
     return np.exp(-mask.strength * dt * ramp)
 
 

@@ -153,9 +153,3 @@ class ForceTrajectory(Trajectory):
         d_dot = (self.A * t + float(self._int_f(t))) / m
         d_ddot = (self.A + self.F(t)) / m
         return (d, d_dot, d_ddot)
-
-
-def trajectory_from_force(A: float, F, consts: PhysicalConstants,
-                          tol: float = 1e-11, t_max: float = 10.0) -> ForceTrajectory:
-    """Trajectory driven by a constant force A plus time-dependent F(t)."""
-    return ForceTrajectory(A, F, consts, tol=tol, t_max=t_max)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .constructor import NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
-from .grids import Grid1D, PhysicalConstants, WaveField, shift_field
+from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second,
+                    shift_field)
 from .propagator import RunReport
 from .trajectory import Trajectory
 
@@ -51,20 +52,6 @@ class DecompositionReport:
     shift_check_error: float
 
 
-def _fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * dx)
-    return out
-
-
-def _fd5_second(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    out[2:-2] = (
-        -values[:-4] + 16 * values[1:-3] - 30 * values[2:-2] + 16 * values[3:-1] - values[4:]
-    ) / (12 * dx**2)
-    return out
-
-
 def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
                     consts: PhysicalConstants, E_f: float, t: float,
                     margin: int = 8) -> float:
@@ -75,8 +62,8 @@ def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
     e_tilde = E_f - 0.5 * m * d_dot**2
 
     values = psi.values
-    d1 = _fd5_first(values, dx)
-    d2 = _fd5_second(values, dx)
+    d1 = fd5_first(values, dx)
+    d2 = fd5_second(values, dx)
     h_psi = (
         -(hbar**2) / (2 * m) * d2
         + v(psi.grid.x - d) * values

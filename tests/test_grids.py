@@ -5,6 +5,7 @@ from nswp import (Grid1D, PhysicalConstants, WaveField, inner_product, norm,
                   observables, read_wavefield_csv, shift_field,
                   write_wavefield_csv)
 from nswp.errors import DegenerateFieldError, GridMismatchError, RangeError
+from nswp.grids import fd5_first, fd5_second
 
 
 def gaussian_field(grid, center=0.0, k=0.0, sigma=1.0):
@@ -159,3 +160,15 @@ def test_csv_rejects_wrong_header(tmp_path):
     path.write_text("a,b,c\n0,0,0\n")
     with pytest.raises(ValueError):
         read_wavefield_csv(path)
+
+
+def test_fd5_stencils_exact_on_quartic():
+    # the 5-point stencils are exact for polynomials of degree <= 4 (first)
+    # and <= 5 (second); the two points at each end are left at zero
+    grid = Grid1D(-1.0, 2.0, 31)
+    x = grid.x
+    d1 = fd5_first(x**4 - x, grid.dx)
+    d2 = fd5_second(x**5 + x**2, grid.dx)
+    assert np.allclose(d1[2:-2], 4 * x[2:-2] ** 3 - 1, atol=1e-10)
+    assert np.allclose(d2[2:-2], 20 * x[2:-2] ** 3 + 2, atol=1e-9)
+    assert not np.any(d1[[0, 1, -2, -1]]) and not np.any(d2[[0, 1, -2, -1]])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from nswp import (PhysicalConstants, Polynomial, Rest, Sinusoid,
-                  TabulatedSpline, UniformAcceleration, trajectory_from_force)
+from nswp import (ForceTrajectory, PhysicalConstants, Polynomial, Rest, Sinusoid,
+                  TabulatedSpline, UniformAcceleration)
 from nswp.errors import RangeError
 
 CONSTS = PhysicalConstants()
@@ -61,8 +61,7 @@ def all_kinds():
         UniformAcceleration(0.7),
         Polynomial((0.0, 0.2, -0.1, 0.05)),
         TabulatedSpline([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 1.5, 2.1], 0.1, 0.9),
-        trajectory_from_force(0.5, lambda t: 0.3 * math.sin(2.0 * t), CONSTS,
-                              t_max=4.0),
+        ForceTrajectory(0.5, lambda t: 0.3 * math.sin(2.0 * t), CONSTS, t_max=4.0),
     ]
 
 
@@ -86,7 +85,7 @@ def test_all_kinds_start_at_origin():
 
 def test_force_trajectory_zero_force():
     A = 0.5
-    traj = trajectory_from_force(A, lambda t: 0.0, CONSTS, t_max=10.0)
+    traj = ForceTrajectory(A, lambda t: 0.0, CONSTS, t_max=10.0)
     ref = UniformAcceleration(A / CONSTS.mass)
     for t in np.linspace(0.0, 10.0, 21):
         assert abs(traj.d(t) - ref.d(t)) < 1e-10
@@ -96,7 +95,7 @@ def test_force_trajectory_zero_force():
 
 def test_force_trajectory_constant_force():
     A, F0 = 0.5, 0.3
-    traj = trajectory_from_force(A, lambda t: F0, CONSTS, t_max=5.0)
+    traj = ForceTrajectory(A, lambda t: F0, CONSTS, t_max=5.0)
     for t in np.linspace(0.0, 5.0, 11):
         assert abs(traj.d(t) - 0.5 * (A + F0) * t**2) < 1e-10
 
@@ -105,7 +104,7 @@ def test_force_trajectory_sinusoidal_force():
     # m d_ddot = A + sin t with d(0) = d_dot(0) = 0 integrates to
     # d = A t^2/2 + t - sin t (m = 1)
     A = 0.5
-    traj = trajectory_from_force(A, math.sin, CONSTS, t_max=6.0)
+    traj = ForceTrajectory(A, math.sin, CONSTS, t_max=6.0)
     for t in np.linspace(0.0, 6.0, 13):
         assert abs(traj.d(t) - (0.5 * A * t**2 + t - math.sin(t))) < 1e-9
         assert abs(traj.d_dot(t) - (A * t + 1.0 - math.cos(t))) < 1e-9
@@ -113,14 +112,14 @@ def test_force_trajectory_sinusoidal_force():
 
 
 def test_force_trajectory_cached_integral():
-    traj = trajectory_from_force(0.0, math.cos, CONSTS, t_max=4.0)
+    traj = ForceTrajectory(0.0, math.cos, CONSTS, t_max=4.0)
     assert abs(traj.int_f(2.0) - math.sin(2.0)) < 1e-10
 
 
 def test_force_trajectory_rejects_t_outside_cache():
     # the cached antiderivatives end at t_max; extrapolating the end cubic
     # gave d(10) = -36.8 here, against the exact 10 - sin(10) = 10.54
-    traj = trajectory_from_force(0.0, math.sin, CONSTS, t_max=2.0)
+    traj = ForceTrajectory(0.0, math.sin, CONSTS, t_max=2.0)
     assert abs(traj.d(2.0) - (2.0 - math.sin(2.0))) < 1e-9
     for t in (10.0, 2.0 + 1e-6, -1e-6):
         with pytest.raises(RangeError):
