@@ -8,20 +8,18 @@ time-dependent potential, and verifies the result by unitary Crank-Nicolson
 propagation and by a Hamiltonian-decomposition analysis.
 """
 
-from .airy import AiryEval, ai_values, airy_ai
+from .airy import ai_values
 from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           phase, tdse_residual, v_nswp)
 from .eigensolver import (EigenPair, StaticPotential, TridiagonalMatrix,
-                          build_hamiltonian, linear_potential_mode,
-                          lowest_eigenpairs)
+                          build_hamiltonian, lowest_eigenpairs)
 from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
                     inner_product, norm, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
                          RunReport, crank_nicolson_step, propagate)
-from .quadrature import (integrate_time, nested_double_integral,
-                         nested_triple_integral)
+from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
                          TabulatedSpline, Trajectory, UniformAcceleration)
 from .verifier import (CheckResult, DecompositionReport, classical_motion_check,

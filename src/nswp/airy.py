@@ -1,157 +1,16 @@
-"""Self-contained evaluation of the Airy function Ai.
-
-Maclaurin series near the origin, standard asymptotic expansions for large
-|x|. The series is used further out on the negative axis (|x| <= 8) than on
-the positive one (x <= 5) because the oscillatory asymptotic form is not yet
-at 1e-10 absolute accuracy near -5, while the series still is. The series
-is summed in extended precision (80-bit long double where available) so
-that the cancellation on the oscillatory side costs no visible accuracy;
-both branches agree to ~1e-13 at the -8 crossover, which keeps finite
-differences across the seam clean.
-"""
+"""The Airy function Ai, evaluated by ``scipy.special.airy``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gamma
-
 import numpy as np
+from scipy.special import airy
 
 from .errors import RangeError
 
-# Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3)
-_C1 = 3.0 ** (-2.0 / 3.0) / gamma(2.0 / 3.0)
-_C2 = -(3.0 ** (-1.0 / 3.0)) / gamma(1.0 / 3.0)
-
-_X_SWITCH_POS = 5.0
-_X_SWITCH_NEG = 8.0
-_X_MAX = 200.0
-
-_EPS = 1e-18
-_MAX_TERMS = 300
-
-# u_k coefficients of the large-|x| expansions, u_{k+1} = u_k (6k+1)(6k+5)/(72(k+1))
-_N_U = 40
-_U = np.empty(_N_U)
-_U[0] = 1.0
-for _k in range(_N_U - 1):
-    _U[_k + 1] = _U[_k] * (6 * _k + 1) * (6 * _k + 5) / (72.0 * (_k + 1))
-
-
-@dataclass(frozen=True)
-class AiryEval:
-    value: float
-    abs_err_estimate: float
-
-
-def _series(x: np.ndarray):
-    """Maclaurin series Ai(x) = c1 f(x) + c2 g(x); returns (value, err).
-
-    Summed in long double: on the oscillatory side the partial sums exceed
-    the result by up to ~e^zeta, and the extra mantissa bits keep that
-    cancellation below 1e-13 absolute out to x = -8.
-    """
-    # f: sum a_k x^{3k},  a_{k+1} = a_k / ((3k+2)(3k+3))
-    # g: sum b_k x^{3k+1}, b_{k+1} = b_k / ((3k+3)(3k+4))
-    xl = x.astype(np.longdouble)
-    c1 = np.longdouble(_C1)
-    c2 = np.longdouble(_C2)
-    term_f = np.ones_like(xl)
-    term_g = xl.copy()
-    s = c1 * term_f + c2 * term_g
-    peak = np.abs(s)
-    x3 = xl**3
-    for k in range(_MAX_TERMS):
-        term_f = term_f * x3 / ((3 * k + 2) * (3 * k + 3))
-        term_g = term_g * x3 / ((3 * k + 3) * (3 * k + 4))
-        add = c1 * term_f + c2 * term_g
-        s = s + add
-        peak = np.maximum(peak, np.abs(c1 * term_f) + np.abs(c2 * term_g))
-        if np.all(np.abs(add) <= _EPS * np.maximum(np.abs(s), 1e-300)):
-            break
-    eps_l = float(np.finfo(np.longdouble).eps)
-    value = s.astype(float)
-    err = eps_l * peak.astype(float) + 2e-16 * np.abs(value) + np.abs(add.astype(float))
-    return value, err
-
-
-def _asymptotic_pos(x: np.ndarray):
-    """Ai(x) for large positive x: exp(-zeta)/(2 sqrt(pi) x^(1/4)) * sum."""
-    zeta = (2.0 / 3.0) * x**1.5
-    pref = np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x**0.25)
-    s = np.zeros_like(x)
-    last = np.full_like(x, np.inf)
-    # per-element truncation at the smallest term of the divergent series
-    active = np.ones(x.shape, dtype=bool)
-    for k in range(_N_U):
-        term = _U[k] * (-1.0 / zeta) ** k
-        active &= np.abs(term) < np.abs(last)
-        if not np.any(active):
-            break
-        s = np.where(active, s + term, s)
-        last = np.where(active, term, last)
-    return pref * s, np.abs(pref) * np.abs(last)
-
-
-def _asymptotic_neg(x: np.ndarray):
-    """Ai(-z) oscillatory expansion for large z = -x."""
-    z = -x
-    zeta = (2.0 / 3.0) * z**1.5
-    arg = zeta + np.pi / 4.0
-    inv2 = 1.0 / zeta**2
-    s_even = np.zeros_like(z)
-    s_odd = np.zeros_like(z)
-    last = np.full_like(z, np.inf)
-    err = np.zeros_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(_N_U // 2 - 1):
-        te = _U[2 * k] * (-inv2) ** k
-        to = _U[2 * k + 1] / zeta * (-inv2) ** k
-        active &= np.abs(te) < np.abs(last)
-        if not np.any(active):
-            break
-        s_even = np.where(active, s_even + te, s_even)
-        s_odd = np.where(active, s_odd + to, s_odd)
-        last = np.where(active, te, last)
-        err = np.where(active, np.abs(te) + np.abs(to), err)
-    pref = 1.0 / (np.sqrt(np.pi) * z**0.25)
-    val = pref * (np.sin(arg) * s_even - np.cos(arg) * s_odd)
-    return val, np.abs(pref) * err
-
 
 def ai_values(x) -> np.ndarray:
-    """Vectorized Ai(x) for |x| <= 200."""
+    """Vectorized Ai(x) for finite x; a scalar for a scalar x."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if not np.all(np.isfinite(x)):
-        raise RangeError("airy_ai requires finite arguments")
-    if np.any(np.abs(x) > _X_MAX):
-        raise RangeError(f"airy_ai supports |x| <= {_X_MAX}")
-    out = np.empty_like(x)
-    mid = (x <= _X_SWITCH_POS) & (x >= -_X_SWITCH_NEG)
-    pos = x > _X_SWITCH_POS
-    neg = x < -_X_SWITCH_NEG
-    if np.any(mid):
-        out[mid] = _series(x[mid])[0]
-    if np.any(pos):
-        out[pos] = _asymptotic_pos(x[pos])[0]
-    if np.any(neg):
-        out[neg] = _asymptotic_neg(x[neg])[0]
-    return out[0] if scalar else out
-
-
-def airy_ai(x: float) -> AiryEval:
-    """Ai(x) with an absolute error estimate; |x| <= 200."""
-    xa = np.atleast_1d(np.asarray(float(x)))
-    if not np.isfinite(x):
-        raise RangeError("airy_ai requires a finite argument")
-    if abs(x) > _X_MAX:
-        raise RangeError(f"airy_ai supports |x| <= {_X_MAX}, got {x}")
-    if -_X_SWITCH_NEG <= x <= _X_SWITCH_POS:
-        v, e = _series(xa)
-    elif x > _X_SWITCH_POS:
-        v, e = _asymptotic_pos(xa)
-    else:
-        v, e = _asymptotic_neg(xa)
-    return AiryEval(value=float(v[0]), abs_err_estimate=float(e[0]))
+        raise RangeError("ai_values requires finite arguments")
+    return airy(x)[0]

@@ -22,8 +22,8 @@ from .constructor import (AiryShape, NswpSolution, SampledShape,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
 from .errors import ConfigurationError
-from .grids import (Grid1D, PhysicalConstants, WaveField, inner_product,
-                    observables, shift_field)
+from .grids import (Grid1D, PhysicalConstants, WaveField, fd3_first,
+                    inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
                          propagate)
 from .quadrature import mesh_doubling
@@ -181,7 +181,7 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
 
 def _windowed_momentum(psi: WaveField, sel: np.ndarray, hbar: float) -> float:
     dx = psi.grid.dx
-    d1 = np.gradient(psi.values, dx, edge_order=2)
+    d1 = fd3_first(psi.values, dx)
     num = np.trapezoid((np.conj(psi.values) * (-1j * hbar) * d1)[sel], dx=dx).real
     den = np.trapezoid(np.abs(psi.values[sel]) ** 2, dx=dx)
     return float(num / den)

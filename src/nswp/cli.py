@@ -89,15 +89,17 @@ def cmd_eigen(config: dict, out: Path) -> int:
     consts = cases.consts_from(config)
     if kind == "harmonic":
         v = StaticPotential.harmonic(config.get("omega", 1.0), consts.mass)
-        default_grid = Grid1D(-12.0, 12.0, 2048)
+        default_grid, other = Grid1D(-12.0, 12.0, 2048), "lam"
     elif kind == "quartic":
         v = StaticPotential.quartic(config.get("lam", 1.0))
-        default_grid = Grid1D(-8.0, 8.0, 2048)
+        default_grid, other = Grid1D(-8.0, 8.0, 2048), "omega"
     else:
         raise ConfigurationError(
             f"potential '{kind}' not supported by eigen (linear has a "
             "continuous spectrum; use the airy scenarios)"
         )
+    if other in config:
+        raise ConfigurationError(f"potential '{kind}' does not take '{other}'")
     grid = cases.grid_from(config, default_grid)
     k = config.get("k", 3)
     pairs = lowest_eigenpairs(v, grid, consts, k)

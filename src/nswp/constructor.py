@@ -95,11 +95,20 @@ class SampledShape(Shape):
 
 @dataclass(frozen=True)
 class AiryShape(Shape):
-    """Closed-form Airy mode for V = A x; evaluated pointwise, never interpolated."""
+    """Closed-form Airy mode for V = A x, f(x) = Ai[(2Am/hbar^2)^(1/3) (x - E_f/A)];
+    evaluated pointwise, never interpolated, and not normalizable.
+
+    Raises RangeError unless A > 0: for A < 0 the scale is complex and for
+    A = 0 the offset E_f/A is undefined.
+    """
 
     A: float
     energy: float
     consts: PhysicalConstants
+
+    def __post_init__(self):
+        if not self.A > 0:
+            raise RangeError(f"Airy shape requires A > 0, got {self.A}")
 
     @property
     def scale(self) -> float:

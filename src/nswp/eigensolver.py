@@ -6,7 +6,7 @@ tridiagonal matrix and eigenvectors from inverse iteration (LAPACK
 stebz/stein via scipy), so only the k lowest pairs are ever formed.
 
 The linear potential V = A x has a continuous spectrum and bypasses the
-eigensolver: its shape is the closed-form Airy mode.
+eigensolver: its shape is the closed-form Airy mode, ``constructor.AiryShape``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .airy import ai_values
 from .errors import AccuracyError, ConvergenceError
 from .grids import Grid1D, PhysicalConstants, WaveField
 
@@ -143,20 +142,6 @@ def lowest_eigenpairs(
             )
         )
     return pairs
-
-
-def linear_potential_mode(
-    A: float, E_f: float, grid: Grid1D, consts: PhysicalConstants
-) -> WaveField:
-    """Airy shape for V = A x: f(x) = Ai[(2Am/hbar^2)^(1/3) (x - E_f/A)].
-
-    Not normalized: the mode is not square integrable.
-    """
-    if A <= 0:
-        raise ValueError("linear potential mode requires A > 0")
-    scale = (2.0 * A * consts.mass / consts.hbar**2) ** (1.0 / 3.0)
-    f = ai_values(scale * (grid.x - E_f / A))
-    return WaveField(grid=grid, values=f.astype(complex), time=0.0)
 
 
 def write_eigenpair(pair: EigenPair, csv_path, json_path) -> None:

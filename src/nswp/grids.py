@@ -98,8 +98,8 @@ def norm(psi: WaveField) -> float:
     return float(np.sqrt(inner_product(psi, psi).real))
 
 
-def _first_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    # np.gradient: central differences inside, 2nd-order one-sided at ends.
+def fd3_first(values: np.ndarray, dx: float) -> np.ndarray:
+    """3-point central first derivative; 2nd-order one-sided at the ends."""
     return np.gradient(values, dx, edge_order=2)
 
 
@@ -146,7 +146,7 @@ def observables(
     centroid = float(np.trapezoid(x * rho, dx=dx)) / nrm2
     variance = float(np.trapezoid((x - centroid) ** 2 * rho, dx=dx)) / nrm2
 
-    dpsi = _first_derivative(psi.values, dx)
+    dpsi = fd3_first(psi.values, dx)
     p_mean = float(
         np.trapezoid(np.conj(psi.values) * (-1j * consts.hbar) * dpsi, dx=dx).real
     ) / nrm2

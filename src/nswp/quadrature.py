@@ -1,12 +1,11 @@
 """Adaptive Simpson quadrature, mesh-doubled nested time integrals, and a
 cubic-spline antiderivative.
 
-Nested double/triple integrals (and any other functional of F's samples,
-such as the forced-Airy phase) are evaluated on one uniform mesh with
-cumulative Simpson antiderivatives; the mesh is doubled until the result
-is stable to the requested tolerance. Each inner antiderivative is built
-once per mesh and reused at every outer node, never re-integrated
-adaptively.
+Nested integrals (and any other functional of F's samples, such as the
+forced-Airy phase) are evaluated on one uniform mesh with cumulative
+Simpson antiderivatives; the mesh is doubled until the result is stable
+to the requested tolerance. Each inner antiderivative is built once per
+mesh and reused at every outer node, never re-integrated adaptively.
 """
 
 from __future__ import annotations
@@ -84,20 +83,15 @@ def mesh_doubling(functional, F, t: float, tol: float) -> float:
     )
 
 
-def _iterated(ts, y, order: int) -> float:
-    for _ in range(order - 1):
-        y = cumulative_simpson(y, x=ts, initial=0.0)
-    return simpson(y, x=ts)
-
-
-def nested_double_integral(F, t: float, tol: float = 1e-10) -> float:
-    """integral_0^t integral_0^tau F(s) ds dtau."""
-    return mesh_doubling(lambda ts, y: _iterated(ts, y, 2), F, t, tol)
-
-
 def nested_triple_integral(F, t: float, tol: float = 1e-10) -> float:
     """integral_0^t integral_0^tau integral_0^eta F(s) ds deta dtau."""
-    return mesh_doubling(lambda ts, y: _iterated(ts, y, 3), F, t, tol)
+
+    def triple(ts, y):
+        i1 = cumulative_simpson(y, x=ts, initial=0.0)
+        i2 = cumulative_simpson(i1, x=ts, initial=0.0)
+        return simpson(i2, x=ts)
+
+    return mesh_doubling(triple, F, t, tol)
 
 
 def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):

@@ -41,6 +41,24 @@ def test_eigen_rejects_linear(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--potential", "harmonic", "--lam", "5"],
+                                  ["--potential", "quartic", "--omega", "2"]])
+def test_eigen_rejects_the_other_potentials_key(argv, tmp_path):
+    out = tmp_path / "o"
+    assert main(["eigen", *argv, "--k", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "propagate", "verify"])
+@pytest.mark.parametrize("scenario", ["airy-free", "airy-forced"])
+@pytest.mark.parametrize("B", ["-1", "0"])
+def test_airy_scenarios_reject_nonpositive_B(command, scenario, B, tmp_path):
+    # A = B^3/(2m) must be positive for the Airy shape to exist
+    out = tmp_path / "o"
+    assert main([command, "--scenario", scenario, "--B", B, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def make_config(tmp_path, **kv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kv))

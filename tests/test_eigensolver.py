@@ -1,13 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nswp import (Grid1D, PhysicalConstants, StaticPotential, ai_values,
-                  build_hamiltonian, linear_potential_mode, lowest_eigenpairs)
-from nswp.airy import airy_ai
+from nswp import (AiryShape, Grid1D, PhysicalConstants, StaticPotential,
+                  build_hamiltonian, lowest_eigenpairs)
 from nswp.eigensolver import write_eigenpair
-from nswp.errors import AccuracyError
+from nswp.errors import AccuracyError, RangeError
+from nswp.grids import fd5_second
 
 CONSTS = PhysicalConstants()
 
@@ -122,40 +123,42 @@ def test_input_validation():
         StaticPotential.quartic(0.0)
 
 
+# V = A x has no bound states; its mode is the closed-form AiryShape
+
+
 def test_linear_mode_at_origin():
-    # E_f = 0: f(0) = Ai(0)
+    # E_f = 0: f(0) = Ai(0) = 3^(-2/3) / Gamma(2/3)
     grid = Grid1D(-10.0, 10.0, 2001)
-    mode = linear_potential_mode(0.5, 0.0, grid, CONSTS)
+    mode = AiryShape(A=0.5, energy=0.0, consts=CONSTS).on_grid_shifted(grid, 0.0)
     i0 = np.argmin(np.abs(grid.x))
     assert abs(grid.x[i0]) < 1e-12
-    assert abs(mode.values[i0].real - airy_ai(0.0).value) < 1e-10
+    assert abs(mode[i0] - 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)) < 1e-14
 
 
 def test_linear_mode_energy_shift():
     # E_f = A s equals the E_f = 0 mode translated by s
     A, s = 0.5, 0.75
     grid = Grid1D(-5.0, 5.0, 401)
-    grid_shifted = Grid1D(-5.0 - s, 5.0 - s, 401)
-    shifted_energy = linear_potential_mode(A, A * s, grid, CONSTS)
-    base = linear_potential_mode(A, 0.0, grid_shifted, CONSTS)
-    assert np.max(np.abs(shifted_energy.values - base.values)) < 1e-10
+    shifted_energy = AiryShape(A=A, energy=A * s, consts=CONSTS).on_grid_shifted(grid, 0.0)
+    base = AiryShape(A=A, energy=0.0, consts=CONSTS).on_grid_shifted(grid, s)
+    assert np.max(np.abs(shifted_energy - base)) < 1e-10
 
 
 def test_linear_mode_ode_residual():
     # -(1/2) f'' + A x f = E_f f, 5-point FD at dx = 1e-2
     A, E_f = 0.5, 0.2
     grid = Grid1D(-5.0, 5.0, 1001)
-    f = linear_potential_mode(A, E_f, grid, CONSTS).values.real
-    dx = grid.dx
-    d2 = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * dx**2)
+    f = AiryShape(A=A, energy=E_f, consts=CONSTS).values_at(grid.x)
+    d2 = fd5_second(f, grid.dx)[2:-2]
     x = grid.x[2:-2]
     residual = np.abs(-0.5 * d2 + A * x * f[2:-2] - E_f * f[2:-2])
     assert np.max(residual) < 1e-5
 
 
 def test_linear_mode_requires_positive_slope():
-    with pytest.raises(ValueError):
-        linear_potential_mode(-1.0, 0.0, Grid1D(-5.0, 5.0, 101), CONSTS)
+    for A in (-1.0, 0.0, float("nan")):
+        with pytest.raises(RangeError):
+            AiryShape(A=A, energy=0.0, consts=CONSTS)
 
 
 def test_write_eigenpair(tmp_path):

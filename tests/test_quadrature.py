@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nswp import integrate_time, nested_double_integral, nested_triple_integral
+from nswp import integrate_time, nested_triple_integral
 from nswp.errors import AccuracyError
 from nswp import quadrature
 from nswp.quadrature import cumulative_antiderivative, mesh_doubling
@@ -47,32 +47,29 @@ def test_depth_limit_raises_with_best_estimate():
 
 def test_nested_constant():
     c, t = 1.7, 2.0
-    assert nested_double_integral(lambda s: c, t) == pytest.approx(c * t**2 / 2, abs=1e-10)
     assert nested_triple_integral(lambda s: c, t) == pytest.approx(c * t**3 / 6, abs=1e-10)
 
 
 def test_nested_linear():
     t = 1.5
-    assert nested_double_integral(lambda s: s, t) == pytest.approx(t**3 / 6, abs=1e-10)
+    assert nested_triple_integral(lambda s: s, t) == pytest.approx(t**4 / 24, abs=1e-10)
 
 
 def test_nested_sine():
-    # double: int_0^pi (1 - cos tau) dtau = pi
-    # triple: pi^2/2 + cos(pi) - 1 = pi^2/2 - 2
+    # pi^2/2 + cos(pi) - 1 = pi^2/2 - 2
     t = math.pi
-    assert nested_double_integral(math.sin, t) == pytest.approx(math.pi, abs=1e-9)
     assert nested_triple_integral(math.sin, t) == pytest.approx(
         math.pi**2 / 2.0 - 2.0, abs=1e-9)
 
 
 def test_nested_zero_time():
-    assert nested_double_integral(math.sin, 0.0) == 0.0
+    assert nested_triple_integral(math.sin, 0.0) == 0.0
 
 
 def test_nested_monotone_for_nonnegative():
     f = lambda s: 1.0 + math.sin(s) ** 2
     ts = np.linspace(0.2, 3.0, 8)
-    vals = [nested_double_integral(f, float(t)) for t in ts]
+    vals = [nested_triple_integral(f, float(t)) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
