@@ -12,8 +12,7 @@ from .airy import ai_values
 from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           phase, tdse_residual, v_nswp)
-from .eigensolver import (EigenPair, StaticPotential, TridiagonalMatrix,
-                          build_hamiltonian, lowest_eigenpairs)
+from .eigensolver import EigenPair, StaticPotential, lowest_eigenpairs
 from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
                     inner_product, norm, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)

@@ -1,9 +1,11 @@
 """Bound-state shapes from a static potential.
 
-Solves the time-independent problem on the grid with a 3-point Laplacian
-and Dirichlet walls. Eigenvalues come from bisection on the symmetric
-tridiagonal matrix and eigenvectors from inverse iteration (LAPACK
-stebz/stein via scipy), so only the k lowest pairs are ever formed.
+Solves the time-independent problem on the grid with the fourth-order
+Numerov Hamiltonian H_N = M^-1 K + V and Dirichlet walls, as the
+generalized tridiagonal problem (K + M V) f = E M f (``grids.numerov_bands``).
+The 3-point pairs of K + V (LAPACK stebz/stein via scipy, so only the k
+lowest are ever formed) seed Rayleigh-quotient inverse iteration with
+LAPACK dgttrf/dgttrs, which converges in a few steps.
 
 The linear potential V = A x has a continuous spectrum and bypasses the
 eigensolver: its shape is the closed-form Airy mode, ``constructor.AiryShape``.
@@ -16,9 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import AccuracyError, ConvergenceError
-from .grids import Grid1D, PhysicalConstants, WaveField
+from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
+                    bands_apply, m_solve, numerov_bands)
+
+_MAX_ITERATIONS = 20
 
 
 class StaticPotential:
@@ -61,36 +67,11 @@ class StaticPotential:
 
 
 @dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix as (diagonal, off-diagonal) arrays."""
-
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        return out
-
-
-@dataclass(frozen=True)
 class EigenPair:
     energy: float
     shape: WaveField
     index: int
     residual: float
-
-
-def build_hamiltonian(
-    v: StaticPotential, grid: Grid1D, consts: PhysicalConstants
-) -> TridiagonalMatrix:
-    """3-point FD Hamiltonian with Dirichlet boundaries (psi = 0 off-grid)."""
-    dx = grid.dx
-    kin = consts.hbar**2 / (consts.mass * dx**2)
-    diag = kin + v(grid.x)
-    off = np.full(grid.n - 1, -0.5 * kin)
-    return TridiagonalMatrix(diagonal=np.asarray(diag, dtype=float), off_diagonal=off)
 
 
 def _sign_normalize(f: np.ndarray) -> np.ndarray:
@@ -108,40 +89,78 @@ def lowest_eigenpairs(
 
     Raises AccuracyError when a returned mode has not decayed below
     ``leak_tol`` (relative) at the domain edges, and ConvergenceError if
-    LAPACK fails.
+    LAPACK fails, the iteration does not settle, or the refined energies
+    are not distinct and ascending. ``residual`` is
+    ||(K + M V) f - E M f|| / ||f||.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    h = build_hamiltonian(v, grid, consts)
+    dx = grid.dx
+    v_x = np.asarray(v(grid.x), dtype=float)
+    diag, off = numerov_bands(v_x, dx, consts)
+    k_diag, k_off = numerov_bands(0.0, dx, consts)
     try:
-        energies, vectors = eigh_tridiagonal(
-            h.diagonal, h.off_diagonal, select="i", select_range=(0, k - 1)
+        seeds, vectors = eigh_tridiagonal(
+            k_diag + v_x, np.full(grid.n - 1, k_off), select="i", select_range=(0, k - 1)
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
+    # |E_{j+1} - E_j| below this is round-off in the Rayleigh quotient
+    settled = 64 * np.finfo(float).eps * (k_diag + np.max(np.abs(v_x)))
     pairs = []
     for i in range(k):
-        f = _sign_normalize(vectors[:, i].copy())
-        nrm = np.sqrt(np.trapezoid(f**2, dx=grid.dx))
-        f /= nrm
+        energy, f = _refine(diag, off, seeds[i], vectors[:, i], settled)
+        f = _sign_normalize(f)
+        f /= np.sqrt(np.trapezoid(f**2, dx=dx))
         edge = max(abs(f[0]), abs(f[-1]))
         if edge > leak_tol * np.max(np.abs(f)):
             raise AccuracyError(
                 f"mode {i} leaks at the boundary (relative edge value "
                 f"{edge / np.max(np.abs(f)):.2e}); widen the domain"
             )
-        r = h.matvec(f) - energies[i] * f
-        residual = float(np.linalg.norm(r) / np.linalg.norm(f))
+        r = bands_apply(diag, off, f) - energy * bands_apply(M_DIAG, M_OFF, f)
         pairs.append(
             EigenPair(
-                energy=float(energies[i]),
+                energy=energy,
                 shape=WaveField(grid=grid, values=f.astype(complex), time=0.0),
                 index=i,
-                residual=residual,
+                residual=float(np.linalg.norm(r) / np.linalg.norm(f)),
             )
         )
+    energies = [p.energy for p in pairs]
+    if not np.all(np.diff(energies) > 0):
+        raise ConvergenceError(
+            f"refined energies {energies} are not distinct and ascending"
+        )
     return pairs
+
+
+def _refine(diag, off, energy, f, settled):
+    """Rayleigh-quotient inverse iteration for (K + M V) f = E M f from the
+    pair (energy, f); returns the converged (E, f), f of unit 2-norm.
+
+    Each step solves (K + M V - E M) g = M f, which is (H_N - E) g = f, and
+    takes E = f.H_N f with H_N f = M^-1 (K + M V) f.
+    """
+    for _ in range(_MAX_ITERATIONS):
+        shifted = off - energy * M_OFF
+        dl, d, du, du2, ipiv, info = dgttrf(shifted[:-1], diag - energy * M_DIAG,
+                                            shifted[1:])
+        if info < 0:  # pragma: no cover
+            raise ConvergenceError(f"dgttrf failed (info={info})")
+        if info == 0:
+            g, info = dgttrs(dl, d, du, du2, ipiv, bands_apply(M_DIAG, M_OFF, f))
+            if info != 0:  # pragma: no cover
+                raise ConvergenceError(f"dgttrs failed (info={info})")
+            f = g / np.linalg.norm(g)
+        # info > 0: the shift is an eigenvalue to working precision
+        previous, energy = energy, float(f @ m_solve(bands_apply(diag, off, f)))
+        if info > 0 or abs(energy - previous) <= settled:
+            return energy, f
+    raise ConvergenceError(
+        f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (E ~ {energy})"
+    )
 
 
 def write_eigenpair(pair: EigenPair, csv_path, json_path) -> None:

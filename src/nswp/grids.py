@@ -1,9 +1,13 @@
 """Spatial grid, wave field and observable primitives.
 
-All spatial integrals use the trapezoidal rule; derivatives inside
-observables use second-order central differences with one-sided stencils
-at the endpoints. Fractional spatial shifts are done by Fourier
-interpolation so that sub-grid displacements are representable.
+All spatial integrals use the trapezoidal rule. The Hamiltonian is the
+fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
+Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point kinetic matrix
+and M = tridiag(1, 10, 1)/12, both with Dirichlet walls; ``numerov_bands``
+is the one builder of its bands, shared by the eigensolver, Crank-Nicolson
+and <H>. <P> uses the 5-point first derivative. Fractional spatial shifts
+are done by Fourier interpolation so that sub-grid displacements are
+representable.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateFieldError, GridMismatchError, RangeError
 
@@ -103,15 +108,6 @@ def fd3_first(values: np.ndarray, dx: float) -> np.ndarray:
     return np.gradient(values, dx, edge_order=2)
 
 
-def _second_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    d2 = np.empty_like(values)
-    d2[1:-1] = (values[:-2] - 2.0 * values[1:-1] + values[2:]) / dx**2
-    # 2nd-order one-sided stencils at the endpoints
-    d2[0] = (2 * values[0] - 5 * values[1] + 4 * values[2] - values[3]) / dx**2
-    d2[-1] = (2 * values[-1] - 5 * values[-2] + 4 * values[-3] - values[-4]) / dx**2
-    return d2
-
-
 def fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
     """5-point central first derivative; zero at the two points at each end."""
     out = np.zeros_like(values)
@@ -126,6 +122,46 @@ def fd5_second(values: np.ndarray, dx: float) -> np.ndarray:
         -values[:-4] + 16 * values[1:-3] - 30 * values[2:-2] + 16 * values[3:-1] - values[4:]
     ) / (12 * dx**2)
     return out
+
+
+# bands of the Numerov matrix M = tridiag(1, 10, 1) / 12
+M_DIAG = 10.0 / 12.0
+M_OFF = 1.0 / 12.0
+
+
+def numerov_bands(v, dx: float, consts: PhysicalConstants):
+    """Bands ``(diag, off)`` of K + M V, the Numerov Hamiltonian times M.
+
+    diag_i = hbar^2/(m dx^2) + 10 V_i/12 and off_i = -hbar^2/(2 m dx^2) + V_i/12.
+    Row i of K + M V is (off_{i-1}, diag_i, off_{i+1}): ``off[:-1]`` is the
+    sub-diagonal and ``off[1:]`` the super-diagonal. ``v = 0`` gives K alone
+    (as scalars); M's bands are ``M_DIAG`` and ``M_OFF``.
+    """
+    kin = consts.hbar**2 / (consts.mass * dx**2)
+    v = np.asarray(v, dtype=float)
+    return kin + M_DIAG * v, M_OFF * v - 0.5 * kin
+
+
+def bands_apply(diag, off, values: np.ndarray) -> np.ndarray:
+    """Product of the tridiagonal matrix with bands ``(diag, off)`` (laid out
+    as in :func:`numerov_bands`) and ``values``."""
+    w = off * values
+    out = diag * values
+    out[:-1] += w[1:]
+    out[1:] += w[:-1]
+    return out
+
+
+def m_solve(values: np.ndarray) -> np.ndarray:
+    """M^-1 values by one real tridiagonal solve; a complex input goes in as
+    two right-hand sides."""
+    values = np.asarray(values)
+    n = len(values)
+    b = np.column_stack((values.real, values.imag)) if np.iscomplexobj(values) else values
+    off = np.full(n - 1, M_OFF)
+    # M is strictly diagonally dominant, so dgtsv cannot meet a zero pivot
+    x = dgtsv(off, np.full(n, M_DIAG), off.copy(), b)[3]
+    return x[:, 0] + 1j * x[:, 1] if x.ndim == 2 else x
 
 
 def observables(
@@ -146,13 +182,13 @@ def observables(
     centroid = float(np.trapezoid(x * rho, dx=dx)) / nrm2
     variance = float(np.trapezoid((x - centroid) ** 2 * rho, dx=dx)) / nrm2
 
-    dpsi = fd3_first(psi.values, dx)
+    dpsi = fd5_first(psi.values, dx)
     p_mean = float(
         np.trapezoid(np.conj(psi.values) * (-1j * consts.hbar) * dpsi, dx=dx).real
     ) / nrm2
 
-    d2psi = _second_derivative(psi.values, dx)
-    h_psi = -(consts.hbar**2) / (2.0 * consts.mass) * d2psi
+    # <H> of the Numerov Hamiltonian, the energy Crank-Nicolson conserves
+    h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), psi.values))
     if v_of_x is not None:
         h_psi = h_psi + np.asarray(v_of_x) * psi.values
     e_mean = float(np.trapezoid(np.conj(psi.values) * h_psi, dx=dx).real) / nrm2

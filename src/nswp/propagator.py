@@ -3,13 +3,17 @@
 The step is the (1,1) Pade approximant of the evolution exponential with
 the potential evaluated at the midpoint time, so the scheme is second
 order in dt for time-dependent potentials and exactly unitary up to the
-tridiagonal-solve round-off. Non-normalizable (Airy) runs use a cos^2-ramp
-multiplicative absorbing mask instead of hard Dirichlet walls.
+tridiagonal-solve round-off. The Hamiltonian is the fourth-order Numerov
+operator H_N = M^-1 K + V of ``grids.numerov_bands``. Multiplying the
+step (1 + i mu H_N) psi' = (1 - i mu H_N) psi, mu = dt / (2 hbar), by M
+gives A psi' = conj(A) psi with A = M + i mu (K + M V): tridiagonal on
+both sides. Non-normalizable (Airy) runs use a cos^2-ramp multiplicative
+absorbing mask instead of hard Dirichlet walls.
 
-The implicit half step 1 + i dt H / (2 hbar) is LU-factored with LAPACK
-``zgttrf`` once per distinct midpoint potential and each step is solved
-with ``zgttrs``. A static V is therefore factored once per run; a
-time-dependent V is refactored (and its dt guard re-checked) every step.
+A is LU-factored with LAPACK ``zgttrf`` once per distinct midpoint
+potential and each step is solved with ``zgttrs``. A static V is therefore
+factored once per run; a time-dependent V is refactored (and its dt guard
+re-checked) every step.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import BoundaryError, ConfigurationError
-from .grids import (Grid1D, PhysicalConstants, WaveField, observables,
-                    shift_values)
+from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
+                    bands_apply, numerov_bands, observables, shift_values)
 
 
 @dataclass(frozen=True)
@@ -110,38 +114,40 @@ def crank_nicolson_step(psi: WaveField, v_mid: np.ndarray, dt: float,
 
 @dataclass(frozen=True)
 class _CNStep:
-    """Explicit half-step coefficients and LU factors of the implicit one."""
+    """Bands of the explicit side conj(A) and LU factors of A."""
 
     rhs_diag: np.ndarray
-    off: complex
+    rhs_off: np.ndarray
     lu: tuple
 
 
 def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
-    v_mid = np.broadcast_to(np.asarray(v_mid, dtype=float), (n,))
+    v_mid = np.asarray(v_mid, dtype=float)
+    if v_mid.shape != (n,):
+        v_mid = np.broadcast_to(v_mid, (n,))
     # written so that a NaN in V fails the guard too
     if not abs(dt) * np.max(np.abs(v_mid)) / consts.hbar < 0.5:
         raise ConfigurationError(
             "dt * max|V| / hbar >= 0.5 or V not finite; reduce the time step"
         )
-    kin = consts.hbar**2 / (consts.mass * dx**2)
-    lam = 1j * dt / (2.0 * consts.hbar)
-    diag = lam * (kin + v_mid)
-    off = lam * (-0.5 * kin)
-
-    lower = np.full(n - 1, off)
-    *lu, info = zgttrf(lower, 1.0 + diag, lower.copy(),
+    mu = dt / (2.0 * consts.hbar)
+    diag, off = numerov_bands(v_mid, dx, consts)
+    # A = M + i mu (K + M V); zgttrf overwrites its inputs, so the
+    # sub-diagonal (a view of a_off) and the super-diagonal must not overlap
+    a_diag = 1j * mu * diag
+    a_diag += M_DIAG
+    a_off = 1j * mu * off
+    a_off += M_OFF
+    rhs_diag, rhs_off = a_diag.conj(), a_off.conj()
+    *lu, info = zgttrf(a_off[:-1], a_diag, a_off[1:].copy(),
                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise ConfigurationError(f"zgttrf failed (info={info}): singular CN matrix")
-    return _CNStep(rhs_diag=1.0 - diag, off=off, lu=tuple(lu))
+    return _CNStep(rhs_diag=rhs_diag, rhs_off=rhs_off, lu=tuple(lu))
 
 
 def _cn_solve(step: _CNStep, values: np.ndarray) -> np.ndarray:
-    # rhs = (I - i dt/(2 hbar) H) psi
-    rhs = step.rhs_diag * values
-    rhs[:-1] -= step.off * values[1:]
-    rhs[1:] -= step.off * values[:-1]
+    rhs = bands_apply(step.rhs_diag, step.rhs_off, values)
     out, info = zgttrs(*step.lu, rhs, overwrite_b=1)
     if info != 0:
         raise ConfigurationError(f"zgttrs failed (info={info})")

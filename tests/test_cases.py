@@ -149,3 +149,10 @@ def test_scenario_serialization(sho_result):
     assert d["name"].startswith("sho_shifted")
     assert isinstance(d["checks"], list) and d["checks"]
     assert "times" in d["report"]
+
+
+def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
+    # the forced run checks mask contamination like the free one
+    forced = check_by_name(airy_forced_result, "window_content_loss")
+    free = check_by_name(airy_free_result, "window_content_loss")
+    assert forced.passed and forced.tolerance == free.tolerance == 0.01

@@ -164,3 +164,14 @@ def test_verify_failure_exits_1(tmp_path):
                  "--modulation", "0.0", "--out", str(out)])
     assert code == 1
     assert read_json(out / "report.json")["pass"] is False
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_sho_mode_passes_at_defaults(n, tmp_path):
+    # modes 1 and 2 failed their H-tilde and motion checks with the 3-point
+    # operator, even on 4096 points
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", "sho", "--n", str(n), "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert report["pass"] is True
+    assert read_json(out / "manifest.json")["config"]["mode_index"] == n

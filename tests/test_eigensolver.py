@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from nswp import (AiryShape, Grid1D, PhysicalConstants, StaticPotential,
-                  build_hamiltonian, lowest_eigenpairs)
+                  eigensolver, lowest_eigenpairs)
 from nswp.eigensolver import write_eigenpair
-from nswp.errors import AccuracyError, RangeError
-from nswp.grids import fd5_second
+from nswp.errors import AccuracyError, ConvergenceError, RangeError
+from nswp.grids import M_DIAG, M_OFF, bands_apply, fd5_second, m_solve, numerov_bands
 
 CONSTS = PhysicalConstants()
 
@@ -17,29 +17,42 @@ CONSTS = PhysicalConstants()
 QUARTIC_E0 = 0.6679862590775
 
 
-def test_build_hamiltonian_free():
+def dense(diag, off, n):
+    """Dense matrix with the bands laid out as in ``numerov_bands``."""
+    off = np.broadcast_to(off, (n,))
+    return (np.diag(np.broadcast_to(diag, (n,))) + np.diag(off[:-1], -1)
+            + np.diag(off[1:], 1))
+
+
+def test_numerov_bands_free():
+    # v = 0 gives the 3-point kinetic matrix K
     grid = Grid1D(0.0, 1.0, 8)
-    h = build_hamiltonian(StaticPotential.free(), grid, CONSTS)
+    diag, off = numerov_bands(0.0, grid.dx, CONSTS)
     kin = 1.0 / grid.dx**2
-    assert np.allclose(h.diagonal, kin)
-    assert np.allclose(h.off_diagonal, -0.5 * kin)
-    assert len(h.off_diagonal) == grid.n - 1
+    assert diag == pytest.approx(kin)
+    assert off == pytest.approx(-0.5 * kin)
 
 
-def test_build_hamiltonian_harmonic():
+def test_numerov_bands_harmonic():
+    # the bands are those of K + M V, M = tridiag(1, 10, 1) / 12
     grid = Grid1D(-2.0, 2.0, 9)
-    h = build_hamiltonian(StaticPotential.harmonic(1.0), grid, CONSTS)
-    kin = 1.0 / grid.dx**2
-    assert np.allclose(h.diagonal, kin + 0.5 * grid.x**2)
+    v = 0.5 * grid.x**2
+    diag, off = numerov_bands(v, grid.dx, CONSTS)
+    k = dense(*numerov_bands(0.0, grid.dx, CONSTS), grid.n)
+    m = dense(M_DIAG, M_OFF, grid.n)
+    assert np.allclose(dense(diag, off, grid.n), k + m @ np.diag(v))
+    w = np.random.default_rng(3).normal(size=grid.n)
+    assert np.allclose(bands_apply(diag, off, w), (k + m @ np.diag(v)) @ w)
 
 
 def test_hamiltonian_symmetry():
-    # symmetric tridiagonal: <v, H w> == <w, H v> for random vectors
+    # H_N = M^-1 (K + M V) is symmetric: <v, H w> == <w, H v> for random vectors
     grid = Grid1D(-3.0, 3.0, 64)
-    h = build_hamiltonian(StaticPotential.quartic(1.0), grid, CONSTS)
+    bands = numerov_bands(StaticPotential.quartic(1.0)(grid.x), grid.dx, CONSTS)
     rng = np.random.default_rng(7)
     v, w = rng.normal(size=64), rng.normal(size=64)
-    assert np.dot(v, h.matvec(w)) == pytest.approx(np.dot(w, h.matvec(v)))
+    assert np.dot(v, m_solve(bands_apply(*bands, w))) == pytest.approx(
+        np.dot(w, m_solve(bands_apply(*bands, v))))
 
 
 def test_sho_energies():
@@ -87,24 +100,47 @@ def test_orthogonality():
             assert abs(ip) < 1e-8
 
 
-def test_second_order_convergence():
-    # halving dx shrinks the E0 error by 4 +/- 15%
+def test_fourth_order_convergence():
+    # Numerov: halving dx shrinks the E0 error by 16 +/- 15%
     v = StaticPotential.harmonic(1.0)
     e_coarse = lowest_eigenpairs(v, Grid1D(-12.0, 12.0, 512), CONSTS, 1)[0].energy
     e_fine = lowest_eigenpairs(v, Grid1D(-12.0, 12.0, 1023), CONSTS, 1)[0].energy
     ratio = abs(e_coarse - 0.5) / abs(e_fine - 0.5)
-    assert 4.0 * 0.85 < ratio < 4.0 * 1.15
+    assert 16.0 * 0.85 < ratio < 16.0 * 1.15
 
 
 def test_residual_recheck():
+    # residual of the Numerov pair: ||(K + M V) f - E M f|| / ||f||
     grid = Grid1D(-12.0, 12.0, 1024)
     v = StaticPotential.harmonic(1.0)
-    h = build_hamiltonian(v, grid, CONSTS)
+    diag, off = numerov_bands(v(grid.x), grid.dx, CONSTS)
     for pair in lowest_eigenpairs(v, grid, CONSTS, 3):
         f = pair.shape.values.real
-        r = np.linalg.norm(h.matvec(f) - pair.energy * f) / np.linalg.norm(f)
+        r = np.linalg.norm(bands_apply(diag, off, f)
+                           - pair.energy * bands_apply(M_DIAG, M_OFF, f)) / np.linalg.norm(f)
         assert r <= pair.residual * (1.0 + 1e-9) + 1e-12
         assert pair.residual < 1e-8
+
+
+def test_unsettled_iteration_raises(monkeypatch):
+    monkeypatch.setattr(eigensolver, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError):
+        lowest_eigenpairs(StaticPotential.harmonic(1.0),
+                          Grid1D(-12.0, 12.0, 256), CONSTS, 1)
+
+
+def test_out_of_order_refinement_raises(monkeypatch):
+    # seeds handed over in the wrong order refine to descending energies
+    seed = eigensolver.eigh_tridiagonal
+
+    def swapped(*args, **kwargs):
+        energies, vectors = seed(*args, **kwargs)
+        return energies[::-1], vectors[:, ::-1]
+
+    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", swapped)
+    with pytest.raises(ConvergenceError):
+        lowest_eigenpairs(StaticPotential.harmonic(1.0),
+                          Grid1D(-12.0, 12.0, 256), CONSTS, 2)
 
 
 def test_boundary_leak_detection():

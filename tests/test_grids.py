@@ -96,8 +96,24 @@ def test_observables_plane_wave_boost():
     grid = Grid1D(-12.0, 12.0, 2048)
     psi = gaussian_field(grid, k=2.0)
     obs = observables(psi, None)
-    # central-difference truncation ~ k^3 dx^2 / 6 ~ 2e-4 here
+    # 5-point truncation ~ k^5 dx^4 / 30 ~ 2e-8 here
     assert abs(obs.momentum_mean - 2.0) < 5e-4
+
+
+def test_observables_energy_is_numerov_expectation():
+    # <H> = <psi| M^-1 (K + M V) psi>, the quadratic form Crank-Nicolson
+    # conserves; reference from dense K = -(1/2) d^2/dx^2 and M = 1 + d^2/12
+    grid = Grid1D(-8.0, 8.0, 128)
+    v = 0.5 * grid.x**2
+    psi = gaussian_field(grid, center=1.0, k=0.5).values
+    second = (np.diag(np.full(grid.n - 1, 1.0), -1) - 2.0 * np.eye(grid.n)
+              + np.diag(np.full(grid.n - 1, 1.0), 1))
+    k = -0.5 * second / grid.dx**2
+    m = np.eye(grid.n) + second / 12.0
+    h_psi = np.linalg.solve(m, k @ psi) + v * psi
+    expected = np.trapezoid(np.conj(psi) * h_psi, dx=grid.dx).real
+    obs = observables(WaveField(grid=grid, values=psi), v)
+    assert obs.energy_mean == pytest.approx(expected, rel=1e-12)
 
 
 def test_observables_degenerate_field():

@@ -180,18 +180,20 @@ def test_report_shape_and_json(tmp_path):
 # --- factored stepper against a banded-solver reference ---------------------
 
 def reference_step(values, v_mid, dt, dx):
-    """CN step solved by scipy's generic banded solver, matrix rebuilt."""
+    """Numerov CN step A psi' = conj(A) psi, A = M + i mu (K + M V), solved by
+    scipy's generic banded solver, matrix rebuilt."""
     kin = CONSTS.hbar**2 / (CONSTS.mass * dx**2)
-    lam = 1j * dt / (2.0 * CONSTS.hbar)
-    diag = lam * (kin + v_mid)
-    off = lam * (-0.5 * kin)
-    rhs = (1.0 - diag) * values
-    rhs[:-1] -= off * values[1:]
-    rhs[1:] -= off * values[:-1]
+    mu = dt / (2.0 * CONSTS.hbar)
+    a_diag = 10.0 / 12.0 + 1j * mu * (kin + 10.0 / 12.0 * v_mid)
+    a_off = 1.0 / 12.0 + 1j * mu * (1.0 / 12.0 * v_mid - 0.5 * kin)
+    w = a_off.conj() * values
+    rhs = a_diag.conj() * values
+    rhs[:-1] += w[1:]
+    rhs[1:] += w[:-1]
     ab = np.zeros((3, len(values)), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = 1.0 + diag
-    ab[2, :-1] = off
+    ab[0, 1:] = a_off[1:]
+    ab[1, :] = a_diag
+    ab[2, :-1] = a_off[:-1]
     return solve_banded((1, 1), ab, rhs)
 
 

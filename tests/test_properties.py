@@ -1,0 +1,95 @@
+"""Properties of the Numerov Crank-Nicolson stepper over random potentials,
+states and time steps, all drawn inside the step guard dt max|V| / hbar < 0.5.
+
+Examples are derandomized and few, so the suite stays fast and repeatable.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nswp import (Grid1D, PhysicalConstants, PropagationConfig, WaveField,
+                  crank_nicolson_step, observables, propagate)
+
+CONSTS = PhysicalConstants()
+PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
+
+coefficient = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def smooth_setup(draw):
+    """A grid on [-10, 10], a smooth V(x) = a x^2/2 + b x + c cos(x) with
+    max|V| <= 31, and a Gaussian packet that stays far from the walls."""
+    grid = Grid1D(-10.0, 10.0, draw(st.integers(120, 240)))
+    a = draw(st.floats(0.1, 0.5))
+    b, c = 0.5 * draw(coefficient), draw(coefficient)
+    v = 0.5 * a * grid.x**2 + b * grid.x + c * np.cos(grid.x)
+    x0, k0 = draw(coefficient), 2.0 * draw(coefficient)
+    sigma = draw(st.floats(0.6, 0.9))
+    psi = np.exp(-((grid.x - x0) ** 2) / (4.0 * sigma**2) + 1j * k0 * grid.x)
+    psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
+    return grid, v, WaveField(grid=grid, values=psi)
+
+
+@PROPERTY
+@given(n=st.integers(16, 256), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-4, 0.1), v_scale=st.floats(0.0, 0.49))
+def test_step_is_unitary(n, seed, dt, v_scale):
+    # any real V inside the guard and any state, however rough
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-5.0, 5.0, n)
+    v = rng.uniform(-1.0, 1.0, n) * v_scale / dt
+    psi = WaveField(grid=grid, values=rng.normal(size=n) + 1j * rng.normal(size=n))
+    out = crank_nicolson_step(psi, v, dt, CONSTS)
+    assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(psi.values),
+                                                       rel=1e-12)
+
+
+@PROPERTY
+@given(setup=smooth_setup(), steps=st.integers(60, 120),
+       eps=st.floats(0.0, 0.3), w=st.floats(0.5, 3.0))
+def test_second_order_in_dt(setup, steps, eps, w):
+    # V(x, t) = V(x) (1 + eps sin(w t)); errors against a 16x finer run
+    grid, v, initial = setup
+    t_end = 0.5
+
+    def final(n_steps):
+        config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
+                                   snapshot_stride=n_steps)
+        report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
+                           config, CONSTS, compute_observables=False)
+        return report.snapshots[-1].values
+
+    ref = final(16 * steps)
+    ratio = np.linalg.norm(final(steps) - ref) / np.linalg.norm(final(2 * steps) - ref)
+    assert 4.0 * 0.85 < ratio < 4.0 * 1.15
+
+
+@PROPERTY
+@given(t_start=st.floats(-5.0, 5.0), dt=st.floats(1e-3, 0.02),
+       steps=st.integers(1, 60), stride=st.integers(1, 70))
+def test_run_ends_at_t_end(t_start, dt, steps, stride):
+    grid = Grid1D(-10.0, 10.0, 64)
+    t_end = t_start + steps * dt
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, t_start=t_start,
+                               snapshot_stride=stride)
+    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0))
+    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
+                       compute_observables=False)
+    assert len(report.times) == 1 + steps // stride + (steps % stride != 0)
+    assert report.times[-1] == pytest.approx(t_end, abs=1e-12)
+    assert report.snapshots[-1].time == report.times[-1]
+
+
+@PROPERTY
+@given(setup=smooth_setup(), steps=st.integers(64, 128))
+def test_energy_constant_for_static_v(setup, steps):
+    grid, v, initial = setup
+    config = PropagationConfig(dt=1.0 / steps, t_end=1.0, grid=grid,
+                               snapshot_stride=max(1, steps // 10))
+    report = propagate(initial, lambda x, t: v, config, CONSTS)
+    energy = np.asarray(report.energy_mean)
+    assert np.max(energy) - np.min(energy) < 1e-11 * max(1.0, np.max(np.abs(energy)))
+
