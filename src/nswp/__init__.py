@@ -20,9 +20,8 @@ from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
                          RunReport, crank_nicolson_step, propagate)
 from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
-                         TabulatedSpline, Trajectory, UniformAcceleration)
-from .verifier import (CheckResult, DecompositionReport, classical_motion_check,
-                       decomposition_report, energy_split_check,
+                         Trajectory, UniformAcceleration)
+from .verifier import (CheckResult, classical_motion_check, energy_split_check,
                        htilde_residual, infinitesimal_evolution_check,
                        make_htilde_metric, no_nswp_for_time_dependent_frequency)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .constructor import (AiryShape, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
@@ -26,7 +25,7 @@ from .grids import (Grid1D, PhysicalConstants, WaveField, fd3_first,
                     inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
                          propagate)
-from .quadrature import mesh_doubling
+from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
 from .trajectory import ForceTrajectory, Sinusoid, UniformAcceleration
 from .verifier import (CheckResult, classical_motion_check, energy_split_check,
                        make_htilde_metric, no_nswp_for_time_dependent_frequency)
@@ -328,23 +327,25 @@ def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float
     with I1(tau) = int_0^tau F and I2(tau) = int_0^tau I1.
 
     Primitives: F is sampled on one uniform mesh over [0, t]; I1 and I2 are
-    cumulative Simpson sums (scipy ``cumulative_simpson``) on that mesh and
-    the three outer integrals are composite Simpson sums (``simpson``) of
-    I1^2, tau I1 and I2. ``mesh_doubling`` doubles the mesh until phi0 is
-    stable to ``tol``. The direct route, ``NswpSolution.phi0_direct``, uses
-    adaptive Simpson (``integrate_time``) over d_dot from
-    ``ForceTrajectory``'s ``CubicSpline`` antiderivative of F
-    (``cumulative_antiderivative``). This route uses none of those, so the
-    two share no primitive and an error in either shows as a disagreement.
+    cumulative Simpson sums (``cumulative_simpson_uniform``) on that mesh
+    and the three outer integrals are composite Simpson sums
+    (``simpson_uniform``) of I1^2, tau I1 and I2. ``mesh_doubling`` doubles
+    the mesh until phi0 is stable to ``tol``. The direct route,
+    ``NswpSolution.phi0_direct``, uses adaptive Simpson (``integrate_time``)
+    over d_dot from ``ForceTrajectory``'s piecewise-quintic antiderivative
+    of F (``cumulative_antiderivative``). This route uses none of those, so
+    the two share no primitive and an error in either shows as a
+    disagreement.
     """
     hbar, m = consts.hbar, consts.mass
 
     def phi0_on_mesh(ts, f):
-        i1 = cumulative_simpson(f, x=ts, initial=0.0)
-        i2 = cumulative_simpson(i1, x=ts, initial=0.0)
-        sq_term = simpson(i1**2, x=ts)
-        tau_term = simpson(ts * i1, x=ts)
-        triple = simpson(i2, x=ts)
+        h = ts[1] - ts[0]
+        i1 = cumulative_simpson_uniform(f, h)
+        i2 = cumulative_simpson_uniform(i1, h)
+        sq_term = simpson_uniform(i1**2, h)
+        tau_term = simpson_uniform(ts * i1, h)
+        triple = simpson_uniform(i2, h)
         return (
             -E_f * t / hbar
             - A**2 * t**3 / (3.0 * m * hbar)

@@ -165,7 +165,7 @@ class NswpSolution:
 
         Primitives: adaptive Simpson (``integrate_time``) of
         E_f + G + m d_dot^2/2, where for a ``ForceTrajectory`` d_dot comes
-        from the ``CubicSpline`` antiderivative of F
+        from the piecewise-quintic antiderivative of F
         (``cumulative_antiderivative``). The nested-integral formula of the
         forced Airy case (``cases.phi0_forced_airy``) uses only cumulative
         and composite Simpson sums on a uniform mesh, so the two routes

@@ -1,6 +1,8 @@
 """Spatial grid, wave field and observable primitives.
 
-All spatial integrals use the trapezoidal rule. The Hamiltonian is the
+``observables`` takes its integrals as plain sums dx * sum(.), the inner
+product that Crank-Nicolson conserves exactly; ``inner_product`` and
+``norm`` use the trapezoidal rule. The Hamiltonian is the
 fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
 Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point kinetic matrix
 and M = tridiag(1, 10, 1)/12, both with Dirichlet walls; ``numerov_bands``
@@ -176,22 +178,22 @@ def observables(
     dx = psi.grid.dx
     x = psi.grid.x
     rho = psi.density()
-    nrm2 = float(np.trapezoid(rho, dx=dx))
+    nrm2 = dx * float(np.sum(rho))
     if nrm2 < 1e-24:
         raise DegenerateFieldError(f"field norm {np.sqrt(nrm2):g} below 1e-12")
-    centroid = float(np.trapezoid(x * rho, dx=dx)) / nrm2
-    variance = float(np.trapezoid((x - centroid) ** 2 * rho, dx=dx)) / nrm2
+    centroid = dx * float(np.sum(x * rho)) / nrm2
+    variance = dx * float(np.sum((x - centroid) ** 2 * rho)) / nrm2
 
     dpsi = fd5_first(psi.values, dx)
-    p_mean = float(
-        np.trapezoid(np.conj(psi.values) * (-1j * consts.hbar) * dpsi, dx=dx).real
+    p_mean = dx * float(
+        np.sum(np.conj(psi.values) * (-1j * consts.hbar) * dpsi).real
     ) / nrm2
 
     # <H> of the Numerov Hamiltonian, the energy Crank-Nicolson conserves
     h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), psi.values))
     if v_of_x is not None:
         h_psi = h_psi + np.asarray(v_of_x) * psi.values
-    e_mean = float(np.trapezoid(np.conj(psi.values) * h_psi, dx=dx).real) / nrm2
+    e_mean = dx * float(np.sum(np.conj(psi.values) * h_psi).real) / nrm2
 
     return Observables(
         norm=float(np.sqrt(nrm2)),

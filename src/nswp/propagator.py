@@ -225,7 +225,7 @@ def propagate(
             report.momentum_mean.append(obs.momentum_mean)
             report.energy_mean.append(obs.energy_mean)
         else:
-            nrm = float(np.sqrt(np.trapezoid(np.abs(values) ** 2, dx=grid.dx)))
+            nrm = float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2)))
             report.norm.append(nrm)
             report.centroid.append(float("nan"))
             report.momentum_mean.append(float("nan"))

@@ -1,18 +1,20 @@
-"""Adaptive Simpson quadrature, mesh-doubled nested time integrals, and a
-cubic-spline antiderivative.
+"""Adaptive Simpson quadrature, uniform-mesh Simpson sums, mesh-doubled
+nested time integrals, and a piecewise-polynomial antiderivative.
 
 Nested integrals (and any other functional of F's samples, such as the
 forced-Airy phase) are evaluated on one uniform mesh with cumulative
 Simpson antiderivatives; the mesh is doubled until the result is stable
 to the requested tolerance. Each inner antiderivative is built once per
 mesh and reused at every outer node, never re-integrated adaptively.
+
+Everything here is numpy only: importing scipy's integrate or interpolate
+packages would load scipy.optimize, scipy.sparse and more, and every
+command pays its imports.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError
 
@@ -83,24 +85,123 @@ def mesh_doubling(functional, F, t: float, tol: float) -> float:
     )
 
 
+def simpson_uniform(y: np.ndarray, h: float) -> float:
+    """Composite Simpson integral of samples y spaced h apart.
+
+    Needs an odd number of samples (an even number of intervals).
+    """
+    if len(y) < 3 or len(y) % 2 == 0:
+        raise ValueError(f"composite Simpson needs an odd number >= 3 of samples, "
+                         f"got {len(y)}")
+    return float(np.sum(y[:-2:2] + 4.0 * y[1::2] + y[2::2]) * h / 3.0)
+
+
+def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
+    """Running integral of samples y spaced h apart, starting at 0.
+
+    Each interval integrates the quadratic through its two ends and its
+    right neighbour, h/12 (5 y0 + 8 y1 - y2); odd intervals and the last
+    one use the mirrored form with the left neighbour. This is the
+    equal-interval rule of Cartwright (2017), as in scipy's
+    ``cumulative_simpson``.
+    """
+    y = np.asarray(y, dtype=float)
+    if len(y) < 3:
+        raise ValueError(f"cumulative Simpson needs at least 3 samples, got {len(y)}")
+    right = h / 12.0 * (5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:])  # intervals 0 .. n-2
+    left = h / 12.0 * (5.0 * y[2:] + 8.0 * y[1:-1] - y[:-2])   # intervals 1 .. n-1
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2] = right[::2]
+    pieces[1::2] = left[::2]
+    pieces[-1] = left[-1]
+    out = np.empty(len(y))
+    out[0] = 0.0
+    np.cumsum(pieces, out=out[1:])
+    return out
+
+
 def nested_triple_integral(F, t: float, tol: float = 1e-10) -> float:
     """integral_0^t integral_0^tau integral_0^eta F(s) ds deta dtau."""
 
     def triple(ts, y):
-        i1 = cumulative_simpson(y, x=ts, initial=0.0)
-        i2 = cumulative_simpson(i1, x=ts, initial=0.0)
-        return simpson(i2, x=ts)
+        h = ts[1] - ts[0]
+        i1 = cumulative_simpson_uniform(y, h)
+        i2 = cumulative_simpson_uniform(i1, h)
+        return simpson_uniform(i2, h)
 
     return mesh_doubling(triple, F, t, tol)
 
 
-def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
-    """Smooth callable I with I(t) ~= integral_0^t f, valid on [0, t_max].
+# _QUINTIC[k] maps the samples of a 6-point stencil to the power
+# coefficients, in u = (t - t_i)/h, of the quintic through them when t_i is
+# node k of the stencil. At tol 1e-11 local quintics converge on a mesh 8x
+# coarser than local cubics (1024 against 8192 intervals for 0.3 sin 2t on
+# [0, 10]).
+_STENCIL = np.arange(6)
+_QUINTIC = np.stack([np.linalg.inv(np.vander(_STENCIL - k, increasing=True))
+                     for k in range(5)])
 
-    Built as the exact antiderivative of a cubic spline through f on a fine
-    mesh, refined by doubling until the endpoint value is stable to tol.
-    Mild extrapolation slightly outside [0, t_max] is allowed (the spline
-    extends its end cubics).
+
+class PiecewisePolynomial:
+    """Piecewise polynomial on the uniform mesh t_i = i h, i = 0 .. n.
+
+    Row i of ``coeffs`` holds the power coefficients of piece i in
+    (t - t_i), lowest degree first. The end pieces extend past [0, n h], so
+    slightly outside it the callable extrapolates mildly.
+    """
+
+    def __init__(self, h: float, coeffs: np.ndarray):
+        self.h = float(h)
+        self.coeffs = coeffs
+
+    def __call__(self, t: float) -> float:
+        i = min(max(int(t // self.h), 0), len(self.coeffs) - 1)
+        s = t - i * self.h
+        acc = 0.0
+        for c in self.coeffs[i, ::-1].tolist():
+            acc = acc * s + c
+        return acc
+
+    def antiderivative(self) -> "PiecewisePolynomial":
+        """The piecewise polynomial of integral_0^t, one degree higher."""
+        degree = self.coeffs.shape[1]
+        raised = self.coeffs / np.arange(1, degree + 1)
+        out = np.empty((len(raised), degree + 1))
+        out[:, 1:] = raised
+        # piece integrals over [t_i, t_i + h], accumulated into the constants
+        whole = raised @ self.h ** np.arange(1, degree + 1)
+        out[0, 0] = 0.0
+        np.cumsum(whole[:-1], out=out[1:, 0])
+        return PiecewisePolynomial(self.h, out)
+
+
+def piecewise_quintic(y: np.ndarray, h: float) -> PiecewisePolynomial:
+    """Piecewise local quintic through samples y spaced h apart.
+
+    Piece i interpolates the six samples i-2 .. i+3; near the ends the
+    stencil shifts inward, so it never reaches past the data.
+    """
+    n = len(y) - 1
+    if n < 5:
+        raise ValueError(f"need at least 6 samples, got {len(y)}")
+    pieces = np.arange(n)
+    starts = np.clip(pieces - 2, 0, n - 5)
+    coeffs = np.empty((n, 6))
+    for k, weights in enumerate(_QUINTIC):
+        rows = np.flatnonzero(pieces - starts == k)
+        coeffs[rows] = y[starts[rows, None] + _STENCIL] @ weights.T
+    return PiecewisePolynomial(h, coeffs / h**_STENCIL)
+
+
+def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
+    """Callable I with I(t) ~= integral_0^t f, valid on [0, t_max].
+
+    Built as the exact antiderivative of the piecewise local quintic
+    through f on a uniform mesh (a ``PiecewisePolynomial``), refined by
+    doubling until the endpoint value is stable to tol. Mild extrapolation
+    slightly outside [0, t_max] is allowed (the end pieces extend). The
+    returned callable takes a scalar t; its ``antiderivative()`` gives the
+    next integral up.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -109,10 +210,10 @@ def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
     while n <= _MAX_MESH:
         ts = np.linspace(0.0, t_max, n + 1)
         y = np.asarray([f(ti) for ti in ts], dtype=float)
-        anti = CubicSpline(ts, y).antiderivative()
-        end = float(anti(t_max))
+        anti = piecewise_quintic(y, t_max / n).antiderivative()
+        end = anti(t_max)
         # tolerance is relative for large integrals, else pure round-off in
-        # the spline assembly can keep the endpoint jittering above tol
+        # the piece sums can keep the endpoint jittering above tol
         if prev is not None and abs(end - prev) <= tol * max(1.0, abs(end)):
             return anti
         prev = end

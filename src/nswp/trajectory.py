@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import RangeError
 from .grids import PhysicalConstants
@@ -89,34 +88,6 @@ class UniformAcceleration(Trajectory):
 
     def eval(self, t):
         return (0.5 * self.a * t**2, self.a * t, self.a)
-
-
-class TabulatedSpline(Trajectory):
-    """Clamped cubic spline through (t, d) knots; C2 derivatives.
-
-    Endpoint velocities must be supplied (clamped boundary conditions).
-    The first knot must be (0, 0).
-    """
-
-    kind = "tabulated_spline"
-
-    def __init__(self, t_knots, d_knots, v_start: float, v_end: float):
-        t_knots = np.asarray(t_knots, dtype=float)
-        d_knots = np.asarray(d_knots, dtype=float)
-        if t_knots[0] != 0.0 or d_knots[0] != 0.0:
-            raise ValueError("spline trajectory must start at (t, d) = (0, 0)")
-        self.t_min = float(t_knots[0])
-        self.t_max = float(t_knots[-1])
-        self._spline = CubicSpline(
-            t_knots, d_knots, bc_type=((1, v_start), (1, v_end))
-        )
-        self._d1 = self._spline.derivative(1)
-        self._d2 = self._spline.derivative(2)
-
-    def eval(self, t):
-        if t < self.t_min or t > self.t_max:
-            raise RangeError(f"t={t} outside tabulated range [{self.t_min}, {self.t_max}]")
-        return (float(self._spline(t)), float(self._d1(t)), float(self._d2(t)))
 
 
 class ForceTrajectory(Trajectory):

@@ -41,17 +41,6 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    t: float
-    e_tilde: float
-    htilde_residual: float
-    hc_velocity: float
-    hc_force: float
-    hc_gauge: float
-    shift_check_error: float
-
-
 def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
                     consts: PhysicalConstants, E_f: float, t: float,
                     margin: int = 8) -> float:
@@ -108,21 +97,6 @@ def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,
     approx = shifted.values * np.exp(1j * phase)
     exact = analytic_psi(sol, grid, t + dt).values
     return float(np.max(np.abs(approx - exact)))
-
-
-def decomposition_report(sol: NswpSolution, v: StaticPotential, grid: Grid1D,
-                         t: float, dt: float = 1e-3) -> DecompositionReport:
-    d, d_dot, d_ddot = sol.trajectory.eval(t)
-    psi = analytic_psi(sol, grid, t)
-    return DecompositionReport(
-        t=t,
-        e_tilde=sol.E_f - 0.5 * sol.consts.mass * d_dot**2,
-        htilde_residual=htilde_residual(psi, v, sol.trajectory, sol.consts, sol.E_f, t),
-        hc_velocity=d_dot,
-        hc_force=-sol.consts.mass * d_ddot,
-        hc_gauge=sol.gauge(t),
-        shift_check_error=infinitesimal_evolution_check(sol, grid, t, dt),
-    )
 
 
 def classical_motion_check(report: RunReport, traj: Trajectory,

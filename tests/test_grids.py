@@ -101,8 +101,9 @@ def test_observables_plane_wave_boost():
 
 
 def test_observables_energy_is_numerov_expectation():
-    # <H> = <psi| M^-1 (K + M V) psi>, the quadratic form Crank-Nicolson
-    # conserves; reference from dense K = -(1/2) d^2/dx^2 and M = 1 + d^2/12
+    # <H> = psi^H M^-1 (K + M V) psi / psi^H psi, the plain-sum quadratic form
+    # Crank-Nicolson conserves; reference from dense K = -(1/2) d^2/dx^2 and
+    # M = 1 + d^2/12
     grid = Grid1D(-8.0, 8.0, 128)
     v = 0.5 * grid.x**2
     psi = gaussian_field(grid, center=1.0, k=0.5).values
@@ -111,7 +112,7 @@ def test_observables_energy_is_numerov_expectation():
     k = -0.5 * second / grid.dx**2
     m = np.eye(grid.n) + second / 12.0
     h_psi = np.linalg.solve(m, k @ psi) + v * psi
-    expected = np.trapezoid(np.conj(psi) * h_psi, dx=grid.dx).real
+    expected = np.vdot(psi, h_psi).real / np.vdot(psi, psi).real
     obs = observables(WaveField(grid=grid, values=psi), v)
     assert obs.energy_mean == pytest.approx(expected, rel=1e-12)
 

@@ -6,7 +6,7 @@ Examples are derandomized and few, so the suite stays fast and repeatable.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nswp import (Grid1D, PhysicalConstants, PropagationConfig, WaveField,
@@ -18,19 +18,23 @@ PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=No
 coefficient = st.floats(-1.0, 1.0)
 
 
-@st.composite
-def smooth_setup(draw):
-    """A grid on [-10, 10], a smooth V(x) = a x^2/2 + b x + c cos(x) with
-    max|V| <= 31, and a Gaussian packet that stays far from the walls."""
-    grid = Grid1D(-10.0, 10.0, draw(st.integers(120, 240)))
-    a = draw(st.floats(0.1, 0.5))
-    b, c = 0.5 * draw(coefficient), draw(coefficient)
+def packet_setup(grid, a, b, c, x0, k0, sigma):
+    """V(x) = a x^2/2 + b x + c cos(x) on grid, and a Gaussian packet."""
     v = 0.5 * a * grid.x**2 + b * grid.x + c * np.cos(grid.x)
-    x0, k0 = draw(coefficient), 2.0 * draw(coefficient)
-    sigma = draw(st.floats(0.6, 0.9))
     psi = np.exp(-((grid.x - x0) ** 2) / (4.0 * sigma**2) + 1j * k0 * grid.x)
     psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
     return grid, v, WaveField(grid=grid, values=psi)
+
+
+@st.composite
+def smooth_setup(draw):
+    """A grid on [-10, 10], a smooth V with max|V| <= 31, and a Gaussian
+    packet that stays far from the walls."""
+    grid = Grid1D(-10.0, 10.0, draw(st.integers(120, 240)))
+    a = draw(st.floats(0.1, 0.5))
+    b, c = 0.5 * draw(coefficient), draw(coefficient)
+    x0, k0 = draw(coefficient), 2.0 * draw(coefficient)
+    return packet_setup(grid, a, b, c, x0, k0, draw(st.floats(0.6, 0.9)))
 
 
 @PROPERTY
@@ -85,6 +89,10 @@ def test_run_ends_at_t_end(t_start, dt, steps, stride):
 
 @PROPERTY
 @given(setup=smooth_setup(), steps=st.integers(64, 128))
+# amplitude up to 5e-4 at the walls: <H> must be the plain-sum form CN
+# conserves; a trapezoid weighting of it drifts by 3.0e-8 on this example
+@example(setup=packet_setup(Grid1D(-8.0, 8.0, 96), 0.1, 0.5, 1.0, 1.0, 2.0, 0.9),
+         steps=64)
 def test_energy_constant_for_static_v(setup, steps):
     grid, v, initial = setup
     config = PropagationConfig(dt=1.0 / steps, t_end=1.0, grid=grid,

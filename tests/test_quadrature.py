@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+from scipy.integrate import cumulative_simpson, simpson
 
 from nswp import integrate_time, nested_triple_integral
 from nswp.errors import AccuracyError
 from nswp import quadrature
-from nswp.quadrature import cumulative_antiderivative, mesh_doubling
+from nswp.quadrature import (cumulative_antiderivative, cumulative_simpson_uniform,
+                             mesh_doubling, piecewise_quintic, simpson_uniform)
+
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True, database=None)
 
 
 def test_constant_integrand():
@@ -88,3 +95,68 @@ def test_cumulative_antiderivative():
     assert err < 1e-10
     with pytest.raises(ValueError):
         cumulative_antiderivative(math.sin, 0.0)
+
+
+def test_cumulative_antiderivative_mesh_limit_raises_with_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_MESH", 512)
+    # a jump converges only at first order, far from 1e-11 by 512 intervals
+    with pytest.raises(AccuracyError) as exc_info:
+        cumulative_antiderivative(lambda t: 1.0 if t < 0.3 else 0.0, 1.0, 1e-11)
+    assert exc_info.value.best_estimate == pytest.approx(0.3, abs=1e-2)
+
+
+# Oracles: scipy's Simpson sums on the meshes nswp uses, linspace(0, L, n).
+# Rounding is measured against h * sum|y|, the integral of |y|, because the
+# signed integral of random samples can cancel to far below its rounding.
+@PROPERTY
+@given(n=st.integers(3, 1025), length=st.floats(1e-2, 1e2),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-5.0, 5.0))
+def test_simpson_sums_match_scipy(n, length, seed, log_scale):
+    y = np.random.default_rng(seed).normal(size=n) * 10.0**log_scale
+    ts = np.linspace(0.0, length, n)
+    h = ts[1] - ts[0]
+    rounding = h * np.sum(np.abs(y))
+    running = cumulative_simpson_uniform(y, h)
+    assert running[0] == 0.0
+    oracle = cumulative_simpson(y, x=ts, initial=0.0)
+    assert np.max(np.abs(running - oracle)) <= 1e-14 * rounding
+    if n % 2:
+        assert abs(simpson_uniform(y, h) - simpson(y, x=ts)) <= 1e-14 * rounding
+    else:
+        with pytest.raises(ValueError):
+            simpson_uniform(y, h)
+
+
+@PROPERTY
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       n=st.integers(5, 200), length=st.floats(0.1, 10.0),
+       where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_piecewise_quintic_reproduces_polynomials(coeffs, n, length, where):
+    # degree <= 5 is exact, and so are its first and second antiderivatives,
+    # also in the half interval of extrapolation past either end
+    p = Polynomial(coeffs)
+    h = length / n
+    f = piecewise_quintic(p(np.linspace(0.0, length, n + 1)), h)
+    exact = [p, p.integ(lbnd=0.0), p.integ(2, lbnd=0.0)]
+    approx = [f, f.antiderivative(), f.antiderivative().antiderivative()]
+    ts = [(length + h) * w - 0.5 * h for w in where]
+    for g, q in zip(approx, exact):
+        scale = Polynomial(np.abs(q.coef))(length + h)
+        assert max(abs(g(t) - q(t)) for t in ts) <= 1e-13 * max(scale, 1e-300)
+
+
+@PROPERTY
+@given(w=st.floats(1.0, 2.0), phase=st.floats(0.0, 2.0 * math.pi),
+       length=st.floats(2.0, 3.0))
+def test_antiderivative_converges_at_sixth_order(w, phase, length):
+    # a local quintic (p = 5) errs by O(h^6) in its integral: halving h
+    # divides the error by ~2^(p+1) = 64
+    ts = np.linspace(0.0, length, 97)
+    exact = (math.cos(phase) - np.cos(w * ts + phase)) / w
+
+    def error(n):
+        mesh = np.linspace(0.0, length, n + 1)
+        anti = piecewise_quintic(np.sin(w * mesh + phase), length / n).antiderivative()
+        return max(abs(anti(t) - e) for t, e in zip(ts, exact))
+
+    assert 64.0 * 0.85 < error(16) / error(32) < 64.0 * 1.2

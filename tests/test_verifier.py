@@ -5,8 +5,7 @@ import pytest
 
 from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
                   Rest, SampledShape, Sinusoid, StaticPotential, analytic_psi,
-                  classical_motion_check, decomposition_report,
-                  energy_split_check, htilde_residual,
+                  classical_motion_check, energy_split_check, htilde_residual,
                   infinitesimal_evolution_check, lowest_eigenpairs,
                   no_nswp_for_time_dependent_frequency, shift_field)
 from nswp.constructor import gauge_sho_case
@@ -73,19 +72,6 @@ def test_dropping_force_factor_degrades_to_first_order(sho_sol):
     e2 = infinitesimal_evolution_check(sol, grid, t, 5e-4, drop_force_factor=True)
     ratio = e1 / e2
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
-
-
-def test_decomposition_report_fields(sho_sol):
-    sol, v, grid, pair = sho_sol
-    t = 1.1
-    rep = decomposition_report(sol, v, grid, t)
-    d, d_dot, d_ddot = sol.trajectory.eval(t)
-    assert rep.e_tilde == pytest.approx(pair.energy - 0.5 * d_dot**2)
-    assert rep.hc_velocity == pytest.approx(d_dot)
-    assert rep.hc_force == pytest.approx(-d_ddot)
-    assert rep.hc_gauge == pytest.approx(sol.gauge(t))
-    assert rep.htilde_residual < 1e-4
-    assert rep.shift_check_error < 1e-5
 
 
 def test_classical_motion_sho_run(sho_result):
