@@ -3,7 +3,7 @@
 The Airy mode of a linear potential, launched in FREE space (the supporting
 potential cancels identically), accelerates without spreading: the main
 lobe follows x_peak = B^3 t^2 / (4 m^2) although no force acts. The run
-compares the Crank-Nicolson evolution against the closed form on an
+compares the split-step Fourier evolution against the closed form on an
 interior window and prints the peak trajectory.
 """
 

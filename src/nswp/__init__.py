@@ -4,8 +4,9 @@ A nonspreading wave packet (NSWP) is a solution of the time-dependent
 Schrodinger equation whose probability density is a rigid translation of a
 fixed profile f along a designed trajectory d(t). The package builds such
 packets from arbitrary static 1-D potentials, derives the supporting
-time-dependent potential, and verifies the result by unitary Crank-Nicolson
-propagation and by a Hamiltonian-decomposition analysis.
+time-dependent potential, and verifies the result by independent propagation
+(Crank-Nicolson, or split-step Fourier under an absorbing mask) and by a
+Hamiltonian-decomposition analysis.
 """
 
 from .airy import ai_values
@@ -17,7 +18,7 @@ from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
                     inner_product, norm, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
-                         RunReport, crank_nicolson_step, propagate)
+                         RunReport, crank_nicolson_step, propagate, split_step)
 from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
                          Trajectory, UniformAcceleration)

@@ -1,19 +1,29 @@
-"""Crank-Nicolson time evolution under an arbitrary V(x, t).
+"""Time evolution under an arbitrary V(x, t): Crank-Nicolson between
+Dirichlet walls, Strang split-step Fourier with an absorbing mask.
 
-The step is the (1,1) Pade approximant of the evolution exponential with
-the potential evaluated at the midpoint time, so the scheme is second
-order in dt for time-dependent potentials and exactly unitary up to the
-tridiagonal-solve round-off. The Hamiltonian is the fourth-order Numerov
-operator H_N = M^-1 K + V of ``grids.numerov_bands``. Multiplying the
-step (1 + i mu H_N) psi' = (1 - i mu H_N) psi, mu = dt / (2 hbar), by M
-gives A psi' = conj(A) psi with A = M + i mu (K + M V): tridiagonal on
-both sides. Non-normalizable (Airy) runs use a cos^2-ramp multiplicative
-absorbing mask instead of hard Dirichlet walls.
+``propagate`` keeps one record loop and picks the stepper from
+``config.boundary``. Each stepper prepares its operator once per distinct
+midpoint potential V(t + dt/2), and both apply the same step guard
+dt * max|V| / hbar < 0.5 to it.
 
-A is LU-factored with LAPACK ``zgttrf`` once per distinct midpoint
-potential and each step is solved with ``zgttrs``. A static V is therefore
-factored once per run; a time-dependent V is refactored (and its dt guard
-re-checked) every step.
+``Dirichlet``: the step is the (1,1) Pade approximant of the evolution
+exponential, second order in dt for time-dependent potentials and exactly
+unitary up to the tridiagonal-solve round-off. The Hamiltonian is the
+fourth-order Numerov operator H_N = M^-1 K + V of ``grids.numerov_bands``.
+Multiplying the step (1 + i mu H_N) psi' = (1 - i mu H_N) psi, mu = dt /
+(2 hbar), by M gives A psi' = conj(A) psi with A = M + i mu (K + M V):
+tridiagonal on both sides. A is LU-factored with LAPACK ``zgttrf`` and each
+step is solved with ``zgttrs``, so a static V is factored once per run.
+
+``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
+period of a periodic domain. A step is a half kick exp(-i V dt / 2 hbar),
+the exact kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space,
+a second half kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
+(1982)), then a multiplicative cos^2-ramp mask. For V = -F(t) x the
+splitting error is a global phase only ([T, [T, V]] = 0 and [V, [V, T]]
+is a constant), so its steps can be far longer than Crank-Nicolson's.
+Amplitude that reaches the outermost cells would wrap around to the other
+edge; the record step raises ``BoundaryError`` when it does.
 """
 
 from __future__ import annotations
@@ -68,6 +78,10 @@ class PropagationConfig:
         if isinstance(self.boundary, AbsorbingMask):
             if not 0 < self.boundary.width < 0.5 * self.grid.width:
                 raise ConfigurationError("mask width must be < half the domain")
+            if not self.boundary.strength >= 0:
+                raise ConfigurationError("mask strength must be >= 0")
+        elif not isinstance(self.boundary, Dirichlet):
+            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
 
     @property
     def n_steps(self) -> int:
@@ -121,7 +135,9 @@ class _CNStep:
     lu: tuple
 
 
-def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
+def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> np.ndarray:
+    """``v_mid`` as n real samples, after the step guard of both steppers,
+    dt * max|V| / hbar < 0.5."""
     v_mid = np.asarray(v_mid, dtype=float)
     if v_mid.shape != (n,):
         v_mid = np.broadcast_to(v_mid, (n,))
@@ -130,6 +146,11 @@ def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
         raise ConfigurationError(
             "dt * max|V| / hbar >= 0.5 or V not finite; reduce the time step"
         )
+    return v_mid
+
+
+def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
+    v_mid = _guarded_potential(v_mid, dt, n, consts)
     mu = dt / (2.0 * consts.hbar)
     diag, off = numerov_bands(v_mid, dx, consts)
     # A = M + i mu (K + M V); zgttrf overwrites its inputs, so the
@@ -167,6 +188,39 @@ def _mask_profile(grid: Grid1D, mask: AbsorbingMask, dt: float) -> np.ndarray:
     return np.exp(-mask.strength * dt * ramp)
 
 
+def _kinetic_phase(grid: Grid1D, dt: float, consts: PhysicalConstants) -> np.ndarray:
+    """exp(-i hbar k^2 dt / 2m) on the ``numpy.fft`` wavenumbers of the grid."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    return np.exp(-0.5j * consts.hbar * dt / consts.mass * k**2)
+
+
+def _half_kick(v_mid, dt, n, consts) -> np.ndarray:
+    """exp(-i V dt / 2 hbar), filled by a real cos and sin (about half the
+    cost of a complex exp)."""
+    angle = (-0.5 * dt / consts.hbar) * _guarded_potential(v_mid, dt, n, consts)
+    kick = np.empty(n, dtype=complex)
+    np.cos(angle, out=kick.real)
+    np.sin(angle, out=kick.imag)
+    return kick
+
+
+def _split_advance(kick, kinetic, mask, values) -> np.ndarray:
+    values = kick * np.fft.ifft(kinetic * np.fft.fft(kick * values))
+    values *= mask
+    return values
+
+
+def split_step(psi: WaveField, v_mid: np.ndarray, dt: float,
+               consts: PhysicalConstants, mask: AbsorbingMask) -> WaveField:
+    """One Strang split-step Fourier step, then ``mask``; ``v_mid`` holds the
+    potential at the midpoint time. Unitary when the mask strength is 0."""
+    grid = psi.grid
+    values = _split_advance(_half_kick(v_mid, dt, grid.n, consts),
+                            _kinetic_phase(grid, dt, consts),
+                            _mask_profile(grid, mask, dt), psi.values)
+    return WaveField(grid=grid, values=values, time=psi.time + dt)
+
+
 def propagate(
     initial: WaveField,
     v_fn: Callable[[np.ndarray, float], np.ndarray],
@@ -178,12 +232,14 @@ def propagate(
     htilde_fn: Optional[Callable[[WaveField, float], float]] = None,
     compute_observables: bool = True,
 ) -> RunReport:
-    """Step CN to t_end, recording metrics every ``snapshot_stride`` steps.
+    """Step to t_end, recording metrics every ``snapshot_stride`` steps.
 
-    ``reference_density(t)`` returns the expected translated |f|^2 on the
-    grid; with ``shape_reference='centroid'`` the initial density is instead
+    Crank-Nicolson steps between Dirichlet walls, split-step Fourier under
+    an absorbing mask. ``window`` restricts the shape-deviation sup to
+    [a, b]. ``reference_density(t)`` returns the expected translated |f|^2
+    at the window's grid points (at every grid point without a window);
+    with ``shape_reference='centroid'`` the initial density is instead
     translated to the measured centroid (used by spreading controls).
-    ``window`` restricts the shape-deviation sup to [a, b].
     """
     grid = config.grid
     if initial.grid != grid:
@@ -192,9 +248,19 @@ def propagate(
     dt = config.dt
     n_steps = config.n_steps
     dirichlet = isinstance(config.boundary, Dirichlet)
-    mask = None
-    if isinstance(config.boundary, AbsorbingMask):
+    if dirichlet:
+        def prepare(v_mid):
+            return _cn_factor(v_mid, dt, grid.n, grid.dx, consts)
+        advance = _cn_solve
+    else:
+        kinetic = _kinetic_phase(grid, dt, consts)
         mask = _mask_profile(grid, config.boundary, dt)
+
+        def prepare(v_mid):
+            return _half_kick(v_mid, dt, grid.n, consts)
+
+        def advance(kick, values):
+            return _split_advance(kick, kinetic, mask, values)
 
     if window is not None:
         sel = (x >= window[0]) & (x <= window[1])
@@ -202,6 +268,7 @@ def propagate(
         sel = slice(None)
 
     rho0 = initial.density()
+    peak0 = float(np.max(np.abs(initial.values)))
     ref_peak = None
     if reference_density is not None:
         ref_peak = float(np.max(reference_density(config.t_start)))
@@ -236,9 +303,8 @@ def propagate(
 
         rho = np.abs(values) ** 2
         if reference_density is not None:
-            ref = reference_density(t)
             report.shape_deviation.append(
-                float(np.max(np.abs(rho[sel] - ref[sel])) / ref_peak)
+                float(np.max(np.abs(rho[sel] - reference_density(t))) / ref_peak)
             )
         elif shape_reference == "centroid" and compute_observables:
             shift = report.centroid[-1] - centroid0
@@ -266,17 +332,26 @@ def propagate(
                     f"(relative edge amplitude {edge / np.max(np.abs(values)):.2e})",
                     partial_report=report,
                 )
+        else:
+            # the split step's domain is periodic: amplitude the mask left
+            # at the edges would come back in at the other side
+            edge = max(abs(values[0]), abs(values[-1]))
+            if not edge <= 1e-2 * peak0:
+                raise BoundaryError(
+                    f"wave packet wrapped around the periodic domain at t={t:.6g} "
+                    f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
+                    "widen or strengthen the absorbing mask",
+                    partial_report=report,
+                )
 
     record(values, t)
-    step = v_last = None
+    op = v_last = None
     for i in range(n_steps):
         v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
-        if step is None or not np.array_equal(v_mid, v_last):
-            step = _cn_factor(v_mid, dt, grid.n, grid.dx, consts)
+        if op is None or not np.array_equal(v_mid, v_last):
+            op = prepare(v_mid)
             v_last = v_mid.copy()
-        values = _cn_solve(step, values)
-        if mask is not None:
-            values = values * mask
+        values = advance(op, values)
         t = config.t_start + (i + 1) * dt
         if (i + 1) % config.snapshot_stride == 0 or i + 1 == n_steps:
             record(values, t)

@@ -4,8 +4,9 @@ nested time integrals, and a piecewise-polynomial antiderivative.
 Nested integrals (and any other functional of F's samples, such as the
 forced-Airy phase) are evaluated on one uniform mesh with cumulative
 Simpson antiderivatives; the mesh is doubled until the result is stable
-to the requested tolerance. Each inner antiderivative is built once per
-mesh and reused at every outer node, never re-integrated adaptively.
+to the requested tolerance, and each doubling samples F only at its new
+nodes. Each inner antiderivative is built once per mesh and reused at
+every outer node, never re-integrated adaptively.
 
 Everything here is numpy only: importing scipy's integrate or interpolate
 packages would load scipy.optimize, scipy.sparse and more, and every
@@ -60,25 +61,44 @@ def integrate_time(f, t0: float, t1: float, tol: float = 1e-12) -> float:
     return _adaptive(f, a, fa, m, fm, b, fb, whole, tol, 0)
 
 
+def _doubling_meshes(f, t_max: float, n: int):
+    """Yield (ts, f(ts)) on the uniform meshes of n, 2n, 4n, ... intervals
+    over [0, t_max], up to _MAX_MESH intervals.
+
+    The even nodes of linspace(0, t_max, 2n + 1) are linspace(0, t_max,
+    n + 1) bit for bit, so each mesh keeps the previous samples and calls f
+    only at its new odd nodes.
+    """
+    ts = np.linspace(0.0, t_max, n + 1)
+    y = np.asarray([f(ti) for ti in ts], dtype=float)
+    while True:
+        yield ts, y
+        n *= 2
+        if n > _MAX_MESH:
+            return
+        ts = np.linspace(0.0, t_max, n + 1)
+        finer = np.empty(n + 1)
+        finer[::2] = y
+        finer[1::2] = [f(ti) for ti in ts[1::2]]
+        y = finer
+
+
 def mesh_doubling(functional, F, t: float, tol: float) -> float:
     """functional(ts, F(ts)) on a uniform mesh ts over [0, t], converged.
 
-    F is sampled once per mesh; the mesh starts at 64 intervals and doubles
-    until two successive results differ by at most tol. Raises
-    AccuracyError (carrying the last result) past _MAX_MESH intervals.
+    The mesh starts at 64 intervals and doubles until two successive
+    results differ by at most tol; F is called once per node over all
+    meshes. Raises AccuracyError (carrying the last result) past _MAX_MESH
+    intervals.
     """
     if t == 0.0:
         return 0.0
-    n = 64
     prev = None
-    while n <= _MAX_MESH:
-        ts = np.linspace(0.0, t, n + 1)
-        y = np.asarray([F(ti) for ti in ts], dtype=float)
+    for ts, y in _doubling_meshes(F, t, 64):
         result = float(functional(ts, y))
         if prev is not None and abs(result - prev) <= tol:
             return result
         prev = result
-        n *= 2
     raise AccuracyError(
         f"mesh functional did not stabilize to {tol} by mesh {_MAX_MESH}",
         best_estimate=prev,
@@ -205,19 +225,15 @@ def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    n = 256
     prev = None
-    while n <= _MAX_MESH:
-        ts = np.linspace(0.0, t_max, n + 1)
-        y = np.asarray([f(ti) for ti in ts], dtype=float)
-        anti = piecewise_quintic(y, t_max / n).antiderivative()
+    for ts, y in _doubling_meshes(f, t_max, 256):
+        anti = piecewise_quintic(y, t_max / (len(ts) - 1)).antiderivative()
         end = anti(t_max)
         # tolerance is relative for large integrals, else pure round-off in
         # the piece sums can keep the endpoint jittering above tol
         if prev is not None and abs(end - prev) <= tol * max(1.0, abs(end)):
             return anti
         prev = end
-        n *= 2
     raise AccuracyError(
         f"cumulative antiderivative did not stabilize to {tol}", best_estimate=prev
     )

@@ -5,7 +5,8 @@ import pytest
 
 from nswp import Grid1D, PhysicalConstants
 from nswp.cases import (airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy, run_sho_timedep_frequency)
+                        phi0_forced_airy, run_sho_timedep_frequency,
+                        run_sho_timedep_with_control)
 
 from conftest import check_by_name
 
@@ -135,12 +136,24 @@ def test_phase_check_work_counts():
 def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
     # 10/omega0 is not a whole number of 1e-3 steps for omega0 = 3; the
     # grid is narrow enough for the CN guard dt max|V| < 0.5 at this omega0
-    res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256))
+    res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256), dt=1e-3)
     t_end = res.extras["t_end"]
     assert abs(t_end - 10.0 / 3.0) <= 0.5e-3
     assert res.report.times[-1] == pytest.approx(t_end, abs=1e-12)
     # omega0 = 1 keeps exactly the old horizon
     assert timedep_control.extras["t_end"] == 10.0
+
+
+def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
+    # the default grid +-12/sqrt(omega0) and dt = 1e-3/omega0 keep the CN
+    # guard and the static control's rigidity at omega0 = 3, where the fixed
+    # +-12 grid with dt = 1e-3 failed the guard
+    result = run_sho_timedep_with_control(omega0=3.0)
+    assert result.passed
+    assert result.extras["control_max_deviation"] < 5e-4
+    grid = result.report.snapshots[0].grid
+    assert grid.x_max == -grid.x_min == pytest.approx(12.0 / np.sqrt(3.0))
+    assert grid.n == 1024
 
 
 def test_scenario_serialization(sho_result):

@@ -1,7 +1,8 @@
 """Import guard: ``import nswp.cli`` loads only numpy, scipy.linalg and
 scipy.special of the numerical stack. scipy.integrate and scipy.interpolate
 each pull in scipy.optimize, scipy.sparse and more, about 0.3 s that every
-command would pay again.
+command would pay again. The split-step propagator uses ``numpy.fft``,
+which numpy loads anyway, not ``scipy.fft``.
 """
 
 import os
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.fft")
 
 
 def test_cli_import_loads_no_heavy_scipy_package():

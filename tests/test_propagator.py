@@ -5,8 +5,9 @@ from scipy.linalg import solve_banded
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
                   crank_nicolson_step, inner_product, lowest_eigenpairs, norm,
-                  propagate, shift_field)
+                  propagate, shift_field, split_step)
 from nswp import propagator
+from nswp.cases import _AIRY_MASK, run_airy_forced
 from nswp.errors import BoundaryError, ConfigurationError
 
 CONSTS = PhysicalConstants()
@@ -177,7 +178,7 @@ def test_report_shape_and_json(tmp_path):
     assert '"times"' in text and '"norm"' in text
 
 
-# --- factored stepper against a banded-solver reference ---------------------
+# --- both steppers against test-side references -----------------------------
 
 def reference_step(values, v_mid, dt, dx):
     """Numerov CN step A psi' = conj(A) psi, A = M + i mu (K + M V), solved by
@@ -239,7 +240,25 @@ def test_time_dependent_v_bit_identical_to_banded_reference():
                           reference_run(initial, v_fn, config))
 
 
-def test_masked_run_bit_identical_to_banded_reference():
+def reference_split_run(initial, v_fn, config):
+    """Strang split-step Fourier plus mask, written out with numpy: half kick
+    at the midpoint time, exact kinetic phase, half kick, mask."""
+    grid, dt = config.grid, config.dt
+    x = grid.x
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    kinetic = np.exp(-0.5j * CONSTS.hbar * dt / CONSTS.mass * k**2)
+    mask = propagator._mask_profile(grid, config.boundary, dt)
+    values = initial.values.copy()
+    t = config.t_start
+    for i in range(config.n_steps):
+        angle = (-0.5 * dt / CONSTS.hbar) * v_fn(x, t + 0.5 * dt)
+        kick = np.cos(angle) + 1j * np.sin(angle)
+        values = kick * np.fft.ifft(kinetic * np.fft.fft(kick * values)) * mask
+        t = config.t_start + (i + 1) * dt
+    return values
+
+
+def test_masked_run_bit_identical_to_split_step_reference():
     grid = Grid1D(-8.0, 8.0, 512)
     mask = AbsorbingMask(width=2.0, strength=40.0)
     config = PropagationConfig(dt=1e-3, t_end=0.5, grid=grid,
@@ -249,9 +268,61 @@ def test_masked_run_bit_identical_to_banded_reference():
     def v_fn(x, t):
         return -0.3 * np.sin(2.0 * t) * x
 
-    expected = reference_run(initial, v_fn, config,
-                             mask=propagator._mask_profile(grid, mask, config.dt))
-    assert np.array_equal(final_values(initial, v_fn, config), expected)
+    assert np.array_equal(final_values(initial, v_fn, config),
+                          reference_split_run(initial, v_fn, config))
+
+
+def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
+    # the masked Airy run against Crank-Nicolson plus the same mask at an
+    # eighth of its step, from the same tapered packet
+    F = lambda t: 0.3 * np.sin(2.0 * t)
+    result = run_airy_forced(F, force_label="sin", t_end=1.0)
+    start, final = result.report.snapshots[0], result.report.snapshots[-1]
+    grid, dt = start.grid, 5e-4
+    mask = propagator._mask_profile(grid, _AIRY_MASK, dt)
+    psi = start
+    for i in range(int(round(1.0 / dt))):
+        psi = crank_nicolson_step(psi, -F((i + 0.5) * dt) * grid.x, dt, CONSTS)
+        psi = WaveField(grid=grid, values=psi.values * mask, time=psi.time)
+    assert final.time == pytest.approx(psi.time, abs=1e-12)
+    window = result.extras["window"]
+    sel = (grid.x >= window[0]) & (grid.x <= window[1])
+    rho_cn = psi.density()[sel]
+    assert np.max(np.abs(final.density()[sel] - rho_cn)) / np.max(rho_cn) < 1e-4
+
+
+def test_weak_mask_wraps_around_and_raises():
+    # the packet of test_absorbing_mask_run under a tenth of the mask
+    # strength reaches the far edge of the periodic domain
+    grid = Grid1D(-8.0, 8.0, 512)
+    psi = gaussian(grid, center=0.0, k=6.0)
+    config = PropagationConfig(dt=1e-3, t_end=2.0, grid=grid,
+                               snapshot_stride=500,
+                               boundary=AbsorbingMask(width=2.0, strength=4.0))
+    with pytest.raises(BoundaryError, match="wrapped around") as exc_info:
+        propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
+                  compute_observables=False)
+    assert exc_info.value.partial_report.times[-1] == pytest.approx(1.0)
+
+
+def test_config_rejects_negative_mask_and_unknown_boundary():
+    grid = Grid1D(-10.0, 10.0, 128)
+    with pytest.raises(ConfigurationError):
+        PropagationConfig(dt=1e-3, t_end=1.0, grid=grid,
+                          boundary=AbsorbingMask(width=2.0, strength=-1.0))
+    with pytest.raises(ConfigurationError):
+        PropagationConfig(dt=1e-3, t_end=1.0, grid=grid, boundary="periodic")
+
+
+def test_split_step_guard():
+    grid = Grid1D(-10.0, 10.0, 128)
+    mask = AbsorbingMask(width=2.0, strength=1.0)
+    with pytest.raises(ConfigurationError):
+        split_step(gaussian(grid), np.full(grid.n, 100.0), 1e-2, CONSTS, mask)
+    v = np.zeros(grid.n)
+    v[5] = np.nan
+    with pytest.raises(ConfigurationError):
+        split_step(gaussian(grid), v, 1e-3, CONSTS, mask)
 
 
 def test_reversed_step_bit_identical_to_banded_reference():

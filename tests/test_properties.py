@@ -1,5 +1,6 @@
-"""Properties of the Numerov Crank-Nicolson stepper over random potentials,
-states and time steps, all drawn inside the step guard dt max|V| / hbar < 0.5.
+"""Properties of the Numerov Crank-Nicolson stepper and of the masked
+split-step Fourier stepper over random potentials, states and time steps,
+all drawn inside the step guard dt max|V| / hbar < 0.5.
 
 Examples are derandomized and few, so the suite stays fast and repeatable.
 """
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nswp import (Grid1D, PhysicalConstants, PropagationConfig, WaveField,
-                  crank_nicolson_step, observables, propagate)
+from nswp import (AbsorbingMask, Grid1D, PhysicalConstants, PropagationConfig,
+                  WaveField, crank_nicolson_step, observables, propagate,
+                  split_step)
 
 CONSTS = PhysicalConstants()
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -101,3 +103,58 @@ def test_energy_constant_for_static_v(setup, steps):
     energy = np.asarray(report.energy_mean)
     assert np.max(energy) - np.min(energy) < 1e-11 * max(1.0, np.max(np.abs(energy)))
 
+
+
+# --- split-step Fourier under an absorbing mask -----------------------------
+
+@PROPERTY
+@given(n=st.integers(16, 256), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-4, 0.1), v_scale=st.floats(0.0, 0.49))
+def test_split_step_without_absorption_is_unitary(n, seed, dt, v_scale):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-5.0, 5.0, n)
+    v = rng.uniform(-1.0, 1.0, n) * v_scale / dt
+    psi = WaveField(grid=grid, values=rng.normal(size=n) + 1j * rng.normal(size=n))
+    out = split_step(psi, v, dt, CONSTS, AbsorbingMask(width=1.0, strength=0.0))
+    assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(psi.values),
+                                                       rel=1e-12)
+    assert out.time == psi.time + dt
+
+
+@PROPERTY
+@given(setup=smooth_setup(), steps=st.integers(60, 120),
+       eps=st.floats(0.0, 0.3), w=st.floats(0.5, 3.0))
+def test_split_step_second_order_in_dt(setup, steps, eps, w):
+    # V(x, t) = V(x) (1 + eps sin(w t)) with V quadratic plus cos x, so the
+    # splitting error is not a mere phase; errors against a 16x finer run
+    grid, v, initial = setup
+    t_end = 0.5
+
+    def final(n_steps):
+        config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
+                                   snapshot_stride=n_steps,
+                                   boundary=AbsorbingMask(width=2.0, strength=0.0))
+        report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
+                           config, CONSTS, compute_observables=False)
+        return report.snapshots[-1].values
+
+    ref = final(16 * steps)
+    ratio = np.linalg.norm(final(steps) - ref) / np.linalg.norm(final(2 * steps) - ref)
+    assert 4.0 * 0.85 < ratio < 4.0 * 1.15
+
+
+@PROPERTY
+@given(t_start=st.floats(-5.0, 5.0), dt=st.floats(1e-3, 0.02),
+       steps=st.integers(1, 60), stride=st.integers(1, 70))
+def test_split_step_run_ends_at_t_end(t_start, dt, steps, stride):
+    grid = Grid1D(-10.0, 10.0, 64)
+    t_end = t_start + steps * dt
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, t_start=t_start,
+                               snapshot_stride=stride,
+                               boundary=AbsorbingMask(width=2.0, strength=10.0))
+    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0))
+    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
+                       compute_observables=False)
+    assert len(report.times) == 1 + steps // stride + (steps % stride != 0)
+    assert report.times[-1] == pytest.approx(t_end, abs=1e-12)
+    assert report.snapshots[-1].time == report.times[-1]

@@ -97,6 +97,33 @@ def test_cumulative_antiderivative():
         cumulative_antiderivative(math.sin, 0.0)
 
 
+@pytest.mark.parametrize("t_max", [10.0, 3.0, 2.5, 1.0 / 3.0, math.pi, 1e-3, 7.77e4])
+def test_even_nodes_of_a_doubled_mesh_are_the_coarse_mesh(t_max):
+    # what lets each doubling keep the previous samples bit for bit
+    for n in 2 ** np.arange(6, 17):
+        assert np.array_equal(np.linspace(0.0, t_max, 2 * n + 1)[::2],
+                              np.linspace(0.0, t_max, n + 1))
+
+
+def test_doublings_sample_each_node_once():
+    calls = []
+
+    def F(t):
+        calls.append(t)
+        return 0.3 * math.sin(2.0 * t)
+
+    anti = cumulative_antiderivative(F, 10.0)
+    # converged at 1024 intervals: 257 + 256 + 512 calls, not 257 + 513 + 1025
+    assert len(calls) == len(set(calls)) == 1025
+    fresh = piecewise_quintic(np.array([F(t) for t in np.linspace(0.0, 10.0, 1025)]),
+                              10.0 / 1024).antiderivative()
+    assert np.array_equal(anti.coeffs, fresh.coeffs)
+
+    calls.clear()
+    mesh_doubling(lambda ts, y: simpson_uniform(y, ts[1] - ts[0]), F, 10.0, 1e-12)
+    assert len(calls) == len(set(calls)) == len(np.linspace(0.0, 10.0, len(calls)))
+
+
 def test_cumulative_antiderivative_mesh_limit_raises_with_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_MESH", 512)
     # a jump converges only at first order, far from 1e-11 by 512 intervals
