@@ -18,7 +18,9 @@ from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
 
 def main():
     consts = PhysicalConstants()
-    grid = Grid1D(-8.0, 8.0, 4096)
+    # the fourth-order Numerov operator and Pade step resolve this mode on
+    # 1024 points
+    grid = Grid1D(-8.0, 8.0, 1024)
     v = StaticPotential.quartic(1.0)
 
     print("solving the quartic ground state...")

@@ -2,9 +2,11 @@
 
 Builds the n-th oscillator eigenstate, attaches the swinging trajectory
 d(t) = A sin(omega t) and the gauge that makes the supporting potential
-static, then propagates independently with Crank-Nicolson for one period
-and prints the verification summary. Writes density snapshots to
-sho_demo_out/ for plotting.
+static, then propagates independently for one period and prints the
+verification summary. The propagator takes 1000 steps of the (2,2) Pade
+approximant of exp(-i H dt / hbar), fourth order in dt for this static
+potential, each step two Crank-Nicolson-shaped tridiagonal solves. Writes
+density snapshots to sho_demo_out/ for plotting.
 """
 
 import pathlib

@@ -5,8 +5,8 @@ Schrodinger equation whose probability density is a rigid translation of a
 fixed profile f along a designed trajectory d(t). The package builds such
 packets from arbitrary static 1-D potentials, derives the supporting
 time-dependent potential, and verifies the result by independent propagation
-(Crank-Nicolson, or split-step Fourier under an absorbing mask) and by a
-Hamiltonian-decomposition analysis.
+(a fourth-order Pade step between walls, or split-step Fourier under an
+absorbing mask) and by a Hamiltonian-decomposition analysis.
 """
 
 from .airy import ai_values

@@ -1,15 +1,15 @@
 """Spatial grid, wave field and observable primitives.
 
 ``observables`` takes its integrals as plain sums dx * sum(.), the inner
-product that Crank-Nicolson conserves exactly; ``inner_product`` and
-``norm`` use the trapezoidal rule. The Hamiltonian is the
-fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
+product that the propagator's (2,2) Pade step conserves exactly;
+``inner_product`` and ``norm`` use the trapezoidal rule. The Hamiltonian is
+the fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
 Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point kinetic matrix
 and M = tridiag(1, 10, 1)/12, both with Dirichlet walls; ``numerov_bands``
-is the one builder of its bands, shared by the eigensolver, Crank-Nicolson
-and <H>. <P> uses the 5-point first derivative. Fractional spatial shifts
-are done by Fourier interpolation so that sub-grid displacements are
-representable.
+is the one builder of its bands, shared by the eigensolver, both stages of
+the Pade step and <H>. <P> uses the 5-point first derivative. Fractional
+spatial shifts are done by Fourier interpolation so that sub-grid
+displacements are representable.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def observables(
         np.sum(np.conj(psi.values) * (-1j * consts.hbar) * dpsi).real
     ) / nrm2
 
-    # <H> of the Numerov Hamiltonian, the energy Crank-Nicolson conserves
+    # <H> of the Numerov Hamiltonian, the energy the Pade step conserves
     h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), psi.values))
     if v_of_x is not None:
         h_psi = h_psi + np.asarray(v_of_x) * psi.values

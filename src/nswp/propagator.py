@@ -1,19 +1,25 @@
-"""Time evolution under an arbitrary V(x, t): Crank-Nicolson between
-Dirichlet walls, Strang split-step Fourier with an absorbing mask.
+"""Time evolution under an arbitrary V(x, t): a fourth-order Pade step
+between Dirichlet walls, Strang split-step Fourier with an absorbing mask.
 
 ``propagate`` keeps one record loop and picks the stepper from
 ``config.boundary``. Each stepper prepares its operator once per distinct
 midpoint potential V(t + dt/2), and both apply the same step guard
 dt * max|V| / hbar < 0.5 to it.
 
-``Dirichlet``: the step is the (1,1) Pade approximant of the evolution
-exponential, second order in dt for time-dependent potentials and exactly
-unitary up to the tridiagonal-solve round-off. The Hamiltonian is the
-fourth-order Numerov operator H_N = M^-1 K + V of ``grids.numerov_bands``.
-Multiplying the step (1 + i mu H_N) psi' = (1 - i mu H_N) psi, mu = dt /
-(2 hbar), by M gives A psi' = conj(A) psi with A = M + i mu (K + M V):
-tridiagonal on both sides. A is LU-factored with LAPACK ``zgttrf`` and each
-step is solved with ``zgttrs``, so a static V is factored once per run.
+``Dirichlet``: the step is the (2,2) diagonal Pade approximant of the
+evolution exponential, R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) with
+z = -i dt H_N / hbar (the fourth-order generalisation of Crank-Nicolson;
+van Dijk & Toyama, Phys. Rev. E 75, 036707 (2007)). It is fourth order in
+dt for a static V and second order for a time-dependent one, which enters
+at the midpoint time. The Hamiltonian is the fourth-order Numerov operator
+H_N = M^-1 K + V of ``grids.numerov_bands``. R factors over the roots
+r = -3 +- i sqrt(3) of its numerator into two Crank-Nicolson-shaped stages
+(1 - i c H_N) psi' = (1 + i c H_N) psi, c = dt / (hbar r); multiplied by M
+each reads (M - i c (K + M V)) psi' = (M + i c (K + M V)) psi, tridiagonal
+on both sides. The two c are complex conjugates, so the product of the
+stages is exactly unitary up to the tridiagonal-solve round-off. Each
+stage's left-hand matrix is LU-factored with LAPACK ``zgttrf`` and each
+step is two ``zgttrs`` solves, so a static V is factored once per run.
 
 ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
 period of a periodic domain. A step is a half kick exp(-i V dt / 2 hbar),
@@ -21,7 +27,7 @@ the exact kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space,
 a second half kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
 (1982)), then a multiplicative cos^2-ramp mask. For V = -F(t) x the
 splitting error is a global phase only ([T, [T, V]] = 0 and [V, [V, T]]
-is a constant), so its steps can be far longer than Crank-Nicolson's.
+is a constant), so its steps can be long.
 Amplitude that reaches the outermost cells would wrap around to the other
 edge; the record step raises ``BoundaryError`` when it does.
 """
@@ -29,6 +35,7 @@ edge; the record step raises ``BoundaryError`` when it does.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -120,15 +127,21 @@ class RunReport:
 
 def crank_nicolson_step(psi: WaveField, v_mid: np.ndarray, dt: float,
                         consts: PhysicalConstants) -> WaveField:
-    """One CN step; ``v_mid`` holds the potential at the midpoint time."""
-    step = _cn_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
-    return WaveField(grid=psi.grid, values=_cn_solve(step, psi.values),
+    """One (2,2) Pade step between Dirichlet walls; ``v_mid`` holds the
+    potential at the midpoint time."""
+    stages = _cn_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
+    return WaveField(grid=psi.grid, values=_cn_solve(stages, psi.values),
                      time=psi.time + dt)
 
 
+# roots of the (2,2) Pade numerator 1 + z/2 + z^2/12, one per stage
+_PADE_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
+
+
 @dataclass(frozen=True)
-class _CNStep:
-    """Bands of the explicit side conj(A) and LU factors of A."""
+class _PadeStage:
+    """Bands of one stage's explicit side M + i c (K + M V) and LU factors
+    of its implicit side M - i c (K + M V)."""
 
     rhs_diag: np.ndarray
     rhs_off: np.ndarray
@@ -149,30 +162,34 @@ def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> n
     return v_mid
 
 
-def _cn_factor(v_mid, dt, n, dx, consts) -> _CNStep:
+def _cn_factor(v_mid, dt, n, dx, consts) -> tuple:
+    """The two stages of the (2,2) Pade step for one midpoint potential."""
     v_mid = _guarded_potential(v_mid, dt, n, consts)
-    mu = dt / (2.0 * consts.hbar)
     diag, off = numerov_bands(v_mid, dx, consts)
-    # A = M + i mu (K + M V); zgttrf overwrites its inputs, so the
-    # sub-diagonal (a view of a_off) and the super-diagonal must not overlap
-    a_diag = 1j * mu * diag
-    a_diag += M_DIAG
-    a_off = 1j * mu * off
-    a_off += M_OFF
-    rhs_diag, rhs_off = a_diag.conj(), a_off.conj()
-    *lu, info = zgttrf(a_off[:-1], a_diag, a_off[1:].copy(),
-                       overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info != 0:
-        raise ConfigurationError(f"zgttrf failed (info={info}): singular CN matrix")
-    return _CNStep(rhs_diag=rhs_diag, rhs_off=rhs_off, lu=tuple(lu))
+    stages = []
+    for r in _PADE_ROOTS:
+        ic = 1j * dt / (consts.hbar * r)
+        # zgttrf overwrites its inputs, so the sub-diagonal (a view of
+        # a_off) and the super-diagonal must not overlap
+        a_diag = M_DIAG - ic * diag
+        a_off = M_OFF - ic * off
+        *lu, info = zgttrf(a_off[:-1], a_diag, a_off[1:].copy(),
+                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info != 0:
+            raise ConfigurationError(
+                f"zgttrf failed (info={info}): singular step matrix")
+        stages.append(_PadeStage(rhs_diag=M_DIAG + ic * diag,
+                                 rhs_off=M_OFF + ic * off, lu=tuple(lu)))
+    return tuple(stages)
 
 
-def _cn_solve(step: _CNStep, values: np.ndarray) -> np.ndarray:
-    rhs = bands_apply(step.rhs_diag, step.rhs_off, values)
-    out, info = zgttrs(*step.lu, rhs, overwrite_b=1)
-    if info != 0:
-        raise ConfigurationError(f"zgttrs failed (info={info})")
-    return out
+def _cn_solve(stages, values: np.ndarray) -> np.ndarray:
+    for stage in stages:
+        rhs = bands_apply(stage.rhs_diag, stage.rhs_off, values)
+        values, info = zgttrs(*stage.lu, rhs, overwrite_b=1)
+        if info != 0:
+            raise ConfigurationError(f"zgttrs failed (info={info})")
+    return values
 
 
 def edge_ramp(grid: Grid1D, width: float) -> np.ndarray:
@@ -234,8 +251,8 @@ def propagate(
 ) -> RunReport:
     """Step to t_end, recording metrics every ``snapshot_stride`` steps.
 
-    Crank-Nicolson steps between Dirichlet walls, split-step Fourier under
-    an absorbing mask. ``window`` restricts the shape-deviation sup to
+    (2,2) Pade steps between Dirichlet walls, split-step Fourier under an
+    absorbing mask. ``window`` restricts the shape-deviation sup to
     [a, b]. ``reference_density(t)`` returns the expected translated |f|^2
     at the window's grid points (at every grid point without a window);
     with ``shape_reference='centroid'`` the initial density is instead
@@ -322,9 +339,9 @@ def propagate(
         report.snapshots.append(psi)
 
         if dirichlet:
-            # CN with Dirichlet walls is exactly unitary, so a boundary hit
-            # shows up as amplitude piling onto the edge cells (reflection),
-            # not as norm loss; check both anyway.
+            # the Pade step with Dirichlet walls is exactly unitary, so a
+            # boundary hit shows up as amplitude piling onto the edge cells
+            # (reflection), not as norm loss; check both anyway.
             edge = max(abs(values[1]), abs(values[-2]))
             if report.norm[-1] < norm0 * (1.0 - 1e-3) or edge > 1e-3 * np.max(np.abs(values)):
                 raise BoundaryError(

@@ -5,8 +5,8 @@ import pytest
 
 from nswp import Grid1D, PhysicalConstants
 from nswp.cases import (airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy, run_sho_timedep_frequency,
-                        run_sho_timedep_with_control)
+                        phi0_forced_airy, run_sho_shifted,
+                        run_sho_timedep_frequency, run_sho_timedep_with_control)
 
 from conftest import check_by_name
 
@@ -135,7 +135,7 @@ def test_phase_check_work_counts():
 
 def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
     # 10/omega0 is not a whole number of 1e-3 steps for omega0 = 3; the
-    # grid is narrow enough for the CN guard dt max|V| < 0.5 at this omega0
+    # grid is narrow enough for the step guard dt max|V| < 0.5 at this omega0
     res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256), dt=1e-3)
     t_end = res.extras["t_end"]
     assert abs(t_end - 10.0 / 3.0) <= 0.5e-3
@@ -145,7 +145,7 @@ def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
 
 
 def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
-    # the default grid +-12/sqrt(omega0) and dt = 1e-3/omega0 keep the CN
+    # the default grid +-12/sqrt(omega0) and dt = 4e-3/omega0 keep the step
     # guard and the static control's rigidity at omega0 = 3, where the fixed
     # +-12 grid with dt = 1e-3 failed the guard
     result = run_sho_timedep_with_control(omega0=3.0)
@@ -154,6 +154,26 @@ def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
     grid = result.report.snapshots[0].grid
     assert grid.x_max == -grid.x_min == pytest.approx(12.0 / np.sqrt(3.0))
     assert grid.n == 1024
+
+
+def test_sho_default_dt_is_cut_to_the_step_guard():
+    # omega = 3 on the default grid: period/1000 gives dt max|V| = 0.60, so
+    # the default halves dt; the run reaches t_end with snapshots still
+    # every period/200
+    result = run_sho_shifted(omega=3.0)
+    period = 2.0 * np.pi / 3.0
+    assert result.extras["dt"] == pytest.approx(period / 2000.0)
+    times = np.asarray(result.report.times)
+    assert times[-1] == pytest.approx(period, abs=1e-12)
+    assert np.diff(times) == pytest.approx(np.full(200, period / 200.0))
+
+
+def test_sho_snapshot_spacing_does_not_follow_a_given_dt():
+    # a fixed default stride would record 801 snapshots at this dt
+    period = 2.0 * np.pi
+    result = run_sho_shifted(dt=period / 4000.0)
+    times = np.asarray(result.report.times)
+    assert np.diff(times) == pytest.approx(np.full(200, period / 200.0))
 
 
 def test_scenario_serialization(sho_result):

@@ -175,3 +175,12 @@ def test_verify_sho_mode_passes_at_defaults(n, tmp_path):
     report = read_json(out / "report.json")
     assert report["pass"] is True
     assert read_json(out / "manifest.json")["config"]["mode_index"] == n
+
+
+def test_verify_strong_modulation_keeps_the_step_guard(tmp_path):
+    # eps = 0.5: the default dt = 4e-3 gives dt max|V| = 0.65 at the peak of
+    # w(t), so the default is halved; a 1e-3 step passed here before
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", "sho-timedep-freq",
+                 "--modulation", "0.5", "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["pass"] is True

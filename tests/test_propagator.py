@@ -100,9 +100,11 @@ def test_stationary_state_evolution():
     assert max(abs(c - report.centroid[0]) for c in report.centroid) < 1e-8
 
 
-def test_second_order_in_dt():
-    # compare against a fine-dt run on the same grid so the error is
-    # purely temporal; halving dt must cut it by ~4
+def test_fourth_order_in_dt():
+    # a static V: compare against a fine-dt run on the same grid so the
+    # error is purely temporal; halving dt must cut it by ~16. dt max|V|
+    # is 0.4 at the coarser step, and the finer error (about 8e-10) stays
+    # far above round-off
     grid = Grid1D(-8.0, 8.0, 512)
     v = StaticPotential.harmonic(1.0)
     v_samples = np.asarray(v(grid.x))
@@ -116,11 +118,11 @@ def test_second_order_in_dt():
                            compute_observables=False)
         return report.snapshots[-1].values
 
-    ref = run(6.25e-5)
-    err1 = np.linalg.norm(run(1e-3) - ref)
-    err2 = np.linalg.norm(run(5e-4) - ref)
+    ref = run(t_end / 1280)
+    err1 = np.linalg.norm(run(t_end / 40) - ref)
+    err2 = np.linalg.norm(run(t_end / 80) - ref)
     ratio = err1 / err2
-    assert 4.0 * 0.8 < ratio < 4.0 * 1.2
+    assert 16.0 * 0.8 < ratio < 16.0 * 1.2
 
 
 def test_time_reversal():
@@ -181,21 +183,26 @@ def test_report_shape_and_json(tmp_path):
 # --- both steppers against test-side references -----------------------------
 
 def reference_step(values, v_mid, dt, dx):
-    """Numerov CN step A psi' = conj(A) psi, A = M + i mu (K + M V), solved by
-    scipy's generic banded solver, matrix rebuilt."""
+    """Numerov (2,2) Pade step as its two stages, one per root r of
+    1 + z/2 + z^2/12: (M - i c S) psi' = (M + i c S) psi with c = dt / (hbar
+    r) and S = K + M V, each solved by scipy's generic banded solver, the
+    matrices rebuilt."""
     kin = CONSTS.hbar**2 / (CONSTS.mass * dx**2)
-    mu = dt / (2.0 * CONSTS.hbar)
-    a_diag = 10.0 / 12.0 + 1j * mu * (kin + 10.0 / 12.0 * v_mid)
-    a_off = 1.0 / 12.0 + 1j * mu * (1.0 / 12.0 * v_mid - 0.5 * kin)
-    w = a_off.conj() * values
-    rhs = a_diag.conj() * values
-    rhs[:-1] += w[1:]
-    rhs[1:] += w[:-1]
-    ab = np.zeros((3, len(values)), dtype=complex)
-    ab[0, 1:] = a_off[1:]
-    ab[1, :] = a_diag
-    ab[2, :-1] = a_off[:-1]
-    return solve_banded((1, 1), ab, rhs)
+    s_diag = kin + 10.0 / 12.0 * v_mid
+    s_off = 1.0 / 12.0 * v_mid - 0.5 * kin
+    for r in (complex(-3.0, np.sqrt(3.0)), complex(-3.0, -np.sqrt(3.0))):
+        ic = 1j * dt / (CONSTS.hbar * r)
+        w = (1.0 / 12.0 + ic * s_off) * values
+        rhs = (10.0 / 12.0 + ic * s_diag) * values
+        rhs[:-1] += w[1:]
+        rhs[1:] += w[:-1]
+        a_off = 1.0 / 12.0 - ic * s_off
+        ab = np.zeros((3, len(values)), dtype=complex)
+        ab[0, 1:] = a_off[1:]
+        ab[1, :] = 10.0 / 12.0 - ic * s_diag
+        ab[2, :-1] = a_off[:-1]
+        values = solve_banded((1, 1), ab, rhs)
+    return values
 
 
 def reference_run(initial, v_fn, config, mask=None):
@@ -273,12 +280,12 @@ def test_masked_run_bit_identical_to_split_step_reference():
 
 
 def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
-    # the masked Airy run against Crank-Nicolson plus the same mask at an
-    # eighth of its step, from the same tapered packet
+    # the masked Airy run against the Pade step plus the same mask at half
+    # its step, from the same tapered packet
     F = lambda t: 0.3 * np.sin(2.0 * t)
     result = run_airy_forced(F, force_label="sin", t_end=1.0)
     start, final = result.report.snapshots[0], result.report.snapshots[-1]
-    grid, dt = start.grid, 5e-4
+    grid, dt = start.grid, 2e-3
     mask = propagator._mask_profile(grid, _AIRY_MASK, dt)
     psi = start
     for i in range(int(round(1.0 / dt))):
