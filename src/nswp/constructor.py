@@ -40,21 +40,16 @@ class GaugeFunction:
     def zero(cls) -> "GaugeFunction":
         return cls("zero", lambda t: 0.0)
 
-    @classmethod
-    def custom(cls, fn, kind: str = "custom") -> "GaugeFunction":
-        return cls(kind, fn)
-
 
 def gauge_linear_case(A: float, traj: Trajectory) -> GaugeFunction:
     """G(t) = A d(t): cancels the moving-well offset of V = A x."""
-    return GaugeFunction.custom(lambda t: A * traj.d(t), kind="linear_case")
+    return GaugeFunction("linear_case", lambda t: A * traj.d(t))
 
 
 def gauge_sho_case(omega: float, traj: Trajectory, consts: PhysicalConstants) -> GaugeFunction:
     """G(t) = -m omega^2 d(t)^2 / 2: makes the SHO supporting potential static."""
-    return GaugeFunction.custom(
-        lambda t: -0.5 * consts.mass * omega**2 * traj.d(t) ** 2, kind="sho_case"
-    )
+    return GaugeFunction("sho_case",
+                         lambda t: -0.5 * consts.mass * omega**2 * traj.d(t) ** 2)
 
 
 class Shape:
@@ -122,18 +117,18 @@ class AiryShape(Shape):
 
 
 class NswpSolution:
-    """Immutable closed-form NSWP; phi0 cache is built once on demand."""
+    """Immutable closed-form NSWP; phi0 cache is built once on demand, to
+    1e-11 on [0, t_max]."""
 
     def __init__(self, shape: Shape, trajectory: Trajectory, gauge: GaugeFunction,
                  consts: PhysicalConstants = PhysicalConstants(),
-                 t_max: float = 10.0, phi0_tol: float = 1e-11):
+                 t_max: float = 10.0):
         self.shape = shape
         self.trajectory = trajectory
         self.gauge = gauge
         self.consts = consts
         self.E_f = shape.energy
         self.t_max = float(t_max)
-        self.phi0_tol = float(phi0_tol)
         self._phi0_anti = None
 
     def _phi0_integrand(self, t: float) -> float:
@@ -148,14 +143,15 @@ class NswpSolution:
         """Cached phi0(t) = -(1/hbar) integral_0^t (E_f + G + m d_dot^2/2)."""
         if self._phi0_anti is None:
             self._phi0_anti = cumulative_antiderivative(
-                self._phi0_integrand, self.t_max, self.phi0_tol
+                self._phi0_integrand, self.t_max, 1e-11
             )
         if t > self.t_max + 1e-9:
             raise RangeError(f"t={t} beyond phi0 cache horizon {self.t_max}")
         return -float(self._phi0_anti(t)) / self.consts.hbar
 
-    def phi0_direct(self, t, tol: float = 1e-12):
-        """phi0 by direct adaptive quadrature, independent of the cache.
+    def phi0_direct(self, t):
+        """phi0 by direct adaptive quadrature to 1e-12 per piece, independent
+        of the cache.
 
         ``t`` is a time, or an ascending 1-D array of times, in [0, t_max];
         anything else raises RangeError. An array is integrated piece by
@@ -178,7 +174,7 @@ class NswpSolution:
         if np.any(np.diff(ends) < 0.0):
             raise RangeError(f"phi0_direct needs ascending times, got {t}")
         starts = np.concatenate(([0.0], ends[:-1]))
-        pieces = [integrate_time(self._phi0_integrand, float(a), float(b), tol)
+        pieces = [integrate_time(self._phi0_integrand, float(a), float(b), 1e-12)
                   for a, b in zip(starts, ends)]
         phi0 = -np.cumsum(pieces) / self.consts.hbar
         return float(phi0[0]) if times.ndim == 0 else phi0
@@ -205,11 +201,11 @@ def analytic_psi(sol: NswpSolution, grid: Grid1D, t: float) -> WaveField:
 
 
 def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
-                  t_step: float = 1e-5, margin: int = 8,
-                  drop_phi0: bool = False) -> float:
-    """Max interior |i hbar dPsi/dt - H Psi| for the analytic packet.
+                  margin: int = 8, drop_phi0: bool = False) -> float:
+    """Max |i hbar dPsi/dt - H Psi| for the analytic packet over the points
+    at least ``margin`` cells from either edge.
 
-    Time derivative by 5-point central FD at t_step; spatial second
+    Time derivative by 5-point central FD at step 1e-5; spatial second
     derivative by the 5-point stencil. ``drop_phi0`` deliberately corrupts
     the global phase (falsification control).
     """
@@ -221,7 +217,7 @@ def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
             values = values * np.exp(-1j * sol.phi0(tt))
         return values
 
-    h = t_step
+    h = 1e-5
     stack = [psi_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
     dpsi_dt = (stack[0] - 8 * stack[1] + 8 * stack[3] - stack[4]) / (12.0 * h)
     psi = stack[2]

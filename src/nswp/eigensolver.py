@@ -61,10 +61,6 @@ class StaticPotential:
     def custom(cls, fn, name: str = "custom") -> "StaticPotential":
         return cls(name, fn, {})
 
-    @classmethod
-    def free(cls) -> "StaticPotential":
-        return cls("free", lambda x: np.zeros_like(x), {})
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -83,12 +79,11 @@ def _sign_normalize(f: np.ndarray) -> np.ndarray:
 
 def lowest_eigenpairs(
     v: StaticPotential, grid: Grid1D, consts: PhysicalConstants, k: int,
-    leak_tol: float = 1e-6,
 ) -> list[EigenPair]:
     """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
 
-    Raises AccuracyError when a returned mode has not decayed below
-    ``leak_tol`` (relative) at the domain edges, and ConvergenceError if
+    Raises AccuracyError when a returned mode has not decayed below 1e-6
+    of its peak at the domain edges, and ConvergenceError if
     LAPACK fails, the iteration does not settle, or the refined energies
     are not distinct and ascending. ``residual`` is
     ||(K + M V) f - E M f|| / ||f||.
@@ -114,7 +109,7 @@ def lowest_eigenpairs(
         f = _sign_normalize(f)
         f /= np.sqrt(np.trapezoid(f**2, dx=dx))
         edge = max(abs(f[0]), abs(f[-1]))
-        if edge > leak_tol * np.max(np.abs(f)):
+        if edge > 1e-6 * np.max(np.abs(f)):
             raise AccuracyError(
                 f"mode {i} leaks at the boundary (relative edge value "
                 f"{edge / np.max(np.abs(f)):.2e}); widen the domain"

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,19 +109,13 @@ class RunReport:
     snapshots: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "norm": list(self.norm),
-            "centroid": list(self.centroid),
-            "momentum_mean": list(self.momentum_mean),
-            "energy_mean": list(self.energy_mean),
-            "shape_deviation": list(self.shape_deviation),
-            "htilde_residual": list(self.htilde_residual),
-        }
+        """The metric columns the run recorded; an empty one is left out."""
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)
+                if f.name != "snapshots" and getattr(self, f.name)}
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -244,23 +238,31 @@ def propagate(
     config: PropagationConfig,
     consts: PhysicalConstants = PhysicalConstants(),
     reference_density: Optional[Callable[[float], np.ndarray]] = None,
-    shape_reference: str = "reference",
     window: Optional[tuple] = None,
     htilde_fn: Optional[Callable[[WaveField, float], float]] = None,
-    compute_observables: bool = True,
 ) -> RunReport:
-    """Step to t_end, recording metrics every ``snapshot_stride`` steps.
+    """Step ``initial`` from ``config.t_start`` to t_end, recording metrics
+    every ``snapshot_stride`` steps and at t_end.
 
-    (2,2) Pade steps between Dirichlet walls, split-step Fourier under an
-    absorbing mask. ``window`` restricts the shape-deviation sup to
-    [a, b]. ``reference_density(t)`` returns the expected translated |f|^2
-    at the window's grid points (at every grid point without a window);
-    with ``shape_reference='centroid'`` the initial density is instead
-    translated to the measured centroid (used by spreading controls).
+    Between Dirichlet walls the step is the (2,2) Pade step and each
+    snapshot records the norm and the observables under ``v_fn``; under an
+    absorbing mask the step is split-step Fourier and each snapshot records
+    the norm only. The shape deviation is the sup of |rho - rho_ref| over
+    ``window`` = [a, b] (the whole grid without one), relative to the
+    reference's peak at t_start. ``reference_density(t)`` gives rho_ref at
+    the window's grid points; without it, a Dirichlet run translates the
+    initial density to the measured centroid (the spreading controls) and a
+    masked run records no shape deviation. ``htilde_fn(psi, t)`` adds a
+    column of its values. ``initial.time`` must be ``config.t_start``.
     """
     grid = config.grid
     if initial.grid != grid:
         raise ConfigurationError("initial field grid does not match config grid")
+    if abs(initial.time - config.t_start) > 1e-12:
+        raise ConfigurationError(
+            f"initial field is at t = {initial.time:.12g} but the run starts at "
+            f"t_start = {config.t_start:.12g}"
+        )
     x = grid.x
     dt = config.dt
     n_steps = config.n_steps
@@ -284,58 +286,37 @@ def propagate(
     else:
         sel = slice(None)
 
-    rho0 = initial.density()
     peak0 = float(np.max(np.abs(initial.values)))
-    ref_peak = None
+    report = RunReport()
+    reference = reference_density
     if reference_density is not None:
         ref_peak = float(np.max(reference_density(config.t_start)))
-    elif shape_reference == "centroid":
+    elif dirichlet:
+        rho0 = initial.density()
         ref_peak = float(np.max(rho0))
 
-    report = RunReport()
-    values = initial.values.copy()
-    t = config.t_start
-    norm0 = None
-    centroid0 = None
+        def reference(t):
+            shift = report.centroid[-1] - report.centroid[0]
+            return shift_values(rho0.astype(complex), shift, grid.dx).real[sel]
 
     def record(values, t):
-        nonlocal norm0, centroid0
         psi = WaveField(grid=grid, values=values, time=t)
         report.times.append(t)
-        if compute_observables:
+        if dirichlet:
             obs = observables(psi, v_fn(x, t), consts)
             report.norm.append(obs.norm)
             report.centroid.append(obs.centroid)
             report.momentum_mean.append(obs.momentum_mean)
             report.energy_mean.append(obs.energy_mean)
         else:
-            nrm = float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2)))
-            report.norm.append(nrm)
-            report.centroid.append(float("nan"))
-            report.momentum_mean.append(float("nan"))
-            report.energy_mean.append(float("nan"))
-        if norm0 is None:
-            norm0 = report.norm[0]
-            centroid0 = report.centroid[0]
-
-        rho = np.abs(values) ** 2
-        if reference_density is not None:
+            report.norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))))
+        if reference is not None:
+            rho = np.abs(values) ** 2
             report.shape_deviation.append(
-                float(np.max(np.abs(rho[sel] - reference_density(t))) / ref_peak)
+                float(np.max(np.abs(rho[sel] - reference(t))) / ref_peak)
             )
-        elif shape_reference == "centroid" and compute_observables:
-            shift = report.centroid[-1] - centroid0
-            ref = shift_values(rho0.astype(complex), shift, grid.dx).real
-            report.shape_deviation.append(
-                float(np.max(np.abs(rho[sel] - ref[sel])) / ref_peak)
-            )
-        else:
-            report.shape_deviation.append(float("nan"))
-
         if htilde_fn is not None:
             report.htilde_residual.append(float(htilde_fn(psi, t)))
-        else:
-            report.htilde_residual.append(float("nan"))
         report.snapshots.append(psi)
 
         if dirichlet:
@@ -343,7 +324,8 @@ def propagate(
             # boundary hit shows up as amplitude piling onto the edge cells
             # (reflection), not as norm loss; check both anyway.
             edge = max(abs(values[1]), abs(values[-2]))
-            if report.norm[-1] < norm0 * (1.0 - 1e-3) or edge > 1e-3 * np.max(np.abs(values)):
+            if (report.norm[-1] < report.norm[0] * (1.0 - 1e-3)
+                    or edge > 1e-3 * np.max(np.abs(values))):
                 raise BoundaryError(
                     f"wave packet hit the boundary at t={t:.6g} "
                     f"(relative edge amplitude {edge / np.max(np.abs(values)):.2e})",
@@ -361,6 +343,8 @@ def propagate(
                     partial_report=report,
                 )
 
+    values = initial.values.copy()
+    t = config.t_start
     record(values, t)
     op = v_last = None
     for i in range(n_steps):

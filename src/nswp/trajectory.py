@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import RangeError
 from .grids import PhysicalConstants
@@ -53,10 +54,13 @@ class Polynomial(Trajectory):
     def __post_init__(self):
         if self.coeffs and self.coeffs[0] != 0.0:
             raise ValueError("polynomial trajectory must have d(0) = 0")
+        d = np.asarray(self.coeffs, dtype=float)
+        d_dot = P.polyder(d)
+        # the coefficients of d, d_dot and d_ddot, formed once
+        object.__setattr__(self, "_series", (d, d_dot, P.polyder(d_dot)))
 
     def eval(self, t):
-        p = np.polynomial.Polynomial(self.coeffs)
-        return (float(p(t)), float(p.deriv(1)(t)), float(p.deriv(2)(t)))
+        return tuple(float(P.polyval(t, c)) for c in self._series)
 
 
 @dataclass(frozen=True)
@@ -93,19 +97,19 @@ class UniformAcceleration(Trajectory):
 class ForceTrajectory(Trajectory):
     """Motion satisfying m * d_ddot = A + F(t), with d(0) = d_dot(0) = 0.
 
-    d(t) = A t^2/(2m) + (1/m) * double integral of F, via cached cumulative
-    antiderivatives on [0, t_max]; t outside that range raises RangeError.
+    d(t) = A t^2/(2m) + (1/m) * double integral of F, via cumulative
+    antiderivatives cached to 1e-11 on [0, t_max]; t outside that range
+    raises RangeError.
     """
 
     kind = "from_force"
 
-    def __init__(self, A: float, F, consts: PhysicalConstants, tol: float = 1e-11,
-                 t_max: float = 10.0):
+    def __init__(self, A: float, F, consts: PhysicalConstants, t_max: float = 10.0):
         self.A = float(A)
         self.F = F
         self.m = consts.mass
         self.t_max = float(t_max)
-        self._int_f = cumulative_antiderivative(F, self.t_max, tol)
+        self._int_f = cumulative_antiderivative(F, self.t_max, 1e-11)
         self._int2_f = self._int_f.antiderivative()
 
     def _check_range(self, t: float) -> None:

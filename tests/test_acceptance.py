@@ -160,7 +160,18 @@ def test_criterion_10_determinism(tmp_path):
     identical = all(
         (out1 / rel).read_bytes() == (out2 / rel).read_bytes() for rel in reports
     )
-    ok = code1 == 0 and code2 == 0 and len(reports) >= 4 and identical
+    strict = all(_is_strict_json((out1 / rel).read_text()) for rel in reports)
+    ok = code1 == 0 and code2 == 0 and len(reports) >= 4 and identical and strict
     report(10, "reproduce determinism", ok,
            f"{len(reports)} report.json files, bit-identical across two runs: "
-           f"{identical}, exit codes ({code1}, {code2})")
+           f"{identical}, strict JSON (no NaN): {strict}, exit codes ({code1}, {code2})")
+
+
+def _is_strict_json(text):
+    def reject(token):
+        raise ValueError(token)
+    try:
+        json.loads(text, parse_constant=reject)
+    except ValueError:
+        return False
+    return True

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import nswp.cases
 from nswp import Grid1D, PhysicalConstants
-from nswp.cases import (airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy, run_sho_shifted,
+from nswp.cases import (SCENARIOS, airy_free_solution, forced_airy_solution,
+                        phi0_forced_airy, run_corrupted_phase, run_sho_shifted,
                         run_sho_timedep_frequency, run_sho_timedep_with_control)
 
 from conftest import check_by_name
@@ -189,3 +190,48 @@ def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
     forced = check_by_name(airy_forced_result, "window_content_loss")
     free = check_by_name(airy_free_result, "window_content_loss")
     assert forced.passed and forced.tolerance == free.tolerance == 0.01
+
+
+# (check name, bound) of every scenario and of both trap runs, in report
+# order: a change to a bound, a name or the order shows here as a diff
+CHECK_BOUNDS = {
+    "sho": [("construction_tdse_residual", 1e-4), ("gauge_gives_static_sho", 1e-10),
+            ("shape_deviation", 5e-4), ("htilde_residual_max", 1e-4),
+            ("centroid_tracks_trajectory", 1e-4), ("momentum_tracks_m_ddot", 1e-4),
+            ("momentum_rate_tracks_force", 1e-3), ("energy_split_value", 2e-4),
+            ("energy_constant_in_time", 2e-4), ("period_end_overlap", 1e-4)],
+    "airy-free": [("supporting_potential_is_zero", 1e-10),
+                  ("construction_tdse_residual", 1e-4),
+                  ("peak_follows_quadratic_law", 0.02),
+                  ("windowed_density_mismatch", 1e-3), ("hc_constant_force", 0.05),
+                  ("window_content_loss", 0.01)],
+    "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10),
+                    ("construction_tdse_residual", 1e-4), ("phase_dual_route", 1e-8),
+                    ("windowed_density_mismatch", 1e-3), ("window_content_loss", 0.01)],
+    "gaussian-control": [("width_follows_spreading_law", 0.01),
+                         ("spreading_detected", 1e-2)],
+    "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2)],
+    "corrupted-phase": [("residual_inflates_100x", 100.0)],
+    "trap eps 0.2": [("spread_detected", 1e-2)],
+    "trap eps 0": [("control_stays_rigid", 5e-4)],
+}
+
+
+def test_check_names_and_bounds_are_pinned(monkeypatch, sho_result, airy_free_result,
+                                           airy_forced_result, gaussian_result,
+                                           timedep_modulated, timedep_control):
+    # the trap scenario reuses the session's two trap runs
+    trap_runs = {0.2: timedep_modulated, 0.0: timedep_control}
+    monkeypatch.setattr(nswp.cases, "run_sho_timedep_frequency",
+                        lambda modulation=0.2: trap_runs[modulation])
+    results = {
+        "sho": sho_result, "airy-free": airy_free_result,
+        "airy-forced": airy_forced_result, "gaussian-control": gaussian_result,
+        "sho-timedep-freq": run_sho_timedep_with_control(),
+        # the one scenario without a session run: closed form, no propagation
+        "corrupted-phase": run_corrupted_phase(),
+        "trap eps 0.2": timedep_modulated, "trap eps 0": timedep_control,
+    }
+    assert set(SCENARIOS) <= set(results)
+    assert {name: [(c.name, c.tolerance) for c in result.checks]
+            for name, result in results.items()} == CHECK_BOUNDS

@@ -9,8 +9,13 @@ from nswp.cli import main
 from test_eigensolver import QUARTIC_E0
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    """Strict parse: NaN and Infinity tokens are rejected."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def test_eigen_harmonic(tmp_path):
@@ -138,6 +143,9 @@ def test_propagate_gaussian_control(tmp_path):
     assert code == 0
     report = read_json(out / "report.json")
     assert len(report["times"]) == len(report["norm"])
+    # a centroid reference and no H-tilde hook: that column is left out
+    assert set(report) == {"times", "norm", "centroid", "momentum_mean",
+                           "energy_mean", "shape_deviation"}
 
 
 def test_verify_gaussian_control(tmp_path):

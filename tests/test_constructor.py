@@ -145,7 +145,7 @@ def test_density_is_pure_translation(sho_pieces):
 def test_gauge_change_is_global_phase(sho_pieces):
     sol, _, grid, pair = sho_pieces
     traj = sol.trajectory
-    shifted_gauge = GaugeFunction.custom(lambda t: sol.gauge(t) + 0.25)
+    shifted_gauge = GaugeFunction("custom", lambda t: sol.gauge(t) + 0.25)
     sol2 = NswpSolution(SampledShape.from_eigenpair(pair), traj, shifted_gauge,
                         consts=CONSTS)
     t = 1.4

@@ -76,7 +76,7 @@ def test_run_ends_at_t_end():
     config = PropagationConfig(dt=0.01, t_end=0.3, grid=grid,
                                snapshot_stride=7)
     report = propagate(gaussian(grid), lambda x, t: np.zeros_like(x), config,
-                       CONSTS, compute_observables=False)
+                       CONSTS)
     assert report.times[-1] == pytest.approx(0.3, abs=1e-12)
     assert report.snapshots[-1].time == pytest.approx(0.3, abs=1e-12)
 
@@ -114,8 +114,7 @@ def test_fourth_order_in_dt():
     def run(dt):
         config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
                                    snapshot_stride=10**9)
-        report = propagate(initial, lambda x, t: v_samples, config, CONSTS,
-                           compute_observables=False)
+        report = propagate(initial, lambda x, t: v_samples, config, CONSTS)
         return report.snapshots[-1].values
 
     ref = run(t_end / 1280)
@@ -152,9 +151,10 @@ def test_absorbing_mask_run():
     config = PropagationConfig(dt=1e-3, t_end=2.0, grid=grid,
                                snapshot_stride=500,
                                boundary=AbsorbingMask(width=2.0, strength=40.0))
-    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
-                       compute_observables=False)
+    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert report.norm[-1] < 0.1 * report.norm[0]
+    # a masked run without a reference density records the norm only
+    assert set(report.to_dict()) == {"times", "norm"}
 
 
 def test_grid_mismatch_rejected():
@@ -173,11 +173,23 @@ def test_report_shape_and_json(tmp_path):
     n = len(report.times)
     assert n == len(report.norm) == len(report.centroid)
     assert n == len(report.momentum_mean) == len(report.energy_mean)
-    assert n == len(report.shape_deviation) == len(report.htilde_residual)
+    assert n == len(report.shape_deviation)
+    # no H-tilde hook: that column is neither recorded nor written
+    assert report.htilde_residual == []
     path = tmp_path / "report.json"
     report.write_json(path)
     text = path.read_text()
     assert '"times"' in text and '"norm"' in text
+    assert '"htilde_residual"' not in text
+
+
+def test_initial_time_must_be_the_start_time():
+    # a field at t = 1 run from t_start = 0 would be stepped under V(x, 0)
+    grid = Grid1D(-10.0, 10.0, 128)
+    psi = WaveField(grid=grid, values=gaussian(grid).values, time=1.0)
+    config = PropagationConfig(dt=1e-2, t_end=0.1, grid=grid)
+    with pytest.raises(ConfigurationError, match="t_start"):
+        propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
 
 
 # --- both steppers against test-side references -----------------------------
@@ -219,7 +231,7 @@ def reference_run(initial, v_fn, config, mask=None):
 
 
 def final_values(initial, v_fn, config):
-    report = propagate(initial, v_fn, config, CONSTS, compute_observables=False)
+    report = propagate(initial, v_fn, config, CONSTS)
     return report.snapshots[-1].values
 
 
@@ -307,8 +319,7 @@ def test_weak_mask_wraps_around_and_raises():
                                snapshot_stride=500,
                                boundary=AbsorbingMask(width=2.0, strength=4.0))
     with pytest.raises(BoundaryError, match="wrapped around") as exc_info:
-        propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
-                  compute_observables=False)
+        propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert exc_info.value.partial_report.times[-1] == pytest.approx(1.0)
 
 
@@ -390,6 +401,5 @@ def test_step_guard_rechecked_for_time_dependent_v():
         return np.full_like(x, 1e5 * t)
 
     with pytest.raises(ConfigurationError):
-        propagate(gaussian(grid), v_fn, config, CONSTS,
-                  compute_observables=False)
+        propagate(gaussian(grid), v_fn, config, CONSTS)
     assert requested[-1] == pytest.approx(5.5e-3)

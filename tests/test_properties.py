@@ -66,7 +66,7 @@ def test_second_order_in_dt(setup, steps, eps, w):
         config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
                                    snapshot_stride=n_steps)
         report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
-                           config, CONSTS, compute_observables=False)
+                           config, CONSTS)
         return report.snapshots[-1].values
 
     ref = final(16 * steps)
@@ -84,8 +84,7 @@ def test_fourth_order_in_dt_for_static_v(setup, steps):
     def final(n_steps):
         config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
                                    snapshot_stride=n_steps)
-        report = propagate(initial, lambda x, t: v, config, CONSTS,
-                           compute_observables=False)
+        report = propagate(initial, lambda x, t: v, config, CONSTS)
         return report.snapshots[-1].values
 
     ref = final(16 * steps)
@@ -101,9 +100,8 @@ def test_run_ends_at_t_end(t_start, dt, steps, stride):
     t_end = t_start + steps * dt
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, t_start=t_start,
                                snapshot_stride=stride)
-    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0))
-    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
-                       compute_observables=False)
+    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0), time=t_start)
+    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert len(report.times) == 1 + steps // stride + (steps % stride != 0)
     assert report.times[-1] == pytest.approx(t_end, abs=1e-12)
     assert report.snapshots[-1].time == report.times[-1]
@@ -155,7 +153,7 @@ def test_split_step_second_order_in_dt(setup, steps, eps, w):
                                    snapshot_stride=n_steps,
                                    boundary=AbsorbingMask(width=2.0, strength=0.0))
         report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
-                           config, CONSTS, compute_observables=False)
+                           config, CONSTS)
         return report.snapshots[-1].values
 
     ref = final(16 * steps)
@@ -172,9 +170,8 @@ def test_split_step_run_ends_at_t_end(t_start, dt, steps, stride):
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, t_start=t_start,
                                snapshot_stride=stride,
                                boundary=AbsorbingMask(width=2.0, strength=10.0))
-    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0))
-    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS,
-                       compute_observables=False)
+    psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0), time=t_start)
+    report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert len(report.times) == 1 + steps // stride + (steps % stride != 0)
     assert report.times[-1] == pytest.approx(t_end, abs=1e-12)
     assert report.snapshots[-1].time == report.times[-1]

@@ -44,6 +44,16 @@ def test_polynomial():
         Polynomial((1.0, 2.0))
 
 
+def test_polynomial_matches_numpy_polynomial_bit_for_bit():
+    # the demo's quartic round trip against numpy's Polynomial and its
+    # derivatives, rebuilt at every t
+    coeffs = (0.0, 0.0, 16.0, -32.0, 20.0, -4.0)
+    traj = Polynomial(coeffs)
+    p = np.polynomial.Polynomial(coeffs)
+    for t in (0.0, 0.37, 1.0, 1.618, 2.0):
+        assert traj.eval(t) == (float(p(t)), float(p.deriv(1)(t)), float(p.deriv(2)(t)))
+
+
 def all_kinds():
     return [
         Sinusoid(amplitude=2.0, omega=1.3, phase=0.4),

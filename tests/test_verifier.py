@@ -101,9 +101,8 @@ def test_check_result_serialization(sho_result):
 
 
 def test_negative_claim_record(timedep_modulated, timedep_control):
-    record = no_nswp_for_time_dependent_frequency(
-        timedep_modulated.report, timedep_control.report,
-        t_limit=timedep_modulated.extras["t_end"])
+    record = no_nswp_for_time_dependent_frequency(timedep_modulated.report,
+                                                  timedep_control.report)
     assert record["pass"]
     assert record["spread_detected"]
     assert record["control_ok"]
