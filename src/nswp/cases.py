@@ -21,7 +21,7 @@ from .constructor import (AiryShape, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
-from .errors import ConfigurationError
+from .errors import ConfigurationError, RangeError
 from .grids import (Grid1D, PhysicalConstants, WaveField, fd3_first,
                     inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
@@ -108,8 +108,10 @@ def run_sho_shifted(
 ) -> ScenarioResult:
     """Propagate the shifted n-th SHO eigenstate for one period.
 
-    The default dt is period/1000, cut where the grid's max|V| needs it; a
-    snapshot is recorded every period/200 for any dt."""
+    The default dt is period/1000, cut where the grid's max|V| needs it. A
+    snapshot is recorded every period/200, or for a dt that does not divide
+    period/200 at the nearest shorter whole number of steps that divides
+    the run, so the <P> series stays uniform for its 5-point difference."""
     period = 2.0 * math.pi / omega
     t_end = period
 
@@ -134,8 +136,10 @@ def run_sho_shifted(
     def ref_density(t):
         return sol.shape.on_grid_shifted(grid, traj.d(t)) ** 2
 
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                               snapshot_stride=max(1, round(period / (200.0 * dt))))
+    n_steps = round(t_end / dt)
+    stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
+                 if n_steps % k == 0)
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=stride)
     report = propagate(
         psi0, lambda x, t: v_samples, config, consts,
         reference_density=ref_density,
@@ -285,10 +289,12 @@ def run_airy_free(
     displacement = peaks - peaks[0]
     expected = B**3 * times**2 / (4.0 * m**2)
     far = expected >= 1.0
-    if np.any(far):
-        peak_err = float(np.max(np.abs(displacement[far] - expected[far]) / expected[far]))
-    else:
-        peak_err = float("nan")
+    if not np.any(far):
+        raise RangeError(
+            f"peak_follows_quadratic_law compares displacements >= 1, but at "
+            f"B = {B:g} the largest expected displacement B^3 t^2 / 4m^2 is "
+            f"{np.max(expected):.3g}")
+    peak_err = float(np.max(np.abs(displacement[far] - expected[far]) / expected[far]))
 
     density_mismatch = float(np.max(report.shape_deviation))
 

@@ -80,7 +80,7 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,33 +1,37 @@
 """Time evolution under an arbitrary V(x, t): a fourth-order Pade step
 between Dirichlet walls, Strang split-step Fourier with an absorbing mask.
 
-``propagate`` keeps one record loop and picks the stepper from
-``config.boundary``. Each stepper prepares its operator once per distinct
-midpoint potential V(t + dt/2), and both apply the same step guard
-dt * max|V| / hbar < 0.5 to it.
+``propagate`` runs one loop for both boundaries. Each step splits H(t) into
+a fixed part, prepared once per run, and the diagonal remainder
+dV = V(t + dt/2) - V_ref, applied exactly as two half kicks
+exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
+5, 506 (1968)). Where dV is zero everywhere the step is the fixed part
+alone. The step guard dt * max|V| / hbar < 0.5 runs on V_ref and on the full
+V(t + dt/2) of every step where it moved off V_ref.
 
-``Dirichlet``: the step is the (2,2) diagonal Pade approximant of the
-evolution exponential, R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) with
-z = -i dt H_N / hbar (the fourth-order generalisation of Crank-Nicolson;
-van Dijk & Toyama, Phys. Rev. E 75, 036707 (2007)). It is fourth order in
-dt for a static V and second order for a time-dependent one, which enters
-at the midpoint time. The Hamiltonian is the fourth-order Numerov operator
-H_N = M^-1 K + V of ``grids.numerov_bands``. R factors over the roots
-r = -3 +- i sqrt(3) of its numerator into two Crank-Nicolson-shaped stages
-(1 - i c H_N) psi' = (1 + i c H_N) psi, c = dt / (hbar r); multiplied by M
-each reads (M - i c (K + M V)) psi' = (M + i c (K + M V)) psi, tridiagonal
-on both sides. The two c are complex conjugates, so the product of the
-stages is exactly unitary up to the tridiagonal-solve round-off. Each
-stage's left-hand matrix is LU-factored with LAPACK ``zgttrf`` and each
-step is two ``zgttrs`` solves, so a static V is factored once per run.
+``Dirichlet``: the fixed part is the (2,2) diagonal Pade approximant of the
+evolution exponential at V_ref = V(t_start + dt/2),
+R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) with z = -i dt H_N / hbar
+(the fourth-order generalisation of Crank-Nicolson; van Dijk & Toyama,
+Phys. Rev. E 75, 036707 (2007)). The step is fourth order in dt for a
+static V and second order for a time-dependent one. The Hamiltonian is the
+fourth-order Numerov operator H_N = M^-1 K + V of ``grids.numerov_bands``.
+R factors over the roots r = -3 +- i sqrt(3) of its numerator into two
+Crank-Nicolson-shaped stages (1 - i c H_N) psi' = (1 + i c H_N) psi,
+c = dt / (hbar r); multiplied by M each reads
+(M - i c (K + M V)) psi' = (M + i c (K + M V)) psi, tridiagonal on both
+sides. The two c are complex conjugates, so the product of the stages is
+exactly unitary up to the tridiagonal-solve round-off, and so are the
+kicks. Each stage's left-hand matrix is LU-factored once per run with
+LAPACK ``zgttrf`` and each step is two ``zgttrs`` solves.
 
 ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
-period of a periodic domain. A step is a half kick exp(-i V dt / 2 hbar),
-the exact kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space,
-a second half kick (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
-(1982)), then a multiplicative cos^2-ramp mask. For V = -F(t) x the
-splitting error is a global phase only ([T, [T, V]] = 0 and [V, [V, T]]
-is a constant), so its steps can be long.
+period of a periodic domain, V_ref = 0 and the fixed part is the exact
+kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space (Feit, Fleck
+& Steiger, J. Comput. Phys. 47, 412 (1982)); after the second kick comes a
+multiplicative cos^2-ramp mask. For V = -F(t) x the splitting error is a
+global phase only ([T, [T, V]] = 0 and [V, [V, T]] is a constant), so its
+steps can be long.
 Amplitude that reaches the outermost cells would wrap around to the other
 edge; the record step raises ``BoundaryError`` when it does.
 """
@@ -64,6 +68,11 @@ class AbsorbingMask:
 
 @dataclass(frozen=True)
 class PropagationConfig:
+    """Steps of ``dt`` from ``t_start`` to ``t_end``. ``boundary`` picks the
+    fixed part of each step: ``Dirichlet()`` the Pade stages, factored once
+    per run at V(t_start + dt/2); an ``AbsorbingMask`` the kinetic phase on
+    the periodic grid, then the mask."""
+
     dt: float
     t_end: float
     grid: Grid1D
@@ -119,12 +128,12 @@ class RunReport:
             fh.write("\n")
 
 
-def crank_nicolson_step(psi: WaveField, v_mid: np.ndarray, dt: float,
-                        consts: PhysicalConstants) -> WaveField:
+def pade_step(psi: WaveField, v_mid: np.ndarray, dt: float,
+              consts: PhysicalConstants) -> WaveField:
     """One (2,2) Pade step between Dirichlet walls; ``v_mid`` holds the
     potential at the midpoint time."""
-    stages = _cn_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
-    return WaveField(grid=psi.grid, values=_cn_solve(stages, psi.values),
+    stages = _pade_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
+    return WaveField(grid=psi.grid, values=_pade_solve(stages, psi.values),
                      time=psi.time + dt)
 
 
@@ -156,7 +165,7 @@ def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> n
     return v_mid
 
 
-def _cn_factor(v_mid, dt, n, dx, consts) -> tuple:
+def _pade_factor(v_mid, dt, n, dx, consts) -> tuple:
     """The two stages of the (2,2) Pade step for one midpoint potential."""
     v_mid = _guarded_potential(v_mid, dt, n, consts)
     diag, off = numerov_bands(v_mid, dx, consts)
@@ -177,7 +186,7 @@ def _cn_factor(v_mid, dt, n, dx, consts) -> tuple:
     return tuple(stages)
 
 
-def _cn_solve(stages, values: np.ndarray) -> np.ndarray:
+def _pade_solve(stages, values: np.ndarray) -> np.ndarray:
     for stage in stages:
         rhs = bands_apply(stage.rhs_diag, stage.rhs_off, values)
         values, info = zgttrs(*stage.lu, rhs, overwrite_b=1)
@@ -205,20 +214,15 @@ def _kinetic_phase(grid: Grid1D, dt: float, consts: PhysicalConstants) -> np.nda
     return np.exp(-0.5j * consts.hbar * dt / consts.mass * k**2)
 
 
-def _half_kick(v_mid, dt, n, consts) -> np.ndarray:
-    """exp(-i V dt / 2 hbar), filled by a real cos and sin (about half the
-    cost of a complex exp)."""
-    angle = (-0.5 * dt / consts.hbar) * _guarded_potential(v_mid, dt, n, consts)
+def _half_kick(dv, dt, n, consts) -> np.ndarray:
+    """exp(-i dV dt / 2 hbar), filled by a real cos and sin (about half the
+    cost of a complex exp). Unguarded: |dV| may exceed the |V| the guard
+    passed."""
+    angle = (-0.5 * dt / consts.hbar) * dv
     kick = np.empty(n, dtype=complex)
     np.cos(angle, out=kick.real)
     np.sin(angle, out=kick.imag)
     return kick
-
-
-def _split_advance(kick, kinetic, mask, values) -> np.ndarray:
-    values = kick * np.fft.ifft(kinetic * np.fft.fft(kick * values))
-    values *= mask
-    return values
 
 
 def split_step(psi: WaveField, v_mid: np.ndarray, dt: float,
@@ -226,9 +230,10 @@ def split_step(psi: WaveField, v_mid: np.ndarray, dt: float,
     """One Strang split-step Fourier step, then ``mask``; ``v_mid`` holds the
     potential at the midpoint time. Unitary when the mask strength is 0."""
     grid = psi.grid
-    values = _split_advance(_half_kick(v_mid, dt, grid.n, consts),
-                            _kinetic_phase(grid, dt, consts),
-                            _mask_profile(grid, mask, dt), psi.values)
+    kick = _half_kick(_guarded_potential(v_mid, dt, grid.n, consts), dt, grid.n, consts)
+    kinetic = _kinetic_phase(grid, dt, consts)
+    values = kick * np.fft.ifft(kinetic * np.fft.fft(kick * psi.values))
+    values *= _mask_profile(grid, mask, dt)
     return WaveField(grid=grid, values=values, time=psi.time + dt)
 
 
@@ -244,16 +249,19 @@ def propagate(
     """Step ``initial`` from ``config.t_start`` to t_end, recording metrics
     every ``snapshot_stride`` steps and at t_end.
 
-    Between Dirichlet walls the step is the (2,2) Pade step and each
+    Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
+    prepared once (see the module docstring). Between Dirichlet walls the
+    fixed part is the (2,2) Pade step at V_ref = V(t_start + dt/2) and each
     snapshot records the norm and the observables under ``v_fn``; under an
-    absorbing mask the step is split-step Fourier and each snapshot records
-    the norm only. The shape deviation is the sup of |rho - rho_ref| over
-    ``window`` = [a, b] (the whole grid without one), relative to the
-    reference's peak at t_start. ``reference_density(t)`` gives rho_ref at
-    the window's grid points; without it, a Dirichlet run translates the
-    initial density to the measured centroid (the spreading controls) and a
-    masked run records no shape deviation. ``htilde_fn(psi, t)`` adds a
-    column of its values. ``initial.time`` must be ``config.t_start``.
+    absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
+    follows the second kick and each snapshot records the norm only. The
+    shape deviation is the sup of |rho - rho_ref| over ``window`` = [a, b]
+    (the whole grid without one), relative to the reference's peak at
+    t_start. ``reference_density(t)`` gives rho_ref at the window's grid
+    points; without it, a Dirichlet run translates the initial density to
+    the measured centroid (the spreading controls) and a masked run records
+    no shape deviation. ``htilde_fn(psi, t)`` adds a column of its values.
+    ``initial.time`` must be ``config.t_start``.
     """
     grid = config.grid
     if initial.grid != grid:
@@ -267,20 +275,6 @@ def propagate(
     dt = config.dt
     n_steps = config.n_steps
     dirichlet = isinstance(config.boundary, Dirichlet)
-    if dirichlet:
-        def prepare(v_mid):
-            return _cn_factor(v_mid, dt, grid.n, grid.dx, consts)
-        advance = _cn_solve
-    else:
-        kinetic = _kinetic_phase(grid, dt, consts)
-        mask = _mask_profile(grid, config.boundary, dt)
-
-        def prepare(v_mid):
-            return _half_kick(v_mid, dt, grid.n, consts)
-
-        def advance(kick, values):
-            return _split_advance(kick, kinetic, mask, values)
-
     if window is not None:
         sel = (x >= window[0]) & (x <= window[1])
     else:
@@ -346,13 +340,30 @@ def propagate(
     values = initial.values.copy()
     t = config.t_start
     record(values, t)
-    op = v_last = None
+    if dirichlet:
+        # a copy: a v_fn may refill and return one buffer
+        v_ref = np.array(v_fn(x, t + 0.5 * dt), dtype=float)
+        stages = _pade_factor(v_ref, dt, grid.n, grid.dx, consts)
+    else:
+        v_ref = 0.0
+        kinetic = _kinetic_phase(grid, dt, consts)
+        mask = _mask_profile(grid, config.boundary, dt)
     for i in range(n_steps):
         v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
-        if op is None or not np.array_equal(v_mid, v_last):
-            op = prepare(v_mid)
-            v_last = v_mid.copy()
-        values = advance(op, values)
+        dv = v_mid - v_ref
+        kick = None
+        if np.any(dv):  # V moved off V_ref; a NaN counts as a move
+            _guarded_potential(v_mid, dt, grid.n, consts)
+            kick = _half_kick(dv, dt, grid.n, consts)
+            values = kick * values
+        if dirichlet:
+            values = _pade_solve(stages, values)
+        else:
+            values = np.fft.ifft(kinetic * np.fft.fft(values))
+        if kick is not None:
+            values = kick * values
+        if not dirichlet:
+            values *= mask
         t = config.t_start + (i + 1) * dt
         if (i + 1) % config.snapshot_stride == 0 or i + 1 == n_steps:
             record(values, t)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .constructor import NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
+from .errors import ConfigurationError
 from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second,
                     shift_field)
 from .propagator import RunReport
@@ -105,8 +106,14 @@ def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,
 
 def classical_motion_check(report: RunReport, traj: Trajectory,
                            consts: PhysicalConstants) -> list[CheckResult]:
-    """Ehrenfest checks: <x> tracks d(t), <P> tracks m d_dot, d<P>/dt tracks m d_ddot."""
+    """Ehrenfest checks: <x> tracks d(t), <P> tracks m d_dot, d<P>/dt tracks
+    m d_ddot. The rate is the 5-point difference of the <P> series, so the
+    snapshots must be uniformly spaced, at least five of them."""
     times = np.asarray(report.times)
+    h = (times[-1] - times[0]) / (len(times) - 1) if len(times) >= 5 else 0.0
+    if not (h > 0 and np.allclose(np.diff(times), h, rtol=1e-9, atol=0.0)):
+        raise ConfigurationError(
+            "momentum_rate_tracks_force needs at least 5 uniformly spaced snapshots")
     centroid = np.asarray(report.centroid)
     momentum = np.asarray(report.momentum_mean)
 
@@ -116,9 +123,9 @@ def classical_motion_check(report: RunReport, traj: Trajectory,
 
     dev_x = float(np.max(np.abs(centroid - centroid[0] - d)))
     dev_p = float(np.max(np.abs(momentum - consts.mass * d_dot)))
-    # FD derivative of the momentum series; endpoints excluded
-    dp_dt = np.gradient(momentum, times)
-    dev_f = float(np.max(np.abs(dp_dt[1:-1] - consts.mass * d_ddot[1:-1])))
+    # two snapshots at each end have no 5-point difference
+    dp_dt = fd5_first(momentum, h)[2:-2]
+    dev_f = float(np.max(np.abs(dp_dt - consts.mass * d_ddot[2:-2])))
 
     return [
         CheckResult("centroid_tracks_trajectory", dev_x, 1e-4, dev_x < 1e-4),

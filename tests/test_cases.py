@@ -27,6 +27,16 @@ def test_sho_period_end_overlap(sho_result):
     assert c.value < 1e-6
 
 
+def test_sho_snapshots_stay_uniform_for_any_dt():
+    # 1100 steps a period: period/200 is 5.5 steps, and the nearest shorter
+    # stride that divides the run is 5
+    result = run_sho_shifted(dt=2.0 * math.pi / 1100)
+    times = np.asarray(result.report.times)
+    assert len(times) == 221
+    assert np.allclose(np.diff(times), times[1], rtol=1e-9, atol=0.0)
+    assert result.passed
+
+
 def test_airy_free_scenario_passes(airy_free_result):
     for c in airy_free_result.checks:
         assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"

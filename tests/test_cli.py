@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nswp import cli
 from nswp.cli import main
 
 from test_eigensolver import QUARTIC_E0
@@ -62,6 +63,30 @@ def test_airy_scenarios_reject_nonpositive_B(command, scenario, B, tmp_path):
     out = tmp_path / "o"
     assert main([command, "--scenario", scenario, "--B", B, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_verify_sho_at_omega_2_passes(tmp_path):
+    # the rate check used to differentiate <P> with np.gradient, whose own
+    # truncation error (1.3e-3) exceeded the 1e-3 bound here
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", "sho", "--omega", "2", "--out", str(out)]) == 0
+    checks = {c["name"]: c["value"] for c in read_json(out / "report.json")["checks"]}
+    assert checks["momentum_rate_tracks_force"] < 1e-4
+
+
+def test_airy_free_peak_law_out_of_reach_raises(tmp_path, capsys):
+    # at B = 0.5 the expected displacement B^3 t^2 / 4 reaches only 0.125 by
+    # t = 2, so the peak law has no snapshot to compare; it used to report NaN
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", "airy-free", "--B", "0.5",
+                 "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    assert "B = 0.5" in capsys.readouterr().err
+
+
+def test_json_writer_is_strict(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"value": float("nan")})
 
 
 def make_config(tmp_path, **kv):

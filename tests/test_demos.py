@@ -1,13 +1,24 @@
 """Every demo script imports and defines ``main``; their work runs only under
 ``__main__``, so importing is cheap and catches a demo that names a function
-the package no longer has."""
+the package no longer has. The quartic demo's run, the paper's general case
+under a time-dependent potential, also runs here on a smaller grid."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+from nswp import Grid1D
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_demos_exist():
@@ -16,7 +27,14 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_imports_and_defines_main(path):
-    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load(path).main)
+
+
+def test_quartic_packet_rides_its_round_trip():
+    # the demo's quartic mode and polynomial round trip on +-5 with 512
+    # points, 8000 steps to t = 2 (dt max|V_nswp| is about 0.33)
+    demo = load(DEMO_DIR / "quartic_custom_packet.py")
+    _, res, dev, drift = demo.quartic_round_trip(Grid1D(-5.0, 5.0, 512), dt=2.5e-4)
+    assert res < 1e-4
+    assert dev < 1e-4
+    assert drift < 1e-4

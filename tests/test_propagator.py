@@ -4,7 +4,7 @@ from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
-                  crank_nicolson_step, inner_product, lowest_eigenpairs, norm,
+                  inner_product, lowest_eigenpairs, norm, pade_step,
                   propagate, shift_field, split_step)
 from nswp import propagator
 from nswp.cases import _AIRY_MASK, run_airy_forced
@@ -22,7 +22,7 @@ def gaussian(grid, center=0.0, k=0.0):
 def test_single_step_unitarity():
     grid = Grid1D(-10.0, 10.0, 512)
     psi = gaussian(grid)
-    out = crank_nicolson_step(psi, np.zeros(grid.n), 1e-3, CONSTS)
+    out = pade_step(psi, np.zeros(grid.n), 1e-3, CONSTS)
     assert abs(norm(out) - norm(psi)) < 1e-12
     assert out.time == pytest.approx(1e-3)
 
@@ -31,7 +31,7 @@ def test_step_guard():
     grid = Grid1D(-10.0, 10.0, 128)
     psi = gaussian(grid)
     with pytest.raises(ConfigurationError):
-        crank_nicolson_step(psi, np.full(grid.n, 100.0), 1e-2, CONSTS)
+        pade_step(psi, np.full(grid.n, 100.0), 1e-2, CONSTS)
 
 
 def test_non_finite_potential_rejected():
@@ -40,7 +40,7 @@ def test_non_finite_potential_rejected():
     v = np.zeros(grid.n)
     v[5] = np.nan
     with pytest.raises(ConfigurationError):
-        crank_nicolson_step(psi, v, 1e-3, CONSTS)
+        pade_step(psi, v, 1e-3, CONSTS)
 
 
 def test_config_validation():
@@ -128,8 +128,8 @@ def test_time_reversal():
     grid = Grid1D(-10.0, 10.0, 512)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
-    fwd = crank_nicolson_step(psi, v, 1e-3, CONSTS)
-    back = crank_nicolson_step(fwd, v, -1e-3, CONSTS)
+    fwd = pade_step(psi, v, 1e-3, CONSTS)
+    back = pade_step(fwd, v, -1e-3, CONSTS)
     assert np.max(np.abs(back.values - psi.values)) < 1e-10
 
 
@@ -217,15 +217,17 @@ def reference_step(values, v_mid, dt, dx):
     return values
 
 
-def reference_run(initial, v_fn, config, mask=None):
+def reference_run(initial, v_fn, config):
+    """The Pade stages at V_ref = V(t_start + dt/2) between two half kicks
+    exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's midpoint."""
     x, dt = config.grid.x, config.dt
     values = initial.values.copy()
     t = config.t_start
+    v_ref = np.array(v_fn(x, t + 0.5 * dt), dtype=float)
     for i in range(config.n_steps):
-        v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
-        values = reference_step(values, v_mid, dt, config.grid.dx)
-        if mask is not None:
-            values = values * mask
+        angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
+        kick = np.cos(angle) + 1j * np.sin(angle)
+        values = kick * reference_step(kick * values, v_ref, dt, config.grid.dx)
         t = config.t_start + (i + 1) * dt
     return values
 
@@ -301,7 +303,7 @@ def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
     mask = propagator._mask_profile(grid, _AIRY_MASK, dt)
     psi = start
     for i in range(int(round(1.0 / dt))):
-        psi = crank_nicolson_step(psi, -F((i + 0.5) * dt) * grid.x, dt, CONSTS)
+        psi = pade_step(psi, -F((i + 0.5) * dt) * grid.x, dt, CONSTS)
         psi = WaveField(grid=grid, values=psi.values * mask, time=psi.time)
     assert final.time == pytest.approx(psi.time, abs=1e-12)
     window = result.extras["window"]
@@ -347,8 +349,8 @@ def test_reversed_step_bit_identical_to_banded_reference():
     grid = Grid1D(-10.0, 10.0, 512)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
-    fwd = crank_nicolson_step(psi, v, 1e-3, CONSTS)
-    back = crank_nicolson_step(fwd, v, -1e-3, CONSTS)
+    fwd = pade_step(psi, v, 1e-3, CONSTS)
+    back = pade_step(fwd, v, -1e-3, CONSTS)
     ref_fwd = reference_step(psi.values, v, 1e-3, grid.dx)
     assert np.array_equal(fwd.values, ref_fwd)
     assert np.array_equal(back.values, reference_step(ref_fwd, v, -1e-3, grid.dx))
@@ -356,37 +358,45 @@ def test_reversed_step_bit_identical_to_banded_reference():
 
 
 def test_factor_once_per_distinct_v(monkeypatch):
+    # one factorization per run: a static V, a time-dependent V, and a v_fn
+    # that refills and returns one buffer
     calls = []
-    factor = propagator._cn_factor
+    factor = propagator._pade_factor
 
     def counting_factor(*args):
         calls.append(1)
         return factor(*args)
 
-    monkeypatch.setattr(propagator, "_cn_factor", counting_factor)
+    monkeypatch.setattr(propagator, "_pade_factor", counting_factor)
     grid = Grid1D(-8.0, 8.0, 256)
     config = PropagationConfig(dt=1e-3, t_end=0.05, grid=grid,
                                snapshot_stride=10)
-    initial = gaussian(grid)
+    initial = gaussian(grid, center=1.0)
 
-    v_samples = 0.5 * grid.x**2
-    final_values(initial, lambda x, t: v_samples, config)
+    def v_fn(x, t):
+        return (1.0 + 10.0 * t) * 0.5 * x**2
+
+    v_samples = v_fn(grid.x, 0.5 * config.dt)
+    static = final_values(initial, lambda x, t: v_samples, config)
     assert len(calls) == 1
 
     calls.clear()
-    final_values(initial, lambda x, t: (1.0 + t) * 0.5 * x**2, config)
-    assert len(calls) == config.n_steps
+    moving = final_values(initial, v_fn, config)
+    assert len(calls) == 1
 
-    # a v_fn that refills and returns one buffer must still be refactored
     buf = np.empty(grid.n)
 
     def in_place(x, t):
-        buf[:] = (1.0 + t) * 0.5 * x**2
+        buf[:] = v_fn(x, t)
         return buf
 
     calls.clear()
-    final_values(initial, in_place, config)
-    assert len(calls) == config.n_steps
+    refilled = final_values(initial, in_place, config)
+    assert len(calls) == 1
+    # V_ref is a copy, so the buffer's later contents act as kicks; without
+    # it the run would stay at V_ref, the static run
+    assert np.array_equal(refilled, moving)
+    assert np.max(np.abs(refilled - static)) > 1e-4
 
 
 def test_step_guard_rechecked_for_time_dependent_v():

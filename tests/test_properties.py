@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nswp import (AbsorbingMask, Grid1D, PhysicalConstants, PropagationConfig,
-                  WaveField, crank_nicolson_step, observables, propagate,
+                  WaveField, pade_step, observables, propagate,
                   split_step)
 
 CONSTS = PhysicalConstants()
@@ -48,7 +48,7 @@ def test_step_is_unitary(n, seed, dt, v_scale):
     grid = Grid1D(-5.0, 5.0, n)
     v = rng.uniform(-1.0, 1.0, n) * v_scale / dt
     psi = WaveField(grid=grid, values=rng.normal(size=n) + 1j * rng.normal(size=n))
-    out = crank_nicolson_step(psi, v, dt, CONSTS)
+    out = pade_step(psi, v, dt, CONSTS)
     assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(psi.values),
                                                        rel=1e-12)
 
@@ -72,6 +72,20 @@ def test_second_order_in_dt(setup, steps, eps, w):
     ref = final(16 * steps)
     ratio = np.linalg.norm(final(steps) - ref) / np.linalg.norm(final(2 * steps) - ref)
     assert 4.0 * 0.85 < ratio < 4.0 * 1.15
+
+
+@PROPERTY
+@given(setup=smooth_setup(), steps=st.integers(60, 120),
+       eps=st.floats(0.05, 0.3), w=st.floats(0.5, 3.0))
+def test_norm_kept_for_time_dependent_v(setup, steps, eps, w):
+    # V(x, t) = V(x) (1 + eps sin(w t)): the half kicks and the Pade stages
+    # at V_ref are each unitary
+    grid, v, initial = setup
+    config = PropagationConfig(dt=0.5 / steps, t_end=0.5, grid=grid,
+                               snapshot_stride=10)
+    report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
+                       config, CONSTS)
+    assert np.max(np.abs(np.asarray(report.norm) - report.norm[0])) < 1e-12
 
 
 @PROPERTY

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
-                  Rest, SampledShape, Sinusoid, StaticPotential, analytic_psi,
+                  Rest, RunReport, SampledShape, Sinusoid, StaticPotential,
+                  Trajectory, analytic_psi,
                   classical_motion_check, energy_split_check, htilde_residual,
                   infinitesimal_evolution_check, lowest_eigenpairs,
                   no_nswp_for_time_dependent_frequency, shift_field)
 from nswp.constructor import gauge_sho_case
+from nswp.errors import ConfigurationError
 
 CONSTS = PhysicalConstants()
 OMEGA = 1.0
@@ -84,6 +86,33 @@ def test_classical_motion_detects_wrong_trajectory(sho_result):
     wrong = Sinusoid(amplitude=2.1, omega=1.0)
     checks = classical_motion_check(sho_result.report, wrong, CONSTS)
     assert not all(c.passed for c in checks)
+
+
+class ForceDropped(Trajectory):
+    """``traj`` with d_ddot replaced by 0."""
+
+    def __init__(self, traj):
+        self.traj = traj
+
+    def eval(self, t):
+        d, d_dot, _ = self.traj.eval(t)
+        return d, d_dot, 0.0
+
+
+def test_classical_motion_detects_dropped_force(sho_result):
+    checks = classical_motion_check(
+        sho_result.report, ForceDropped(sho_result.solution.trajectory), CONSTS)
+    assert [c.passed for c in checks] == [True, True, False]
+    assert checks[2].name == "momentum_rate_tracks_force"
+
+
+def test_classical_motion_needs_uniform_snapshots():
+    report = RunReport(times=[0.0, 0.1, 0.2, 0.3, 0.45], centroid=[0.0] * 5,
+                       momentum_mean=[0.0] * 5)
+    with pytest.raises(ConfigurationError, match="uniformly spaced"):
+        classical_motion_check(report, Rest(), CONSTS)
+    report.times[-1] = 0.4
+    assert all(c.passed for c in classical_motion_check(report, Rest(), CONSTS))
 
 
 def test_energy_split_sho_run(sho_result):
