@@ -204,8 +204,8 @@ def _window_content_loss(report: RunReport, ref_density, sel: np.ndarray,
 
 
 def _airy_window_density(sol: NswpSolution, grid: Grid1D, sel: np.ndarray):
-    """t -> |f(x - d(t))|^2 at the window points only: Ai costs several times
-    more per point out on the oscillatory tail, which no check reads."""
+    """t -> |f(x - d(t))|^2 at the window points only: the window checks
+    read no other point."""
     x_window = grid.x[sel]
 
     def ref_density(t):

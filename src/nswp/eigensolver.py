@@ -28,7 +28,7 @@ _MAX_ITERATIONS = 20
 
 
 class StaticPotential:
-    """Static V(x): linear, harmonic, quartic, or custom callable."""
+    """Static V(x): linear, harmonic or quartic."""
 
     def __init__(self, kind: str, fn, params: dict):
         self.kind = kind
@@ -56,10 +56,6 @@ class StaticPotential:
         if lam <= 0:
             raise ValueError("quartic potential requires lambda > 0")
         return cls("quartic", lambda x: lam * x**4, {"lambda": lam})
-
-    @classmethod
-    def custom(cls, fn, name: str = "custom") -> "StaticPotential":
-        return cls(name, fn, {})
 
 
 @dataclass(frozen=True)

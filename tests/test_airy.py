@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import airy
 
 from nswp import ai_values
 from nswp.errors import RangeError
@@ -14,6 +18,24 @@ AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 # first five zeros of Ai (DLMF Table 9.9.1)
 ZEROS = (-2.338107410459767, -4.087949444130971, -5.520559828095551,
          -6.786708090071759, -7.944133587120853)
+
+# Ai on both asymptotic tails and at the two cut points (-10, 8), from
+# mpmath.airyai at mp.dps = 40, rounded to the nearest double
+REFERENCE = ((-200.0, 0.14889394248381024),
+             (-37.0, 0.006853376908681703),
+             (-10.5, -0.3119260350510506),
+             (-10.0, 0.04024123848644319),
+             (8.0, 4.6922076160992316e-08),
+             (8.5, 1.0997009755195506e-08),
+             (12.0, 1.3931846888753607e-13),
+             (40.0, 6.365742658552915e-75))
+
+
+def _scale(x):
+    """The yardstick for an error in Ai(x) on the tails: the envelope
+    |x|^-1/4 / sqrt(pi) of the oscillation for x < 0, Ai itself for x > 0."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 0, np.abs(x) ** -0.25 / math.sqrt(math.pi), airy(x)[0])
 
 
 def test_value_at_zero():
@@ -59,7 +81,8 @@ def test_zeros():
 def test_airy_ode_residual():
     # Ai'' = x Ai, checked with a 5-point FD second derivative at h = 1e-2
     h = 1e-2
-    x = np.linspace(-8.0, 8.0, 801)
+    # [-11, 10] holds both cut points, so stencils straddle each seam
+    x = np.linspace(-11.0, 10.0, 2101)
     stencil = np.array([
         ai_values(x + k * h) for k in (-2, -1, 0, 1, 2)
     ])
@@ -75,3 +98,54 @@ def test_range_error():
             ai_values(bad)
         with pytest.raises(RangeError):
             ai_values(np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("x, value", REFERENCE)
+def test_reference_values(x, value):
+    scale = abs(x) ** -0.25 / math.sqrt(math.pi) if x < 0 else value
+    assert abs(ai_values(x) - value) < 1e-13 * scale
+
+
+@given(x=st.one_of(st.floats(-1e3, -10.0), st.floats(8.0, 100.0)))
+def test_tails_agree_with_scipy(x):
+    # Either method rounds zeta = (2/3)|x|^3/2 by a few ulp, and Ai is that
+    # sensitive to it: the phase (left) or the exponent (right) carries an
+    # absolute error of about eps * zeta, so the 1e-13 of the cut points
+    # widens by 4 eps zeta further out (scipy is itself off by 4.2e-12 of
+    # the envelope at x = -1000).
+    zeta = 2.0 / 3.0 * abs(x) ** 1.5
+    tol = 1e-13 + 4.0 * np.finfo(float).eps * zeta
+    assert abs(ai_values(x) - airy(x)[0]) < tol * _scale(x)
+
+
+def test_mixed_inputs_keep_shape_and_values():
+    for x in (-20.0, 0.5, 9.0):
+        value = ai_values(np.float64(x))
+        assert np.ndim(value) == 0 and isinstance(value, np.floating)
+        assert abs(value - airy(x)[0]) < 1e-13 * _scale(x)
+    x = np.array([[-30.0, -10.0, -9.99, 0.0],
+                  [7.99, 8.0, 15.0, -12.5],
+                  [3.0, 250.0, -10.01, 1e3]])
+    values = ai_values(x)
+    assert values.shape == (3, 4)
+    assert np.array_equal(values, [[ai_values(v) for v in row] for row in x])
+    middle = (x > -10.0) & (x < 8.0)
+    assert np.array_equal(values[middle], airy(x[middle])[0])
+    assert ai_values(np.array([])).shape == (0,)
+    assert ai_values(np.zeros((2, 0))).shape == (2, 0)
+
+
+def test_range_below_minus_1e4():
+    assert abs(ai_values(-1e4)) < 1e4 ** -0.25
+    for bad in (-1.0001e4, -1e8, -1e300):
+        with pytest.raises(RangeError, match=re.escape(f"x = {bad:g}")):
+            ai_values(bad)
+    with pytest.raises(RangeError, match="x = -200000 "):
+        ai_values(np.array([0.0, -3.0, -2e5]))
+
+
+def test_exact_zero_once_the_exponential_underflows():
+    # filterwarnings = error: an overflow in zeta would fail here
+    assert 0.0 < ai_values(104.0) < 1e-300
+    for big in (110.0, 1e6, 1e200, np.finfo(float).max):
+        assert ai_values(big) == 0.0
