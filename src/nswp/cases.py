@@ -38,6 +38,13 @@ _SHO_GRID = Grid1D(-8.0, 8.0, 1024)
 _AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
 _AIRY_MASK = AbsorbingMask(width=8.0, strength=40.0)
 _AIRY_WINDOW = (-10.0, 4.0)  # where the Airy runs compare densities
+# Under V = -F(t) x the split step's error is a global phase; what is left is
+# F sampled at step midpoints (~ T dt^2 |F''| / 24) and an O(dt^2 F') shift,
+# both under the ~1.6e-4 density floor the mask and window set. The default
+# sin force's windowed_density_mismatch reads 1.6236e-4 at dt = 4e-3 and
+# 1.6305e-4 at 1e-2; at 2e-2 the frequency-12 sin force rises from 0.13 to
+# 0.20 of that check's bound.
+_AIRY_DT = 1e-2
 
 
 @dataclass
@@ -253,7 +260,7 @@ def _airy_run(psi0: WaveField, v_fn, sol: NswpSolution, grid: Grid1D, dt: float,
 def run_airy_free(
     B: float = 1.0,
     grid: Grid1D = _AIRY_GRID,
-    dt: float = 4e-3,
+    dt: float = _AIRY_DT,
     t_end: float = 2.0,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
@@ -263,6 +270,10 @@ def run_airy_free(
     accelerating packet is fed by right-moving components of the oscillatory
     tail, so the undamped region must cover every tail point whose local
     group velocity can reach the window within t_end.
+
+    The default dt is ``_AIRY_DT`` = 1e-2: V = 0, so the split step is
+    exact up to the mask, and every check value at 1e-2 lies within 0.8 %
+    of its tolerance of the value at dt = 2.5e-3.
     """
     sol = airy_free_solution(B, consts, t_max=t_end + 1.0)
     A = sol.shape.A
@@ -389,11 +400,17 @@ def run_airy_forced(
     force_label: str = "custom",
     B: float = 1.0,
     grid: Grid1D = _AIRY_GRID,
-    dt: float = 4e-3,
+    dt: float = _AIRY_DT,
     t_end: float = 2.0,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
-    """Propagation under V(x, t) = -F(t) x with Airy shape."""
+    """Propagation under V(x, t) = -F(t) x with Airy shape.
+
+    The default dt is ``_AIRY_DT`` = 1e-2. For a uniform force the split
+    step's error is a global phase; what remains, F sampled at the step
+    midpoints and an O(dt^2 F') shift, stays below the windowed density
+    floor for sin forces of amplitude up to 0.45 and frequency up to 12.
+    """
     sol = forced_airy_solution(B, F, consts, t_max=t_end + 1.0)
     A = sol.shape.A
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -41,10 +42,13 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        # x_min + i*dx exactly; linspace guarantees the endpoints.
-        return np.linspace(self.x_min, self.x_max, self.n)
+        # x_min + i*dx exactly; linspace guarantees the endpoints. Built once
+        # per grid and shared by every caller, so it is read-only.
+        x = np.linspace(self.x_min, self.x_max, self.n)
+        x.flags.writeable = False
+        return x
 
     @property
     def width(self) -> float:

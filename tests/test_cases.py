@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nswp.cases
 from nswp import Grid1D, PhysicalConstants
 from nswp.cases import (SCENARIOS, airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy, run_corrupted_phase, run_sho_shifted,
-                        run_sho_timedep_frequency, run_sho_timedep_with_control)
+                        phi0_forced_airy, run_airy_forced, run_airy_free,
+                        run_corrupted_phase, run_sho_shifted,
+                        run_sho_timedep_frequency, run_sho_timedep_with_control,
+                        uniform_force)
 
 from conftest import check_by_name
 
@@ -45,6 +49,34 @@ def test_airy_free_scenario_passes(airy_free_result):
 
 def test_airy_forced_scenario_passes(airy_forced_result):
     for c in airy_forced_result.checks:
+        assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
+
+
+@pytest.mark.parametrize("fixture, run_fine", [
+    ("airy_free_result", lambda: run_airy_free(dt=2.5e-3)),
+    ("airy_forced_result", lambda: run_airy_forced(*uniform_force(), dt=2.5e-3)),
+], ids=["airy-free", "airy-forced"])
+def test_airy_default_step_is_converged(fixture, run_fine, request):
+    # every check value at the default dt = 1e-2 lies within 2 % of its
+    # tolerance of the value at a 4x shorter step (measured: at most 0.76 %
+    # for airy-free, 0.04 % for airy-forced); snapshots stay every 0.1
+    result, fine = request.getfixturevalue(fixture), run_fine()
+    assert result.extras["dt"] == 1e-2
+    assert np.asarray(result.report.times) == pytest.approx(0.1 * np.arange(21),
+                                                            abs=1e-12)
+    assert [c.name for c in result.checks] == [c.name for c in fine.checks]
+    for c, f in zip(result.checks, fine.checks):
+        assert abs(c.value - f.value) <= 0.02 * c.tolerance, c.name
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(amp=st.floats(-0.45, 0.45), freq=st.floats(0.5, 12.0))
+@example(amp=-0.45, freq=12.0)
+def test_airy_forced_passes_over_the_sin_force_box(amp, freq):
+    # the default step holds every check for any sin force in the box; the
+    # fastest force is the one whose worst check ratio grows most with dt
+    result = run_airy_forced(*uniform_force("sin", amp, freq))
+    for c in result.checks:
         assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
 
 

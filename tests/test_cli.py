@@ -84,6 +84,20 @@ def test_airy_free_peak_law_out_of_reach_raises(tmp_path, capsys):
     assert "B = 0.5" in capsys.readouterr().err
 
 
+def test_airy_forced_t_end_must_be_whole_default_steps(tmp_path, capsys):
+    # without --dt the Airy runs step at 1e-2: 1.0 is 100 steps with a
+    # snapshot every 0.1, 1.005 is not a whole number of steps
+    out = tmp_path / "o"
+    assert main(["propagate", "--scenario", "airy-forced", "--t-end", "1.0",
+                 "--out", str(out)]) == 0
+    times = read_json(out / "report.json")["times"]
+    assert times == pytest.approx([0.1 * k for k in range(11)], abs=1e-12)
+    capsys.readouterr()
+    assert main(["propagate", "--scenario", "airy-forced", "--t-end", "1.005",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert "whole number of steps dt = 0.01" in capsys.readouterr().err
+
+
 def test_json_writer_is_strict(tmp_path):
     with pytest.raises(ValueError):
         cli._write_json(tmp_path / "x.json", {"value": float("nan")})

@@ -26,6 +26,17 @@ def test_grid_validation():
     assert g.x[0] == -1.0 and g.x[-1] == 1.0
 
 
+def test_grid_points_are_built_once_and_read_only():
+    g = Grid1D(-1.0, 1.0, 1024)
+    assert g.x is g.x
+    assert np.array_equal(g.x, np.linspace(-1.0, 1.0, 1024))
+    with pytest.raises(ValueError):
+        g.x[0] = 0.0
+    # the cache is not a field: equality and hashing see only the bounds and n
+    fresh = Grid1D(-1.0, 1.0, 1024)
+    assert g == fresh and hash(g) == hash(fresh)
+
+
 def test_constants_validation():
     with pytest.raises(ValueError):
         PhysicalConstants(hbar=0.0)
