@@ -500,6 +500,66 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
     )
 
 
+# |psi| of a Gaussian falls to exp(-c^2/4) ~ 8e-7 of its peak at c standard
+# deviations of |psi|^2 from its centroid
+_TRAP_ENVELOPE_SIGMAS = 7.5
+_TRAP_AMPLITUDE = 2.0  # the trap packet's initial shift
+_TRAP_HORIZON = 10.0  # the trap runs' t_end, in units of 1/omega0
+
+
+def trap_envelope_half_width(omega0: float, modulation: float,
+                             consts: PhysicalConstants) -> float:
+    """max over the trap run, 0 <= t <= ``_TRAP_HORIZON``/w0, of
+    |x_c| + c sigma for the ground state of the w0 oscillator shifted by
+    A = ``_TRAP_AMPLITUDE`` under V = m w(t)^2 x^2 / 2,
+    w = w0 (1 + eps sin w0 t), with c = ``_TRAP_ENVELOPE_SIGMAS``.
+
+    Under a quadratic V a Gaussian stays Gaussian, and its centroid and
+    width follow the classical solutions of u'' = -w(t)^2 u (Husimi, Prog.
+    Theor. Phys. 9, 381 (1953)): from u1(0) = 1, u1'(0) = 0 and u2(0) = 0,
+    u2'(0) = 1, x_c = A u1 and sigma^2 = sigma0^2 (u1^2 + w0^2 u2^2)
+    with sigma0^2 = hbar / (2 m w0). Both are stepped exactly with w held at
+    each substep's midpoint, on substeps of 1e-2/w0 (second order).
+    """
+    n = round(_TRAP_HORIZON / 1e-2)
+    h = _TRAP_HORIZON / omega0 / n
+    w = omega0 * (1.0 + modulation * np.sin(omega0 * h * (np.arange(n) + 0.5)))
+    # one substep maps (u, u') to (cos u + sin/w u', -w sin u + cos u')
+    c, s_w, w_s = np.cos(w * h), h * np.sinc(w * h / np.pi), w * np.sin(w * h)
+    u1, v1, u2, v2 = 1.0, 0.0, 0.0, 1.0
+    path = [(u1, u2)]
+    for ck, sk, wk in zip(c.tolist(), s_w.tolist(), w_s.tolist()):
+        u1, v1 = ck * u1 + sk * v1, ck * v1 - wk * u1
+        u2, v2 = ck * u2 + sk * v2, ck * v2 - wk * u2
+        path.append((u1, u2))
+    u1s, u2s = np.array(path).T
+    sigma0 = math.sqrt(consts.hbar / (2.0 * consts.mass * omega0))
+    sigma = sigma0 * np.sqrt(u1s**2 + (omega0 * u2s) ** 2)
+    return float(np.max(np.abs(_TRAP_AMPLITUDE * u1s) + _TRAP_ENVELOPE_SIGMAS * sigma))
+
+
+def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
+                      grid: Grid1D = None, dt: float = None,
+                      consts: PhysicalConstants = PhysicalConstants()):
+    """The given grid and dt, or the defaults of the modulated trap.
+
+    The default grid is +-L with L = ``trap_envelope_half_width``, on the
+    fewest points, a multiple of 64, that keep dx at most the sho grid's
+    16/1023 in units of the oscillator length sqrt(hbar / m omega0). The
+    default dt is 1e-2/omega0, cut where dt max|V| reaches the step guard's
+    0.5."""
+    if grid is None:
+        half_width = trap_envelope_half_width(omega0, modulation, consts)
+        dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
+        grid = Grid1D(-half_width, half_width,
+                      64 * math.ceil((1.0 + 2.0 * half_width / dx_max) / 64.0))
+    if dt is None:
+        w_max = omega0 * (1.0 + abs(modulation))
+        v_max = 0.5 * consts.mass * w_max**2 * max(grid.x_min**2, grid.x_max**2)
+        dt = _guarded_dt(1e-2 / omega0, v_max, consts)
+    return grid, dt
+
+
 def run_sho_timedep_frequency(
     omega0: float = 1.0,
     modulation: float = 0.2,
@@ -515,24 +575,18 @@ def run_sho_timedep_frequency(
     Shape deviation is measured against the initial profile translated to
     the instantaneous centroid (the most charitable comparison).
 
-    The default grid is 1024 points on +-12/sqrt(omega0). With the default
-    dt = 4e-3/omega0, dt max|V| is 0.288 (1 + |eps|)^2 for every omega0
-    (hbar = m = 1); where that reaches the step guard's 0.5, dt is cut. A
-    snapshot is recorded every 0.1/omega0 for any dt.
+    The default grid is sized from the packet's exact classical envelope
+    (``_trap_grid_and_dt``): at eps = 0.2 and hbar = m = omega0 = 1 it is
+    1024 points on +-7.78. The default dt is 1e-2/omega0, there with
+    dt max|V| = 0.44; where dt max|V| reaches the step guard's 0.5, dt is
+    cut. A snapshot is recorded every 0.1/omega0 for any dt.
     """
-    amplitude = 2.0
     m = consts.mass
-    if grid is None:
-        half_width = 12.0 / math.sqrt(omega0)
-        grid = Grid1D(-half_width, half_width, 1024)
-    if dt is None:
-        w_max = omega0 * (1.0 + abs(modulation))
-        v_max = 0.5 * m * w_max**2 * max(grid.x_min**2, grid.x_max**2)
-        dt = _guarded_dt(4e-3 / omega0, v_max, consts)
-    t_end = dt * round(10.0 / (omega0 * dt))
+    grid, dt = _trap_grid_and_dt(omega0, modulation, grid, dt, consts)
+    t_end = dt * round(_TRAP_HORIZON / (omega0 * dt))
     v_static = StaticPotential.harmonic(omega0, m)
     pair = lowest_eigenpairs(v_static, grid, consts, 1)[0]
-    initial = shift_field(pair.shape, amplitude)
+    initial = shift_field(pair.shape, _TRAP_AMPLITUDE)
 
     def v_fn(x, t):
         w = omega0 * (1.0 + modulation * np.sin(omega0 * t))
@@ -555,13 +609,17 @@ def run_sho_timedep_frequency(
         report=report,
         checks=checks,
         extras={"omega0": omega0, "modulation": modulation,
-                "amplitude": amplitude, "dt": dt, "t_end": t_end},
+                "amplitude": _TRAP_AMPLITUDE, "dt": dt, "t_end": t_end},
     )
 
 
 def run_sho_timedep_with_control(**kwargs) -> ScenarioResult:
     """``run_sho_timedep_frequency(**kwargs)`` against the same run with
-    modulation 0: the modulated packet must spread, the control must not."""
+    modulation 0: the modulated packet must spread, the control must not.
+    Both runs take the grid and dt of the modulated run, so the control
+    differs from it only in the modulation."""
+    grid, dt = _trap_grid_and_dt(**kwargs)
+    kwargs = {**kwargs, "grid": grid, "dt": dt}
     modulated = run_sho_timedep_frequency(**kwargs)
     control = run_sho_timedep_frequency(**{**kwargs, "modulation": 0.0})
     record = no_nswp_for_time_dependent_frequency(modulated.report, control.report)

@@ -42,8 +42,11 @@ def timedep_modulated():
 
 
 @pytest.fixture(scope="session")
-def timedep_control():
-    return run_sho_timedep_frequency(modulation=0.0)
+def timedep_control(timedep_modulated):
+    # on the modulated run's grid and dt, as run_sho_timedep_with_control runs it
+    return run_sho_timedep_frequency(modulation=0.0,
+                                     grid=timedep_modulated.report.snapshots[0].grid,
+                                     dt=timedep_modulated.extras["dt"])
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nswp.cases
-from nswp import Grid1D, PhysicalConstants
+from nswp import Grid1D, PhysicalConstants, observables
 from nswp.cases import (SCENARIOS, airy_free_solution, forced_airy_solution,
                         phi0_forced_airy, run_airy_forced, run_airy_free,
                         run_corrupted_phase, run_sho_shifted,
                         run_sho_timedep_frequency, run_sho_timedep_with_control,
-                        uniform_force)
+                        trap_envelope_half_width, uniform_force)
 
 from conftest import check_by_name
 
@@ -188,15 +188,51 @@ def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
 
 
 def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
-    # the default grid +-12/sqrt(omega0) and dt = 4e-3/omega0 keep the step
-    # guard and the static control's rigidity at omega0 = 3, where the fixed
-    # +-12 grid with dt = 1e-3 failed the guard
+    # at omega0 = 3 the grid is +-L from the packet's classical envelope and
+    # the default dt = 1e-2/3 is cut to keep the step guard; the static
+    # control on that grid stays rigid
     result = run_sho_timedep_with_control(omega0=3.0)
     assert result.passed
     assert result.extras["control_max_deviation"] < 5e-4
     grid = result.report.snapshots[0].grid
-    assert grid.x_max == -grid.x_min == pytest.approx(12.0 / np.sqrt(3.0))
-    assert grid.n == 1024
+    half_width = trap_envelope_half_width(3.0, 0.2, CONSTS)
+    assert grid.x_max == -grid.x_min == half_width
+    assert grid.n % 64 == 0
+    assert (grid.n - 65) * 16.0 / (1023.0 * math.sqrt(3.0)) < 2.0 * half_width
+    assert grid.dx <= 16.0 / (1023.0 * math.sqrt(3.0))
+    default_grid, dt = nswp.cases._trap_grid_and_dt(3.0)
+    assert default_grid == grid
+    assert dt < 1e-2 / 3.0
+    assert dt * 0.5 * (3.0 * 1.2) ** 2 * half_width**2 < 0.5
+
+
+@pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("consts", [CONSTS, PhysicalConstants(hbar=2.0, mass=0.5)])
+def test_trap_envelope_is_the_static_packet_without_modulation(omega0, consts):
+    # eps = 0: |x_c| + c sigma is largest at t = 0, where sigma = sigma0
+    sigma0 = math.sqrt(consts.hbar / (2.0 * consts.mass * omega0))
+    c = nswp.cases._TRAP_ENVELOPE_SIGMAS
+    assert trap_envelope_half_width(omega0, 0.0, consts) == 2.0 + c * sigma0
+
+
+def test_trap_envelope_bounds_the_modulated_run(timedep_modulated):
+    # max over the snapshots of |<x>| + c sigma_x, with sigma_x the run's own
+    # measured width, lies under the envelope and within 1 % of it
+    c = nswp.cases._TRAP_ENVELOPE_SIGMAS
+    measured = max(abs(o.centroid) + c * math.sqrt(o.variance)
+                   for o in (observables(s, None, CONSTS)
+                             for s in timedep_modulated.report.snapshots))
+    half_width = trap_envelope_half_width(1.0, 0.2, CONSTS)
+    assert timedep_modulated.report.snapshots[0].grid.x_max == half_width
+    assert 0.99 * half_width < measured <= half_width
+
+
+def test_trap_check_values_match_a_fine_reference(timedep_modulated, timedep_control):
+    # reference: the modulated run on +-12 with 2048 points at dt = 1e-3
+    modulated = float(np.max(timedep_modulated.report.shape_deviation))
+    assert abs(modulated - 0.173018) < 5e-5
+    assert float(np.max(timedep_control.report.shape_deviation)) < 1e-5
+    assert len(timedep_modulated.report.times) == len(timedep_control.report.times) == 101
 
 
 def test_sho_default_dt_is_cut_to_the_step_guard():
@@ -265,7 +301,7 @@ def test_check_names_and_bounds_are_pinned(monkeypatch, sho_result, airy_free_re
     # the trap scenario reuses the session's two trap runs
     trap_runs = {0.2: timedep_modulated, 0.0: timedep_control}
     monkeypatch.setattr(nswp.cases, "run_sho_timedep_frequency",
-                        lambda modulation=0.2: trap_runs[modulation])
+                        lambda modulation=0.2, **_: trap_runs[modulation])
     results = {
         "sho": sho_result, "airy-free": airy_free_result,
         "airy-forced": airy_forced_result, "gaussian-control": gaussian_result,

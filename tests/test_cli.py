@@ -225,9 +225,18 @@ def test_verify_sho_mode_passes_at_defaults(n, tmp_path):
 
 
 def test_verify_strong_modulation_keeps_the_step_guard(tmp_path):
-    # eps = 0.5: the default dt = 4e-3 gives dt max|V| = 0.65 at the peak of
-    # w(t), so the default is halved; a 1e-3 step passed here before
+    # eps = 0.5: on the derived +-11.9 grid the default dt = 1e-2 gives
+    # dt max|V| = 1.6 at the peak of w(t), so the default is cut to 2.5e-3
     out = tmp_path / "v"
     assert main(["verify", "--scenario", "sho-timedep-freq",
                  "--modulation", "0.5", "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["pass"] is True
+
+
+def test_verify_modulation_0_7_sizes_the_grid_to_the_packet(tmp_path):
+    # the packet swings out to about +-16.9, past the +-12 that suffices at
+    # eps = 0.2, so the grid must follow the parameters
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", "sho-timedep-freq",
+                 "--modulation", "0.7", "--out", str(out)]) == 0
     assert read_json(out / "report.json")["pass"] is True
