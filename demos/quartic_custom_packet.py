@@ -13,7 +13,7 @@ import numpy as np
 from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
                   Polynomial, PropagationConfig, SampledShape,
                   StaticPotential, analytic_psi, lowest_eigenpairs, propagate,
-                  tdse_residual, v_nswp)
+                  shape_deviation, tdse_residual, v_nswp)
 
 
 def quartic_round_trip(grid, dt):
@@ -42,9 +42,8 @@ def quartic_round_trip(grid, dt):
         return sol.shape.on_grid_shifted(grid, traj.d(t)) ** 2
 
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=400)
-    report = propagate(analytic_psi(sol, grid, 0.0), v_fn, config, consts,
-                       reference_density=ref_density)
-    dev = max(report.shape_deviation)
+    report = propagate(analytic_psi(sol, grid, 0.0), v_fn, config, consts)
+    dev = max(shape_deviation(report, ref_density))
     drift = max(abs(c - traj.d(t)) for c, t in zip(report.centroid, report.times))
     return pair, res, dev, drift
 

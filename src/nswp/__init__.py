@@ -24,6 +24,7 @@ from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
                          Trajectory, UniformAcceleration)
 from .verifier import (CheckResult, classical_motion_check, energy_split_check,
                        htilde_residual, infinitesimal_evolution_check,
-                       make_htilde_metric, no_nswp_for_time_dependent_frequency)
+                       no_nswp_for_time_dependent_frequency, rigid_shape_deviation,
+                       shape_deviation)
 
 __version__ = "0.1.0"

@@ -22,15 +22,16 @@ from .constructor import (AiryShape, NswpSolution, SampledShape,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
 from .errors import ConfigurationError, RangeError
-from .grids import (Grid1D, PhysicalConstants, WaveField, fd3_first,
+from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first,
                     inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
                          propagate)
 from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
 from .trajectory import ForceTrajectory, Sinusoid, UniformAcceleration
 from .verifier import (CONTROL_THRESHOLD, SPREAD_THRESHOLD, CheckResult,
-                       classical_motion_check, energy_split_check,
-                       make_htilde_metric, no_nswp_for_time_dependent_frequency)
+                       classical_motion_check, energy_split_check, htilde_residual,
+                       no_nswp_for_time_dependent_frequency, rigid_shape_deviation,
+                       shape_deviation)
 
 # dx ~ 1.6e-2: the fourth-order Numerov operator keeps the modes n <= 2 within
 # the 1e-4 motion and H-tilde tolerances
@@ -147,11 +148,10 @@ def run_sho_shifted(
     stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
                  if n_steps % k == 0)
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=stride)
-    report = propagate(
-        psi0, lambda x, t: v_samples, config, consts,
-        reference_density=ref_density,
-        htilde_fn=make_htilde_metric(v_static, traj, consts, sol.E_f),
-    )
+    report = propagate(psi0, lambda x, t: v_samples, config, consts)
+    report.shape_deviation = shape_deviation(report, ref_density)
+    report.htilde_residual = [htilde_residual(snap, v_static, traj, consts, sol.E_f, t)
+                              for snap, t in zip(report.snapshots, report.times)]
 
     shape_dev = float(np.max(report.shape_deviation))
     htilde_max = float(np.max(report.htilde_residual))
@@ -194,7 +194,7 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
 
 def _windowed_momentum(psi: WaveField, sel: np.ndarray, hbar: float) -> float:
     dx = psi.grid.dx
-    d1 = fd3_first(psi.values, dx)
+    d1 = fd5_first(psi.values, dx)
     num = np.trapezoid((np.conj(psi.values) * (-1j * hbar) * d1)[sel], dx=dx).real
     den = np.trapezoid(np.abs(psi.values[sel]) ** 2, dx=dx)
     return float(num / den)
@@ -245,15 +245,16 @@ def _taper_into_mask(psi: WaveField) -> WaveField:
 def _airy_run(psi0: WaveField, v_fn, sol: NswpSolution, grid: Grid1D, dt: float,
               t_end: float, consts: PhysicalConstants):
     """Propagate the Airy packet ``psi0`` under ``v_fn`` with the absorbing
-    mask, one snapshot every 0.1; returns the report, the window's grid
-    selector and the windowed reference density."""
+    mask, one snapshot every 0.1, and measure its shape deviation over
+    ``_AIRY_WINDOW``; returns the report, the window's grid selector and the
+    windowed reference density."""
     sel = (grid.x >= _AIRY_WINDOW[0]) & (grid.x <= _AIRY_WINDOW[1])
     ref_density = _airy_window_density(sol, grid, sel)
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
                                snapshot_stride=max(1, round(0.1 / dt)),
                                boundary=_AIRY_MASK)
-    report = propagate(_taper_into_mask(psi0), v_fn, config, consts,
-                       reference_density=ref_density, window=_AIRY_WINDOW)
+    report = propagate(_taper_into_mask(psi0), v_fn, config, consts)
+    report.shape_deviation = shape_deviation(report, ref_density, sel)
     return report, sel, ref_density
 
 
@@ -477,6 +478,7 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
 
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=200)
     report = propagate(initial, lambda xx, t: np.zeros_like(xx), config, consts)
+    report.shape_deviation = rigid_shape_deviation(report)
 
     times = np.asarray(report.times)
     width = np.sqrt(np.array([
@@ -547,7 +549,10 @@ def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
     fewest points, a multiple of 64, that keep dx at most the sho grid's
     16/1023 in units of the oscillator length sqrt(hbar / m omega0). The
     default dt is 1e-2/omega0, cut where dt max|V| reaches the step guard's
-    0.5."""
+    0.5. Raises ``RangeError`` unless |modulation| < 1, where w(t) stays
+    positive; at |modulation| >= 1 the trap opens for an instant."""
+    if not abs(modulation) < 1.0:
+        raise RangeError(f"modulation must satisfy |eps| < 1, got {modulation!r}")
     if grid is None:
         half_width = trap_envelope_half_width(omega0, modulation, consts)
         dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
@@ -573,7 +578,8 @@ def run_sho_timedep_frequency(
     With eps = 0 this is the Schrodinger NSWP (coherent oscillation); with
     eps > 0 no trajectory keeps the density rigid and the deviation grows.
     Shape deviation is measured against the initial profile translated to
-    the instantaneous centroid (the most charitable comparison).
+    the instantaneous centroid (``rigid_shape_deviation``, the most
+    charitable comparison). |eps| >= 1 raises ``RangeError``.
 
     The default grid is sized from the packet's exact classical envelope
     (``_trap_grid_and_dt``): at eps = 0.2 and hbar = m = omega0 = 1 it is
@@ -595,6 +601,7 @@ def run_sho_timedep_frequency(
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
                                snapshot_stride=max(1, round(0.1 / (omega0 * dt))))
     report = propagate(initial, v_fn, config, consts)
+    report.shape_deviation = rigid_shape_deviation(report)
     max_dev = float(np.max(report.shape_deviation))
 
     if modulation == 0.0:

@@ -109,11 +109,6 @@ def norm(psi: WaveField) -> float:
     return float(np.sqrt(inner_product(psi, psi).real))
 
 
-def fd3_first(values: np.ndarray, dx: float) -> np.ndarray:
-    """3-point central first derivative; 2nd-order one-sided at the ends."""
-    return np.gradient(values, dx, edge_order=2)
-
-
 def fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
     """5-point central first derivative; zero at the two points at each end."""
     out = np.zeros_like(values)

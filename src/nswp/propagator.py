@@ -43,19 +43,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import BoundaryError, ConfigurationError
 from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
-                    bands_apply, numerov_bands, observables, shift_values)
+                    bands_apply, numerov_bands, observables)
 
 
 @dataclass(frozen=True)
 class Dirichlet:
-    kind = "dirichlet"
+    """Walls at both grid edges: the wave function vanishes beyond them."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,6 @@ class AbsorbingMask:
 
     width: float
     strength: float
-
-    kind = "absorbing_mask"
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,11 @@ class PropagationConfig:
 
 @dataclass
 class RunReport:
-    """Metric time series (plus retained snapshot fields) from one run."""
+    """Metric time series (plus retained snapshot fields) from one run.
+
+    ``propagate`` fills the times, the norm, the Dirichlet observables and
+    the snapshots; ``shape_deviation`` and ``htilde_residual`` stay empty
+    until a scenario measures them from the snapshots (``verifier``)."""
 
     times: list = field(default_factory=list)
     norm: list = field(default_factory=list)
@@ -244,12 +246,9 @@ def propagate(
     v_fn: Callable[[np.ndarray, float], np.ndarray],
     config: PropagationConfig,
     consts: PhysicalConstants = PhysicalConstants(),
-    reference_density: Optional[Callable[[float], np.ndarray]] = None,
-    window: Optional[tuple] = None,
-    htilde_fn: Optional[Callable[[WaveField, float], float]] = None,
 ) -> RunReport:
-    """Step ``initial`` from ``config.t_start`` to t_end, recording metrics
-    every ``snapshot_stride`` steps and at t_end.
+    """Step ``initial`` from ``config.t_start`` to t_end, recording a
+    snapshot every ``snapshot_stride`` steps and at t_end.
 
     Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
     prepared once (see the module docstring). Between Dirichlet walls the
@@ -257,13 +256,9 @@ def propagate(
     snapshot records the norm and the observables under ``v_fn``; under an
     absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
     follows the second kick and each snapshot records the norm only. The
-    shape deviation is the sup of |rho - rho_ref| over ``window`` = [a, b]
-    (the whole grid without one), relative to the reference's peak at
-    t_start. ``reference_density(t)`` gives rho_ref at the window's grid
-    points; without it, a Dirichlet run translates the initial density to
-    the measured centroid (the spreading controls) and a masked run records
-    no shape deviation. ``htilde_fn(psi, t)`` adds a column of its values.
-    ``initial.time`` must be ``config.t_start``.
+    shape deviation and H-tilde residual columns are left empty: the
+    ``verifier`` measures them from the snapshots. ``initial.time`` must be
+    ``config.t_start``.
     """
     grid = config.grid
     if initial.grid != grid:
@@ -277,45 +272,19 @@ def propagate(
     dt = config.dt
     n_steps = config.n_steps
     dirichlet = isinstance(config.boundary, Dirichlet)
-    if window is not None:
-        sel = (x >= window[0]) & (x <= window[1])
-    else:
-        sel = slice(None)
-
     peak0 = float(np.max(np.abs(initial.values)))
     report = RunReport()
-    reference = reference_density
-    if reference_density is not None:
-        ref_peak = float(np.max(reference_density(config.t_start)))
-    elif dirichlet:
-        rho0 = initial.density()
-        ref_peak = float(np.max(rho0))
-
-        def reference(t):
-            shift = report.centroid[-1] - report.centroid[0]
-            return shift_values(rho0.astype(complex), shift, grid.dx).real[sel]
 
     def record(values, t):
         psi = WaveField(grid=grid, values=values, time=t)
         report.times.append(t)
+        report.snapshots.append(psi)
         if dirichlet:
             obs = observables(psi, v_fn(x, t), consts)
             report.norm.append(obs.norm)
             report.centroid.append(obs.centroid)
             report.momentum_mean.append(obs.momentum_mean)
             report.energy_mean.append(obs.energy_mean)
-        else:
-            report.norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))))
-        if reference is not None:
-            rho = np.abs(values) ** 2
-            report.shape_deviation.append(
-                float(np.max(np.abs(rho[sel] - reference(t))) / ref_peak)
-            )
-        if htilde_fn is not None:
-            report.htilde_residual.append(float(htilde_fn(psi, t)))
-        report.snapshots.append(psi)
-
-        if dirichlet:
             # the Pade step with Dirichlet walls is exactly unitary, so a
             # boundary hit shows up as amplitude piling onto the edge cells
             # (reflection), not as norm loss; check both anyway.
@@ -328,6 +297,7 @@ def propagate(
                     partial_report=report,
                 )
         else:
+            report.norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))))
             # the split step's domain is periodic: amplitude the mask left
             # at the edges would come back in at the other side
             edge = max(abs(values[0]), abs(values[-1]))

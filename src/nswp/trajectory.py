@@ -116,11 +116,6 @@ class ForceTrajectory(Trajectory):
         if t < 0.0 or t > self.t_max:
             raise RangeError(f"t={t} outside cached force range [0, {self.t_max}]")
 
-    def int_f(self, t: float) -> float:
-        """Cached integral_0^t F."""
-        self._check_range(t)
-        return float(self._int_f(t))
-
     def eval(self, t):
         self._check_range(t)
         m = self.m

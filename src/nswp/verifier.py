@@ -7,11 +7,17 @@ verify the eigenvalue relation residually, the three-factor infinitesimal
 evolution (shift operator times two phase factors), and the classical
 equations of motion at the level of expectation values (Ehrenfest form --
 a wave code cannot assert operator identities directly).
+
+A run's measurements beyond the norm and the observables are taken here,
+from the snapshots that ``propagate`` keeps: ``shape_deviation`` (the
+density against a reference, the rigidity claim) and ``htilde_residual``
+(the eigenvalue relation, one call per snapshot).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -19,7 +25,7 @@ from .constructor import NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
 from .errors import ConfigurationError
 from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second,
-                    shift_field)
+                    shift_field, shift_values)
 from .propagator import RunReport
 from .trajectory import Trajectory
 
@@ -70,14 +76,32 @@ def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
     return float(num / den)
 
 
-def make_htilde_metric(v: StaticPotential, traj: Trajectory,
-                       consts: PhysicalConstants, E_f: float):
-    """Per-snapshot H_tilde residual hook for the propagator."""
+def shape_deviation(report: RunReport, reference: Callable[[float], np.ndarray],
+                    sel=slice(None), peak: Optional[float] = None) -> list[float]:
+    """Per snapshot, the sup over the grid points ``sel`` of
+    |rho - rho_ref(t)|, relative to ``peak``, by default the peak of
+    rho_ref at the first snapshot. ``reference(t)`` gives rho_ref at the
+    points ``sel``."""
+    if peak is None:
+        peak = float(np.max(reference(report.times[0])))
+    return [float(np.max(np.abs(snap.density()[sel] - reference(t))) / peak)
+            for snap, t in zip(report.snapshots, report.times)]
 
-    def metric(psi: WaveField, t: float) -> float:
-        return htilde_residual(psi, v, traj, consts, E_f, t)
 
-    return metric
+def rigid_shape_deviation(report: RunReport) -> list[float]:
+    """``shape_deviation`` against the first snapshot's density translated
+    rigidly by each snapshot's measured centroid shift, the most charitable
+    reference for a packet that may spread, relative to that density's
+    peak. Needs the centroid column, which Dirichlet runs record."""
+    rho0 = report.snapshots[0].density()
+    rho0_c, dx = rho0.astype(complex), report.snapshots[0].grid.dx
+    shift = {t: c - report.centroid[0] for t, c in zip(report.times, report.centroid)}
+
+    def reference(t):
+        return shift_values(rho0_c, shift[t], dx).real
+
+    # the peak of rho0 itself: its zero-shift FFT round trip is an ulp off
+    return shape_deviation(report, reference, peak=float(np.max(rho0)))
 
 
 def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,

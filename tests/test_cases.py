@@ -47,6 +47,13 @@ def test_airy_free_scenario_passes(airy_free_result):
     assert airy_free_result.extras["A"] == pytest.approx(0.5)
 
 
+def test_airy_free_windowed_momentum_rate_is_the_force(airy_free_result):
+    # with the 5-point <P> stencil the slope of the windowed <P> matches
+    # A = 1/2 to 7.6e-7; the 3-point np.gradient stencil read 2.7e-4, its
+    # own truncation error
+    assert check_by_name(airy_free_result, "hc_constant_force").value < 1e-5
+
+
 def test_airy_forced_scenario_passes(airy_forced_result):
     for c in airy_forced_result.checks:
         assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"

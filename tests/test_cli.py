@@ -182,9 +182,24 @@ def test_propagate_gaussian_control(tmp_path):
     assert code == 0
     report = read_json(out / "report.json")
     assert len(report["times"]) == len(report["norm"])
-    # a centroid reference and no H-tilde hook: that column is left out
+    # the rigid centroid reference and no H-tilde residual: that column is left out
     assert set(report) == {"times", "norm", "centroid", "momentum_mean",
                            "energy_mean", "shape_deviation"}
+
+
+@pytest.mark.parametrize("scenario, columns", [
+    ("sho", {"shape_deviation", "htilde_residual", "centroid", "momentum_mean",
+             "energy_mean"}),
+    ("airy-free", {"shape_deviation"}),
+])
+def test_propagate_report_columns(scenario, columns, tmp_path):
+    # sho measures both per-snapshot columns from its snapshots; the masked
+    # Airy run records the norm and its windowed shape deviation
+    out = tmp_path / "prop"
+    assert main(["propagate", "--scenario", scenario, "--out", str(out)]) == 0
+    report = read_json(out / "report.json")
+    assert set(report) == {"times", "norm", *columns}
+    assert len({len(values) for values in report.values()}) == 1
 
 
 def test_verify_gaussian_control(tmp_path):
@@ -240,3 +255,19 @@ def test_verify_modulation_0_7_sizes_the_grid_to_the_packet(tmp_path):
     assert main(["verify", "--scenario", "sho-timedep-freq",
                  "--modulation", "0.7", "--out", str(out)]) == 0
     assert read_json(out / "report.json")["pass"] is True
+
+
+@pytest.mark.parametrize("eps", ["1", "-1", "3", "nan", "inf"])
+def test_verify_modulation_outside_the_box_exits_2(eps, tmp_path, monkeypatch):
+    # for |eps| >= 1, w(t) passes through 0 and the trap opens; eps = 3 would
+    # size a +-66.8 grid and take 714 000 steps a run. The range is checked
+    # before any grid is sized, eigenpair solved or step taken
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran past the range check")
+
+    for name in ("trap_envelope_half_width", "lowest_eigenpairs", "propagate"):
+        monkeypatch.setattr(cli.cases, name, not_reached)
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", "sho-timedep-freq", f"--modulation={eps}",
+                 "--out", str(out)]) == 2
+    assert not out.exists()

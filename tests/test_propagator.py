@@ -153,7 +153,7 @@ def test_absorbing_mask_run():
                                boundary=AbsorbingMask(width=2.0, strength=40.0))
     report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert report.norm[-1] < 0.1 * report.norm[0]
-    # a masked run without a reference density records the norm only
+    # a masked run records the norm only
     assert set(report.to_dict()) == {"times", "norm"}
 
 
@@ -173,14 +173,15 @@ def test_report_shape_and_json(tmp_path):
     n = len(report.times)
     assert n == len(report.norm) == len(report.centroid)
     assert n == len(report.momentum_mean) == len(report.energy_mean)
-    assert n == len(report.shape_deviation)
-    # no H-tilde hook: that column is neither recorded nor written
-    assert report.htilde_residual == []
+    # the verifier measures shape deviation and the H-tilde residual from
+    # the snapshots; a bare run records neither column, nor writes it
+    assert report.shape_deviation == [] and report.htilde_residual == []
+    assert n == len(report.snapshots)
     path = tmp_path / "report.json"
     report.write_json(path)
     text = path.read_text()
     assert '"times"' in text and '"norm"' in text
-    assert '"htilde_residual"' not in text
+    assert '"shape_deviation"' not in text and '"htilde_residual"' not in text
 
 
 def test_initial_time_must_be_the_start_time():

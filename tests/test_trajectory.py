@@ -109,11 +109,6 @@ def test_force_trajectory_sinusoidal_force():
         assert abs(traj.d_ddot(t) - (A + math.sin(t))) < 1e-12
 
 
-def test_force_trajectory_cached_integral():
-    traj = ForceTrajectory(0.0, math.cos, CONSTS, t_max=4.0)
-    assert abs(traj.int_f(2.0) - math.sin(2.0)) < 1e-10
-
-
 def test_force_trajectory_rejects_t_outside_cache():
     # the cached antiderivatives end at t_max; extrapolating the end piece
     # gives d(10) = 126.0 here, against the exact 10 - sin(10) = 10.54
@@ -122,5 +117,3 @@ def test_force_trajectory_rejects_t_outside_cache():
     for t in (10.0, 2.0 + 1e-6, -1e-6):
         with pytest.raises(RangeError):
             traj.eval(t)
-        with pytest.raises(RangeError):
-            traj.int_f(t)

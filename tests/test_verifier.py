@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
-                  Rest, RunReport, SampledShape, Sinusoid, StaticPotential,
-                  Trajectory, analytic_psi,
-                  classical_motion_check, energy_split_check, htilde_residual,
-                  infinitesimal_evolution_check, lowest_eigenpairs,
-                  no_nswp_for_time_dependent_frequency, shift_field)
+from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
+                  PhysicalConstants, PropagationConfig, Rest, RunReport,
+                  SampledShape, Sinusoid, StaticPotential, Trajectory, WaveField,
+                  analytic_psi, classical_motion_check, energy_split_check,
+                  htilde_residual, infinitesimal_evolution_check, lowest_eigenpairs,
+                  no_nswp_for_time_dependent_frequency, propagate,
+                  rigid_shape_deviation, shape_deviation, shift_field)
 from nswp.constructor import gauge_sho_case
 from nswp.errors import ConfigurationError
+from nswp.grids import shift_values
 
 CONSTS = PhysicalConstants()
 OMEGA = 1.0
@@ -139,3 +141,67 @@ def test_negative_claim_record(timedep_modulated, timedep_control):
     assert record["first_exceed_time"] < timedep_modulated.extras["t_end"]
     assert record["modulated_max_deviation"] > 1e-2
     assert record["control_max_deviation"] < 5e-4
+
+
+# --- shape deviation, measured from the snapshots ----------------------------
+
+def moving_gaussian_density(grid, v0):
+    """t -> |psi|^2 of the free unit Gaussian launched at speed v0."""
+    def density(t):
+        var = 0.5 * (1.0 + t**2)
+        return np.exp(-((grid.x - v0 * t) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    return density
+
+
+def launched_gaussian(grid, v0):
+    psi = np.exp(-grid.x**2 / 2.0 + 1j * v0 * grid.x) / np.pi**0.25
+    return WaveField(grid=grid, values=psi)
+
+
+def test_shape_deviation_is_the_in_loop_formula_on_a_masked_window():
+    # the formula propagate applied at each snapshot, before the measurement
+    # moved to the verifier: sup over the window of |rho - rho_ref(t)|,
+    # relative to the peak of rho_ref(t_start) at the window points
+    grid = Grid1D(-20.0, 12.0, 512)
+    window = (-4.0, 6.0)
+    sel = (grid.x >= window[0]) & (grid.x <= window[1])
+    exact = moving_gaussian_density(grid, 2.0)
+
+    def reference(t):
+        return exact(t)[sel]
+
+    config = PropagationConfig(dt=1e-2, t_end=1.0, grid=grid, snapshot_stride=10,
+                               boundary=AbsorbingMask(width=4.0, strength=40.0))
+    report = propagate(launched_gaussian(grid, 2.0), lambda x, t: np.zeros_like(x),
+                       config, CONSTS)
+    ref_peak = float(np.max(reference(config.t_start)))
+    inline = []
+    for psi, t in zip(report.snapshots, report.times):
+        rho = np.abs(psi.values) ** 2
+        inline.append(float(np.max(np.abs(rho[sel] - reference(t))) / ref_peak))
+    assert shape_deviation(report, reference, sel) == inline
+    # V = 0: the split step is exact, and the mask has not reached the window
+    assert len(inline) == 11 and 0.0 < max(inline) < 1e-6
+
+
+def test_rigid_shape_deviation_is_the_in_loop_formula_between_walls():
+    # a Dirichlet run without a reference density used to translate the
+    # initial density to the measured centroid, relative to its own peak
+    # on 200 points the zero-shift FFT round trip of rho0 peaks an ulp below
+    # rho0, so the reference's peak must be taken from rho0 itself
+    grid = Grid1D(-12.0, 12.0, 200)
+    initial = launched_gaussian(grid, 1.0)
+    config = PropagationConfig(dt=1e-2, t_end=1.5, grid=grid, snapshot_stride=15)
+    report = propagate(initial, lambda x, t: np.zeros_like(x), config, CONSTS)
+    rho0 = initial.density()
+    ref_peak = float(np.max(rho0))
+    inline = []
+    for psi, c in zip(report.snapshots, report.centroid):
+        ref = shift_values(rho0.astype(complex), c - report.centroid[0], grid.dx).real
+        rho = np.abs(psi.values) ** 2
+        inline.append(float(np.max(np.abs(rho - ref)) / ref_peak))
+    assert rigid_shape_deviation(report) == inline
+    # the free packet spreads away from the rigid reference, and follows
+    # its closed-form density to the accuracy of the step
+    assert inline[-1] > 1e-1
+    assert max(shape_deviation(report, moving_gaussian_density(grid, 1.0))) < 1e-4
