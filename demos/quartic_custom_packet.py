@@ -4,16 +4,15 @@ The construction takes ANY static potential: here the quartic V = x^4.
 The ground state comes from the grid eigensolver, the designed motion is a
 smooth polynomial excursion, and the supporting potential (which here is
 genuinely time dependent, unlike the SHO case) is derived automatically.
-The packet is then propagated under that potential and its density is
-compared against the rigid translation of the eigenmode.
+``cases.run_case`` checks the construction against the time-dependent
+Schrodinger equation, propagates the packet under that potential and
+compares its density against the rigid translation of the eigenmode.
 """
-
-import numpy as np
 
 from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
                   Polynomial, PropagationConfig, SampledShape,
-                  StaticPotential, analytic_psi, lowest_eigenpairs, propagate,
-                  shape_deviation, tdse_residual, v_nswp)
+                  StaticPotential, lowest_eigenpairs, v_nswp)
+from nswp.cases import NswpCase, run_case
 
 
 def quartic_round_trip(grid, dt):
@@ -31,21 +30,13 @@ def quartic_round_trip(grid, dt):
     traj = Polynomial((0.0, 0.0, 16.0, -32.0, 20.0, -4.0))
     sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
                        GaugeFunction.zero(), consts=consts, t_max=t_end + 1.0)
-
-    peak = float(np.max(np.abs(analytic_psi(sol, grid, 0.0).values)))
-    res = max(tdse_residual(sol, v, grid, t) for t in (0.3, 1.0, 1.7)) / peak
-
-    def v_fn(x, t):
-        return v_nswp(sol, v, x, t)
-
-    def ref_density(t):
-        return sol.shape.on_grid_shifted(grid, traj.d(t)) ** 2
-
+    # no closed form beyond V_nswp itself, so no support times to compare at
+    case = NswpCase(sol, v, lambda x, t: v_nswp(sol, v, x, t), "v_nswp",
+                    support_times=(), residual_times=(0.3, 1.0, 1.7))
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=400)
-    report = propagate(analytic_psi(sol, grid, 0.0), v_fn, config, consts)
-    dev = max(shape_deviation(report, ref_density))
+    report, _, residual = run_case(case, config)
     drift = max(abs(c - traj.d(t)) for c, t in zip(report.centroid, report.times))
-    return pair, res, dev, drift
+    return pair, residual.value, max(report.shape_deviation), drift
 
 
 def main():

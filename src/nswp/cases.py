@@ -6,6 +6,8 @@ Each run constructs the closed-form packet, self-checks it against the
 time-dependent Schrodinger equation, propagates it independently
 (a fourth-order Pade step between walls, split-step Fourier under the
 Airy runs' absorbing mask), and reduces the result to named pass/fail checks.
+The three NSWP families share these steps through ``NswpCase`` and
+``run_case`` and add only the checks of their own family.
 ``SCENARIOS`` is the table of runs the command line offers by name.
 """
 
@@ -83,27 +85,92 @@ def _overlap_mod(a: WaveField, b: WaveField) -> float:
 
 
 # ---------------------------------------------------------------------------
+# One NSWP run: construct, self-check, propagate, compare
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NswpCase:
+    """A closed-form packet ``sol``, a mode of the static ``v``, with what
+    its family predicts: ``v_run(x, t)``, the closed form of its supporting
+    potential V_nswp, which ``support`` names and ``support_times`` sample
+    (none where ``v_run`` is V_nswp itself); the times of the construction
+    residual, taken ``margin`` cells in from the edges; and the ``window``
+    (x_lo, x_hi) its density is compared on, None for the whole grid."""
+
+    sol: NswpSolution
+    v: StaticPotential
+    v_run: Callable[[np.ndarray, float], np.ndarray]
+    support: str
+    support_times: tuple
+    residual_times: tuple
+    margin: int = 8
+    window: Optional[tuple] = None
+
+    def reference(self, grid: Grid1D):
+        """t -> |f(x - d(t))|^2 at the window's points only, and the window's
+        grid selector: the window checks read no other point."""
+        shape, d = self.sol.shape, self.sol.trajectory.d
+        if self.window is None:
+            return (lambda t: shape.on_grid_shifted(grid, d(t)) ** 2), slice(None)
+        sel = (grid.x >= self.window[0]) & (grid.x <= self.window[1])
+        x_window = grid.x[sel]
+        return (lambda t: shape.values_at(x_window - d(t)) ** 2), sel
+
+
+def run_case(case: NswpCase, config: PropagationConfig
+             ) -> tuple[RunReport, CheckResult, CheckResult]:
+    """The checks every NSWP family shares, and its run.
+
+    Returns the report of Psi(0) propagated under ``case.v_run`` (tapered
+    into the mask under an ``AbsorbingMask``), with its shape
+    deviation from |f(x - d(t))|^2 on the case's window; the check that
+    V_nswp is ``v_run`` at the support times; and the construction TDSE
+    residual relative to max|Psi(0)|."""
+    sol, grid = case.sol, config.grid
+    support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
+                                       - case.v_run(grid.x, t))))
+                   for t in case.support_times), default=0.0)
+    psi0 = analytic_psi(sol, grid, 0.0)
+    residual = max(tdse_residual(sol, case.v, grid, t, margin=case.margin)
+                   for t in case.residual_times) / float(np.max(np.abs(psi0.values)))
+    if isinstance(config.boundary, AbsorbingMask):
+        # a non-normalizable mode ends abruptly at the domain edges; its kink
+        # would radiate fast spurious components across the whole window
+        # within a few steps, so take it smoothly to zero across the mask
+        s = edge_ramp(grid, config.boundary.width)
+        psi0 = WaveField(grid=grid, values=psi0.values * np.cos(0.5 * np.pi * s) ** 2)
+    report = propagate(psi0, case.v_run, config, sol.consts)
+    report.shape_deviation = shape_deviation(report, *case.reference(grid))
+    return (report, CheckResult.below(case.support, support, 1e-10),
+            CheckResult.below("construction_tdse_residual", residual, 1e-4,
+                              note="relative to max|Psi|"))
+
+
+# ---------------------------------------------------------------------------
 # Shifted SHO eigenstates (Schrodinger / Senitzky family)
 # ---------------------------------------------------------------------------
 
-def sho_solution(
+def sho_case(
     n: int = 0,
     amplitude: float = 2.0,
     omega: float = 1.0,
     grid: Grid1D = _SHO_GRID,
     consts: PhysicalConstants = PhysicalConstants(),
     t_max: float = 10.0,
-) -> tuple[NswpSolution, StaticPotential]:
+) -> NswpCase:
     """The n-th oscillator mode swinging on d = amplitude sin(omega t), with
-    the gauge that keeps its supporting potential the static oscillator;
-    returns the packet and that oscillator. ``t_max`` is the phi0 cache
-    horizon."""
+    the gauge that keeps its supporting potential the static oscillator,
+    sampled on ``grid``. ``t_max`` is the phi0 cache horizon."""
     v_static = StaticPotential.harmonic(omega, consts.mass)
     pair = lowest_eigenpairs(v_static, grid, consts, n + 1)[n]
     traj = Sinusoid(amplitude=amplitude, omega=omega)
     sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
                        gauge_sho_case(omega, traj, consts), consts=consts, t_max=t_max)
-    return sol, v_static
+    v_samples = np.asarray(v_static(grid.x))
+    period = 2.0 * math.pi / omega
+    return NswpCase(sol, v_static, lambda x, t: v_samples, "gauge_gives_static_sho",
+                    support_times=(0.37 * period,),
+                    residual_times=(1e-4, 0.3 * period, 0.7 * period))
 
 
 def run_sho_shifted(
@@ -122,50 +189,30 @@ def run_sho_shifted(
     the run, so the <P> series stays uniform for its 5-point difference."""
     period = 2.0 * math.pi / omega
     t_end = period
-
-    sol, v_static = sho_solution(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
-    traj = sol.trajectory
-    v_samples = np.asarray(v_static(grid.x))
+    case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
+    sol, v_static = case.sol, case.v
     if dt is None:
-        dt = _guarded_dt(period / 1000.0, float(np.max(np.abs(v_samples))), consts)
-
-    # construction self-check before any dynamics
-    psi0 = analytic_psi(sol, grid, 0.0)
-    peak = float(np.max(np.abs(psi0.values)))
-    construction_residual = max(
-        tdse_residual(sol, v_static, grid, t) for t in (1e-4, 0.3 * period, 0.7 * period)
-    ) / peak
-
-    # with the SHO gauge the supporting potential is the static oscillator
-    gauge_check = float(np.max(np.abs(
-        v_nswp(sol, v_static, grid.x, 0.37 * period) - v_samples
-    )))
-
-    def ref_density(t):
-        return sol.shape.on_grid_shifted(grid, traj.d(t)) ** 2
+        dt = _guarded_dt(period / 1000.0, float(np.max(np.abs(v_static(grid.x)))), consts)
 
     n_steps = round(t_end / dt)
     stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
                  if n_steps % k == 0)
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=stride)
-    report = propagate(psi0, lambda x, t: v_samples, config, consts)
-    report.shape_deviation = shape_deviation(report, ref_density)
-    report.htilde_residual = [htilde_residual(snap, v_static, traj, consts, sol.E_f, t)
-                              for snap, t in zip(report.snapshots, report.times)]
-
-    shape_dev = float(np.max(report.shape_deviation))
-    htilde_max = float(np.max(report.htilde_residual))
+    report, support, residual = run_case(case, config)
+    report.htilde_residual = [
+        htilde_residual(snap, v_static, sol.trajectory, consts, sol.E_f, t)
+        for snap, t in zip(report.snapshots, report.times)]
     overlap_dev = abs(1.0 - _overlap_mod(report.snapshots[0], report.snapshots[-1]))
 
     checks = [
-        CheckResult("construction_tdse_residual", construction_residual, 1e-4,
-                    construction_residual < 1e-4, note="relative to max|Psi|"),
-        CheckResult("gauge_gives_static_sho", gauge_check, 1e-10, gauge_check < 1e-10),
-        CheckResult("shape_deviation", shape_dev, 5e-4, shape_dev < 5e-4),
-        CheckResult("htilde_residual_max", htilde_max, 1e-4, htilde_max < 1e-4),
-        *classical_motion_check(report, traj, consts),
+        residual,
+        support,
+        CheckResult.below("shape_deviation", float(np.max(report.shape_deviation)), 5e-4),
+        CheckResult.below("htilde_residual_max", float(np.max(report.htilde_residual)),
+                          1e-4),
+        *classical_motion_check(report, sol.trajectory, consts),
         *energy_split_check(report, sol, v_static, consts),
-        CheckResult("period_end_overlap", overlap_dev, 1e-4, overlap_dev < 1e-4),
+        CheckResult.below("period_end_overlap", overlap_dev, 1e-4),
     ]
     return ScenarioResult(
         name=f"sho_shifted_n{n}",
@@ -200,62 +247,45 @@ def _windowed_momentum(psi: WaveField, sel: np.ndarray, hbar: float) -> float:
     return float(num / den)
 
 
-def _window_content_loss(report: RunReport, ref_density, sel: np.ndarray,
-                         dx: float) -> float:
-    """Mask contamination: relative loss of the windowed probability content
-    of the last snapshot against the reference density, which
-    ``ref_density(t)`` gives at the window points."""
+def _window_checks(report: RunReport, case: NswpCase) -> list[CheckResult]:
+    """The density mismatch over the case's window, and the mask
+    contamination: the relative loss of the last snapshot's windowed
+    probability content against the reference density's."""
+    reference, sel = case.reference(report.snapshots[-1].grid)
+    dx = report.snapshots[-1].grid.dx
     content = np.trapezoid(report.snapshots[-1].density()[sel], dx=dx)
-    content_ref = np.trapezoid(ref_density(report.times[-1]), dx=dx)
-    return float(abs(1.0 - content / content_ref))
+    absorbed = float(abs(1.0 - content / np.trapezoid(reference(report.times[-1]), dx=dx)))
+    return [CheckResult.below("windowed_density_mismatch",
+                              float(np.max(report.shape_deviation)), 1e-3,
+                              note="sup, relative to peak"),
+            CheckResult.below("window_content_loss", absorbed, 0.01)]
 
 
-def _airy_window_density(sol: NswpSolution, grid: Grid1D, sel: np.ndarray):
-    """t -> |f(x - d(t))|^2 at the window points only: the window checks
-    read no other point."""
-    x_window = grid.x[sel]
-
-    def ref_density(t):
-        return sol.shape.values_at(x_window - sol.trajectory.d(t)) ** 2
-    return ref_density
-
-
-def airy_free_solution(B: float = 1.0, consts: PhysicalConstants = PhysicalConstants(),
-                       t_max: float = 10.0) -> NswpSolution:
-    """Closed-form free-space Airy packet: E_f = 0, A = B^3/(2m)."""
+def _airy_case(B: float, consts: PhysicalConstants, t_max: float, trajectory,
+               v_run, support: str, support_times: tuple) -> NswpCase:
+    """The Airy mode of V = A x, A = B^3/(2m), E_f = 0, moving on
+    ``trajectory(A)`` under the gauge G = A d that cancels the moving-well
+    offset, so that V_nswp is ``v_run``."""
     A = B**3 / (2.0 * consts.mass)
     shape = AiryShape(A=A, energy=0.0, consts=consts)
-    traj = UniformAcceleration(A / consts.mass)
-    return NswpSolution(shape, traj, gauge_linear_case(A, traj),
-                        consts=consts, t_max=t_max)
+    traj = trajectory(A)
+    sol = NswpSolution(shape, traj, gauge_linear_case(A, traj), consts=consts, t_max=t_max)
+    return NswpCase(sol, StaticPotential.linear(A), v_run, support, support_times,
+                    residual_times=(0.1, 1.0), margin=16, window=_AIRY_WINDOW)
 
 
-def _taper_into_mask(psi: WaveField) -> WaveField:
-    """Smoothly take the field to zero across the Airy mask zones.
-
-    The raw Airy mode is truncated abruptly at the domain edges; the kink
-    would radiate fast spurious components across the whole window within a
-    few steps.
-    """
-    s = edge_ramp(psi.grid, _AIRY_MASK.width)
-    return WaveField(grid=psi.grid, values=psi.values * np.cos(0.5 * np.pi * s) ** 2,
-                     time=psi.time)
+def airy_free_case(B: float = 1.0, consts: PhysicalConstants = PhysicalConstants(),
+                   t_max: float = 10.0) -> NswpCase:
+    """Closed-form free-space Airy packet: its supporting potential is 0."""
+    return _airy_case(B, consts, t_max, lambda A: UniformAcceleration(A / consts.mass),
+                      lambda x, t: np.zeros_like(x), "supporting_potential_is_zero",
+                      (0.0, 0.7, 1.6))
 
 
-def _airy_run(psi0: WaveField, v_fn, sol: NswpSolution, grid: Grid1D, dt: float,
-              t_end: float, consts: PhysicalConstants):
-    """Propagate the Airy packet ``psi0`` under ``v_fn`` with the absorbing
-    mask, one snapshot every 0.1, and measure its shape deviation over
-    ``_AIRY_WINDOW``; returns the report, the window's grid selector and the
-    windowed reference density."""
-    sel = (grid.x >= _AIRY_WINDOW[0]) & (grid.x <= _AIRY_WINDOW[1])
-    ref_density = _airy_window_density(sol, grid, sel)
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                               snapshot_stride=max(1, round(0.1 / dt)),
-                               boundary=_AIRY_MASK)
-    report = propagate(_taper_into_mask(psi0), v_fn, config, consts)
-    report.shape_deviation = shape_deviation(report, ref_density, sel)
-    return report, sel, ref_density
+def _airy_config(grid: Grid1D, dt: float, t_end: float) -> PropagationConfig:
+    """Steps of ``dt`` to ``t_end`` under the Airy mask, a snapshot every 0.1."""
+    return PropagationConfig(dt=dt, t_end=t_end, grid=grid,
+                             snapshot_stride=max(1, round(0.1 / dt)), boundary=_AIRY_MASK)
 
 
 def run_airy_free(
@@ -276,22 +306,10 @@ def run_airy_free(
     exact up to the mask, and every check value at 1e-2 lies within 0.8 %
     of its tolerance of the value at dt = 2.5e-3.
     """
-    sol = airy_free_solution(B, consts, t_max=t_end + 1.0)
-    A = sol.shape.A
-    m = consts.mass
-
-    # supporting potential must vanish identically (free space)
-    v_lin = StaticPotential.linear(A)
-    vmax = max(
-        float(np.max(np.abs(v_nswp(sol, v_lin, grid.x, t)))) for t in (0.0, 0.7, 1.6)
-    )
-    psi0 = analytic_psi(sol, grid, 0.0)
-    peak_psi = float(np.max(np.abs(psi0.values)))
-    construction_residual = max(
-        tdse_residual(sol, v_lin, grid, t, margin=16) for t in (0.1, 1.0)
-    ) / peak_psi
-    report, sel, ref_density = _airy_run(psi0, lambda x, t: np.zeros_like(x), sol,
-                                         grid, dt, t_end, consts)
+    case = airy_free_case(B, consts, t_max=t_end + 1.0)
+    A, m = case.sol.shape.A, consts.mass
+    report, support, residual = run_case(case, _airy_config(grid, dt, t_end))
+    _, sel = case.reference(grid)
 
     # main-lobe peak displacement vs B^3 t^2 / (4 m^2)
     times = np.asarray(report.times)
@@ -308,28 +326,22 @@ def run_airy_free(
             f"{np.max(expected):.3g}")
     peak_err = float(np.max(np.abs(displacement[far] - expected[far]) / expected[far]))
 
-    density_mismatch = float(np.max(report.shape_deviation))
-
     # windowed <P> grows linearly at rate A: H_c carries the constant force
     p_window = np.array([
         _windowed_momentum(snap, sel, consts.hbar) for snap in report.snapshots
     ])
     slope = float(np.polyfit(times, p_window, 1)[0])
-    force_err = abs(slope - A) / A
-
-    absorbed = _window_content_loss(report, ref_density, sel, grid.dx)
+    mismatch, loss = _window_checks(report, case)
 
     checks = [
-        CheckResult("supporting_potential_is_zero", vmax, 1e-10, vmax < 1e-10),
-        CheckResult("construction_tdse_residual", construction_residual, 1e-4,
-                    construction_residual < 1e-4, note="relative to max|Psi|"),
-        CheckResult("peak_follows_quadratic_law", peak_err, 0.02,
-                    peak_err < 0.02, note="relative, displacement >= 1"),
-        CheckResult("windowed_density_mismatch", density_mismatch, 1e-3,
-                    density_mismatch < 1e-3, note="sup, relative to peak"),
-        CheckResult("hc_constant_force", force_err, 0.05, force_err < 0.05,
-                    note="d<P_window>/dt vs A, relative"),
-        CheckResult("window_content_loss", absorbed, 0.01, absorbed < 0.01),
+        support,
+        residual,
+        CheckResult.below("peak_follows_quadratic_law", peak_err, 0.02,
+                          note="relative, displacement >= 1"),
+        mismatch,
+        CheckResult.below("hc_constant_force", abs(slope - A) / A, 0.05,
+                          note="d<P_window>/dt vs A, relative"),
+        loss,
     ]
     return ScenarioResult(
         name="airy_free",
@@ -338,7 +350,7 @@ def run_airy_free(
         extras={"B": B, "A": A, "dt": dt, "t_end": t_end,
                 "window": list(_AIRY_WINDOW), "mask_width": _AIRY_MASK.width,
                 "mask_strength": _AIRY_MASK.strength},
-        solution=sol,
+        solution=case.sol,
     )
 
 
@@ -385,15 +397,14 @@ def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float
     return mesh_doubling(phi0_on_mesh, F, t, 1e-10)
 
 
-def forced_airy_solution(B: float = 1.0, F: Callable[[float], float] = lambda t: 0.0,
-                         consts: PhysicalConstants = PhysicalConstants(),
-                         t_max: float = 10.0) -> NswpSolution:
-    """Closed-form Airy packet pushed by the uniform force A + F(t)."""
-    A = B**3 / (2.0 * consts.mass)
-    shape = AiryShape(A=A, energy=0.0, consts=consts)
-    traj = ForceTrajectory(A, F, consts, t_max=t_max)
-    return NswpSolution(shape, traj, gauge_linear_case(A, traj),
-                        consts=consts, t_max=t_max)
+def airy_forced_case(B: float = 1.0, F: Callable[[float], float] = lambda t: 0.0,
+                     consts: PhysicalConstants = PhysicalConstants(),
+                     t_max: float = 10.0) -> NswpCase:
+    """Closed-form Airy packet pushed by the uniform force A + F(t): its
+    supporting potential reduces to -F(t) x."""
+    return _airy_case(B, consts, t_max, lambda A: ForceTrajectory(A, F, consts, t_max=t_max),
+                      lambda x, t: -F(t) * x, "supporting_potential_is_minus_Fx",
+                      (0.0, 0.6, 1.5))
 
 
 def run_airy_forced(
@@ -412,20 +423,9 @@ def run_airy_forced(
     midpoints and an O(dt^2 F') shift, stays below the windowed density
     floor for sin forces of amplitude up to 0.45 and frequency up to 12.
     """
-    sol = forced_airy_solution(B, F, consts, t_max=t_end + 1.0)
-    A = sol.shape.A
-
-    # the supporting potential reduces to -F(t) x
-    v_lin = StaticPotential.linear(A)
-    vdev = max(
-        float(np.max(np.abs(v_nswp(sol, v_lin, grid.x, t) + F(t) * grid.x)))
-        for t in (0.0, 0.6, 1.5)
-    )
-    psi0 = analytic_psi(sol, grid, 0.0)
-    peak_psi = float(np.max(np.abs(psi0.values)))
-    construction_residual = max(
-        tdse_residual(sol, v_lin, grid, t, margin=16) for t in (0.1, 1.0)
-    ) / peak_psi
+    case = airy_forced_case(B, F, consts, t_max=t_end + 1.0)
+    sol, A = case.sol, case.sol.shape.A
+    report, support, residual = run_case(case, _airy_config(grid, dt, t_end))
 
     # dual-route phase: nested-integral formula vs direct quadrature
     ts = np.linspace(0.0, min(3.0, sol.t_max - 0.5), 13)
@@ -433,20 +433,12 @@ def run_airy_forced(
         abs(phi0_forced_airy(A, F, sol.E_f, t, consts) - direct)
         for t, direct in zip(ts, sol.phi0_direct(ts))
     )
-    report, sel, ref_density = _airy_run(psi0, lambda x, t: -F(t) * x, sol,
-                                         grid, dt, t_end, consts)
-    density_mismatch = float(np.max(report.shape_deviation))
-    absorbed = _window_content_loss(report, ref_density, sel, grid.dx)
-
     checks = [
-        CheckResult("supporting_potential_is_minus_Fx", vdev, 1e-10, vdev < 1e-10),
-        CheckResult("construction_tdse_residual", construction_residual, 1e-4,
-                    construction_residual < 1e-4, note="relative to max|Psi|"),
-        CheckResult("phase_dual_route", phase_dev, 1e-8, phase_dev < 1e-8,
-                    note="nested-integral phi0 vs direct quadrature"),
-        CheckResult("windowed_density_mismatch", density_mismatch, 1e-3,
-                    density_mismatch < 1e-3, note="sup, relative to peak"),
-        CheckResult("window_content_loss", absorbed, 0.01, absorbed < 0.01),
+        support,
+        residual,
+        CheckResult.below("phase_dual_route", phase_dev, 1e-8,
+                          note="nested-integral phi0 vs direct quadrature"),
+        *_window_checks(report, case),
     ]
     return ScenarioResult(
         name=f"airy_forced_{force_label}",
@@ -489,10 +481,9 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
     final_dev = float(report.shape_deviation[-1])
 
     checks = [
-        CheckResult("width_follows_spreading_law", width_err, 0.01,
-                    width_err < 0.01, note="relative"),
-        CheckResult("spreading_detected", final_dev, 1e-2, final_dev > 1e-2,
-                    note="shape deviation must EXCEED threshold"),
+        CheckResult.below("width_follows_spreading_law", width_err, 0.01, note="relative"),
+        CheckResult.above("spreading_detected", final_dev, 1e-2,
+                          note="shape deviation must EXCEED threshold"),
     ]
     return ScenarioResult(
         name="gaussian_spreading_control",
@@ -605,12 +596,10 @@ def run_sho_timedep_frequency(
     max_dev = float(np.max(report.shape_deviation))
 
     if modulation == 0.0:
-        checks = [CheckResult("control_stays_rigid", max_dev, CONTROL_THRESHOLD,
-                              max_dev < CONTROL_THRESHOLD)]
+        checks = [CheckResult.below("control_stays_rigid", max_dev, CONTROL_THRESHOLD)]
     else:
-        checks = [CheckResult("spread_detected", max_dev, SPREAD_THRESHOLD,
-                              max_dev > SPREAD_THRESHOLD,
-                              note="deviation must EXCEED threshold")]
+        checks = [CheckResult.above("spread_detected", max_dev, SPREAD_THRESHOLD,
+                                    note="deviation must EXCEED threshold")]
     return ScenarioResult(
         name=f"sho_timedep_freq_eps{modulation:g}",
         report=report,
@@ -643,12 +632,13 @@ def run_corrupted_phase(consts: PhysicalConstants = PhysicalConstants()) -> Scen
     packet on 2048 points over [-8, 8] must inflate at least 100x when its
     global phase is dropped."""
     grid = Grid1D(-8.0, 8.0, 2048)
-    sol, v = sho_solution(grid=grid, consts=consts, t_max=20.0)
+    case = sho_case(grid=grid, consts=consts, t_max=20.0)
+    sol, v = case.sol, case.v
     peak = float(np.max(np.abs(analytic_psi(sol, grid, 1.0).values)))
     good = tdse_residual(sol, v, grid, 1.0) / peak
     bad = tdse_residual(sol, v, grid, 1.0, drop_phi0=True) / peak
-    check = CheckResult("residual_inflates_100x", bad / good, 100.0, bad > 100.0 * good,
-                        note="corrupted/good TDSE residual ratio")
+    check = CheckResult.above("residual_inflates_100x", bad / good, 100.0,
+                              note="corrupted/good TDSE residual ratio")
     return ScenarioResult(name="corrupted_phase_control", report=None, checks=[check],
                           extras={"good_residual": good, "corrupted_residual": bad})
 
@@ -683,10 +673,6 @@ def uniform_force(force_kind: str = "sin", force_amp: float = 0.3,
     raise ConfigurationError(f"unknown force_kind '{force_kind}'")
 
 
-def _on_linear_v(sol: NswpSolution) -> tuple[NswpSolution, StaticPotential]:
-    return sol, StaticPotential.linear(sol.shape.A)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A run the command line offers by name.
@@ -694,16 +680,15 @@ class Scenario:
     ``run(**kwargs)`` returns a ScenarioResult. Every scenario takes hbar and
     mass (as ``consts``) besides its own ``keys``; one with a default
     ``grid`` also takes the grid keys (as ``grid``) and, if it has a
-    ``build``, ``build(**kwargs, t_max=...)`` returns its closed-form packet
-    and static potential. ``run`` and ``build`` are lambdas, so the module
-    functions they call are looked up when called, not when this table is
-    built.
+    ``case``, ``case(**kwargs, t_max=...)`` returns its ``NswpCase``. ``run``
+    and ``case`` are lambdas, so the module functions they call are looked
+    up when called, not when this table is built.
     """
 
     run: Callable[..., ScenarioResult]
     keys: tuple = ()
     grid: Optional[Grid1D] = None
-    build: Optional[Callable] = None
+    case: Optional[Callable] = None
     propagates: bool = True
 
     @property
@@ -711,7 +696,7 @@ class Scenario:
         return {*self.keys, "hbar", "mass", *(GRID_KEYS if self.grid else ())}
 
     def kwargs(self, config: dict) -> dict:
-        """Keyword arguments of ``run`` and ``build`` from a flat config."""
+        """Keyword arguments of ``run`` and ``case`` from a flat config."""
         kw = {"n" if k == "mode_index" else k: v
               for k, v in config.items() if k in self.keys and k not in FORCE_KEYS}
         kw["consts"] = consts_from(config)
@@ -727,16 +712,16 @@ SCENARIOS = {
     "sho": Scenario(
         run=lambda **kw: run_sho_shifted(**kw),
         keys=("mode_index", "amplitude", "omega", "dt"), grid=_SHO_GRID,
-        build=lambda **kw: sho_solution(**kw)),
+        case=lambda **kw: sho_case(**kw)),
     "airy-free": Scenario(
         run=lambda **kw: run_airy_free(**kw),
         keys=("B", "dt", "t_end"), grid=_AIRY_GRID,
         # the grid only samples a closed-form Airy packet
-        build=lambda grid, **kw: _on_linear_v(airy_free_solution(**kw))),
+        case=lambda grid, **kw: airy_free_case(**kw)),
     "airy-forced": Scenario(
         run=lambda **kw: run_airy_forced(**kw),
         keys=("B", "dt", "t_end", *FORCE_KEYS), grid=_AIRY_GRID,
-        build=lambda grid, force_label, **kw: _on_linear_v(forced_airy_solution(**kw))),
+        case=lambda grid, force_label, **kw: airy_forced_case(**kw)),
     "gaussian-control": Scenario(run=lambda **kw: run_gaussian_spreading(**kw)),
     "sho-timedep-freq": Scenario(run=lambda **kw: run_sho_timedep_with_control(**kw),
                                  keys=("modulation",)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .constructor import analytic_psi, v_nswp
 from .eigensolver import StaticPotential, lowest_eigenpairs, write_eigenpair
 from .errors import (AccuracyError, ConfigurationError, ConvergenceError,
                      NswpError, RangeError)
-from .grids import Grid1D, write_wavefield_csv
+from .grids import Grid1D, write_json, write_wavefield_csv
 
 # value type of each config key; every key not listed takes a float
 _TYPES = {"potential": str, "scenario": str, "force_kind": str, "k": int,
@@ -29,25 +30,35 @@ _TYPES = {"potential": str, "scenario": str, "force_kind": str, "k": int,
 _CONSTRUCT_T_MAX = 20.0  # phi0 cache horizon of the packets `construct` samples
 
 
+def _finite(t) -> bool:
+    """``t`` is an int or float, not a bool, with a finite float value."""
+    try:
+        return not isinstance(t, bool) and math.isfinite(t)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _typed(key: str, value):
-    """``value`` if it has ``key``'s type (an int also passes as a float)."""
+    """``value`` if it has ``key``'s type; a float, or each number of a
+    list, must be finite (an int also passes as a float)."""
     kind = _TYPES.get(key, float)
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-    if kind is list:
-        ok = ok and all(isinstance(t, (int, float)) and not isinstance(t, bool)
-                        for t in value)
+    if kind is float:
+        ok = _finite(value)
+    elif kind is list:
+        ok = isinstance(value, list) and all(map(_finite, value))
+    else:
+        ok = isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
     if not ok:
-        raise ConfigurationError(f"bad value for '{key}': {value!r} is not a {kind.__name__}")
-    return value
+        what = {float: "finite float", list: "list of finite numbers"}.get(kind, kind.__name__)
+        raise ConfigurationError(f"bad value for '{key}': {value!r} is not a {what}")
+    return float(value) if kind is float else value
 
 
 def _scenario(command: str, config: dict) -> cases.Scenario:
     """The table entry ``config`` names; raises unless it takes every key."""
     name = config.get("scenario", "sho")
     entry = cases.SCENARIOS.get(name)
-    if entry is None or (command == "construct" and entry.build is None) \
+    if entry is None or (command == "construct" and entry.case is None) \
             or (command == "propagate" and not entry.propagates):
         raise ConfigurationError(f"'{command}' has no scenario '{name}'")
     ignored = sorted(set(config) - entry.config_keys - {"scenario", "times", "write_snapshots"})
@@ -78,12 +89,6 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
     return config
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
 def cmd_eigen(config: dict, out: Path) -> int:
     kind = config.get("potential", "harmonic")
     consts = cases.consts_from(config)
@@ -106,12 +111,12 @@ def cmd_eigen(config: dict, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for pair in pairs:
         write_eigenpair(pair, out / f"mode_{pair.index}.csv", out / f"mode_{pair.index}.json")
-    _write_json(out / "energies.json", {
+    write_json(out / "energies.json", {
         "potential": kind, "params": v.params,
         "energies": [p.energy for p in pairs],
         "residuals": [p.residual for p in pairs],
     })
-    _write_json(out / "manifest.json", {"command": "eigen", "config": config})
+    write_json(out / "manifest.json", {"command": "eigen", "config": config})
     print(f"wrote {k} modes to {out}")
     return 0
 
@@ -119,7 +124,8 @@ def cmd_eigen(config: dict, out: Path) -> int:
 def cmd_construct(config: dict, out: Path) -> int:
     entry = _scenario("construct", config)
     kwargs = entry.kwargs(config)
-    sol, v = entry.build(**kwargs, t_max=_CONSTRUCT_T_MAX)
+    case = entry.case(**kwargs, t_max=_CONSTRUCT_T_MAX)
+    sol, v = case.sol, case.v
     grid, consts = kwargs["grid"], kwargs["consts"]
     times = [float(t) for t in config.get("times", [0.0, 0.5, 1.0])]
     out.mkdir(parents=True, exist_ok=True)
@@ -134,7 +140,7 @@ def cmd_construct(config: dict, out: Path) -> int:
         fh.write("t,phi1,phi0\n")
         for t in times:
             fh.write(f"{t:.17g},{sol.phi1(t):.17g},{sol.phi0(t):.17g}\n")
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "command": "construct", "config": config,
         "E_f": sol.E_f, "gauge": sol.gauge.kind, "trajectory": sol.trajectory.kind,
         "hbar": consts.hbar, "mass": consts.mass, "times": times,
@@ -151,14 +157,14 @@ def _run(command: str, config: dict) -> cases.ScenarioResult:
 def cmd_propagate(config: dict, out: Path) -> int:
     result = _run("propagate", config)
     out.mkdir(parents=True, exist_ok=True)
-    result.report.write_json(out / "report.json")
+    write_json(out / "report.json", result.report.to_dict())
     if config.get("write_snapshots", False):
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         for i, psi in enumerate(result.report.snapshots):
             write_wavefield_csv(psi, snap_dir / f"snapshot_{i:04d}.csv")
-    _write_json(out / "manifest.json", {"command": "propagate", "config": config,
-                                        "scenario_extras": result.extras})
+    write_json(out / "manifest.json", {"command": "propagate", "config": config,
+                                       "scenario_extras": result.extras})
     print(f"propagated scenario '{result.name}'; report in {out}")
     return 0
 
@@ -167,8 +173,8 @@ def cmd_verify(config: dict, out: Path) -> int:
     payload = _run("verify", config).to_dict()
     del payload["report"]
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", payload)
-    _write_json(out / "manifest.json", {"command": "verify", "config": config})
+    write_json(out / "report.json", payload)
+    write_json(out / "manifest.json", {"command": "verify", "config": config})
     for check in payload["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
         print(f"[{status}] {check['name']}: {check['value']:.3e} (tol {check['tolerance']:.1e})")
@@ -189,8 +195,8 @@ def cmd_reproduce(config: dict, out: Path) -> int:
         code = cmd_verify({"scenario": scenario}, out / name)
         summary[name] = {"exit_code": code, "pass": code == 0}
         all_ok &= code == 0
-    _write_json(out / "report.json", {"command": "reproduce", "scenarios": summary,
-                                      "pass": all_ok})
+    write_json(out / "report.json", {"command": "reproduce", "scenarios": summary,
+                                     "pass": all_ok})
     print(f"reproduce: {'all scenarios pass' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1
 

@@ -13,7 +13,6 @@ eigensolver: its shape is the closed-form Airy mode, ``constructor.AiryShape``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import AccuracyError, ConvergenceError
 from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
-                    bands_apply, m_solve, numerov_bands)
+                    bands_apply, m_solve, numerov_bands, write_json)
 
 _MAX_ITERATIONS = 20
 
@@ -30,8 +29,7 @@ _MAX_ITERATIONS = 20
 class StaticPotential:
     """Static V(x): linear, harmonic or quartic."""
 
-    def __init__(self, kind: str, fn, params: dict):
-        self.kind = kind
+    def __init__(self, fn, params: dict):
         self._fn = fn
         self.params = dict(params)
 
@@ -40,22 +38,19 @@ class StaticPotential:
 
     @classmethod
     def linear(cls, A: float) -> "StaticPotential":
-        return cls("linear", lambda x: A * x, {"A": A})
+        return cls(lambda x: A * x, {"A": A})
 
     @classmethod
     def harmonic(cls, omega: float, mass: float = 1.0) -> "StaticPotential":
         if omega <= 0:
             raise ValueError("harmonic potential requires omega > 0")
-        return cls(
-            "harmonic", lambda x: 0.5 * mass * omega**2 * x**2,
-            {"omega": omega, "mass": mass},
-        )
+        return cls(lambda x: 0.5 * mass * omega**2 * x**2, {"omega": omega, "mass": mass})
 
     @classmethod
     def quartic(cls, lam: float) -> "StaticPotential":
         if lam <= 0:
             raise ValueError("quartic potential requires lambda > 0")
-        return cls("quartic", lambda x: lam * x**4, {"lambda": lam})
+        return cls(lambda x: lam * x**4, {"lambda": lam})
 
 
 @dataclass(frozen=True)
@@ -160,9 +155,5 @@ def write_eigenpair(pair: EigenPair, csv_path, json_path) -> None:
         fh.write("x,f\n")
         for xi, fi in zip(pair.shape.grid.x, pair.shape.values.real):
             fh.write(f"{xi:.17g},{fi:.17g}\n")
-    with open(json_path, "w") as fh:
-        json.dump(
-            {"energy": pair.energy, "index": pair.index, "residual": pair.residual},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(json_path, {"energy": pair.energy, "index": pair.index,
+                           "residual": pair.residual})

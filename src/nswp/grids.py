@@ -15,6 +15,7 @@ displacements are representable.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -234,6 +235,14 @@ def write_wavefield_csv(psi: WaveField, path) -> None:
         writer.writerow(["x", "re", "im"])
         for xi, v in zip(psi.grid.x, psi.values):
             writer.writerow([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+
+
+def write_json(path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys. Strict: a NaN or inf
+    raises ValueError before anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def read_wavefield_csv(path, time: float = 0.0) -> WaveField:

@@ -40,7 +40,6 @@ edge; the record step raises ``BoundaryError`` when it does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -125,11 +124,6 @@ class RunReport:
         """The metric columns the run recorded; an empty one is left out."""
         return {f.name: list(getattr(self, f.name)) for f in fields(self)
                 if f.name != "snapshots" and getattr(self, f.name)}
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
 
 
 def pade_step(psi: WaveField, v_mid: np.ndarray, dt: float,

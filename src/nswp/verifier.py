@@ -43,6 +43,16 @@ class CheckResult:
     passed: bool
     note: str = ""
 
+    @classmethod
+    def below(cls, name: str, value: float, bound: float, note: str = "") -> "CheckResult":
+        """Passes when ``value`` < ``bound``."""
+        return cls(name, value, bound, value < bound, note)
+
+    @classmethod
+    def above(cls, name: str, value: float, bound: float, note: str = "") -> "CheckResult":
+        """Passes when ``value`` > ``bound``."""
+        return cls(name, value, bound, value > bound, note)
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -152,9 +162,9 @@ def classical_motion_check(report: RunReport, traj: Trajectory,
     dev_f = float(np.max(np.abs(dp_dt - consts.mass * d_ddot[2:-2])))
 
     return [
-        CheckResult("centroid_tracks_trajectory", dev_x, 1e-4, dev_x < 1e-4),
-        CheckResult("momentum_tracks_m_ddot", dev_p, 1e-4, dev_p < 1e-4),
-        CheckResult("momentum_rate_tracks_force", dev_f, 1e-3, dev_f < 1e-3),
+        CheckResult.below("centroid_tracks_trajectory", dev_x, 1e-4),
+        CheckResult.below("momentum_tracks_m_ddot", dev_p, 1e-4),
+        CheckResult.below("momentum_rate_tracks_force", dev_f, 1e-3),
     ]
 
 
@@ -178,9 +188,8 @@ def energy_split_check(report: RunReport, sol: NswpSolution, v: StaticPotential,
     dev = float(np.max(np.abs(energy - expected)))
     drift = float(np.max(energy) - np.min(energy))
     return [
-        CheckResult("energy_split_value", dev, 2e-4, dev < 2e-4,
-                    note="max |<H> - (E_f + E_cl)|"),
-        CheckResult("energy_constant_in_time", drift, 2e-4, drift < 2e-4),
+        CheckResult.below("energy_split_value", dev, 2e-4, note="max |<H> - (E_f + E_cl)|"),
+        CheckResult.below("energy_constant_in_time", drift, 2e-4),
     ]
 
 

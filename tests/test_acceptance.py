@@ -15,7 +15,7 @@ import pytest
 from nswp import (Grid1D, PhysicalConstants, StaticPotential, analytic_psi,
                   htilde_residual, infinitesimal_evolution_check,
                   lowest_eigenpairs, tdse_residual)
-from nswp.cases import airy_free_solution, forced_airy_solution
+from nswp.cases import airy_forced_case, airy_free_case
 from nswp.cli import main as cli_main
 
 from conftest import check_by_name
@@ -57,8 +57,8 @@ def test_criterion_02_constructor_exactness(sho_result):
     worst = max(worst, sho_res)
     # Airy families on a window grid
     agrid = Grid1D(-15.0, 10.0, 4096)
-    for asol in (airy_free_solution(1.0, CONSTS),
-                 forced_airy_solution(1.0, lambda t: 0.3 * np.sin(2 * t), CONSTS)):
+    for asol in (airy_free_case(1.0, CONSTS).sol,
+                 airy_forced_case(1.0, lambda t: 0.3 * np.sin(2 * t), CONSTS).sol):
         v_lin = StaticPotential.linear(asol.shape.A)
         apeak = float(np.max(np.abs(analytic_psi(asol, agrid, 0.0).values)))
         res = max(tdse_residual(asol, v_lin, agrid, t, margin=16)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import nswp.cases
 from nswp import Grid1D, PhysicalConstants, observables
-from nswp.cases import (SCENARIOS, airy_free_solution, forced_airy_solution,
-                        phi0_forced_airy, run_airy_forced, run_airy_free,
-                        run_corrupted_phase, run_sho_shifted,
+from nswp.cases import (SCENARIOS, airy_forced_case, airy_free_case, phi0_forced_airy,
+                        run_airy_forced, run_airy_free, run_corrupted_phase,
+                        run_sho_shifted,
                         run_sho_timedep_frequency, run_sho_timedep_with_control,
                         trap_envelope_half_width, uniform_force)
 
@@ -102,8 +102,8 @@ def test_timedep_frequency_negative_claim(timedep_modulated, timedep_control):
 
 
 def test_forced_reduces_to_free_when_unforced():
-    free = airy_free_solution(1.0, CONSTS, t_max=5.0)
-    forced = forced_airy_solution(1.0, lambda t: 0.0, CONSTS, t_max=5.0)
+    free = airy_free_case(1.0, CONSTS, t_max=5.0).sol
+    forced = airy_forced_case(1.0, lambda t: 0.0, CONSTS, t_max=5.0).sol
     for t in np.linspace(0.0, 4.0, 9):
         assert abs(free.trajectory.d(t) - forced.trajectory.d(t)) < 1e-10
         assert abs(free.phi1(t) - forced.phi1(t)) < 1e-10
@@ -144,7 +144,7 @@ def test_phi0_both_routes_match_sine_force_closed_form():
     # Simpson's rule is exact for F = 0 and F = const; a sine is not
     a, w = 0.3, 2.0
     F = lambda s: a * math.sin(w * s)
-    sol = forced_airy_solution(1.0, F, CONSTS, t_max=3.0)
+    sol = airy_forced_case(1.0, F, CONSTS, t_max=3.0).sol
     A = sol.shape.A
     ts = np.array([0.3, 0.9, 1.6, 2.2, 2.5])
     direct = sol.phi0_direct(ts)
@@ -165,7 +165,7 @@ def test_phase_check_work_counts():
         calls["F"] += 1
         return a * math.sin(w * s)
 
-    sol = forced_airy_solution(1.0, F, CONSTS, t_max=3.0)
+    sol = airy_forced_case(1.0, F, CONSTS, t_max=3.0).sol
     ts = np.linspace(0.0, 2.5, 13)
     calls["F"] = 0
     for t in ts:
@@ -277,28 +277,38 @@ def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
     assert forced.passed and forced.tolerance == free.tolerance == 0.01
 
 
-# (check name, bound) of every scenario and of both trap runs, in report
-# order: a change to a bound, a name or the order shows here as a diff
-CHECK_BOUNDS = {
-    "sho": [("construction_tdse_residual", 1e-4), ("gauge_gives_static_sho", 1e-10),
-            ("shape_deviation", 5e-4), ("htilde_residual_max", 1e-4),
-            ("centroid_tracks_trajectory", 1e-4), ("momentum_tracks_m_ddot", 1e-4),
-            ("momentum_rate_tracks_force", 1e-3), ("energy_split_value", 2e-4),
-            ("energy_constant_in_time", 2e-4), ("period_end_overlap", 1e-4)],
-    "airy-free": [("supporting_potential_is_zero", 1e-10),
-                  ("construction_tdse_residual", 1e-4),
-                  ("peak_follows_quadratic_law", 0.02),
-                  ("windowed_density_mismatch", 1e-3), ("hc_constant_force", 0.05),
-                  ("window_content_loss", 0.01)],
-    "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10),
-                    ("construction_tdse_residual", 1e-4), ("phase_dual_route", 1e-8),
-                    ("windowed_density_mismatch", 1e-3), ("window_content_loss", 0.01)],
-    "gaussian-control": [("width_follows_spreading_law", 0.01),
-                         ("spreading_detected", 1e-2)],
-    "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2)],
-    "corrupted-phase": [("residual_inflates_100x", 100.0)],
-    "trap eps 0.2": [("spread_detected", 1e-2)],
-    "trap eps 0": [("control_stays_rigid", 5e-4)],
+# (check name, bound, value) of every scenario and of both trap runs, in
+# report order: a change to a bound, a name or the order shows here as a
+# diff, and a value that moves by more than 1e-4 relative fails. A value
+# at round-off level (None) is held to its bound only
+CHECKS = {
+    "sho": [("construction_tdse_residual", 1e-4, 1.63968e-07),
+            ("gauge_gives_static_sho", 1e-10, None),
+            ("shape_deviation", 5e-4, 1.75365e-07),
+            ("htilde_residual_max", 1e-4, 4.98218e-07),
+            ("centroid_tracks_trajectory", 1e-4, 1.66750e-07),
+            ("momentum_tracks_m_ddot", 1e-4, 1.80926e-07),
+            ("momentum_rate_tracks_force", 1e-3, 3.23005e-07),
+            ("energy_split_value", 2e-4, 2.85504e-08),
+            ("energy_constant_in_time", 2e-4, None),
+            ("period_end_overlap", 1e-4, None)],
+    "airy-free": [("supporting_potential_is_zero", 1e-10, None),
+                  ("construction_tdse_residual", 1e-4, 2.27300e-06),
+                  ("peak_follows_quadratic_law", 0.02, 2.76616e-05),
+                  ("windowed_density_mismatch", 1e-3, 1.47332e-04),
+                  ("hc_constant_force", 0.05, 7.56699e-07),
+                  ("window_content_loss", 0.01, 6.76249e-07)],
+    "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10, None),
+                    ("construction_tdse_residual", 1e-4, 2.50005e-06),
+                    ("phase_dual_route", 1e-8, None),
+                    ("windowed_density_mismatch", 1e-3, 1.63047e-04),
+                    ("window_content_loss", 0.01, 1.00849e-05)],
+    "gaussian-control": [("width_follows_spreading_law", 0.01, 4.32533e-09),
+                         ("spreading_detected", 1e-2, 0.292855)],
+    "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.172987)],
+    "corrupted-phase": [("residual_inflates_100x", 100.0, 9.28893e+06)],
+    "trap eps 0.2": [("spread_detected", 1e-2, 0.172987)],
+    "trap eps 0": [("control_stays_rigid", 5e-4, 4.83649e-07)],
 }
 
 
@@ -319,4 +329,10 @@ def test_check_names_and_bounds_are_pinned(monkeypatch, sho_result, airy_free_re
     }
     assert set(SCENARIOS) <= set(results)
     assert {name: [(c.name, c.tolerance) for c in result.checks]
-            for name, result in results.items()} == CHECK_BOUNDS
+            for name, result in results.items()} == {
+        name: [(c_name, bound) for c_name, bound, _ in checks]
+        for name, checks in CHECKS.items()}
+    for name, result in results.items():
+        for c, (_, _, value) in zip(result.checks, CHECKS[name]):
+            assert c.passed if value is None else c.value == pytest.approx(value, rel=1e-4), \
+                (name, c.name, c.value)

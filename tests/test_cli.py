@@ -6,6 +6,7 @@ import pytest
 
 from nswp import cli
 from nswp.cli import main
+from nswp.grids import write_json
 
 from test_eigensolver import QUARTIC_E0
 
@@ -99,8 +100,21 @@ def test_airy_forced_t_end_must_be_whole_default_steps(tmp_path, capsys):
 
 
 def test_json_writer_is_strict(tmp_path):
+    # the payload is serialized before the file is opened: no partial file
     with pytest.raises(ValueError):
-        cli._write_json(tmp_path / "x.json", {"value": float("nan")})
+        write_json(tmp_path / "x.json", {"value": float("nan")})
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("scenario", ["airy-free", "airy-forced"])
+def test_construct_airy_on_a_grid_narrower_than_the_run_mask(scenario, tmp_path):
+    # the Airy runs' 8-wide mask does not fit in +-7, but construct only
+    # samples the closed-form packet and builds no propagation config
+    cfg = make_config(tmp_path, x_min=-7.0, x_max=7.0, n_points=512)
+    out = tmp_path / "o"
+    assert main(["construct", "--scenario", scenario, "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert len((out / "psi_000.csv").read_text().splitlines()) == 513
 
 
 def make_config(tmp_path, **kv):

@@ -7,6 +7,7 @@ from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   inner_product, lowest_eigenpairs, norm, pade_step,
                   propagate, shift_field, split_step)
 from nswp import propagator
+from nswp.grids import write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
 from nswp.errors import BoundaryError, ConfigurationError
 
@@ -178,7 +179,7 @@ def test_report_shape_and_json(tmp_path):
     assert report.shape_deviation == [] and report.htilde_residual == []
     assert n == len(report.snapshots)
     path = tmp_path / "report.json"
-    report.write_json(path)
+    write_json(path, report.to_dict())
     text = path.read_text()
     assert '"times"' in text and '"norm"' in text
     assert '"shape_deviation"' not in text and '"htilde_residual"' not in text

@@ -1,6 +1,6 @@
 """The scenario table in ``nswp.cases`` and the CLI that reads it.
 
-Every run and builder is replaced by a recorder, so these tests check which
+Every run and case builder is replaced by a recorder, so these tests check which
 keyword arguments reach them without propagating anything.
 """
 
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import nswp.cases
-from nswp import (CheckResult, Grid1D, PhysicalConstants, RunReport,
-                  StaticPotential, WaveField)
-from nswp.cases import SCENARIOS, ScenarioResult, airy_free_solution
+import nswp.cli
+from nswp import CheckResult, Grid1D, PhysicalConstants, RunReport, WaveField
+from nswp.cases import SCENARIOS, ScenarioResult, airy_free_case
 from nswp.cli import _load_config, main
 from nswp.errors import ConfigurationError
 
@@ -20,8 +20,8 @@ RUNS = {"sho": "run_sho_shifted", "airy-free": "run_airy_free",
         "airy-forced": "run_airy_forced", "gaussian-control": "run_gaussian_spreading",
         "sho-timedep-freq": "run_sho_timedep_with_control",
         "corrupted-phase": "run_corrupted_phase"}
-BUILDERS = {"sho": "sho_solution", "airy-free": "airy_free_solution",
-            "airy-forced": "forced_airy_solution"}
+BUILDERS = {"sho": "sho_case", "airy-free": "airy_free_case",
+            "airy-forced": "airy_forced_case"}
 
 # a value other than the default for every config key the scenario commands know
 SAMPLES = {"mode_index": 1, "amplitude": 1.5, "omega": 1.5, "B": 1.2,
@@ -42,9 +42,9 @@ def _fake_result():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Replace every run and builder; returns the list of (name, kwargs) calls."""
+    """Replace every run and case builder; returns the list of (name, kwargs) calls."""
     record = []
-    sol = airy_free_solution(1.0, PhysicalConstants(), t_max=20.0)
+    case = airy_free_case(1.0, PhysicalConstants(), t_max=20.0)
 
     def recorder(name, result):
         def fake(*args, **kwargs):
@@ -55,9 +55,7 @@ def calls(monkeypatch):
     for name in RUNS.values():
         monkeypatch.setattr(nswp.cases, name, recorder(name, _fake_result()))
     for name in BUILDERS.values():
-        # sho_solution returns the packet with its static V, the Airy builders the packet
-        packet = (sol, StaticPotential.linear(0.5)) if name == "sho_solution" else sol
-        monkeypatch.setattr(nswp.cases, name, recorder(name, packet))
+        monkeypatch.setattr(nswp.cases, name, recorder(name, case))
     return record
 
 
@@ -173,3 +171,36 @@ def test_config_values_of_the_wrong_type_are_rejected(command, key, value, tmp_p
 def test_config_ints_pass_as_floats():
     config = _load_config("verify", None, {"scenario": "sho", "amplitude": 2})
     assert config["amplitude"] == 2.0 and isinstance(config["amplitude"], float)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("key", [*(k for k, v in SAMPLES.items() if isinstance(v, float)),
+                                 "times"])
+def test_non_finite_config_values_exit_2_before_any_run(key, value, calls, tmp_path):
+    # the config file carries them as the NaN and Infinity tokens
+    command, scenario = next((c, s) for c in ("construct", "propagate", "verify")
+                             for s in SCENARIOS if _accepted(c, s, key))
+    config = {"scenario": scenario, key: [0.5, value] if key == "times" else value}
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_config(tmp_path, config),
+                 "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "sho", "--amplitude", "nan"],
+    ["verify", "--scenario", "airy-forced", "--force-amp", "nan"],
+    ["propagate", "--scenario", "airy-free", "--dt", "nan"],
+    ["construct", "--scenario", "sho", "--times", "0", "inf"],
+    ["eigen", "--omega", "inf"],
+    ["eigen", "--potential", "quartic", "--lam=-inf"],
+])
+def test_non_finite_flag_values_exit_2_before_any_run(argv, calls, monkeypatch,
+                                                      tmp_path):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran past the config check")
+
+    monkeypatch.setattr(nswp.cli, "lowest_eigenpairs", not_reached)
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
