@@ -27,7 +27,7 @@ from .errors import ConfigurationError, RangeError
 from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first,
                     inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
-                         propagate)
+                         guarded_dt, propagate)
 from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
 from .trajectory import ForceTrajectory, Sinusoid, UniformAcceleration
 from .verifier import (CONTROL_THRESHOLD, SPREAD_THRESHOLD, CheckResult,
@@ -70,12 +70,6 @@ class ScenarioResult:
             "extras": self.extras,
             "report": self.report.to_dict() if self.report is not None else None,
         }
-
-
-def _guarded_dt(dt: float, v_max: float, consts: PhysicalConstants) -> float:
-    """A default dt cut to dt/k with the smallest whole k that keeps
-    dt max|V| / hbar under the step guard's 0.5."""
-    return dt / (math.floor(2.0 * dt * v_max / consts.hbar) + 1)
 
 
 def _overlap_mod(a: WaveField, b: WaveField) -> float:
@@ -189,10 +183,11 @@ def run_sho_shifted(
     the run, so the <P> series stays uniform for its 5-point difference."""
     period = 2.0 * math.pi / omega
     t_end = period
+    if dt is None:
+        v_max = float(np.max(np.abs(StaticPotential.harmonic(omega, consts.mass)(grid.x))))
+        dt = guarded_dt(period / 1000.0, v_max, t_end, consts)
     case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
     sol, v_static = case.sol, case.v
-    if dt is None:
-        dt = _guarded_dt(period / 1000.0, float(np.max(np.abs(v_static(grid.x)))), consts)
 
     n_steps = round(t_end / dt)
     stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
@@ -540,19 +535,22 @@ def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
     fewest points, a multiple of 64, that keep dx at most the sho grid's
     16/1023 in units of the oscillator length sqrt(hbar / m omega0). The
     default dt is 1e-2/omega0, cut where dt max|V| reaches the step guard's
-    0.5. Raises ``RangeError`` unless |modulation| < 1, where w(t) stays
-    positive; at |modulation| >= 1 the trap opens for an instant."""
+    0.5 (``propagator.guarded_dt``). Raises ``RangeError`` unless
+    |modulation| < 1, where w(t) stays positive; at |modulation| >= 1 the
+    trap opens for an instant."""
     if not abs(modulation) < 1.0:
         raise RangeError(f"modulation must satisfy |eps| < 1, got {modulation!r}")
-    if grid is None:
-        half_width = trap_envelope_half_width(omega0, modulation, consts)
-        dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
-        grid = Grid1D(-half_width, half_width,
-                      64 * math.ceil((1.0 + 2.0 * half_width / dx_max) / 64.0))
+    reach = (trap_envelope_half_width(omega0, modulation, consts) if grid is None
+             else max(-grid.x_min, grid.x_max))
     if dt is None:
+        # before the grid is sized, so that an hbar or mass the step budget
+        # refuses never sizes one
         w_max = omega0 * (1.0 + abs(modulation))
-        v_max = 0.5 * consts.mass * w_max**2 * max(grid.x_min**2, grid.x_max**2)
-        dt = _guarded_dt(1e-2 / omega0, v_max, consts)
+        dt = guarded_dt(1e-2 / omega0, 0.5 * consts.mass * w_max**2 * reach**2,
+                        _TRAP_HORIZON / omega0, consts)
+    if grid is None:
+        dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
+        grid = Grid1D(-reach, reach, 64 * math.ceil((1.0 + 2.0 * reach / dx_max) / 64.0))
     return grid, dt
 
 

@@ -6,12 +6,14 @@ directory receives a manifest.json sufficient to re-run the job, and all
 numbers are emitted deterministically (no timestamps, sorted keys), so a
 repeated run produces bit-identical files.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad config, 3 numerical failure.
+Exit codes: 0 ok, 1 verification failure, 2 bad config, 3 numerical failure
+(an ``ArithmeticError`` or ``MemoryError`` included).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,7 +207,9 @@ _COMMANDS = {"eigen": cmd_eigen, "construct": cmd_construct, "propagate": cmd_pr
              "verify": cmd_verify, "reproduce": cmd_reproduce}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nswp",
         description="Construct and verify nonspreading wave packets in 1-D.",
@@ -270,6 +274,11 @@ def main(argv=None) -> int:
         return 2
     except (AccuracyError, ConvergenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (ArithmeticError, MemoryError) as exc:
+        # an overflow, a division by zero or an allocation too large: a
+        # finite config value (hbar, mass, ...) past what the numerics resolve
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except NswpError as exc:
         print(f"error: {exc}", file=sys.stderr)

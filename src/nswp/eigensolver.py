@@ -3,9 +3,9 @@
 Solves the time-independent problem on the grid with the fourth-order
 Numerov Hamiltonian H_N = M^-1 K + V and Dirichlet walls, as the
 generalized tridiagonal problem (K + M V) f = E M f (``grids.numerov_bands``).
-The 3-point pairs of K + V (LAPACK stebz/stein via scipy, so only the k
-lowest are ever formed) seed Rayleigh-quotient inverse iteration with
-LAPACK dgttrf/dgttrs, which converges in a few steps.
+The k lowest pairs of the 3-point K + V (``grids.tridiagonal_eigenpairs``)
+seed Rayleigh-quotient inverse iteration by ``grids.tridiagonal_solver``,
+which converges in a few steps.
 
 The linear potential V = A x has a continuous spectrum and bypasses the
 eigensolver: its shape is the closed-form Airy mode, ``constructor.AiryShape``.
@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import AccuracyError, ConvergenceError
-from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
-                    bands_apply, m_solve, numerov_bands, write_json)
+from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, bands_apply, m_solve,
+                    numerov_bands, tridiagonal_eigenpairs, tridiagonal_solver, write_json)
 
 _MAX_ITERATIONS = 20
 
@@ -74,9 +72,9 @@ def lowest_eigenpairs(
     """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
 
     Raises AccuracyError when a returned mode has not decayed below 1e-6
-    of its peak at the domain edges, and ConvergenceError if
-    LAPACK fails, the iteration does not settle, or the refined energies
-    are not distinct and ascending. ``residual`` is
+    of its peak at the domain edges, and ConvergenceError if the seed
+    eigensolve fails, the iteration does not settle, or the refined
+    energies are not distinct and ascending. ``residual`` is
     ||(K + M V) f - E M f|| / ||f||.
     """
     if k < 1:
@@ -86,9 +84,7 @@ def lowest_eigenpairs(
     diag, off = numerov_bands(v_x, dx, consts)
     k_diag, k_off = numerov_bands(0.0, dx, consts)
     try:
-        seeds, vectors = eigh_tridiagonal(
-            k_diag + v_x, np.full(grid.n - 1, k_off), select="i", select_range=(0, k - 1)
-        )
+        seeds, vectors = tridiagonal_eigenpairs(k_diag + v_x, np.full(grid.n - 1, k_off), k)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
@@ -130,19 +126,13 @@ def _refine(diag, off, energy, f, settled):
     takes E = f.H_N f with H_N f = M^-1 (K + M V) f.
     """
     for _ in range(_MAX_ITERATIONS):
-        shifted = off - energy * M_OFF
-        dl, d, du, du2, ipiv, info = dgttrf(shifted[:-1], diag - energy * M_DIAG,
-                                            shifted[1:])
-        if info < 0:  # pragma: no cover
-            raise ConvergenceError(f"dgttrf failed (info={info})")
-        if info == 0:
-            g, info = dgttrs(dl, d, du, du2, ipiv, bands_apply(M_DIAG, M_OFF, f))
-            if info != 0:  # pragma: no cover
-                raise ConvergenceError(f"dgttrs failed (info={info})")
+        solve = tridiagonal_solver(diag - energy * M_DIAG, off - energy * M_OFF)
+        if solve is not None:
+            g = solve(bands_apply(M_DIAG, M_OFF, f), overwrite_b=True)
             f = g / np.linalg.norm(g)
-        # info > 0: the shift is an eigenvalue to working precision
+        # None: the shift is an eigenvalue to working precision
         previous, energy = energy, float(f @ m_solve(bands_apply(diag, off, f)))
-        if info > 0 or abs(energy - previous) <= settled:
+        if solve is None or abs(energy - previous) <= settled:
             return energy, f
     raise ConvergenceError(
         f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (E ~ {energy})"

@@ -7,9 +7,9 @@ the fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
 Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point kinetic matrix
 and M = tridiag(1, 10, 1)/12, both with Dirichlet walls; ``numerov_bands``
 is the one builder of its bands, shared by the eigensolver, both stages of
-the Pade step and <H>. <P> uses the 5-point first derivative. Fractional
-spatial shifts are done by Fourier interpolation so that sub-grid
-displacements are representable.
+the Pade step and <H>; ``tridiagonal_solver`` solves with all of them. <P>
+uses the 5-point first derivative. Fractional spatial shifts are done by
+Fourier interpolation so that sub-grid displacements are representable.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .errors import DegenerateFieldError, GridMismatchError, RangeError
 
@@ -154,16 +155,44 @@ def bands_apply(diag, off, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def tridiagonal_solver(diag, off):
+    """``b -> A^-1 b`` for the tridiagonal A with bands ``(diag, off)`` laid out
+    as in :func:`numerov_bands`, or None if A is exactly singular. A is
+    LU-factored once by LAPACK gttrf, real or complex as the bands are; each
+    solve is one gttrs, in place on ``b`` when ``overwrite_b``."""
+    dtype = complex if np.iscomplexobj(diag) or np.iscomplexobj(off) else float
+    gttrf, gttrs = (zgttrf, zgttrs) if dtype is complex else (dgttrf, dgttrs)
+    off = np.broadcast_to(np.asarray(off, dtype=dtype), np.shape(diag))
+    # gttrf overwrites its inputs: the sub- and super-diagonal must not share memory
+    *lu, info = gttrf(off[:-1].copy(), np.array(diag, dtype=dtype), off[1:].copy(),
+                      overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info < 0:
+        raise ValueError(f"gttrf rejected argument {-info}")
+
+    def solve(b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        x, info = gttrs(*lu, b, overwrite_b=overwrite_b)
+        if info != 0:
+            raise ValueError(f"gttrs rejected argument {-info}")
+        return x
+
+    return solve if info == 0 else None  # info > 0: a zero pivot
+
+
+def tridiagonal_eigenpairs(diag, sub, k: int):
+    """k lowest (eigenvalues, eigenvector columns) of the symmetric tridiagonal
+    matrix with ``diag`` and n - 1 ``sub``; LAPACK stebz/stein form only those."""
+    return eigh_tridiagonal(diag, sub, select="i", select_range=(0, k - 1))
+
+
+@lru_cache(maxsize=8)
+def _m_solver(n: int, dtype: type):
+    return tridiagonal_solver(np.full(n, M_DIAG, dtype=dtype), M_OFF)
+
+
 def m_solve(values: np.ndarray) -> np.ndarray:
-    """M^-1 values by one real tridiagonal solve; a complex input goes in as
-    two right-hand sides."""
-    values = np.asarray(values)
-    n = len(values)
-    b = np.column_stack((values.real, values.imag)) if np.iscomplexobj(values) else values
-    off = np.full(n - 1, M_OFF)
-    # M is strictly diagonally dominant, so dgtsv cannot meet a zero pivot
-    x = dgtsv(off, np.full(n, M_DIAG), off.copy(), b)[3]
-    return x[:, 0] + 1j * x[:, 1] if x.ndim == 2 else x
+    """M^-1 values by M's LU factors in the dtype of ``values``, built once per
+    grid size (M is strictly diagonally dominant, so never singular)."""
+    return _m_solver(len(values), complex if np.iscomplexobj(values) else float)(values)
 
 
 def observables(

@@ -22,8 +22,8 @@ c = dt / (hbar r); multiplied by M each reads
 (M - i c (K + M V)) psi' = (M + i c (K + M V)) psi, tridiagonal on both
 sides. The two c are complex conjugates, so the product of the stages is
 exactly unitary up to the tridiagonal-solve round-off, and so are the
-kicks. Each stage's left-hand matrix is LU-factored once per run with
-LAPACK ``zgttrf`` and each step is two ``zgttrs`` solves.
+kicks. Each stage's left-hand matrix is LU-factored once per run by
+``grids.tridiagonal_solver`` and each step is two of its solves.
 
 ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
 period of a periodic domain, V_ref = 0 and the fixed part is the exact
@@ -45,11 +45,10 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import BoundaryError, ConfigurationError
+from .errors import BoundaryError, ConfigurationError, RangeError
 from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
-                    bands_apply, numerov_bands, observables)
+                    bands_apply, numerov_bands, observables, tridiagonal_solver)
 
 
 @dataclass(frozen=True)
@@ -139,14 +138,8 @@ def pade_step(psi: WaveField, v_mid: np.ndarray, dt: float,
 _PADE_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 
 
-@dataclass(frozen=True)
-class _PadeStage:
-    """Bands of one stage's explicit side M + i c (K + M V) and LU factors
-    of its implicit side M - i c (K + M V)."""
-
-    rhs_diag: np.ndarray
-    rhs_off: np.ndarray
-    lu: tuple
+_STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
+MAX_STEPS = 10**6  # the longest run a default dt may be cut to
 
 
 def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> np.ndarray:
@@ -156,40 +149,46 @@ def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> n
     if v_mid.shape != (n,):
         v_mid = np.broadcast_to(v_mid, (n,))
     # written so that a NaN in V fails the guard too
-    if not abs(dt) * np.max(np.abs(v_mid)) / consts.hbar < 0.5:
+    if not abs(dt) * np.max(np.abs(v_mid)) / consts.hbar < _STEP_GUARD:
         raise ConfigurationError(
-            "dt * max|V| / hbar >= 0.5 or V not finite; reduce the time step"
+            f"dt * max|V| / hbar >= {_STEP_GUARD} or V not finite; reduce the time step"
         )
     return v_mid
 
 
+def guarded_dt(dt: float, v_max: float, t_span: float, consts: PhysicalConstants) -> float:
+    """A default ``dt`` cut to dt/k with the smallest whole k that keeps
+    dt max|V| / hbar under the step guard. Raises RangeError when the cut
+    run over ``t_span`` would take more than MAX_STEPS steps."""
+    # a float k: an overflowing ratio stays inf (or NaN) and fails the budget
+    k = (dt * v_max / (_STEP_GUARD * consts.hbar)) // 1 + 1
+    if not t_span * k / dt <= MAX_STEPS:
+        raise RangeError(
+            f"hbar = {consts.hbar:g} and mass = {consts.mass:g} need "
+            f"{t_span * k / dt:.3g} steps under the step guard, more than "
+            f"the budget of {MAX_STEPS}"
+        )
+    return dt / k
+
+
 def _pade_factor(v_mid, dt, n, dx, consts) -> tuple:
-    """The two stages of the (2,2) Pade step for one midpoint potential."""
+    """The two stages of the (2,2) Pade step for one midpoint potential: bands
+    of M + i c (K + M V) and the solver of M - i c (K + M V) for each."""
     v_mid = _guarded_potential(v_mid, dt, n, consts)
     diag, off = numerov_bands(v_mid, dx, consts)
     stages = []
     for r in _PADE_ROOTS:
         ic = 1j * dt / (consts.hbar * r)
-        # zgttrf overwrites its inputs, so the sub-diagonal (a view of
-        # a_off) and the super-diagonal must not overlap
-        a_diag = M_DIAG - ic * diag
-        a_off = M_OFF - ic * off
-        *lu, info = zgttrf(a_off[:-1], a_diag, a_off[1:].copy(),
-                           overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info != 0:
-            raise ConfigurationError(
-                f"zgttrf failed (info={info}): singular step matrix")
-        stages.append(_PadeStage(rhs_diag=M_DIAG + ic * diag,
-                                 rhs_off=M_OFF + ic * off, lu=tuple(lu)))
+        solve = tridiagonal_solver(M_DIAG - ic * diag, M_OFF - ic * off)
+        if solve is None:
+            raise ConfigurationError("singular step matrix")
+        stages.append((M_DIAG + ic * diag, M_OFF + ic * off, solve))
     return tuple(stages)
 
 
 def _pade_solve(stages, values: np.ndarray) -> np.ndarray:
-    for stage in stages:
-        rhs = bands_apply(stage.rhs_diag, stage.rhs_off, values)
-        values, info = zgttrs(*stage.lu, rhs, overwrite_b=1)
-        if info != 0:
-            raise ConfigurationError(f"zgttrs failed (info={info})")
+    for rhs_diag, rhs_off, solve in stages:
+        values = solve(bands_apply(rhs_diag, rhs_off, values), overwrite_b=True)
     return values
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -285,3 +286,51 @@ def test_verify_modulation_outside_the_box_exits_2(eps, tmp_path, monkeypatch):
     assert main(["verify", "--scenario", "sho-timedep-freq", f"--modulation={eps}",
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# finite hbar or mass far from natural units: 3 for an overflow or a
+# division by zero, 2 where the step guard would cut a default dt to more
+# than MAX_STEPS steps
+EXTREME_CONSTANTS = [
+    ("gaussian-control", {"hbar": 1e308}, 3),
+    ("gaussian-control", {"hbar": 1e200}, 3),
+    ("sho", {"hbar": 1e308}, 3),
+    ("sho", {"hbar": 1e200}, 3),
+    ("airy-forced", {"hbar": 1e308}, 3),
+    ("airy-forced", {"hbar": 1e200}, 3),
+    ("airy-forced", {"hbar": 1e-200}, 3),
+    ("sho-timedep-freq", {"hbar": 1e-30}, 2),
+    ("sho-timedep-freq", {"mass": 1e30}, 2),
+    ("sho", {"hbar": 1e-30}, 2),
+    ("sho", {"hbar": 1e-200}, 2),
+    ("sho", {"mass": 1e30}, 2),
+    ("sho", {"mass": 1e300}, 2),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("scenario, constants, code", EXTREME_CONSTANTS, ids=[
+    f"{s}-{k}={v:g}" for s, c, _ in EXTREME_CONSTANTS for k, v in c.items()])
+def test_extreme_hbar_or_mass_ends_in_a_typed_error(scenario, constants, code, tmp_path,
+                                                    capsys, monkeypatch):
+    if code == 2:
+        # the step budget is checked before any grid is sized or step taken
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran past the step budget")
+
+        for name in ("Grid1D", "lowest_eigenpairs", "propagate"):
+            monkeypatch.setattr(cli.cases, name, not_reached)
+    path = tmp_path / "c.json"
+    write_json(path, constants)
+    start = time.perf_counter()
+    assert main(["verify", "--scenario", scenario, "--config", str(path),
+                 "--out", str(tmp_path / "v")]) == code
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    if code == 2:
+        assert "hbar" in err and "mass" in err and "budget" in err
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()

@@ -8,7 +8,8 @@ from nswp import (AiryShape, Grid1D, PhysicalConstants, StaticPotential,
                   eigensolver, lowest_eigenpairs)
 from nswp.eigensolver import write_eigenpair
 from nswp.errors import AccuracyError, ConvergenceError, RangeError
-from nswp.grids import M_DIAG, M_OFF, bands_apply, fd5_second, m_solve, numerov_bands
+from nswp.grids import (M_DIAG, M_OFF, bands_apply, fd5_second, m_solve, numerov_bands,
+                        tridiagonal_solver)
 
 CONSTS = PhysicalConstants()
 
@@ -53,6 +54,57 @@ def test_hamiltonian_symmetry():
     v, w = rng.normal(size=64), rng.normal(size=64)
     assert np.dot(v, m_solve(bands_apply(*bands, w))) == pytest.approx(
         np.dot(w, m_solve(bands_apply(*bands, v))))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiagonal_solver_matches_a_dense_solve(dtype):
+    rng = np.random.default_rng(11)
+    n = 40
+
+    def sample():
+        a = rng.normal(size=n)
+        return a + 1j * rng.normal(size=n) if dtype is complex else a
+
+    diag, off, b = 4.0 + sample(), sample(), sample()
+    bands = diag.copy(), off.copy()
+    solve = tridiagonal_solver(diag, off)
+    x = solve(b)
+    assert x.dtype == np.dtype(dtype)
+    assert np.allclose(x, np.linalg.solve(dense(diag, off, n), b), rtol=1e-13, atol=0)
+    # the factorization works on copies: the caller's bands are untouched
+    assert np.array_equal(diag, bands[0]) and np.array_equal(off, bands[1])
+    # a second solve reuses the factors
+    assert np.allclose(solve(2.0 * b), 2.0 * x, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("diag, off", [
+    (np.zeros(8), np.zeros(8)),
+    (np.ones(4), np.array([1.0, 1.0, 0.0, 1.0])),  # rows 0 and 1 are equal
+])
+def test_tridiagonal_solver_returns_none_for_a_singular_matrix(diag, off, dtype):
+    assert np.linalg.matrix_rank(dense(diag, off, len(diag))) < len(diag)
+    assert tridiagonal_solver(diag.astype(dtype), off) is None
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_m_solve_equals_a_dgtsv_reference(n, kind):
+    # every report's energy column goes through m_solve, so it must stay
+    # bit for bit the one real tridiagonal solve it replaced
+    from scipy.linalg.lapack import dgtsv
+
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n)
+    if kind is complex:
+        values = values + 1j * rng.normal(size=n)
+    off = np.full(n - 1, M_OFF)
+    rhs = np.column_stack((values.real, values.imag)) if kind is complex else values
+    x = dgtsv(off, np.full(n, M_DIAG), off.copy(), rhs)[3]
+    reference = x[:, 0] + 1j * x[:, 1] if kind is complex else x
+    kept = values.copy()
+    assert np.array_equal(m_solve(values), reference)
+    assert np.array_equal(values, kept)
 
 
 def test_sho_energies():
@@ -131,13 +183,13 @@ def test_unsettled_iteration_raises(monkeypatch):
 
 def test_out_of_order_refinement_raises(monkeypatch):
     # seeds handed over in the wrong order refine to descending energies
-    seed = eigensolver.eigh_tridiagonal
+    seed = eigensolver.tridiagonal_eigenpairs
 
     def swapped(*args, **kwargs):
         energies, vectors = seed(*args, **kwargs)
         return energies[::-1], vectors[:, ::-1]
 
-    monkeypatch.setattr(eigensolver, "eigh_tridiagonal", swapped)
+    monkeypatch.setattr(eigensolver, "tridiagonal_eigenpairs", swapped)
     with pytest.raises(ConvergenceError):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 2)

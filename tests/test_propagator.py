@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -9,7 +11,8 @@ from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
 from nswp import propagator
 from nswp.grids import write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
-from nswp.errors import BoundaryError, ConfigurationError
+from nswp.errors import BoundaryError, ConfigurationError, RangeError
+from nswp.propagator import MAX_STEPS, guarded_dt
 
 CONSTS = PhysicalConstants()
 
@@ -415,3 +418,19 @@ def test_step_guard_rechecked_for_time_dependent_v():
     with pytest.raises(ConfigurationError):
         propagate(gaussian(grid), v_fn, config, CONSTS)
     assert requested[-1] == pytest.approx(5.5e-3)
+
+
+def test_guarded_dt_cuts_to_the_step_guard_within_the_step_budget():
+    consts = PhysicalConstants()
+    # dt max|V| / hbar = 0.4 < 0.5: no cut; 1.2: cut by 3 to 0.4
+    assert guarded_dt(0.01, 40.0, 1.0, consts) == 0.01
+    assert guarded_dt(0.01, 120.0, 1.0, consts) == 0.01 / 3
+    # the same cut over a run of 1e6 / 3 * 0.01 is exactly at the budget
+    assert guarded_dt(0.01, 120.0, MAX_STEPS / 3 * 0.01, consts) == 0.01 / 3
+    with pytest.raises(RangeError, match="hbar = 1e-30 and mass = 1"):
+        guarded_dt(0.01, 40.0, 1.0, PhysicalConstants(hbar=1e-30))
+    # an overflowing ratio, or a NaN, fails the budget instead of raising
+    # OverflowError or ValueError in a floor
+    for v_max in (1e308, math.nan):
+        with pytest.raises(RangeError):
+            guarded_dt(0.01, v_max, 1.0, PhysicalConstants(hbar=1e-10))
