@@ -18,7 +18,7 @@ from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
                     inner_product, norm, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
-                         RunReport, pade_step, propagate, split_step)
+                         RunReport, pade_step, propagate)
 from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
                          Trajectory, UniformAcceleration)

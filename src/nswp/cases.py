@@ -186,14 +186,15 @@ def run_sho_shifted(
     if dt is None:
         v_max = float(np.max(np.abs(StaticPotential.harmonic(omega, consts.mass)(grid.x))))
         dt = guarded_dt(period / 1000.0, v_max, t_end, consts)
-    case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
-    sol, v_static = case.sol, case.v
-
-    n_steps = round(t_end / dt)
+    # built first: it refuses a dt past the step budget before the stride
+    # search and the eigensolve
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
+    n_steps = config.n_steps
     stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
                  if n_steps % k == 0)
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=stride)
-    report, support, residual = run_case(case, config)
+    case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
+    sol, v_static = case.sol, case.v
+    report, support, residual = run_case(case, replace(config, snapshot_stride=stride))
     report.htilde_residual = [
         htilde_residual(snap, v_static, sol.trajectory, consts, sol.E_f, t)
         for snap, t in zip(report.snapshots, report.times)]
@@ -418,9 +419,12 @@ def run_airy_forced(
     midpoints and an O(dt^2 F') shift, stays below the windowed density
     floor for sin forces of amplitude up to 0.45 and frequency up to 12.
     """
+    # built first: it refuses a run past the step budget before the force
+    # cache is built over [0, t_end + 1]
+    config = _airy_config(grid, dt, t_end)
     case = airy_forced_case(B, F, consts, t_max=t_end + 1.0)
     sol, A = case.sol, case.sol.shape.A
-    report, support, residual = run_case(case, _airy_config(grid, dt, t_end))
+    report, support, residual = run_case(case, config)
 
     # dual-route phase: nested-integral formula vs direct quadrature
     ts = np.linspace(0.0, min(3.0, sol.t_max - 0.5), 13)

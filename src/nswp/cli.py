@@ -19,17 +19,18 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cases
 from .constructor import analytic_psi, v_nswp
 from .eigensolver import StaticPotential, lowest_eigenpairs, write_eigenpair
 from .errors import (AccuracyError, ConfigurationError, ConvergenceError,
                      NswpError, RangeError)
-from .grids import Grid1D, write_json, write_wavefield_csv
+from .grids import Grid1D, write_csv, write_json, write_wavefield_csv
 
 # value type of each config key; every key not listed takes a float
 _TYPES = {"potential": str, "scenario": str, "force_kind": str, "k": int,
           "mode_index": int, "n_points": int, "times": list, "write_snapshots": bool}
-_CONSTRUCT_T_MAX = 20.0  # phi0 cache horizon of the packets `construct` samples
 
 
 def _finite(t) -> bool:
@@ -126,22 +127,19 @@ def cmd_eigen(config: dict, out: Path) -> int:
 def cmd_construct(config: dict, out: Path) -> int:
     entry = _scenario("construct", config)
     kwargs = entry.kwargs(config)
-    case = entry.case(**kwargs, t_max=_CONSTRUCT_T_MAX)
+    times = [float(t) for t in config.get("times", [0.0, 0.5, 1.0])]
+    if not times or min(times) < 0.0:
+        raise RangeError(f"construct needs one or more times >= 0, got {times}")
+    # the phi0 cache horizon, as the runs size it from their t_end
+    case = entry.case(**kwargs, t_max=max(times) + 1.0)
     sol, v = case.sol, case.v
     grid, consts = kwargs["grid"], kwargs["consts"]
-    times = [float(t) for t in config.get("times", [0.0, 0.5, 1.0])]
     out.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(times):
-        psi = analytic_psi(sol, grid, t)
-        write_wavefield_csv(psi, out / f"psi_{i:03d}.csv")
-        with open(out / f"vnswp_{i:03d}.csv", "w") as fh:
-            fh.write("x,v\n")
-            for xi, vi in zip(grid.x, v_nswp(sol, v, grid.x, t)):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
-    with open(out / "phase_table.csv", "w") as fh:
-        fh.write("t,phi1,phi0\n")
-        for t in times:
-            fh.write(f"{t:.17g},{sol.phi1(t):.17g},{sol.phi0(t):.17g}\n")
+        write_wavefield_csv(analytic_psi(sol, grid, t), out / f"psi_{i:03d}.csv")
+        write_csv(out / f"vnswp_{i:03d}.csv", ("x", "v"), grid.x, v_nswp(sol, v, grid.x, t))
+    write_csv(out / "phase_table.csv", ("t", "phi1", "phi0"), times,
+              [sol.phi1(t) for t in times], [sol.phi0(t) for t in times])
     write_json(out / "manifest.json", {
         "command": "construct", "config": config,
         "E_f": sol.E_f, "gauge": sol.gauge.kind, "trajectory": sol.trajectory.kind,
@@ -268,7 +266,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         config = _load_config(args.command, args.config, overrides)
-        return _COMMANDS[args.command](config, out)
+        # a floating-point fault raises FloatingPointError, an ArithmeticError;
+        # underflow stays quiet (Ai's e^-zeta rounds to 0 far to the right)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](config, out)
     except (ConfigurationError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

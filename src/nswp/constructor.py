@@ -21,7 +21,7 @@ import numpy as np
 from .airy import ai_values
 from .eigensolver import EigenPair, StaticPotential
 from .errors import RangeError
-from .grids import Grid1D, PhysicalConstants, WaveField, fd5_second, shift_values
+from .grids import Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second, shift_values
 from .quadrature import cumulative_antiderivative, integrate_time
 from .trajectory import Trajectory
 
@@ -140,13 +140,15 @@ class NswpSolution:
         return self.consts.mass * self.trajectory.d_dot(t) / self.consts.hbar
 
     def phi0(self, t: float) -> float:
-        """Cached phi0(t) = -(1/hbar) integral_0^t (E_f + G + m d_dot^2/2)."""
+        """Cached phi0(t) = -(1/hbar) integral_0^t (E_f + G + m d_dot^2/2).
+        Raises RangeError for t outside [0, t_max], where the cache would
+        extrapolate its end pieces."""
+        if not -1e-9 <= t <= self.t_max + 1e-9:
+            raise RangeError(f"t={t} outside the phi0 cache range [0, {self.t_max}]")
         if self._phi0_anti is None:
             self._phi0_anti = cumulative_antiderivative(
                 self._phi0_integrand, self.t_max, 1e-11
             )
-        if t > self.t_max + 1e-9:
-            raise RangeError(f"t={t} beyond phi0 cache horizon {self.t_max}")
         return -float(self._phi0_anti(t)) / self.consts.hbar
 
     def phi0_direct(self, t):
@@ -218,8 +220,8 @@ def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
         return values
 
     h = 1e-5
-    stack = [psi_at(t + k * h) for k in (-2, -1, 0, 1, 2)]
-    dpsi_dt = (stack[0] - 8 * stack[1] + 8 * stack[3] - stack[4]) / (12.0 * h)
+    stack = np.array([psi_at(t + k * h) for k in (-2, -1, 0, 1, 2)])
+    dpsi_dt = fd5_first(stack, h)[2]
     psi = stack[2]
     d2 = fd5_second(psi, grid.dx)
 

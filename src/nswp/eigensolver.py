@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import AccuracyError, ConvergenceError
 from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, bands_apply, m_solve,
-                    numerov_bands, tridiagonal_eigenpairs, tridiagonal_solver, write_json)
+                    numerov_bands, tridiagonal_eigenpairs, tridiagonal_solver, write_csv,
+                    write_json)
 
 _MAX_ITERATIONS = 20
 
@@ -141,9 +142,6 @@ def _refine(diag, off, energy, f, settled):
 
 def write_eigenpair(pair: EigenPair, csv_path, json_path) -> None:
     """CSV `x,f` plus a JSON sidecar with energy, index and residual."""
-    with open(csv_path, "w") as fh:
-        fh.write("x,f\n")
-        for xi, fi in zip(pair.shape.grid.x, pair.shape.values.real):
-            fh.write(f"{xi:.17g},{fi:.17g}\n")
+    write_csv(csv_path, ("x", "f"), pair.shape.grid.x, pair.shape.values.real)
     write_json(json_path, {"energy": pair.energy, "index": pair.index,
                            "residual": pair.residual})

@@ -112,7 +112,8 @@ def norm(psi: WaveField) -> float:
 
 
 def fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
-    """5-point central first derivative; zero at the two points at each end."""
+    """5-point central first derivative along the first axis; zero at the two
+    points at each end."""
     out = np.zeros_like(values)
     out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * dx)
     return out
@@ -257,13 +258,18 @@ def shift_field(psi: WaveField, a: float) -> WaveField:
     return WaveField(grid=psi.grid, values=shifted, time=psi.time)
 
 
+def write_csv(path, header, *columns) -> None:
+    """One row per sample of the equal-length ``columns`` under the ``header``
+    names, each value as ``.17g`` (a double round-trips), with LF line ends."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def write_wavefield_csv(psi: WaveField, path) -> None:
     """CSV export with header ``x,re,im`` at full double precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "re", "im"])
-        for xi, v in zip(psi.grid.x, psi.values):
-            writer.writerow([f"{xi:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
+    write_csv(path, ("x", "re", "im"), psi.grid.x, psi.values.real, psi.values.imag)
 
 
 def write_json(path, payload: dict) -> None:

@@ -69,7 +69,8 @@ class PropagationConfig:
     """Steps of ``dt`` from ``t_start`` to ``t_end``. ``boundary`` picks the
     fixed part of each step: ``Dirichlet()`` the Pade stages, factored once
     per run at V(t_start + dt/2); an ``AbsorbingMask`` the kinetic phase on
-    the periodic grid, then the mask."""
+    the periodic grid, then the mask. More than ``MAX_STEPS`` steps raise
+    RangeError."""
 
     dt: float
     t_end: float
@@ -82,6 +83,13 @@ class PropagationConfig:
         if self.dt <= 0 or self.t_end <= self.t_start:
             raise ConfigurationError("need dt > 0 and t_end > t_start")
         steps = (self.t_end - self.t_start) / self.dt
+        # an inf or NaN step count fails here too
+        if not steps < MAX_STEPS + 0.5:
+            raise RangeError(
+                f"dt = {self.dt:.12g} from t_start = {self.t_start:.12g} to "
+                f"t_end = {self.t_end:.12g} takes {steps:.3g} steps, more than "
+                f"the budget of {MAX_STEPS}"
+            )
         if abs(steps - self.n_steps) > 1e-9 * steps:
             raise ConfigurationError(
                 f"t_end - t_start = {self.t_end - self.t_start:.12g} is not a "
@@ -139,7 +147,7 @@ _PADE_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 
 
 _STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
-MAX_STEPS = 10**6  # the longest run a default dt may be cut to
+MAX_STEPS = 10**6  # the longest run any config may take
 
 
 def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> np.ndarray:
@@ -220,18 +228,6 @@ def _half_kick(dv, dt, n, consts) -> np.ndarray:
     np.cos(angle, out=kick.real)
     np.sin(angle, out=kick.imag)
     return kick
-
-
-def split_step(psi: WaveField, v_mid: np.ndarray, dt: float,
-               consts: PhysicalConstants, mask: AbsorbingMask) -> WaveField:
-    """One Strang split-step Fourier step, then ``mask``; ``v_mid`` holds the
-    potential at the midpoint time. Unitary when the mask strength is 0."""
-    grid = psi.grid
-    kick = _half_kick(_guarded_potential(v_mid, dt, grid.n, consts), dt, grid.n, consts)
-    kinetic = _kinetic_phase(grid, dt, consts)
-    values = kick * np.fft.ifft(kinetic * np.fft.fft(kick * psi.values))
-    values *= _mask_profile(grid, mask, dt)
-    return WaveField(grid=grid, values=values, time=psi.time + dt)
 
 
 def propagate(

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from nswp import cli
+from nswp import cases, cli
 from nswp.cli import main
 from nswp.grids import write_json
 
@@ -181,6 +181,40 @@ def test_construct_sho(tmp_path):
     assert (out / "psi_000.csv").exists()
 
 
+def test_construct_refuses_a_negative_time(tmp_path, capsys):
+    # phi0's cache would extrapolate its first piece: phi0(-3) read 39.5
+    # where the integral gives 1.22
+    out = tmp_path / "con"
+    assert main(["construct", "--scenario", "sho", "--times", "0", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_construct_sizes_the_phi0_horizon_from_its_times(tmp_path):
+    out = tmp_path / "con"
+    assert main(["construct", "--scenario", "sho", "--times", "25",
+                 "--out", str(out)]) == 0
+    t, _, phi0 = (float(v) for v in
+                  (out / "phase_table.csv").read_text().splitlines()[1].split(","))
+    assert t == 25.0
+    assert abs(phi0 - cases.sho_case(t_max=26.0).sol.phi0_direct(25.0)) < 1e-9
+    for path in out.glob("*.csv"):
+        assert b"\r" not in path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["airy-free", "--dt", "1e-6"], ["sho", "--dt", "1e-9"],
+                                  ["airy-forced", "--t-end", "1e5"]])
+def test_propagate_past_the_step_budget_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "prop"
+    start = time.perf_counter()
+    assert main(["propagate", "--scenario", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
+    assert not out.exists()
+
+
 def test_construct_deterministic(tmp_path):
     args = ["construct", "--scenario", "airy-free", "--times", "0", "1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -308,7 +342,6 @@ EXTREME_CONSTANTS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 @pytest.mark.parametrize("scenario, constants, code", EXTREME_CONSTANTS, ids=[
     f"{s}-{k}={v:g}" for s, c, _ in EXTREME_CONSTANTS for k, v in c.items()])
 def test_extreme_hbar_or_mass_ends_in_a_typed_error(scenario, constants, code, tmp_path,

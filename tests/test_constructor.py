@@ -119,6 +119,14 @@ def test_phi0_range_error(sho_pieces):
         sol.phi0(sol.t_max + 1.0)
 
 
+def test_phi0_refuses_a_negative_time(sho_pieces):
+    # below 0 the cache would extrapolate its first piece
+    sol = sho_pieces[0]
+    assert abs(sol.phi0(-1e-10)) < 1e-9
+    with pytest.raises(RangeError):
+        sol.phi0(-1.0)
+
+
 def test_phase_affine_in_x(sho_pieces):
     sol = sho_pieces[0]
     t = 1.1

@@ -5,8 +5,13 @@ command would pay again. The split-step propagator uses ``numpy.fft``,
 which numpy loads anyway, not ``scipy.fft``. ``grids`` is the one module
 that calls LAPACK and ``airy`` the one that calls scipy.special, so a
 numpy replacement of either has one place to go.
+
+The one-copy rules are scanned here too: the masked split step's pieces
+are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
+file for writing, and ``split_step`` is gone.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -55,3 +60,54 @@ def test_no_source_file_outside_grids_names_a_lapack_routine():
     offenders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                  if path.name != "grids.py" and routine.search(path.read_text())]
     assert offenders == []
+
+
+def _calls(tree):
+    """(name of the enclosing top-level function or None, call node) for
+    every call in a module."""
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                yield owner, call
+
+
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_split_step_pieces_are_called_only_by_propagate():
+    pieces = {"_half_kick", "_kinetic_phase", "_mask_profile"}
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text())):
+            if _callee(call) in pieces:
+                callers.add((str(path.relative_to(SRC)), owner))
+    assert callers == {("nswp/propagator.py", "propagate")}
+
+
+def test_only_grids_opens_a_file_for_writing():
+    def writes(call):
+        if _callee(call) in ("write_text", "write_bytes"):
+            return True
+        if _callee(call) != "open":
+            return False
+        at = 0 if isinstance(call.func, ast.Attribute) else 1  # path.open(mode)
+        mode = call.args[at] if len(call.args) > at else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        # a mode the scan cannot read counts as a write
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                         and set(mode.value) <= set("rbt"))
+
+    writers = {str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+               if any(writes(call) for _, call in _calls(ast.parse(path.read_text())))}
+    assert writers == {"nswp/grids.py"}
+
+
+def test_split_step_is_gone():
+    import nswp
+    import nswp.propagator
+
+    assert not hasattr(nswp, "split_step")
+    assert not hasattr(nswp.propagator, "split_step")

@@ -7,7 +7,7 @@ from scipy.linalg import solve_banded
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
                   inner_product, lowest_eigenpairs, norm, pade_step,
-                  propagate, shift_field, split_step)
+                  propagate, shift_field)
 from nswp import propagator
 from nswp.grids import write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
@@ -342,12 +342,17 @@ def test_config_rejects_negative_mask_and_unknown_boundary():
 def test_split_step_guard():
     grid = Grid1D(-10.0, 10.0, 128)
     mask = AbsorbingMask(width=2.0, strength=1.0)
+
+    def run(v, dt):
+        config = PropagationConfig(dt=dt, t_end=dt, grid=grid, boundary=mask)
+        propagate(gaussian(grid), lambda x, t: v, config, CONSTS)
+
     with pytest.raises(ConfigurationError):
-        split_step(gaussian(grid), np.full(grid.n, 100.0), 1e-2, CONSTS, mask)
+        run(np.full(grid.n, 100.0), 1e-2)
     v = np.zeros(grid.n)
     v[5] = np.nan
     with pytest.raises(ConfigurationError):
-        split_step(gaussian(grid), v, 1e-3, CONSTS, mask)
+        run(v, 1e-3)
 
 
 def test_reversed_step_bit_identical_to_banded_reference():

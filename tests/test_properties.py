@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nswp import (AbsorbingMask, Grid1D, PhysicalConstants, PropagationConfig,
-                  WaveField, pade_step, observables, propagate,
-                  split_step)
+                  WaveField, pade_step, observables, propagate)
 
 CONSTS = PhysicalConstants()
 PROPERTY = settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -140,17 +139,19 @@ def test_energy_constant_for_static_v(setup, steps):
 # --- split-step Fourier under an absorbing mask -----------------------------
 
 @PROPERTY
-@given(n=st.integers(16, 256), seed=st.integers(0, 2**32 - 1),
-       dt=st.floats(1e-4, 0.1), v_scale=st.floats(0.0, 0.49))
-def test_split_step_without_absorption_is_unitary(n, seed, dt, v_scale):
-    rng = np.random.default_rng(seed)
-    grid = Grid1D(-5.0, 5.0, n)
-    v = rng.uniform(-1.0, 1.0, n) * v_scale / dt
-    psi = WaveField(grid=grid, values=rng.normal(size=n) + 1j * rng.normal(size=n))
-    out = split_step(psi, v, dt, CONSTS, AbsorbingMask(width=1.0, strength=0.0))
-    assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(psi.values),
-                                                       rel=1e-12)
-    assert out.time == psi.time + dt
+@given(setup=smooth_setup(), steps=st.integers(60, 120),
+       eps=st.floats(0.0, 0.3), w=st.floats(0.5, 3.0))
+def test_split_step_without_absorption_is_unitary(setup, steps, eps, w):
+    # V(x, t) = V(x) (1 + eps sin(w t)) under a mask of strength 0: the half
+    # kicks and the kinetic phase are each unitary. A smooth packet, because a
+    # rough state or V scatters into the edge cells and trips the wrap check;
+    # rough V is covered on the Pade route by test_step_is_unitary
+    grid, v, initial = setup
+    config = PropagationConfig(dt=0.5 / steps, t_end=0.5, grid=grid, snapshot_stride=10,
+                               boundary=AbsorbingMask(width=2.0, strength=0.0))
+    report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
+                       config, CONSTS)
+    assert np.max(np.abs(np.asarray(report.norm) - report.norm[0])) < 1e-12 * report.norm[0]
 
 
 @PROPERTY
