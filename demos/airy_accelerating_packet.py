@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 from nswp.cases import run_airy_free
+from nswp.grids import write_csv
 
 
 def main():
@@ -31,18 +32,14 @@ def main():
     grid = report.snapshots[0].grid
     window = result.extras["window"]
     sel = (grid.x >= window[0]) & (grid.x <= window[1])
-    with open(out / "peak_trajectory.csv", "w") as fh:
-        fh.write("t,measured,expected\n")
-        x0 = None
-        for snap, t in zip(report.snapshots, report.times):
-            rho = snap.density()[sel]
-            xw = grid.x[sel]
-            peak = xw[np.argmax(rho)]
-            if x0 is None:
-                x0 = peak
-            fh.write(f"{t:.17g},{peak - x0:.17g},{t**2 / 4.0:.17g}\n")
+    peaks = np.array([grid.x[sel][np.argmax(snap.density()[sel])]
+                      for snap in report.snapshots])
+    times = np.asarray(report.times)
+    B, m = result.extras["B"], result.solution.consts.mass
+    write_csv(out / "peak_trajectory.csv", ("t", "measured", "expected"),
+              times, peaks - peaks[0], B**3 * times**2 / (4.0 * m**2))
     print(f"\npeak trajectory written to {out}/peak_trajectory.csv")
-    print("expected law: displacement = B^3 t^2 / (4 m^2) = t^2/4 here")
+    print(f"expected law: displacement = B^3 t^2 / (4 m^2) with B = {B:g}, m = {m:g}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,8 @@ def quartic_round_trip(grid, dt):
     case = NswpCase(sol, v, lambda x, t: v_nswp(sol, v, x, t), "v_nswp",
                     support_times=(), residual_times=(0.3, 1.0, 1.7))
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=400)
-    report, _, residual = run_case(case, config)
+    report, shared_checks = run_case(case, config)
+    _, residual = shared_checks()
     drift = max(abs(c - traj.d(t)) for c, t in zip(report.centroid, report.times))
     return pair, residual.value, max(report.shape_deviation), drift
 

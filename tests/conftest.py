@@ -37,16 +37,10 @@ def gaussian_result():
 
 
 @pytest.fixture(scope="session")
-def timedep_modulated():
+def timedep_result():
+    # the modulated trap and its static control; the report is the modulated
+    # run's, the extras the negative-claim record
     return run_sho_timedep_frequency(modulation=0.2)
-
-
-@pytest.fixture(scope="session")
-def timedep_control(timedep_modulated):
-    # on the modulated run's grid and dt, as run_sho_timedep_with_control runs it
-    return run_sho_timedep_frequency(modulation=0.0,
-                                     grid=timedep_modulated.report.snapshots[0].grid,
-                                     dt=timedep_modulated.extras["dt"])
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ import nswp.cases
 from nswp import Grid1D, PhysicalConstants, observables
 from nswp.cases import (SCENARIOS, airy_forced_case, airy_free_case, phi0_forced_airy,
                         run_airy_forced, run_airy_free, run_corrupted_phase,
-                        run_sho_shifted,
-                        run_sho_timedep_frequency, run_sho_timedep_with_control,
+                        run_sho_shifted, run_sho_timedep_frequency,
                         trap_envelope_half_width, uniform_force)
+from nswp.cli import main
 
 from conftest import check_by_name
 
@@ -76,6 +76,19 @@ def test_airy_default_step_is_converged(fixture, run_fine, request):
         assert abs(c.value - f.value) <= 0.02 * c.tolerance, c.name
 
 
+def test_airy_forced_checks_hold_for_a_run_shorter_than_their_times():
+    # the support check samples V_nswp at t = 1.5 and the phase check
+    # meshes up to 2.0: the force and phi0 caches reach 1 past both
+    result = run_airy_forced(*uniform_force(), t_end=0.4)
+    assert result.solution.t_max == 2.5
+    for c in result.checks:
+        assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
+
+
+def test_airy_forced_default_cache_horizon_is_unchanged(airy_forced_result):
+    assert airy_forced_result.solution.t_max == 3.0
+
+
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(amp=st.floats(-0.45, 0.45), freq=st.floats(0.5, 12.0))
 @example(amp=-0.45, freq=12.0)
@@ -96,9 +109,10 @@ def test_gaussian_control(gaussian_result):
     assert gaussian_result.passed
 
 
-def test_timedep_frequency_negative_claim(timedep_modulated, timedep_control):
-    assert check_by_name(timedep_modulated, "spread_detected").passed
-    assert check_by_name(timedep_control, "control_stays_rigid").passed
+def test_timedep_frequency_negative_claim(timedep_result):
+    assert check_by_name(timedep_result, "spread_detected_with_static_control").passed
+    assert timedep_result.extras["spread_detected"]
+    assert timedep_result.extras["control_ok"]
 
 
 def test_forced_reduces_to_free_when_unforced():
@@ -183,22 +197,22 @@ def test_phase_check_work_counts():
     assert 0 < calls["integrand"] < 2_000
 
 
-def test_timedep_frequency_default_t_end_is_whole_steps(timedep_control):
+def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result):
     # 10/omega0 is not a whole number of 1e-3 steps for omega0 = 3; the
     # grid is narrow enough for the step guard dt max|V| < 0.5 at this omega0
     res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256), dt=1e-3)
-    t_end = res.extras["t_end"]
+    t_end = res.report.times[-1]
     assert abs(t_end - 10.0 / 3.0) <= 0.5e-3
-    assert res.report.times[-1] == pytest.approx(t_end, abs=1e-12)
+    assert t_end / 1e-3 == pytest.approx(round(t_end / 1e-3), abs=1e-9)
     # omega0 = 1 keeps exactly the old horizon
-    assert timedep_control.extras["t_end"] == 10.0
+    assert timedep_result.report.times[-1] == 10.0
 
 
 def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
     # at omega0 = 3 the grid is +-L from the packet's classical envelope and
     # the default dt = 1e-2/3 is cut to keep the step guard; the static
     # control on that grid stays rigid
-    result = run_sho_timedep_with_control(omega0=3.0)
+    result = run_sho_timedep_frequency(omega0=3.0)
     assert result.passed
     assert result.extras["control_max_deviation"] < 5e-4
     grid = result.report.snapshots[0].grid
@@ -213,6 +227,30 @@ def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
     assert dt * 0.5 * (3.0 * 1.2) ** 2 * half_width**2 < 0.5
 
 
+def test_trap_verify_sizes_solves_and_configures_once(monkeypatch, tmp_path):
+    # the modulated run and its control share one grid and dt, one
+    # eigensolve of the mode and one propagation config
+    calls = {"lowest_eigenpairs": 0, "_trap_grid_and_dt": 0}
+    configs = []
+    for name in calls:
+        original = getattr(nswp.cases, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(nswp.cases, name, counted)
+    propagate = nswp.cases.propagate
+
+    def spy(initial, v_fn, config, consts):
+        configs.append(config)
+        return propagate(initial, v_fn, config, consts)
+    monkeypatch.setattr(nswp.cases, "propagate", spy)
+    assert main(["verify", "--scenario", "sho-timedep-freq",
+                 "--out", str(tmp_path / "v")]) == 0
+    assert calls == {"lowest_eigenpairs": 1, "_trap_grid_and_dt": 1}
+    assert len(configs) == 2 and configs[0] is configs[1]
+
+
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("consts", [CONSTS, PhysicalConstants(hbar=2.0, mass=0.5)])
 def test_trap_envelope_is_the_static_packet_without_modulation(omega0, consts):
@@ -222,24 +260,25 @@ def test_trap_envelope_is_the_static_packet_without_modulation(omega0, consts):
     assert trap_envelope_half_width(omega0, 0.0, consts) == 2.0 + c * sigma0
 
 
-def test_trap_envelope_bounds_the_modulated_run(timedep_modulated):
+def test_trap_envelope_bounds_the_modulated_run(timedep_result):
     # max over the snapshots of |<x>| + c sigma_x, with sigma_x the run's own
     # measured width, lies under the envelope and within 1 % of it
     c = nswp.cases._TRAP_ENVELOPE_SIGMAS
     measured = max(abs(o.centroid) + c * math.sqrt(o.variance)
                    for o in (observables(s, None, CONSTS)
-                             for s in timedep_modulated.report.snapshots))
+                             for s in timedep_result.report.snapshots))
     half_width = trap_envelope_half_width(1.0, 0.2, CONSTS)
-    assert timedep_modulated.report.snapshots[0].grid.x_max == half_width
+    assert timedep_result.report.snapshots[0].grid.x_max == half_width
     assert 0.99 * half_width < measured <= half_width
 
 
-def test_trap_check_values_match_a_fine_reference(timedep_modulated, timedep_control):
+def test_trap_check_values_match_a_fine_reference(timedep_result):
     # reference: the modulated run on +-12 with 2048 points at dt = 1e-3
-    modulated = float(np.max(timedep_modulated.report.shape_deviation))
+    modulated = float(np.max(timedep_result.report.shape_deviation))
     assert abs(modulated - 0.173018) < 5e-5
-    assert float(np.max(timedep_control.report.shape_deviation)) < 1e-5
-    assert len(timedep_modulated.report.times) == len(timedep_control.report.times) == 101
+    assert timedep_result.extras["modulated_max_deviation"] == modulated
+    assert timedep_result.extras["control_max_deviation"] < 1e-5
+    assert len(timedep_result.report.times) == 101
 
 
 def test_sho_default_dt_is_cut_to_the_step_guard():
@@ -277,10 +316,10 @@ def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
     assert forced.passed and forced.tolerance == free.tolerance == 0.01
 
 
-# (check name, bound, value) of every scenario and of both trap runs, in
-# report order: a change to a bound, a name or the order shows here as a
-# diff, and a value that moves by more than 1e-4 relative fails. A value
-# at round-off level (None) is held to its bound only
+# (check name, bound, value) of every scenario, in report order: a change
+# to a bound, a name or the order shows here as a diff, and a value that
+# moves by more than 1e-4 relative fails. A value at round-off level (None)
+# is held to its bound only
 CHECKS = {
     "sho": [("construction_tdse_residual", 1e-4, 1.63968e-07),
             ("gauge_gives_static_sho", 1e-10, None),
@@ -307,27 +346,25 @@ CHECKS = {
                          ("spreading_detected", 1e-2, 0.292855)],
     "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.172987)],
     "corrupted-phase": [("residual_inflates_100x", 100.0, 9.28893e+06)],
-    "trap eps 0.2": [("spread_detected", 1e-2, 0.172987)],
-    "trap eps 0": [("control_stays_rigid", 5e-4, 4.83649e-07)],
 }
+# the trap's static control, which its one check compares in the record
+TRAP_CONTROL = (5e-4, 4.83649e-07)
 
 
-def test_check_names_and_bounds_are_pinned(monkeypatch, sho_result, airy_free_result,
+def test_check_names_and_bounds_are_pinned(sho_result, airy_free_result,
                                            airy_forced_result, gaussian_result,
-                                           timedep_modulated, timedep_control):
-    # the trap scenario reuses the session's two trap runs
-    trap_runs = {0.2: timedep_modulated, 0.0: timedep_control}
-    monkeypatch.setattr(nswp.cases, "run_sho_timedep_frequency",
-                        lambda modulation=0.2, **_: trap_runs[modulation])
+                                           timedep_result):
     results = {
         "sho": sho_result, "airy-free": airy_free_result,
         "airy-forced": airy_forced_result, "gaussian-control": gaussian_result,
-        "sho-timedep-freq": run_sho_timedep_with_control(),
+        "sho-timedep-freq": timedep_result,
         # the one scenario without a session run: closed form, no propagation
         "corrupted-phase": run_corrupted_phase(),
-        "trap eps 0.2": timedep_modulated, "trap eps 0": timedep_control,
     }
-    assert set(SCENARIOS) <= set(results)
+    assert set(SCENARIOS) == set(results)
+    record = timedep_result.extras
+    assert record["control_threshold"] == TRAP_CONTROL[0]
+    assert record["control_max_deviation"] == pytest.approx(TRAP_CONTROL[1], rel=1e-4)
     assert {name: [(c.name, c.tolerance) for c in result.checks]
             for name, result in results.items()} == {
         name: [(c_name, bound) for c_name, bound, _ in checks]

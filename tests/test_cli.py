@@ -86,6 +86,44 @@ def test_airy_free_peak_law_out_of_reach_raises(tmp_path, capsys):
     assert "B = 0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--t-end", "1.5"], ["--B", "0.5"]],
+                         ids=["t_end-1.5", "B-0.5"])
+def test_propagate_writes_a_run_whose_peak_law_is_out_of_reach(argv, tmp_path):
+    # the peak law that makes verify exit 2 for these runs is a check, and
+    # propagate writes its report without evaluating any
+    out = tmp_path / "o"
+    assert main(["propagate", "--scenario", "airy-free", *argv, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["times"]
+
+
+# the helpers only a scenario's checks call
+CHECK_HELPERS = ("classical_motion_check", "energy_split_check", "phi0_forced_airy",
+                 "_quadratic_peak", "_windowed_momentum", "tdse_residual", "observables")
+
+
+@pytest.mark.parametrize("scenario", ["sho", "airy-free", "airy-forced", "gaussian-control"])
+def test_propagate_evaluates_no_check(scenario, tmp_path, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("propagate evaluated a check")
+
+    for name in CHECK_HELPERS:
+        monkeypatch.setattr(cases, name, not_reached)
+    assert main(["propagate", "--scenario", scenario, "--out", str(tmp_path / "o")]) == 0
+    if scenario == "gaussian-control":
+        # verify does evaluate them
+        with pytest.raises(AssertionError, match="evaluated a check"):
+            main(["verify", "--scenario", scenario, "--out", str(tmp_path / "v")])
+
+
+def test_propagate_airy_forced_shorter_than_its_check_times(tmp_path):
+    # the support check samples V_nswp up to t = 1.5; the force cache used
+    # to end at t_end + 1 = 1.4
+    out = tmp_path / "o"
+    assert main(["propagate", "--scenario", "airy-forced", "--t-end", "0.4",
+                 "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["times"][-1] == pytest.approx(0.4)
+
+
 def test_airy_forced_t_end_must_be_whole_default_steps(tmp_path, capsys):
     # without --dt the Airy runs step at 1e-2: 1.0 is 100 steps with a
     # snapshot every 0.1, 1.005 is not a whole number of steps

@@ -8,7 +8,7 @@ numpy replacement of either has one place to go.
 
 The one-copy rules are scanned here too: the masked split step's pieces
 are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
-file for writing, and ``split_step`` is gone.
+file for writing (no demo does), and ``split_step`` is gone.
 """
 
 import ast
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.fft")
 
 
@@ -87,22 +88,33 @@ def test_split_step_pieces_are_called_only_by_propagate():
     assert callers == {("nswp/propagator.py", "propagate")}
 
 
-def test_only_grids_opens_a_file_for_writing():
-    def writes(call):
-        if _callee(call) in ("write_text", "write_bytes"):
-            return True
-        if _callee(call) != "open":
-            return False
-        at = 0 if isinstance(call.func, ast.Attribute) else 1  # path.open(mode)
-        mode = call.args[at] if len(call.args) > at else next(
-            (k.value for k in call.keywords if k.arg == "mode"), None)
-        # a mode the scan cannot read counts as a write
-        return mode is not None and not (isinstance(mode, ast.Constant)
-                                         and set(mode.value) <= set("rbt"))
+def _writes(call):
+    """The call opens or writes a file for writing."""
+    if _callee(call) in ("write_text", "write_bytes"):
+        return True
+    if _callee(call) != "open":
+        return False
+    at = 0 if isinstance(call.func, ast.Attribute) else 1  # path.open(mode)
+    mode = call.args[at] if len(call.args) > at else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    # a mode the scan cannot read counts as a write
+    return mode is not None and not (isinstance(mode, ast.Constant)
+                                     and set(mode.value) <= set("rbt"))
 
-    writers = {str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-               if any(writes(call) for _, call in _calls(ast.parse(path.read_text())))}
-    assert writers == {"nswp/grids.py"}
+
+def _writers(root):
+    return {str(path.relative_to(root)) for path in sorted(root.rglob("*.py"))
+            if any(_writes(call) for _, call in _calls(ast.parse(path.read_text())))}
+
+
+def test_only_grids_opens_a_file_for_writing():
+    assert _writers(SRC) == {"nswp/grids.py"}
+
+
+def test_no_demo_opens_a_file_for_writing():
+    # the demos write through nswp's writers too
+    assert list(DEMOS.glob("*.py"))
+    assert _writers(DEMOS) == set()
 
 
 def test_split_step_is_gone():

@@ -14,11 +14,12 @@ import nswp.cli
 from nswp import CheckResult, Grid1D, PhysicalConstants, RunReport, WaveField
 from nswp.cases import SCENARIOS, ScenarioResult, airy_free_case
 from nswp.cli import _load_config, main
+from nswp.propagator import propagate
 from nswp.errors import ConfigurationError
 
 RUNS = {"sho": "run_sho_shifted", "airy-free": "run_airy_free",
         "airy-forced": "run_airy_forced", "gaussian-control": "run_gaussian_spreading",
-        "sho-timedep-freq": "run_sho_timedep_with_control",
+        "sho-timedep-freq": "run_sho_timedep_frequency",
         "corrupted-phase": "run_corrupted_phase"}
 BUILDERS = {"sho": "sho_case", "airy-free": "airy_free_case",
             "airy-forced": "airy_forced_case"}
@@ -37,7 +38,7 @@ def _fake_result():
     psi = WaveField(grid=grid, values=np.ones(8, dtype=complex), time=0.0)
     report = RunReport(times=[0.0], norm=[1.0], shape_deviation=[0.0], snapshots=[psi])
     return ScenarioResult(name="fake", report=report, extras={"t_end": 1.0},
-                          checks=[CheckResult("fake_check", 0.0, 1.0, True)])
+                          evaluate=lambda: [CheckResult("fake_check", 0.0, 1.0, True)])
 
 
 @pytest.fixture
@@ -136,19 +137,15 @@ def test_keys_a_scenario_does_not_take_exit_2_before_any_run(argv, config, calls
 def test_timedep_freq_passes_consts_to_both_trap_runs(monkeypatch, tmp_path):
     record = []
 
-    def fake_run(**kwargs):
-        record.append(kwargs)
-        return _fake_result()
+    def spy(initial, v_fn, config, consts):
+        record.append(consts)
+        return propagate(initial, v_fn, config, consts)
 
-    monkeypatch.setattr(nswp.cases, "run_sho_timedep_frequency", fake_run)
-    monkeypatch.setattr(nswp.cases, "no_nswp_for_time_dependent_frequency",
-                        lambda *a, **k: {"modulated_max_deviation": 0.1,
-                                         "spread_threshold": 0.01, "pass": True})
+    monkeypatch.setattr(nswp.cases, "propagate", spy)
     cfg = _write_config(tmp_path, {"hbar": 2})
     assert main(["verify", "--scenario", "sho-timedep-freq", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 0
-    assert [r["consts"].hbar for r in record] == [2.0, 2.0]
-    assert [r.get("modulation") for r in record] == [None, 0.0]
+    assert [consts.hbar for consts in record] == [2.0, 2.0]
 
 
 def test_reproduce_verifies_every_table_entry(calls, tmp_path):

@@ -131,16 +131,20 @@ def test_check_result_serialization(sho_result):
     assert set(d) == {"name", "value", "tolerance", "pass", "note"}
 
 
-def test_negative_claim_record(timedep_modulated, timedep_control):
-    record = no_nswp_for_time_dependent_frequency(timedep_modulated.report,
-                                                  timedep_control.report)
+def test_negative_claim_record(timedep_result):
+    # the trap scenario's extras are the record of its two runs
+    record = timedep_result.extras
     assert record["pass"]
     assert record["spread_detected"]
     assert record["control_ok"]
     assert record["first_exceed_time"] is not None
-    assert record["first_exceed_time"] < timedep_modulated.extras["t_end"]
+    assert record["first_exceed_time"] < timedep_result.report.times[-1]
     assert record["modulated_max_deviation"] > 1e-2
     assert record["control_max_deviation"] < 5e-4
+    # a spreading run as its own control fails the control half
+    report = timedep_result.report
+    own = no_nswp_for_time_dependent_frequency(report, report)
+    assert own["spread_detected"] and not own["control_ok"] and not own["pass"]
 
 
 # --- shape deviation, measured from the snapshots ----------------------------
