@@ -25,7 +25,8 @@ def quartic_round_trip(grid, dt):
     v = StaticPotential.quartic(1.0)
     pair = lowest_eigenpairs(v, grid, consts, 1)[0]
 
-    # smooth round trip: out to x = 1 and back, at rest at both ends
+    # smooth round trip: out to x = 1.14, back through 0 at t = 1 to -1.14
+    # and home, at rest at both ends
     t_end = 2.0
     traj = Polynomial((0.0, 0.0, 16.0, -32.0, 20.0, -4.0))
     sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
@@ -34,8 +35,8 @@ def quartic_round_trip(grid, dt):
     case = NswpCase(sol, v, lambda x, t: v_nswp(sol, v, x, t), "v_nswp",
                     support_times=(), residual_times=(0.3, 1.0, 1.7))
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=400)
-    report, shared_checks = run_case(case, config)
-    _, residual = shared_checks()
+    result = run_case(case, config, "quartic_round_trip", {}, lambda report: [])
+    report, residual = result.report, result.checks[1]
     drift = max(abs(c - traj.d(t)) for c, t in zip(report.centroid, report.times))
     return pair, residual.value, max(report.shape_deviation), drift
 

@@ -77,7 +77,6 @@ class ScenarioResult:
             "pass": self.passed,
             "checks": [c.to_dict() for c in self.checks],
             "extras": self.extras,
-            "report": self.report.to_dict() if self.report is not None else None,
         }
 
 
@@ -120,15 +119,16 @@ class NswpCase:
         return (lambda t: shape.values_at(x_window - d(t)) ** 2), sel
 
 
-def run_case(case: NswpCase, config: PropagationConfig
-             ) -> tuple[RunReport, Callable[[], tuple[CheckResult, CheckResult]]]:
-    """One NSWP family's run, and the checks every family shares.
+def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
+             family_checks: Callable[[RunReport], list]) -> ScenarioResult:
+    """One NSWP family's run, as the scenario ``name``.
 
-    Returns the report of Psi(0) propagated under ``case.v_run`` (tapered
-    into the mask under an ``AbsorbingMask``), with its shape deviation
-    from |f(x - d(t))|^2 on the case's window; and a function that
-    evaluates the check that V_nswp is ``v_run`` at the support times and
-    the construction TDSE residual relative to max|Psi(0)|."""
+    Its report is Psi(0) propagated under ``case.v_run`` (tapered into the
+    mask under an ``AbsorbingMask``), with its shape deviation from
+    |f(x - d(t))|^2 on the case's window. Its checks are, in order: V_nswp
+    is ``v_run`` at the support times, the construction TDSE residual
+    relative to max|Psi(0)|, then ``family_checks(report)``. Its extras are
+    ``extras`` with the run's dt and t_end."""
     sol, grid = case.sol, config.grid
     psi0 = analytic_psi(sol, grid, 0.0)
     peak = float(np.max(np.abs(psi0.values)))
@@ -141,16 +141,18 @@ def run_case(case: NswpCase, config: PropagationConfig
     report = propagate(psi0, case.v_run, config, sol.consts)
     report.shape_deviation = shape_deviation(report, *case.reference(grid))
 
-    def shared_checks():
+    def evaluate():
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
                                            - case.v_run(grid.x, t))))
                        for t in case.support_times), default=0.0)
         residual = max(tdse_residual(sol, case.v, grid, t, margin=case.margin)
                        for t in case.residual_times) / peak
-        return (CheckResult.below(case.support, support, 1e-10),
+        return [CheckResult.below(case.support, support, 1e-10),
                 CheckResult.below("construction_tdse_residual", residual, 1e-4,
-                                  note="relative to max|Psi|"))
-    return report, shared_checks
+                                  note="relative to max|Psi|"),
+                *family_checks(report)]
+    return ScenarioResult(name, report, evaluate,
+                          {**extras, "dt": config.dt, "t_end": config.t_end}, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +209,10 @@ def run_sho_shifted(
                  if n_steps % k == 0)
     case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
     sol, v_static = case.sol, case.v
-    report, shared_checks = run_case(case, replace(config, snapshot_stride=stride))
-    report.htilde_residual = [
-        htilde_residual(snap, v_static, sol.trajectory, consts, sol.E_f, t)
-        for snap, t in zip(report.snapshots, report.times)]
 
-    def evaluate():
-        support, residual = shared_checks()
+    def family_checks(report):
         overlap_dev = abs(1.0 - _overlap_mod(report.snapshots[0], report.snapshots[-1]))
         return [
-            residual,
-            support,
             CheckResult.below("shape_deviation", float(np.max(report.shape_deviation)),
                               5e-4),
             CheckResult.below("htilde_residual_max",
@@ -226,14 +221,14 @@ def run_sho_shifted(
             *energy_split_check(report, sol, v_static, consts),
             CheckResult.below("period_end_overlap", overlap_dev, 1e-4),
         ]
-    return ScenarioResult(
-        name=f"sho_shifted_n{n}",
-        report=report,
-        evaluate=evaluate,
-        extras={"n": n, "amplitude": amplitude, "omega": omega,
-                "energy": sol.E_f, "dt": dt, "t_end": t_end},
-        solution=sol,
-    )
+    result = run_case(case, replace(config, snapshot_stride=stride), f"sho_shifted_n{n}",
+                      {"n": n, "amplitude": amplitude, "omega": omega, "energy": sol.E_f},
+                      family_checks)
+    report = result.report
+    report.htilde_residual = [
+        htilde_residual(snap, v_static, sol.trajectory, consts, sol.E_f, t)
+        for snap, t in zip(report.snapshots, report.times)]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +319,8 @@ def run_airy_free(
     """
     case = airy_free_case(B, consts, t_max=t_end + 1.0)
     A, m = case.sol.shape.A, consts.mass
-    report, shared_checks = run_case(case, _airy_config(grid, dt, t_end))
 
-    def evaluate():
+    def family_checks(report):
         _, sel = case.reference(grid)
         # main-lobe peak displacement vs B^3 t^2 / (4 m^2)
         times = np.asarray(report.times)
@@ -350,7 +344,6 @@ def run_airy_free(
         slope = float(np.polyfit(times, p_window, 1)[0])
         mismatch, loss = _window_checks(report, case)
         return [
-            *shared_checks(),
             CheckResult.below("peak_follows_quadratic_law", peak_err, 0.02,
                               note="relative, displacement >= 1"),
             mismatch,
@@ -358,15 +351,10 @@ def run_airy_free(
                               note="d<P_window>/dt vs A, relative"),
             loss,
         ]
-    return ScenarioResult(
-        name="airy_free",
-        report=report,
-        evaluate=evaluate,
-        extras={"B": B, "A": A, "dt": dt, "t_end": t_end,
-                "window": list(_AIRY_WINDOW), "mask_width": _AIRY_MASK.width,
-                "mask_strength": _AIRY_MASK.strength},
-        solution=case.sol,
-    )
+    return run_case(case, _airy_config(grid, dt, t_end), "airy_free",
+                    {"B": B, "A": A, "window": list(_AIRY_WINDOW),
+                     "mask_width": _AIRY_MASK.width, "mask_strength": _AIRY_MASK.strength},
+                    family_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +433,8 @@ def run_airy_forced(
     t_max = max(t_end, *_FORCED_SUPPORT_TIMES, *_AIRY_RESIDUAL_TIMES) + 1.0
     case = airy_forced_case(B, F, consts, t_max=t_max)
     sol, A = case.sol, case.sol.shape.A
-    report, shared_checks = run_case(case, config)
 
-    def evaluate():
+    def family_checks(report):
         # dual-route phase: nested-integral formula vs direct quadrature
         ts = np.linspace(0.0, min(3.0, sol.t_max - 0.5), 13)
         phase_dev = max(
@@ -455,19 +442,13 @@ def run_airy_forced(
             for t, direct in zip(ts, sol.phi0_direct(ts))
         )
         return [
-            *shared_checks(),
             CheckResult.below("phase_dual_route", phase_dev, 1e-8,
                               note="nested-integral phi0 vs direct quadrature"),
             *_window_checks(report, case),
         ]
-    return ScenarioResult(
-        name=f"airy_forced_{force_label}",
-        report=report,
-        evaluate=evaluate,
-        extras={"B": B, "A": A, "dt": dt, "t_end": t_end, "force": force_label,
-                "window": list(_AIRY_WINDOW)},
-        solution=sol,
-    )
+    return run_case(case, config, f"airy_forced_{force_label}",
+                    {"B": B, "A": A, "force": force_label, "window": list(_AIRY_WINDOW)},
+                    family_checks)
 
 
 # ---------------------------------------------------------------------------

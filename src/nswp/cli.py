@@ -171,7 +171,6 @@ def cmd_propagate(config: dict, out: Path) -> int:
 
 def cmd_verify(config: dict, out: Path) -> int:
     payload = _run("verify", config).to_dict()
-    del payload["report"]
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", payload)
     write_json(out / "manifest.json", {"command": "verify", "config": config})

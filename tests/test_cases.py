@@ -306,7 +306,8 @@ def test_scenario_serialization(sho_result):
     assert d["pass"] is True
     assert d["name"].startswith("sho_shifted")
     assert isinstance(d["checks"], list) and d["checks"]
-    assert "times" in d["report"]
+    assert "report" not in d
+    assert "times" in sho_result.report.to_dict()
 
 
 def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
@@ -321,8 +322,8 @@ def test_airy_forced_window_content_loss(airy_forced_result, airy_free_result):
 # moves by more than 1e-4 relative fails. A value at round-off level (None)
 # is held to its bound only
 CHECKS = {
-    "sho": [("construction_tdse_residual", 1e-4, 1.63968e-07),
-            ("gauge_gives_static_sho", 1e-10, None),
+    "sho": [("gauge_gives_static_sho", 1e-10, None),
+            ("construction_tdse_residual", 1e-4, 1.63968e-07),
             ("shape_deviation", 5e-4, 1.75365e-07),
             ("htilde_residual_max", 1e-4, 4.98218e-07),
             ("centroid_tracks_trajectory", 1e-4, 1.66750e-07),
@@ -345,7 +346,7 @@ CHECKS = {
     "gaussian-control": [("width_follows_spreading_law", 0.01, 4.32533e-09),
                          ("spreading_detected", 1e-2, 0.292855)],
     "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.172987)],
-    "corrupted-phase": [("residual_inflates_100x", 100.0, 9.28893e+06)],
+    "corrupted-phase": [("residual_inflates_100x", 100.0, 1.86890e+08)],
 }
 # the trap's static control, which its one check compares in the record
 TRAP_CONTROL = (5e-4, 4.83649e-07)

@@ -201,3 +201,21 @@ def test_sampled_shape_guards(sho_pieces):
         sol.shape.on_grid_shifted(grid, 0.6 * grid.width)
     with pytest.raises(NotImplementedError):
         sol.shape.values_at(np.array([0.0]))
+
+
+def test_sampled_shift_does_not_wrap_around():
+    # on +-8 at |d| near 2 the periodic image of the right tail held the
+    # construction residual at about 1.5e-7 (ratio 0.93 from 1024 to 2048
+    # points); with f = 0 off the grid it falls 16-fold, as on +-12
+    v = StaticPotential.harmonic(1.0)
+    traj = Sinusoid(amplitude=2.0, omega=1.0)
+
+    def residual(n):
+        grid = Grid1D(-8.0, 8.0, n)
+        pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
+        sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
+                           gauge_sho_case(1.0, traj, CONSTS), consts=CONSTS)
+        peak = np.max(np.abs(pair.shape.values))
+        return max(tdse_residual(sol, v, grid, t) for t in (0.3, 1.1, 1.9)) / peak
+
+    assert 15.0 < residual(1024) / residual(2048) < 17.0

@@ -8,7 +8,8 @@ numpy replacement of either has one place to go.
 
 The one-copy rules are scanned here too: the masked split step's pieces
 are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
-file for writing (no demo does), and ``split_step`` is gone.
+file for writing (no demo does), ``split_step`` is gone, and every NSWP
+family's ``ScenarioResult`` is built by ``cases.run_case``.
 """
 
 import ast
@@ -86,6 +87,20 @@ def test_split_step_pieces_are_called_only_by_propagate():
             if _callee(call) in pieces:
                 callers.add((str(path.relative_to(SRC)), owner))
     assert callers == {("nswp/propagator.py", "propagate")}
+
+
+def test_scenario_results_are_built_by_run_case_and_the_controls():
+    tree = ast.parse((SRC / "nswp" / "cases.py").read_text())
+    builders = {owner for owner, call in _calls(tree) if _callee(call) == "ScenarioResult"}
+    assert builders == {"run_case", "run_gaussian_spreading", "run_sho_timedep_frequency",
+                        "run_corrupted_phase"}
+
+
+def test_no_source_or_demo_names_shared_checks():
+    # run_case returns the scenario with its shared checks in place
+    offenders = [str(path) for root in (SRC, DEMOS) for path in sorted(root.rglob("*.py"))
+                 if "shared_checks" in path.read_text()]
+    assert offenders == []
 
 
 def _writes(call):
