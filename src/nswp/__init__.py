@@ -15,7 +15,7 @@ from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           phase, tdse_residual, v_nswp)
 from .eigensolver import EigenPair, StaticPotential, lowest_eigenpairs
 from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
-                    inner_product, norm, observables, read_wavefield_csv,
+                    inner_product, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
                          RunReport, pade_step, propagate)

@@ -85,7 +85,7 @@ class SampledShape(Shape):
             raise RangeError(f"shift {d} leaves the shape window")
         if d == 0.0:
             return self.field.values.real.copy()
-        shifted = shift_values(self.field.values.real, d, grid.dx).real
+        shifted = shift_values(self.field.values.real, d, grid.dx)
         # the spectral shift is periodic: where x - d lies off the grid it
         # holds the periodic image f(x - d -+ L), not the mode's f = 0 there
         source = grid.x - d

@@ -1,15 +1,17 @@
 """Spatial grid, wave field and observable primitives.
 
-``observables`` takes its integrals as plain sums dx * sum(.), the inner
-product that the propagator's (2,2) Pade step conserves exactly;
-``inner_product`` and ``norm`` use the trapezoidal rule. The Hamiltonian is
-the fourth-order matrix Numerov operator H_N = M^-1 K + V (Pillai, Goglio &
-Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point kinetic matrix
-and M = tridiag(1, 10, 1)/12, both with Dirichlet walls; ``numerov_bands``
-is the one builder of its bands, shared by the eigensolver, both stages of
-the Pade step and <H>; ``tridiagonal_solver`` solves with all of them. <P>
-uses the 5-point first derivative. Fractional spatial shifts are done by
-Fourier interpolation so that sub-grid displacements are representable.
+``observables`` takes its integrals as plain sums dx * sum(.), each one
+dot product, the inner product that the propagator's (2,2) Pade step
+conserves exactly; ``inner_product`` uses the trapezoidal rule. The
+Hamiltonian is the fourth-order matrix Numerov operator H_N = M^-1 K + V
+(Pillai, Goglio & Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point
+kinetic matrix and M = tridiag(1, 10, 1)/12, both with Dirichlet walls;
+``numerov_bands`` is the one builder of its bands, shared by the
+eigensolver, both stages of the Pade step and <H>; ``tridiagonal_solver``
+solves with all of them. <P> uses the 5-point first derivative; the 5-point
+weights ``FD5_FIRST`` and ``FD5_SECOND`` are spelled here only. Fractional
+spatial shifts are done by Fourier interpolation so that sub-grid
+displacements are representable.
 """
 
 from __future__ import annotations
@@ -107,25 +109,36 @@ def inner_product(a: WaveField, b: WaveField) -> complex:
     return complex(np.trapezoid(np.conj(a.values) * b.values, dx=a.grid.dx))
 
 
-def norm(psi: WaveField) -> float:
-    return float(np.sqrt(inner_product(psi, psi).real))
+# 5-point central difference weights at offsets -2..2: the first derivative
+# is sum_k FD5_FIRST[k] h_{i+k-2} / (FD5_DIVISOR dx), the second
+# sum_k FD5_SECOND[k] h_{i+k-2} / (FD5_DIVISOR dx^2)
+FD5_FIRST = (1.0, -8.0, 0.0, 8.0, -1.0)
+FD5_SECOND = (-1.0, 16.0, -30.0, 16.0, -1.0)
+FD5_DIVISOR = 12.0
+
+
+def _fd5(values: np.ndarray, weights, scale: float) -> np.ndarray:
+    """sum_k weights[k] values[i+k-2] / scale along the first axis, term by
+    term from offset -2; zero at the two points at each end."""
+    n = len(values)
+    out = np.zeros_like(values)
+    acc = out[2:-2]
+    for k, w in enumerate(weights):
+        if w:
+            acc += w * values[k:n - 4 + k]
+    acc /= scale
+    return out
 
 
 def fd5_first(values: np.ndarray, dx: float) -> np.ndarray:
     """5-point central first derivative along the first axis; zero at the two
     points at each end."""
-    out = np.zeros_like(values)
-    out[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * dx)
-    return out
+    return _fd5(values, FD5_FIRST, FD5_DIVISOR * dx)
 
 
 def fd5_second(values: np.ndarray, dx: float) -> np.ndarray:
     """5-point central second derivative; zero at the two points at each end."""
-    out = np.zeros_like(values)
-    out[2:-2] = (
-        -values[:-4] + 16 * values[1:-3] - 30 * values[2:-2] + 16 * values[3:-1] - values[4:]
-    ) / (12 * dx**2)
-    return out
+    return _fd5(values, FD5_SECOND, FD5_DIVISOR * dx**2)
 
 
 # bands of the Numerov matrix M = tridiag(1, 10, 1) / 12
@@ -202,28 +215,39 @@ def observables(
 ) -> Observables:
     """Norm, <x>, <P>, <H> and spatial variance of a field.
 
-    ``v_of_x`` holds potential samples on the grid; when None the energy is
-    purely kinetic. Raises DegenerateFieldError for an (almost) zero field.
+    The density re^2 + im^2 is formed once; <x> and the variance are its
+    dot products with x and (x - <x>)^2. <P> is four ``vdot``s of the points
+    with a 5-point difference against their shifted neighbours, so no
+    derivative array is built; <H> is the Numerov expectation
+    <psi|M^-1 K psi> + <V rho>. ``v_of_x`` holds potential samples on the
+    grid; when None the energy is purely kinetic. Raises
+    DegenerateFieldError for an (almost) zero field.
     """
     dx = psi.grid.dx
     x = psi.grid.x
-    rho = psi.density()
-    nrm2 = dx * float(np.sum(rho))
+    values = psi.values
+    rho = values.real * values.real
+    rho += values.imag * values.imag
+    nrm2 = dx * float(rho.sum())
     if nrm2 < 1e-24:
         raise DegenerateFieldError(f"field norm {np.sqrt(nrm2):g} below 1e-12")
-    centroid = dx * float(np.sum(x * rho)) / nrm2
-    variance = dx * float(np.sum((x - centroid) ** 2 * rho)) / nrm2
+    centroid = dx * float(np.dot(x, rho)) / nrm2
+    xc = x - centroid
+    variance = dx * float(np.dot(xc * xc, rho)) / nrm2
 
-    dpsi = fd5_first(psi.values, dx)
-    p_mean = dx * float(
-        np.sum(np.conj(psi.values) * (-1j * consts.hbar) * dpsi).real
-    ) / nrm2
+    # dx * sum conj(psi) (-i hbar) psi' with psi' the 5-point difference,
+    # which is zero at the two points at each end
+    n = len(values)
+    inner = values[2:-2]
+    s = sum(w * np.vdot(inner, values[k:n - 4 + k]) for k, w in enumerate(FD5_FIRST) if w)
+    p_mean = consts.hbar * float(s.imag) / (FD5_DIVISOR * nrm2)
 
     # <H> of the Numerov Hamiltonian, the energy the Pade step conserves
-    h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), psi.values))
+    k_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), values))
+    e_sum = float(np.vdot(values, k_psi).real)
     if v_of_x is not None:
-        h_psi = h_psi + np.asarray(v_of_x) * psi.values
-    e_mean = dx * float(np.sum(np.conj(psi.values) * h_psi).real) / nrm2
+        e_sum += float(np.dot(v_of_x, rho))
+    e_mean = dx * e_sum / nrm2
 
     return Observables(
         norm=float(np.sqrt(nrm2)),
@@ -234,28 +258,47 @@ def observables(
     )
 
 
+@lru_cache(maxsize=8)
+def _wavenumbers(n: int, dx: float, real: bool) -> np.ndarray:
+    """2 pi times the ``numpy.fft`` sample frequencies of an n-point grid:
+    the n // 2 + 1 of ``rfft`` when ``real``, else the n of ``fft``.
+    Shared by every caller, so read-only."""
+    k = 2.0 * np.pi * (np.fft.rfftfreq(n, d=dx) if real else np.fft.fftfreq(n, d=dx))
+    k.flags.writeable = False
+    return k
+
+
 def shift_values(values: np.ndarray, a: float, dx: float) -> np.ndarray:
-    """Fourier-interpolated shift: h(x) -> h(x - a), periodic wrap."""
+    """Fourier-interpolated shift: h(x) -> h(x - a), periodic wrap.
+
+    Real ``values`` take the half spectrum (``rfft``/``irfft``) and give a
+    real array; complex ones the full spectrum. The phase exp(-i k a) is
+    filled by a real cos and sin."""
     n = len(values)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * k * a))
+    real = not np.iscomplexobj(values)
+    angle = -a * _wavenumbers(n, dx, real)
+    phase = np.empty(len(angle), dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    if real:
+        return np.fft.irfft(np.fft.rfft(values) * phase, n)
+    return np.fft.ifft(np.fft.fft(values) * phase)
 
 
 def shift_field(psi: WaveField, a: float) -> WaveField:
     """Return samples of psi(x - a) via band-limited interpolation.
 
     Values leaving the domain wrap around periodically; the caller must
-    ensure the field has negligible support near the boundaries.
+    ensure the field has negligible support near the boundaries. A purely
+    real field is shifted as real, so it stays real.
     """
     if abs(a) >= psi.grid.width:
         raise RangeError(f"shift {a} exceeds domain width {psi.grid.width}")
     if a == 0.0:
         return psi
-    shifted = shift_values(psi.values, a, psi.grid.dx)
-    if np.max(np.abs(psi.values.imag)) == 0.0:
-        # purely real input stays real up to FFT round-off
-        shifted = shifted.real.astype(complex)
-    return WaveField(grid=psi.grid, values=shifted, time=psi.time)
+    values = psi.values if np.any(psi.values.imag) else psi.values.real
+    return WaveField(grid=psi.grid, values=shift_values(values, a, psi.grid.dx),
+                     time=psi.time)
 
 
 def write_csv(path, header, *columns) -> None:

@@ -11,7 +11,8 @@ a wave code cannot assert operator identities directly).
 A run's measurements beyond the norm and the observables are taken here,
 from the snapshots that ``propagate`` keeps: ``shape_deviation`` (the
 density against a reference, the rigidity claim) and ``htilde_residual``
-(the eigenvalue relation, one call per snapshot).
+(the eigenvalue relation). Each is a few passes over the snapshot's
+points per call, one call per snapshot.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from .constructor import NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
 from .errors import ConfigurationError
-from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second,
-                    shift_field, shift_values)
+from .grids import (FD5_DIVISOR, FD5_FIRST, FD5_SECOND, Grid1D, PhysicalConstants,
+                    WaveField, fd5_first, shift_field, shift_values)
 from .propagator import RunReport
 from .trajectory import Trajectory
 
@@ -66,24 +67,26 @@ class CheckResult:
 def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
                     consts: PhysicalConstants, E_f: float, t: float) -> float:
     """|| [H_tilde - E_tilde] psi || / ||psi|| over the points at least 8
-    cells from either edge."""
+    cells from either edge, with psi'' and psi' the 5-point differences.
+
+    The residual is built on those points only, in one 5-point pass: the
+    kinetic and -d_dot P terms fold into one complex weight per offset k,
+    -hbar^2/2m FD5_SECOND[k] / (FD5_DIVISOR dx^2)
+    + i hbar d_dot FD5_FIRST[k] / (FD5_DIVISOR dx),
+    and the centre also carries V(x - d) - E_tilde."""
     hbar, m = consts.hbar, consts.mass
-    dx = psi.grid.dx
+    dx, n = psi.grid.dx, psi.grid.n
     d, d_dot, _ = traj.eval(t)
     e_tilde = E_f - 0.5 * m * d_dot**2
 
     values = psi.values
-    d1 = fd5_first(values, dx)
-    d2 = fd5_second(values, dx)
-    h_psi = (
-        -(hbar**2) / (2 * m) * d2
-        + v(psi.grid.x - d) * values
-        - d_dot * (-1j * hbar) * d1
-    )
-    r = h_psi - e_tilde * values
-    num = np.linalg.norm(r[8:-8])
-    den = np.linalg.norm(values[8:-8])
-    return float(num / den)
+    inner = values[8:-8]
+    kinetic = -(hbar**2) / (2 * m) / (FD5_DIVISOR * dx**2)
+    drift = 1j * hbar * d_dot / (FD5_DIVISOR * dx)
+    r = (v(psi.grid.x[8:-8] - d) - e_tilde + kinetic * FD5_SECOND[2]) * inner
+    for k in (0, 1, 3, 4):
+        r += (kinetic * FD5_SECOND[k] + drift * FD5_FIRST[k]) * values[6 + k:n - 10 + k]
+    return float(np.linalg.norm(r) / np.linalg.norm(inner))
 
 
 def shape_deviation(report: RunReport, reference: Callable[[float], np.ndarray],
@@ -103,14 +106,13 @@ def rigid_shape_deviation(report: RunReport) -> list[float]:
     rigidly by each snapshot's measured centroid shift, the most charitable
     reference for a packet that may spread, relative to that density's
     peak. Needs the centroid column, which Dirichlet runs record."""
-    rho0 = report.snapshots[0].density()
-    rho0_c, dx = rho0.astype(complex), report.snapshots[0].grid.dx
+    rho0, dx = report.snapshots[0].density(), report.snapshots[0].grid.dx
     shift = {t: c - report.centroid[0] for t, c in zip(report.times, report.centroid)}
 
     def reference(t):
-        return shift_values(rho0_c, shift[t], dx).real
+        return shift_values(rho0, shift[t], dx)
 
-    # the peak of rho0 itself: its zero-shift FFT round trip is an ulp off
+    # the peak of rho0 itself: its zero-shift FFT round trip can be an ulp off
     return shape_deviation(report, reference, peak=float(np.max(rho0)))
 
 
@@ -151,9 +153,7 @@ def classical_motion_check(report: RunReport, traj: Trajectory,
     centroid = np.asarray(report.centroid)
     momentum = np.asarray(report.momentum_mean)
 
-    d = np.array([traj.d(t) for t in times])
-    d_dot = np.array([traj.d_dot(t) for t in times])
-    d_ddot = np.array([traj.d_ddot(t) for t in times])
+    d, d_dot, d_ddot = np.array([traj.eval(t) for t in times]).T
 
     dev_x = float(np.max(np.abs(centroid - centroid[0] - d)))
     dev_p = float(np.max(np.abs(momentum - consts.mass * d_dot)))
@@ -177,14 +177,9 @@ def energy_split_check(report: RunReport, sol: NswpSolution, v: StaticPotential,
     supporting potential (for the SHO family that is m omega^2 x^2 / 2).
     Not applicable to the non-normalizable Airy family.
     """
-    times = np.asarray(report.times)
     energy = np.asarray(report.energy_mean)
-    expected = np.array([
-        sol.E_f
-        + 0.5 * consts.mass * sol.trajectory.d_dot(t) ** 2
-        + float(v(np.asarray(sol.trajectory.d(t))))
-        for t in times
-    ])
+    d, d_dot, _ = np.array([sol.trajectory.eval(t) for t in report.times]).T
+    expected = sol.E_f + 0.5 * consts.mass * d_dot**2 + v(d)
     dev = float(np.max(np.abs(energy - expected)))
     drift = float(np.max(energy) - np.min(energy))
     return [

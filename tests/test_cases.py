@@ -346,7 +346,10 @@ CHECKS = {
     "gaussian-control": [("width_follows_spreading_law", 0.01, 4.32533e-09),
                          ("spreading_detected", 1e-2, 0.292855)],
     "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.172987)],
-    "corrupted-phase": [("residual_inflates_100x", 100.0, 1.86890e+08)],
+    # the good residual is the dx^4 floor plus the 1e-5 time stencil's
+    # round-off, so an ulp change in the shifted samples moves this ratio by
+    # tenths of a per cent
+    "corrupted-phase": [("residual_inflates_100x", 100.0, 1.86262e+08)],
 }
 # the trap's static control, which its one check compares in the record
 TRAP_CONTROL = (5e-4, 4.83649e-07)

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nswp import (Grid1D, PhysicalConstants, WaveField, inner_product, norm,
+from nswp import (Grid1D, PhysicalConstants, WaveField, inner_product,
                   observables, read_wavefield_csv, shift_field,
                   write_wavefield_csv)
 from nswp.errors import DegenerateFieldError, GridMismatchError, RangeError
-from nswp.grids import fd5_first, fd5_second
+from nswp.grids import (bands_apply, fd5_first, fd5_second, m_solve, numerov_bands,
+                        shift_values)
+
+REFERENCE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
 
 def gaussian_field(grid, center=0.0, k=0.0, sigma=1.0):
@@ -128,6 +133,52 @@ def test_observables_energy_is_numerov_expectation():
     assert obs.energy_mean == pytest.approx(expected, rel=1e-12)
 
 
+def packet_with_noise(n, seed, noise):
+    """A Gaussian packet of random centre, width and momentum on [-10, 10],
+    plus complex noise of ``noise`` times its peak at every point."""
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-10.0, 10.0, n)
+    psi = gaussian_field(grid, center=rng.uniform(-3.0, 3.0), k=rng.uniform(-3.0, 3.0),
+                         sigma=rng.uniform(0.5, 2.0)).values
+    psi = psi + noise * np.max(np.abs(psi)) * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return WaveField(grid=grid, values=psi)
+
+
+def observables_by_derivative_arrays(psi, v, consts):
+    """(norm, <x>, <P>, <H>, variance) as plain sums: <P> over the
+    ``fd5_first`` array and <H> as one sum over M^-1 K psi + V psi."""
+    dx, x, values = psi.grid.dx, psi.grid.x, psi.values
+    rho = np.abs(values) ** 2
+    nrm2 = dx * np.sum(rho)
+    centroid = dx * np.sum(x * rho) / nrm2
+    variance = dx * np.sum((x - centroid) ** 2 * rho) / nrm2
+    p = dx * np.sum(np.conj(values) * (-1j * consts.hbar) * fd5_first(values, dx)).real / nrm2
+    h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), values)) + v * values
+    e = dx * np.sum(np.conj(values) * h_psi).real / nrm2
+    return np.sqrt(nrm2), centroid, p, e, variance
+
+
+@REFERENCE
+@given(n=st.integers(64, 400), seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 1.0),
+       hbar=st.floats(0.5, 2.0), mass=st.floats(0.5, 2.0))
+@example(n=255, seed=1, noise=0.0, hbar=1.0, mass=1.0)
+@example(n=256, seed=2, noise=0.3, hbar=1.0, mass=1.0)
+def test_observables_is_the_derivative_array_formula(n, seed, noise, hbar, mass):
+    consts = PhysicalConstants(hbar, mass)
+    psi = packet_with_noise(n, seed, noise)
+    v = 0.5 * psi.grid.x**2  # V >= 0, so <H> > 0
+    obs = observables(psi, v, consts)
+    norm, centroid, p, e, variance = observables_by_derivative_arrays(psi, v, consts)
+    assert obs.norm == pytest.approx(norm, rel=1e-12)
+    assert obs.energy_mean == pytest.approx(e, rel=1e-12)
+    assert obs.variance == pytest.approx(variance, rel=1e-12)
+    # <x> and <P> may vanish: each is held relative to its scale, the
+    # grid's half-width and the rms 5-point momentum
+    assert abs(obs.centroid - centroid) <= 1e-12 * psi.grid.x_max
+    p_rms = hbar * np.linalg.norm(fd5_first(psi.values, psi.grid.dx)) / np.linalg.norm(psi.values)
+    assert abs(obs.momentum_mean - p) <= 1e-12 * p_rms
+
+
 def test_observables_degenerate_field():
     grid = Grid1D(-1.0, 1.0, 64)
     psi = WaveField(grid=grid, values=np.zeros(64))
@@ -163,6 +214,20 @@ def test_shift_keeps_real_input_real():
     psi = gaussian_field(Grid1D(-15.0, 15.0, 1024))
     shifted = shift_field(psi, 0.3)
     assert np.max(np.abs(shifted.values.imag)) == 0.0
+
+
+@REFERENCE
+@given(n=st.integers(16, 400), seed=st.integers(0, 2**32 - 1), frac=st.floats(-0.5, 0.5))
+@example(n=255, seed=1, frac=0.123)
+@example(n=256, seed=1, frac=-0.321)
+def test_real_shift_is_the_real_part_of_the_complex_shift(n, seed, frac):
+    grid = Grid1D(-10.0, 10.0, n)
+    h = np.random.default_rng(seed).normal(size=n)
+    a = frac * grid.width
+    real = shift_values(h, a, grid.dx)
+    full = shift_values(h.astype(complex), a, grid.dx)
+    assert real.dtype == np.float64 and real.shape == (n,)
+    assert np.max(np.abs(real - full.real)) <= 1e-12 * np.max(np.abs(h))
 
 
 def test_shift_range_error():

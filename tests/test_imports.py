@@ -9,7 +9,8 @@ numpy replacement of either has one place to go.
 The one-copy rules are scanned here too: the masked split step's pieces
 are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
 file for writing (no demo does), ``split_step`` is gone, and every NSWP
-family's ``ScenarioResult`` is built by ``cases.run_case``.
+family's ``ScenarioResult`` is built by ``cases.run_case``, and only
+``grids`` spells the 5-point difference weights.
 """
 
 import ast
@@ -62,6 +63,21 @@ def test_no_source_file_outside_grids_names_a_lapack_routine():
     offenders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                  if path.name != "grids.py" and routine.search(path.read_text())]
     assert offenders == []
+
+
+# a spelling of the 5-point weights (1, -8, 0, 8, -1) / 12 and
+# (-1, 16, -30, 16, -1) / 12: a run of them, -8, 16 or 30 times a slice, or
+# 12 times the spacing
+FD5_SPELLING = re.compile(
+    r"-\s*8(?:\.0)?\s*,\s*0(?:\.0)?\s*,\s*8|16(?:\.0)?\s*,\s*-\s*30"
+    r"|(?:-\s*8|\b16|\b30)(?:\.0)?\s*\*\s*\w+\s*\["
+    r"|\b12(?:\.0)?\s*\*\s*(?:dx|h)\b")
+
+
+def test_only_grids_spells_the_5_point_weights():
+    spellers = {str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+                if FD5_SPELLING.search(path.read_text())}
+    assert spellers == {"nswp/grids.py"}
 
 
 def _calls(tree):

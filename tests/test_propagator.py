@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
-                  inner_product, lowest_eigenpairs, norm, pade_step,
+                  inner_product, lowest_eigenpairs, observables, pade_step,
                   propagate, shift_field)
 from nswp import propagator
 from nswp.grids import write_json
@@ -27,7 +27,7 @@ def test_single_step_unitarity():
     grid = Grid1D(-10.0, 10.0, 512)
     psi = gaussian(grid)
     out = pade_step(psi, np.zeros(grid.n), 1e-3, CONSTS)
-    assert abs(norm(out) - norm(psi)) < 1e-12
+    assert abs(observables(out).norm - observables(psi).norm) < 1e-12
     assert out.time == pytest.approx(1e-3)
 
 

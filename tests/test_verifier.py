@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
                   PhysicalConstants, PropagationConfig, Rest, RunReport,
@@ -12,7 +14,7 @@ from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
                   rigid_shape_deviation, shape_deviation, shift_field)
 from nswp.constructor import gauge_sho_case
 from nswp.errors import ConfigurationError
-from nswp.grids import shift_values
+from nswp.grids import fd5_first, fd5_second, shift_values
 
 CONSTS = PhysicalConstants()
 OMEGA = 1.0
@@ -50,6 +52,41 @@ def test_htilde_detects_off_trajectory_shape(sho_sol):
     corrupted = shift_field(analytic_psi(sol, grid, t), 0.1)
     r = htilde_residual(corrupted, v, sol.trajectory, CONSTS, pair.energy, t)
     assert r > 1e-2
+
+
+def htilde_residual_by_derivative_arrays(psi, v, traj, consts, E_f, t):
+    """The residual from the ``fd5_second`` and ``fd5_first`` arrays over the
+    whole grid, and the size of its largest term, both relative to ||psi||
+    over the points 8 cells in."""
+    hbar, m = consts.hbar, consts.mass
+    d, d_dot, _ = traj.eval(t)
+    values, dx = psi.values, psi.grid.dx
+    terms = (-(hbar**2) / (2 * m) * fd5_second(values, dx),
+             (v(psi.grid.x - d) - (E_f - 0.5 * m * d_dot**2)) * values,
+             -d_dot * (-1j * hbar) * fd5_first(values, dx))
+    den = np.linalg.norm(values[8:-8])
+    return (np.linalg.norm(sum(terms)[8:-8]) / den,
+            max(np.linalg.norm(term[8:-8]) for term in terms) / den)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(32, 400), seed=st.integers(0, 2**32 - 1), noise=st.floats(0.0, 1.0),
+       amplitude=st.floats(-3.0, 3.0), omega=st.floats(0.5, 2.0), t=st.floats(0.0, 5.0),
+       E_f=st.floats(0.0, 5.0))
+@example(n=255, seed=1, noise=0.0, amplitude=2.0, omega=1.0, t=0.7, E_f=0.5)
+@example(n=256, seed=2, noise=0.2, amplitude=-1.0, omega=1.5, t=2.1, E_f=1.5)
+def test_htilde_residual_is_the_derivative_array_formula(n, seed, noise, amplitude, omega,
+                                                         t, E_f):
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-10.0, 10.0, n)
+    d = amplitude * math.sin(omega * t)
+    psi = np.exp(-((grid.x - d) ** 2) / 2.0 + 1j * rng.uniform(-3.0, 3.0) * grid.x)
+    psi = psi + noise * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    consts = PhysicalConstants(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+    args = (WaveField(grid=grid, values=psi), StaticPotential.harmonic(omega, consts.mass),
+            Sinusoid(amplitude=amplitude, omega=omega), consts, E_f, t)
+    reference, scale = htilde_residual_by_derivative_arrays(*args)
+    assert abs(htilde_residual(*args) - reference) <= 1e-12 * scale
 
 
 def test_infinitesimal_evolution_second_order(sho_sol):
@@ -191,8 +228,9 @@ def test_shape_deviation_is_the_in_loop_formula_on_a_masked_window():
 def test_rigid_shape_deviation_is_the_in_loop_formula_between_walls():
     # a Dirichlet run without a reference density used to translate the
     # initial density to the measured centroid, relative to its own peak
-    # on 200 points the zero-shift FFT round trip of rho0 peaks an ulp below
-    # rho0, so the reference's peak must be taken from rho0 itself
+    # the zero-shift FFT round trip of rho0 can peak an ulp off rho0 (on
+    # 200 points the complex route peaks an ulp below), so the reference's
+    # peak is taken from rho0 itself; rho0 is real and takes the real shift
     grid = Grid1D(-12.0, 12.0, 200)
     initial = launched_gaussian(grid, 1.0)
     config = PropagationConfig(dt=1e-2, t_end=1.5, grid=grid, snapshot_stride=15)
@@ -201,7 +239,7 @@ def test_rigid_shape_deviation_is_the_in_loop_formula_between_walls():
     ref_peak = float(np.max(rho0))
     inline = []
     for psi, c in zip(report.snapshots, report.centroid):
-        ref = shift_values(rho0.astype(complex), c - report.centroid[0], grid.dx).real
+        ref = shift_values(rho0, c - report.centroid[0], grid.dx)
         rho = np.abs(psi.values) ** 2
         inline.append(float(np.max(np.abs(rho - ref)) / ref_peak))
     assert rigid_shape_deviation(report) == inline
