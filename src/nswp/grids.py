@@ -85,7 +85,7 @@ class WaveField:
             raise ValueError(
                 f"values shape {values.shape} does not match grid with n={self.grid.n}"
             )
-        if not np.all(np.isfinite(values.real)) or not np.all(np.isfinite(values.imag)):
+        if not np.isfinite(values).all():
             raise ValueError("wave field contains non-finite samples")
         object.__setattr__(self, "values", values)
 

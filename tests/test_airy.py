@@ -19,12 +19,20 @@ AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 ZEROS = (-2.338107410459767, -4.087949444130971, -5.520559828095551,
          -6.786708090071759, -7.944133587120853)
 
-# Ai on both asymptotic tails and at the two cut points (-10, 8), from
-# mpmath.airyai at mp.dps = 40, rounded to the nearest double
+# Ai on both asymptotic tails, at the two cut points (-10, 8) and on the
+# Taylor table between them, from mpmath.airyai at mp.dps = 40, rounded to
+# the nearest double
 REFERENCE = ((-200.0, 0.14889394248381024),
              (-37.0, 0.006853376908681703),
              (-10.5, -0.3119260350510506),
              (-10.0, 0.04024123848644319),
+             (-9.75, 0.25262476259634337),
+             (-5.5, 0.017781541276574976),
+             (-2.0, 0.22740742820168558),
+             (-0.3, 0.43090309528558085),
+             (1.7, 0.05432479273291947),
+             (4.25, 0.0005646398353425014),
+             (7.9, 6.239640097283934e-08),
              (8.0, 4.6922076160992316e-08),
              (8.5, 1.0997009755195506e-08),
              (12.0, 1.3931846888753607e-13),
@@ -32,10 +40,12 @@ REFERENCE = ((-200.0, 0.14889394248381024),
 
 
 def _scale(x):
-    """The yardstick for an error in Ai(x) on the tails: the envelope
-    |x|^-1/4 / sqrt(pi) of the oscillation for x < 0, Ai itself for x > 0."""
+    """The yardstick for an error in Ai(x): the envelope
+    |x|^-1/4 / sqrt(pi) of the oscillation for x < 0, held at its value at
+    x = -1 on -1 < x < 0 where it grows without bound, and Ai itself for
+    x >= 0."""
     x = np.asarray(x, dtype=float)
-    return np.where(x < 0, np.abs(x) ** -0.25 / math.sqrt(math.pi), airy(x)[0])
+    return np.where(x < 0, np.maximum(-x, 1.0) ** -0.25 / math.sqrt(math.pi), airy(x)[0])
 
 
 def test_value_at_zero():
@@ -118,6 +128,23 @@ def test_tails_agree_with_scipy(x):
     assert abs(ai_values(x) - airy(x)[0]) < tol * _scale(x)
 
 
+@given(x=st.floats(-10.0, 8.0))
+def test_table_agrees_with_scipy(x):
+    assert abs(ai_values(x) - airy(x)[0]) < 1e-13 * _scale(x)
+
+
+def test_seams_agree_with_scipy():
+    # both sides of every midpoint between two table nodes, where the
+    # nearest node changes, and of both cut points, where the region does
+    seams = np.concatenate([[-10.0], np.arange(-9.875, 8.0, 0.25), [8.0]])
+    assert seams.size == 74
+    below = np.nextafter(seams, -np.inf)
+    above = np.nextafter(seams, np.inf)
+    for x in (below, seams, above):
+        assert np.all(np.abs(ai_values(x) - airy(x)[0]) < 1e-13 * _scale(x))
+    assert np.all(np.abs(ai_values(above) - ai_values(below)) < 1e-13 * _scale(seams))
+
+
 def test_mixed_inputs_keep_shape_and_values():
     for x in (-20.0, 0.5, 9.0):
         value = ai_values(np.float64(x))
@@ -130,7 +157,7 @@ def test_mixed_inputs_keep_shape_and_values():
     assert values.shape == (3, 4)
     assert np.array_equal(values, [[ai_values(v) for v in row] for row in x])
     middle = (x > -10.0) & (x < 8.0)
-    assert np.array_equal(values[middle], airy(x[middle])[0])
+    assert np.all(np.abs(values[middle] - airy(x[middle])[0]) < 1e-13 * _scale(x[middle]))
     assert ai_values(np.array([])).shape == (0,)
     assert ai_values(np.zeros((2, 0))).shape == (2, 0)
 

@@ -55,8 +55,13 @@ def test_wavefield_validation():
         WaveField(grid=grid, values=np.zeros(15))
     bad = np.zeros(16)
     bad[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite"):
         WaveField(grid=grid, values=bad)
+    for bad_value in (complex(0.0, np.nan), complex(np.inf, 0.0)):
+        bad = np.zeros(16, dtype=complex)
+        bad[5] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveField(grid=grid, values=bad)
 
 
 def test_inner_product_normalized_gaussian():

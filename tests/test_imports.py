@@ -1,10 +1,11 @@
-"""Import guard: ``import nswp.cli`` loads only numpy, scipy.linalg and
-scipy.special of the numerical stack. scipy.integrate and scipy.interpolate
-each pull in scipy.optimize, scipy.sparse and more, about 0.3 s that every
-command would pay again. The split-step propagator uses ``numpy.fft``,
-which numpy loads anyway, not ``scipy.fft``. ``grids`` is the one module
-that calls LAPACK and ``airy`` the one that calls scipy.special, so a
-numpy replacement of either has one place to go.
+"""Import guard: ``import nswp.cli`` loads only numpy and scipy.linalg of
+the numerical stack. scipy.integrate and scipy.interpolate each pull in
+scipy.optimize, scipy.sparse and more, about 0.3 s that every command
+would pay again, and scipy.special about 0.1 s more; Ai comes from
+``airy``'s numpy Taylor table, and no evaluation of it loads scipy.special.
+The split-step propagator uses ``numpy.fft``, which numpy loads anyway, not
+``scipy.fft``. ``grids`` is the one module that imports scipy and calls
+LAPACK, so a numpy replacement has one place to go.
 
 The one-copy rules are scanned here too: the masked split step's pieces
 are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
@@ -31,8 +32,18 @@ def test_cli_import_loads_no_heavy_scipy_package():
              "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert "scipy.linalg" in out and "scipy.special" in out
+    assert "scipy.linalg" in out and "scipy.special" not in out
     assert [m for m in out if ".".join(m.split(".")[:2]) in HEAVY] == []
+
+
+def test_ai_values_loads_no_scipy_special():
+    # [-12, 10] holds points of both tails and of the table between them
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, numpy, nswp; nswp.ai_values(numpy.linspace(-12.0, 10.0, 2201)); "
+             "print(' '.join(m for m in sys.modules if m.startswith('scipy.special')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == []
 
 
 def test_no_source_file_imports_heavy_scipy_package():
@@ -45,7 +56,7 @@ def test_no_source_file_imports_heavy_scipy_package():
     assert offenders == []
 
 
-def test_scipy_is_imported_only_by_grids_and_airy():
+def test_scipy_is_imported_only_by_grids():
     # a bare `import scipy` or `from scipy import ...` counts as "scipy"
     imports = {}
     for path in sorted(SRC.rglob("*.py")):
@@ -55,7 +66,7 @@ def test_scipy_is_imported_only_by_grids_and_airy():
             found.add("scipy")
         if found:
             imports[str(path.relative_to(SRC))] = found
-    assert imports == {"nswp/airy.py": {"special"}, "nswp/grids.py": {"linalg"}}
+    assert imports == {"nswp/grids.py": {"linalg"}}
 
 
 def test_no_source_file_outside_grids_names_a_lapack_routine():
