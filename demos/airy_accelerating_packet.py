@@ -2,16 +2,18 @@
 
 The Airy mode of a linear potential, launched in FREE space (the supporting
 potential cancels identically), accelerates without spreading: the main
-lobe follows x_peak = B^3 t^2 / (4 m^2) although no force acts. The run
-compares the split-step Fourier evolution against the closed form on an
-interior window and prints the peak trajectory.
+lobe follows x_peak = B^3 t^2 / (4 m^2) although no force acts. The run is
+the zero-force member F = 0 of the forced Airy family, m d_ddot = A + F(t),
+as the ``airy-free`` scenario runs it. It compares the split-step Fourier
+evolution against the closed form on an interior window and prints the peak
+trajectory.
 """
 
 import pathlib
 
 import numpy as np
 
-from nswp.cases import run_airy_free
+from nswp.cases import run_airy_forced, uniform_force
 from nswp.grids import write_csv
 
 
@@ -20,7 +22,7 @@ def main():
     out.mkdir(exist_ok=True)
 
     print("propagating the Airy packet in free space (absorbing boundaries)...")
-    result = run_airy_free(B=1.0)
+    result = run_airy_forced(*uniform_force("none"), B=1.0)
 
     print(f"\nscenario {result.name}: {'PASS' if result.passed else 'FAIL'}")
     for c in result.checks:

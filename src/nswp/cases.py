@@ -1,12 +1,12 @@
-"""End-to-end scenario runs: free-space Airy, forced Airy, shifted SHO modes,
-plus the three controls (spreading Gaussian, time-modulated SHO frequency,
-corrupted phase).
+"""End-to-end scenario runs: the Airy packet under a uniform force, free
+space its zero-force member; shifted SHO modes; and the three controls
+(spreading Gaussian, time-modulated SHO frequency, corrupted phase).
 
 Each run constructs the closed-form packet, self-checks it against the
 time-dependent Schrodinger equation, propagates it independently
 (a fourth-order Pade step between walls, split-step Fourier under the
 Airy runs' absorbing mask), and reduces the result to named pass/fail checks.
-The three NSWP families share these steps through ``NswpCase`` and
+The two NSWP families share these steps through ``NswpCase`` and
 ``run_case`` and add only the checks of their own family.
 ``SCENARIOS`` is the table of runs the command line offers by name.
 """
@@ -30,14 +30,17 @@ from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first,
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
                          guarded_dt, propagate)
 from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
-from .trajectory import ForceTrajectory, Sinusoid, UniformAcceleration
-from .verifier import (CheckResult, classical_motion_check, energy_split_check,
-                       htilde_residual, no_nswp_for_time_dependent_frequency,
-                       rigid_shape_deviation, shape_deviation)
+from .trajectory import ForceTrajectory, Sinusoid
+from .verifier import (SPREAD_THRESHOLD, CheckResult, classical_motion_check,
+                       energy_split_check, htilde_residual,
+                       no_nswp_for_time_dependent_frequency, rigid_shape_deviation,
+                       shape_deviation)
 
 # dx ~ 1.6e-2: the fourth-order Numerov operator keeps the modes n <= 2 within
 # the 1e-4 motion and H-tilde tolerances
 _SHO_GRID = Grid1D(-8.0, 8.0, 1024)
+# ten times the 200 snapshot intervals a sho run asks for, plus the start
+_SHO_MAX_SNAPSHOTS = 2001
 _AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
 _AIRY_MASK = AbsorbingMask(width=8.0, strength=40.0)
 _AIRY_WINDOW = (-10.0, 4.0)  # where the Airy runs compare densities
@@ -109,12 +112,13 @@ class NswpCase:
     window: Optional[tuple] = None
 
     def reference(self, grid: Grid1D):
-        """t -> |f(x - d(t))|^2 at the window's points only, and the window's
-        grid selector: the window checks read no other point."""
+        """t -> |f(x - d(t))|^2 at the window's points only, and the slice of
+        the grid that holds them: the window checks read no other point."""
         shape, d = self.sol.shape, self.sol.trajectory.d
         if self.window is None:
             return (lambda t: shape.on_grid_shifted(grid, d(t)) ** 2), slice(None)
-        sel = (grid.x >= self.window[0]) & (grid.x <= self.window[1])
+        sel = slice(int(np.searchsorted(grid.x, self.window[0], "left")),
+                    int(np.searchsorted(grid.x, self.window[1], "right")))
         x_window = grid.x[sel]
         return (lambda t: shape.values_at(x_window - d(t)) ** 2), sel
 
@@ -195,7 +199,10 @@ def run_sho_shifted(
     The default dt is period/1000, cut where the grid's max|V| needs it. A
     snapshot is recorded every period/200, or for a dt that does not divide
     period/200 at the nearest shorter whole number of steps that divides
-    the run, so the <P> series stays uniform for its 5-point difference."""
+    the run, so the <P> series stays uniform for its 5-point difference. A
+    run that would keep more than ``_SHO_MAX_SNAPSHOTS`` snapshots (a step
+    count with no divisor near n_steps/200) raises ``RangeError`` before
+    the eigensolve."""
     period = 2.0 * math.pi / omega
     t_end = period
     if dt is None:
@@ -207,6 +214,11 @@ def run_sho_shifted(
     n_steps = config.n_steps
     stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
                  if n_steps % k == 0)
+    if n_steps // stride + 1 > _SHO_MAX_SNAPSHOTS:
+        raise RangeError(
+            f"dt = {dt:g} takes {n_steps} steps a period, with no whole stride "
+            f"near period/200: the run would keep {n_steps // stride + 1} "
+            f"snapshots, more than {_SHO_MAX_SNAPSHOTS}")
     case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
     sol, v_static = case.sol, case.v
 
@@ -232,7 +244,7 @@ def run_sho_shifted(
 
 
 # ---------------------------------------------------------------------------
-# Free-space Airy packet (Berry-Balazs)
+# Airy packets (Berry-Balazs), free and forced: m d_ddot = A + F(t)
 # ---------------------------------------------------------------------------
 
 def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
@@ -246,11 +258,15 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[i] + 0.5 * (y[i - 1] - y[i + 1]) / denom * (x[1] - x[0]))
 
 
-def _windowed_momentum(psi: WaveField, sel: np.ndarray, hbar: float) -> float:
+def _windowed_momentum(psi: WaveField, sel: slice, hbar: float) -> float:
+    """<P> over the window ``sel``, with the 5-point derivative taken on the
+    window and the two points either side of it only."""
     dx = psi.grid.dx
-    d1 = fd5_first(psi.values, dx)
-    num = np.trapezoid((np.conj(psi.values) * (-1j * hbar) * d1)[sel], dx=dx).real
-    den = np.trapezoid(np.abs(psi.values[sel]) ** 2, dx=dx)
+    values = psi.values[sel.start - 2:sel.stop + 2]
+    d1 = fd5_first(values, dx)[2:-2]
+    values = values[2:-2]
+    num = np.trapezoid(np.conj(values) * (-1j * hbar) * d1, dx=dx).real
+    den = np.trapezoid(np.abs(values) ** 2, dx=dx)
     return float(num / den)
 
 
@@ -269,97 +285,8 @@ def _window_checks(report: RunReport, case: NswpCase) -> list[CheckResult]:
 
 
 _AIRY_RESIDUAL_TIMES = (0.1, 1.0)
-_FORCED_SUPPORT_TIMES = (0.0, 0.6, 1.5)
+_AIRY_SUPPORT_TIMES = (0.0, 0.6, 1.5)
 
-
-def _airy_case(B: float, consts: PhysicalConstants, t_max: float, trajectory,
-               v_run, support: str, support_times: tuple) -> NswpCase:
-    """The Airy mode of V = A x, A = B^3/(2m), E_f = 0, moving on
-    ``trajectory(A)`` under the gauge G = A d that cancels the moving-well
-    offset, so that V_nswp is ``v_run``."""
-    A = B**3 / (2.0 * consts.mass)
-    shape = AiryShape(A=A, energy=0.0, consts=consts)
-    traj = trajectory(A)
-    sol = NswpSolution(shape, traj, gauge_linear_case(A, traj), consts=consts, t_max=t_max)
-    return NswpCase(sol, StaticPotential.linear(A), v_run, support, support_times,
-                    residual_times=_AIRY_RESIDUAL_TIMES, margin=16, window=_AIRY_WINDOW)
-
-
-def airy_free_case(B: float = 1.0, consts: PhysicalConstants = PhysicalConstants(),
-                   t_max: float = 10.0) -> NswpCase:
-    """Closed-form free-space Airy packet: its supporting potential is 0."""
-    return _airy_case(B, consts, t_max, lambda A: UniformAcceleration(A / consts.mass),
-                      lambda x, t: np.zeros_like(x), "supporting_potential_is_zero",
-                      (0.0, 0.7, 1.6))
-
-
-def _airy_config(grid: Grid1D, dt: float, t_end: float) -> PropagationConfig:
-    """Steps of ``dt`` to ``t_end`` under the Airy mask, a snapshot every 0.1."""
-    return PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                             snapshot_stride=max(1, round(0.1 / dt)), boundary=_AIRY_MASK)
-
-
-def run_airy_free(
-    B: float = 1.0,
-    grid: Grid1D = _AIRY_GRID,
-    dt: float = _AIRY_DT,
-    t_end: float = 2.0,
-    consts: PhysicalConstants = PhysicalConstants(),
-) -> ScenarioResult:
-    """Free-space propagation of the Airy packet with absorbing boundaries.
-
-    The domain extends far to the left of the comparison window: the
-    accelerating packet is fed by right-moving components of the oscillatory
-    tail, so the undamped region must cover every tail point whose local
-    group velocity can reach the window within t_end.
-
-    The default dt is ``_AIRY_DT`` = 1e-2: V = 0, so the split step is
-    exact up to the mask, and every check value at 1e-2 lies within 0.8 %
-    of its tolerance of the value at dt = 2.5e-3.
-    """
-    case = airy_free_case(B, consts, t_max=t_end + 1.0)
-    A, m = case.sol.shape.A, consts.mass
-
-    def family_checks(report):
-        _, sel = case.reference(grid)
-        # main-lobe peak displacement vs B^3 t^2 / (4 m^2)
-        times = np.asarray(report.times)
-        peaks = np.array([
-            _quadratic_peak(grid.x[sel], snap.density()[sel]) for snap in report.snapshots
-        ])
-        displacement = peaks - peaks[0]
-        expected = B**3 * times**2 / (4.0 * m**2)
-        far = expected >= 1.0
-        if not np.any(far):
-            raise RangeError(
-                f"peak_follows_quadratic_law compares displacements >= 1, but at "
-                f"B = {B:g} the largest expected displacement B^3 t^2 / 4m^2 is "
-                f"{np.max(expected):.3g}")
-        peak_err = float(np.max(np.abs(displacement[far] - expected[far]) / expected[far]))
-
-        # windowed <P> grows linearly at rate A: H_c carries the constant force
-        p_window = np.array([
-            _windowed_momentum(snap, sel, consts.hbar) for snap in report.snapshots
-        ])
-        slope = float(np.polyfit(times, p_window, 1)[0])
-        mismatch, loss = _window_checks(report, case)
-        return [
-            CheckResult.below("peak_follows_quadratic_law", peak_err, 0.02,
-                              note="relative, displacement >= 1"),
-            mismatch,
-            CheckResult.below("hc_constant_force", abs(slope - A) / A, 0.05,
-                              note="d<P_window>/dt vs A, relative"),
-            loss,
-        ]
-    return run_case(case, _airy_config(grid, dt, t_end), "airy_free",
-                    {"B": B, "A": A, "window": list(_AIRY_WINDOW),
-                     "mask_width": _AIRY_MASK.width, "mask_strength": _AIRY_MASK.strength},
-                    family_checks)
-
-
-# ---------------------------------------------------------------------------
-# Forced Airy packet (Berry-Balazs with time-dependent uniform force)
-# ---------------------------------------------------------------------------
 
 def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float,
                      consts: PhysicalConstants) -> float:
@@ -403,11 +330,17 @@ def phi0_forced_airy(A: float, F: Callable[[float], float], E_f: float, t: float
 def airy_forced_case(B: float = 1.0, F: Callable[[float], float] = lambda t: 0.0,
                      consts: PhysicalConstants = PhysicalConstants(),
                      t_max: float = 10.0) -> NswpCase:
-    """Closed-form Airy packet pushed by the uniform force A + F(t): its
-    supporting potential reduces to -F(t) x."""
-    return _airy_case(B, consts, t_max, lambda A: ForceTrajectory(A, F, consts, t_max=t_max),
-                      lambda x, t: -F(t) * x, "supporting_potential_is_minus_Fx",
-                      _FORCED_SUPPORT_TIMES)
+    """The Airy mode of V = A x, A = B^3/(2m), E_f = 0, pushed by the uniform
+    force A + F(t) under the gauge G = A d that cancels the moving-well
+    offset: its supporting potential reduces to -F(t) x, which is 0 for the
+    free packet F = 0."""
+    A = B**3 / (2.0 * consts.mass)
+    traj = ForceTrajectory(A, F, consts, t_max=t_max)
+    sol = NswpSolution(AiryShape(A=A, energy=0.0, consts=consts), traj,
+                       gauge_linear_case(A, traj), consts=consts, t_max=t_max)
+    return NswpCase(sol, StaticPotential.linear(A), lambda x, t: -F(t) * x,
+                    "supporting_potential_is_minus_Fx", _AIRY_SUPPORT_TIMES,
+                    residual_times=_AIRY_RESIDUAL_TIMES, margin=16, window=_AIRY_WINDOW)
 
 
 def run_airy_forced(
@@ -419,18 +352,31 @@ def run_airy_forced(
     t_end: float = 2.0,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
-    """Propagation under V(x, t) = -F(t) x with Airy shape.
+    """Propagation of the Airy packet under V(x, t) = -F(t) x with absorbing
+    boundaries; F = 0 is the free-space packet.
+
+    The domain extends far to the left of the comparison window: the
+    accelerating packet is fed by right-moving components of the oscillatory
+    tail, so the undamped region must cover every tail point whose local
+    group velocity can reach the window within t_end.
 
     The default dt is ``_AIRY_DT`` = 1e-2. For a uniform force the split
     step's error is a global phase; what remains, F sampled at the step
     midpoints and an O(dt^2 F') shift, stays below the windowed density
     floor for sin forces of amplitude up to 0.45 and frequency up to 12.
+
+    Besides the window checks, the main-lobe peak must move by d(t)
+    (relative to max(|d|, 1), so a packet that has barely moved is held to
+    an absolute error), and the windowed <P> less the impulse of F,
+    m d_dot - A t, must grow at rate A: H_c carries the constant force.
     """
     # built first: it refuses a run past the step budget before the force
     # and phi0 caches are built; they reach 1 past the run and past every
-    # time the checks sample (the phase_dual_route mesh stops 0.5 short)
-    config = _airy_config(grid, dt, t_end)
-    t_max = max(t_end, *_FORCED_SUPPORT_TIMES, *_AIRY_RESIDUAL_TIMES) + 1.0
+    # time the checks sample (the phase_dual_route mesh stops 0.5 short).
+    # A snapshot every 0.1
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
+                               snapshot_stride=max(1, round(0.1 / dt)), boundary=_AIRY_MASK)
+    t_max = max(t_end, *_AIRY_SUPPORT_TIMES, *_AIRY_RESIDUAL_TIMES) + 1.0
     case = airy_forced_case(B, F, consts, t_max=t_max)
     sol, A = case.sol, case.sol.shape.A
 
@@ -441,10 +387,27 @@ def run_airy_forced(
             abs(phi0_forced_airy(A, F, sol.E_f, t, consts) - direct)
             for t, direct in zip(ts, sol.phi0_direct(ts))
         )
+        _, sel = case.reference(grid)
+        times = np.asarray(report.times)
+        d, d_dot = np.array([sol.trajectory.eval(t)[:2] for t in times]).T
+        peaks = np.array([_quadratic_peak(grid.x[sel], snap.density()[sel])
+                          for snap in report.snapshots])
+        peak_err = float(np.max(np.abs(peaks[1:] - peaks[0] - d[1:])
+                                / np.maximum(np.abs(d[1:]), 1.0)))
+        p_window = np.array([_windowed_momentum(snap, sel, consts.hbar)
+                             for snap in report.snapshots])
+        impulse = consts.mass * d_dot - A * times
+        slope = float(np.polyfit(times, p_window - impulse, 1)[0])
+        mismatch, loss = _window_checks(report, case)
         return [
             CheckResult.below("phase_dual_route", phase_dev, 1e-8,
                               note="nested-integral phi0 vs direct quadrature"),
-            *_window_checks(report, case),
+            CheckResult.below("peak_follows_trajectory", peak_err, 0.02,
+                              note="|peak shift - d| / max(|d|, 1)"),
+            mismatch,
+            CheckResult.below("hc_constant_force", abs(slope - A) / A, 0.05,
+                              note="d<P_window - int F>/dt vs A, relative"),
+            loss,
         ]
     return run_case(case, config, f"airy_forced_{force_label}",
                     {"B": B, "A": A, "force": force_label, "window": list(_AIRY_WINDOW)},
@@ -482,8 +445,8 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
         width_err = float(np.max(np.abs(width - law) / law))
         return [
             CheckResult.below("width_follows_spreading_law", width_err, 0.01, note="relative"),
-            CheckResult.above("spreading_detected", float(report.shape_deviation[-1]), 1e-2,
-                              note="shape deviation must EXCEED threshold"),
+            CheckResult.above("spreading_detected", float(report.shape_deviation[-1]),
+                              SPREAD_THRESHOLD, note="shape deviation must EXCEED threshold"),
         ]
     return ScenarioResult(
         name="gaussian_spreading_control",
@@ -700,11 +663,12 @@ SCENARIOS = {
         run=lambda **kw: run_sho_shifted(**kw),
         keys=("mode_index", "amplitude", "omega", "dt"), grid=_SHO_GRID,
         case=lambda **kw: sho_case(**kw)),
+    # the zero-force member of the Airy family; the grid only samples a
+    # closed-form Airy packet
     "airy-free": Scenario(
-        run=lambda **kw: run_airy_free(**kw),
+        run=lambda **kw: run_airy_forced(*uniform_force("none"), **kw),
         keys=("B", "dt", "t_end"), grid=_AIRY_GRID,
-        # the grid only samples a closed-form Airy packet
-        case=lambda grid, **kw: airy_free_case(**kw)),
+        case=lambda grid, **kw: airy_forced_case(F=uniform_force("none")[0], **kw)),
     "airy-forced": Scenario(
         run=lambda **kw: run_airy_forced(**kw),
         keys=("B", "dt", "t_end", *FORCE_KEYS), grid=_AIRY_GRID,

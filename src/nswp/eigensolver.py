@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConvergenceError
+from .errors import AccuracyError, ConvergenceError, RangeError
 from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, bands_apply, m_solve,
                     numerov_bands, tridiagonal_eigenpairs, tridiagonal_solver, write_csv,
                     write_json)
@@ -72,14 +72,17 @@ def lowest_eigenpairs(
 ) -> list[EigenPair]:
     """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
 
-    Raises AccuracyError when a returned mode has not decayed below 1e-6
-    of its peak at the domain edges, and ConvergenceError if the seed
-    eigensolve fails, the iteration does not settle, or the refined
-    energies are not distinct and ascending. ``residual`` is
+    Raises RangeError when k exceeds the grid's n points, AccuracyError
+    when a returned mode has not decayed below 1e-6 of its peak at the
+    domain edges, and ConvergenceError if the seed eigensolve fails, the
+    iteration does not settle, or the refined energies are not distinct
+    and ascending. ``residual`` is
     ||(K + M V) f - E M f|| / ||f||.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > grid.n:
+        raise RangeError(f"k = {k} modes asked of a grid of n = {grid.n} points")
     dx = grid.dx
     v_x = np.asarray(v(grid.x), dtype=float)
     diag, off = numerov_bands(v_x, dx, consts)

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryError, ConfigurationError, RangeError
-from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField,
+from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, _wavenumbers,
                     bands_apply, numerov_bands, observables, tridiagonal_solver)
 
 
@@ -215,7 +215,7 @@ def _mask_profile(grid: Grid1D, mask: AbsorbingMask, dt: float) -> np.ndarray:
 
 def _kinetic_phase(grid: Grid1D, dt: float, consts: PhysicalConstants) -> np.ndarray:
     """exp(-i hbar k^2 dt / 2m) on the ``numpy.fft`` wavenumbers of the grid."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    k = _wavenumbers(grid.n, grid.dx, False)
     return np.exp(-0.5j * consts.hbar * dt / consts.mass * k**2)
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nswp import (Grid1D, PhysicalConstants, StaticPotential, lowest_eigenpairs)
-from nswp.cases import (run_airy_forced, run_airy_free, run_gaussian_spreading,
-                        run_sho_shifted, run_sho_timedep_frequency)
+from nswp.cases import (run_airy_forced, run_gaussian_spreading, run_sho_shifted,
+                        run_sho_timedep_frequency, uniform_force)
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +23,8 @@ def sho_result():
 
 @pytest.fixture(scope="session")
 def airy_free_result():
-    return run_airy_free(B=1.0)
+    # the zero-force member of the Airy family, as the airy-free scenario runs it
+    return run_airy_forced(*uniform_force("none"), B=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
-"""The names the traced benchmark binds still exist.
+"""The names the traced benchmark binds still exist, and its table of
+checks that pass by exceeding their bound still names the right ones.
 
 ``bench/layers.py`` wraps nswp functions by module path and rebinds
 ``propagate``'s ``v_fn`` by keyword, reading ``config.t_start`` and
-``config.dt``. Tier-1 does not collect ``bench/tests``, so a rename in
-``src/`` would otherwise break the traced benchmark without a failing test.
+``config.dt``. ``bench/run.py``'s ``MUST_EXCEED`` inverts the ratio of the
+checks it names. Tier-1 does not collect ``bench/tests``, so a rename in
+``src/`` would otherwise break the benchmark without a failing test.
 """
 
 import importlib
@@ -26,6 +28,23 @@ def test_every_traced_function_resolves(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr in layers.FUNCTIONS.values()
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+# the session run of each benchmarked scenario at the defaults seed 0 passes
+DEFAULT_RUNS = {"sho": "sho_result", "airy-forced": "airy_forced_result",
+                "sho-timedep-freq": "timedep_result"}
+
+
+def test_must_exceed_names_the_passing_checks_above_their_bound(monkeypatch, request):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    must_exceed = importlib.import_module("run").MUST_EXCEED
+    scenarios = {w.scenario for w in workloads.values()}
+    assert scenarios == set(DEFAULT_RUNS)
+    checks = [c for s in sorted(scenarios)
+              for c in request.getfixturevalue(DEFAULT_RUNS[s]).checks]
+    assert all(c.passed for c in checks)
+    assert {c.name for c in checks if c.value > c.tolerance} == must_exceed
 
 
 def test_propagate_takes_the_keywords_the_bench_binds():

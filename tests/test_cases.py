@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import nswp.cases
 from nswp import Grid1D, PhysicalConstants, observables
-from nswp.cases import (SCENARIOS, airy_forced_case, airy_free_case, phi0_forced_airy,
-                        run_airy_forced, run_airy_free, run_corrupted_phase,
-                        run_sho_shifted, run_sho_timedep_frequency,
+from nswp.cases import (SCENARIOS, airy_forced_case, phi0_forced_airy, run_airy_forced,
+                        run_corrupted_phase, run_sho_shifted, run_sho_timedep_frequency,
                         trap_envelope_half_width, uniform_force)
 from nswp.cli import main
 
@@ -60,13 +59,14 @@ def test_airy_forced_scenario_passes(airy_forced_result):
 
 
 @pytest.mark.parametrize("fixture, run_fine", [
-    ("airy_free_result", lambda: run_airy_free(dt=2.5e-3)),
+    ("airy_free_result", lambda: run_airy_forced(*uniform_force("none"), dt=2.5e-3)),
     ("airy_forced_result", lambda: run_airy_forced(*uniform_force(), dt=2.5e-3)),
 ], ids=["airy-free", "airy-forced"])
 def test_airy_default_step_is_converged(fixture, run_fine, request):
     # every check value at the default dt = 1e-2 lies within 2 % of its
     # tolerance of the value at a 4x shorter step (measured: at most 0.76 %
-    # for airy-free, 0.04 % for airy-forced); snapshots stay every 0.1
+    # for airy-free, 0.11 % for airy-forced, its peak check); snapshots stay
+    # every 0.1
     result, fine = request.getfixturevalue(fixture), run_fine()
     assert result.extras["dt"] == 1e-2
     assert np.asarray(result.report.times) == pytest.approx(0.1 * np.arange(21),
@@ -78,11 +78,15 @@ def test_airy_default_step_is_converged(fixture, run_fine, request):
 
 def test_airy_forced_checks_hold_for_a_run_shorter_than_their_times():
     # the support check samples V_nswp at t = 1.5 and the phase check
-    # meshes up to 2.0: the force and phi0 caches reach 1 past both
-    result = run_airy_forced(*uniform_force(), t_end=0.4)
-    assert result.solution.t_max == 2.5
-    for c in result.checks:
-        assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
+    # meshes up to 2.0: the force and phi0 caches reach 1 past both. No
+    # snapshot moves by 1 before t = 0.4, so the peak check holds every
+    # one of them to an absolute error; both members of the family
+    for force_kind in ("none", "sin"):
+        result = run_airy_forced(*uniform_force(force_kind), t_end=0.4)
+        assert result.solution.t_max == 2.5
+        assert len(result.checks) == 7
+        for c in result.checks:
+            assert c.passed, f"{force_kind} {c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
 
 
 def test_airy_forced_default_cache_horizon_is_unchanged(airy_forced_result):
@@ -113,15 +117,6 @@ def test_timedep_frequency_negative_claim(timedep_result):
     assert check_by_name(timedep_result, "spread_detected_with_static_control").passed
     assert timedep_result.extras["spread_detected"]
     assert timedep_result.extras["control_ok"]
-
-
-def test_forced_reduces_to_free_when_unforced():
-    free = airy_free_case(1.0, CONSTS, t_max=5.0).sol
-    forced = airy_forced_case(1.0, lambda t: 0.0, CONSTS, t_max=5.0).sol
-    for t in np.linspace(0.0, 4.0, 9):
-        assert abs(free.trajectory.d(t) - forced.trajectory.d(t)) < 1e-10
-        assert abs(free.phi1(t) - forced.phi1(t)) < 1e-10
-        assert abs(free.phi0(t) - forced.phi0(t)) < 1e-9
 
 
 def test_phi0_forced_formula_unforced_limit():
@@ -281,6 +276,14 @@ def test_trap_check_values_match_a_fine_reference(timedep_result):
     assert len(timedep_result.report.times) == 101
 
 
+def test_sho_run_with_a_prime_step_count_keeps_every_step():
+    # 997 steps a period is prime: stride 1 keeps 998 snapshots, under the
+    # bound of 2001 that a prime count like 2003 exceeds
+    result = run_sho_shifted(dt=2.0 * math.pi / 997)
+    assert len(result.report.times) == 998
+    assert result.passed
+
+
 def test_sho_default_dt_is_cut_to_the_step_guard():
     # omega = 3 on the default grid: period/1000 gives dt max|V| = 0.60, so
     # the default halves dt; the run reaches t_end with snapshots still
@@ -332,16 +335,19 @@ CHECKS = {
             ("energy_split_value", 2e-4, 2.85504e-08),
             ("energy_constant_in_time", 2e-4, None),
             ("period_end_overlap", 1e-4, None)],
-    "airy-free": [("supporting_potential_is_zero", 1e-10, None),
+    "airy-free": [("supporting_potential_is_minus_Fx", 1e-10, None),
                   ("construction_tdse_residual", 1e-4, 2.27300e-06),
-                  ("peak_follows_quadratic_law", 0.02, 2.76616e-05),
+                  ("phase_dual_route", 1e-8, None),
+                  ("peak_follows_trajectory", 0.02, 9.96385e-05),
                   ("windowed_density_mismatch", 1e-3, 1.47332e-04),
                   ("hc_constant_force", 0.05, 7.56699e-07),
                   ("window_content_loss", 0.01, 6.76249e-07)],
     "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10, None),
                     ("construction_tdse_residual", 1e-4, 2.50005e-06),
                     ("phase_dual_route", 1e-8, None),
+                    ("peak_follows_trajectory", 0.02, 7.98748e-05),
                     ("windowed_density_mismatch", 1e-3, 1.63047e-04),
+                    ("hc_constant_force", 0.05, 1.05782e-05),
                     ("window_content_loss", 0.01, 1.00849e-05)],
     "gaussian-control": [("width_follows_spreading_law", 0.01, 4.32533e-09),
                          ("spreading_detected", 1e-2, 0.292855)],

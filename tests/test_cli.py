@@ -67,6 +67,29 @@ def test_airy_scenarios_reject_nonpositive_B(command, scenario, B, tmp_path):
     assert not out.exists()
 
 
+def test_eigen_more_modes_than_points_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["eigen", "--k", "100", "--n-points", "64", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "k = 100 modes asked of a grid of n = 64 points" in capsys.readouterr().err
+
+
+def test_sho_run_keeping_too_many_snapshots_exits_2_before_the_eigensolve(
+        tmp_path, monkeypatch, capsys):
+    # 2003 steps a period is prime, so no stride up to round(2003/200) = 10
+    # divides it and every step would be a snapshot
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the eigensolve ran")
+
+    monkeypatch.setattr(cases, "lowest_eigenpairs", not_reached)
+    out = tmp_path / "o"
+    assert main(["propagate", "--scenario", "sho", "--dt", repr(2.0 * math.pi / 2003),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "dt = 0.00313689 takes 2003 steps" in err and "2004 snapshots" in err
+
+
 def test_verify_sho_at_omega_2_passes(tmp_path):
     # the rate check used to differentiate <P> with np.gradient, whose own
     # truncation error (1.3e-3) exceeded the 1e-3 bound here
@@ -76,21 +99,23 @@ def test_verify_sho_at_omega_2_passes(tmp_path):
     assert checks["momentum_rate_tracks_force"] < 1e-4
 
 
-def test_airy_free_peak_law_out_of_reach_raises(tmp_path, capsys):
-    # at B = 0.5 the expected displacement B^3 t^2 / 4 reaches only 0.125 by
-    # t = 2, so the peak law has no snapshot to compare; it used to report NaN
+def test_airy_free_peak_law_holds_below_unit_displacement(tmp_path):
+    # at B = 0.8 the displacement B^3 t^2 / 4 reaches only 0.512 by t = 2,
+    # so every snapshot after the first is held to an absolute error
     out = tmp_path / "o"
-    assert main(["verify", "--scenario", "airy-free", "--B", "0.5",
-                 "--out", str(out)]) == 2
-    assert not (out / "report.json").exists()
-    assert "B = 0.5" in capsys.readouterr().err
+    assert main(["verify", "--scenario", "airy-free", "--B", "0.8",
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in read_json(out / "report.json")["checks"]}
+    assert checks["peak_follows_trajectory"]["pass"]
+    assert 0.0 < checks["peak_follows_trajectory"]["value"] < 1e-3
 
 
 @pytest.mark.parametrize("argv", [["--t-end", "1.5"], ["--B", "0.5"]],
                          ids=["t_end-1.5", "B-0.5"])
 def test_propagate_writes_a_run_whose_peak_law_is_out_of_reach(argv, tmp_path):
-    # the peak law that makes verify exit 2 for these runs is a check, and
-    # propagate writes its report without evaluating any
+    # no displacement of these runs reaches 1, so their peak check holds
+    # every snapshot to an absolute error; propagate writes the report
+    # without evaluating that or any other check
     out = tmp_path / "o"
     assert main(["propagate", "--scenario", "airy-free", *argv, "--out", str(out)]) == 0
     assert read_json(out / "report.json")["times"]

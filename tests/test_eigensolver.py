@@ -205,6 +205,10 @@ def test_input_validation():
     with pytest.raises(ValueError):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 0)
+    # more modes than grid points, before the seed eigensolve
+    with pytest.raises(RangeError, match="k = 300 .* n = 256 "):
+        lowest_eigenpairs(StaticPotential.harmonic(1.0),
+                          Grid1D(-12.0, 12.0, 256), CONSTS, 300)
     with pytest.raises(ValueError):
         StaticPotential.harmonic(-1.0)
     with pytest.raises(ValueError):

@@ -12,16 +12,16 @@ import pytest
 import nswp.cases
 import nswp.cli
 from nswp import CheckResult, Grid1D, PhysicalConstants, RunReport, WaveField
-from nswp.cases import SCENARIOS, ScenarioResult, airy_free_case
+from nswp.cases import SCENARIOS, ScenarioResult, airy_forced_case
 from nswp.cli import _load_config, main
 from nswp.propagator import propagate
 from nswp.errors import ConfigurationError
 
-RUNS = {"sho": "run_sho_shifted", "airy-free": "run_airy_free",
+RUNS = {"sho": "run_sho_shifted", "airy-free": "run_airy_forced",
         "airy-forced": "run_airy_forced", "gaussian-control": "run_gaussian_spreading",
         "sho-timedep-freq": "run_sho_timedep_frequency",
         "corrupted-phase": "run_corrupted_phase"}
-BUILDERS = {"sho": "sho_case", "airy-free": "airy_free_case",
+BUILDERS = {"sho": "sho_case", "airy-free": "airy_forced_case",
             "airy-forced": "airy_forced_case"}
 
 # a value other than the default for every config key the scenario commands know
@@ -45,7 +45,7 @@ def _fake_result():
 def calls(monkeypatch):
     """Replace every run and case builder; returns the list of (name, kwargs) calls."""
     record = []
-    case = airy_free_case(1.0, PhysicalConstants(), t_max=20.0)
+    case = airy_forced_case(1.0, consts=PhysicalConstants(), t_max=20.0)
 
     def recorder(name, result):
         def fake(*args, **kwargs):
