@@ -3,10 +3,10 @@
 Builds the n-th oscillator eigenstate, attaches the swinging trajectory
 d(t) = A sin(omega t) and the gauge that makes the supporting potential
 static, then propagates independently for one period and prints the
-verification summary. The propagator takes 1000 steps of the (2,2) Pade
-approximant of exp(-i H dt / hbar), fourth order in dt for this static
-potential, each step two Crank-Nicolson-shaped tridiagonal solves. Writes
-density snapshots to sho_demo_out/ for plotting.
+verification summary. The propagator takes 1000 steps of exp(-i H dt / hbar)
+for the sine-DVR Hamiltonian H of this static potential, exact in time,
+each step one product with a dense 128 x 128 matrix built once from the
+eigenpairs of H. Writes density snapshots to sho_demo_out/ for plotting.
 """
 
 import pathlib

@@ -5,8 +5,9 @@ Schrodinger equation whose probability density is a rigid translation of a
 fixed profile f along a designed trajectory d(t). The package builds such
 packets from arbitrary static 1-D potentials, derives the supporting
 time-dependent potential, and verifies the result by independent propagation
-(a fourth-order Pade step between walls, or split-step Fourier under an
-absorbing mask) and by a Hamiltonian-decomposition analysis.
+(the exact sine-DVR evolution of a reference Hamiltonian between walls, or
+split-step Fourier under an absorbing mask) and by a
+Hamiltonian-decomposition analysis.
 """
 
 from .airy import ai_values
@@ -18,7 +19,7 @@ from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
                     inner_product, observables, read_wavefield_csv,
                     shift_field, write_wavefield_csv)
 from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
-                         RunReport, pade_step, propagate)
+                         RunReport, propagate)
 from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
                          Trajectory, UniformAcceleration)

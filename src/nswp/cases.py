@@ -4,8 +4,9 @@ space its zero-force member; shifted SHO modes; and the three controls
 
 Each run constructs the closed-form packet, self-checks it against the
 time-dependent Schrodinger equation, propagates it independently
-(a fourth-order Pade step between walls, split-step Fourier under the
-Airy runs' absorbing mask), and reduces the result to named pass/fail checks.
+(the exact sine-DVR step of a reference Hamiltonian between walls,
+split-step Fourier under the Airy runs' absorbing mask), and reduces the
+result to named pass/fail checks.
 The two NSWP families share these steps through ``NswpCase`` and
 ``run_case`` and add only the checks of their own family.
 ``SCENARIOS`` is the table of runs the command line offers by name.
@@ -20,12 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constructor import (AiryShape, NswpSolution, SampledShape,
+from .constructor import (RESIDUAL_MARGIN, AiryShape, NswpSolution, SampledShape,
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
 from .errors import ConfigurationError, RangeError
-from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first,
+from .grids import (MAX_DENSE_POINTS, Grid1D, PhysicalConstants, WaveField, fd5_first,
                     inner_product, observables, shift_field)
 from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
                          guarded_dt, propagate)
@@ -36,12 +37,18 @@ from .verifier import (SPREAD_THRESHOLD, CheckResult, classical_motion_check,
                        no_nswp_for_time_dependent_frequency, rigid_shape_deviation,
                        shape_deviation)
 
-# dx ~ 1.6e-2: the fourth-order Numerov operator keeps the modes n <= 2 within
-# the 1e-4 motion and H-tilde tolerances
-_SHO_GRID = Grid1D(-8.0, 8.0, 1024)
+# the sho grid at the paper's defaults (``sho_grid``): dx ~ 0.13, where the
+# sine DVR resolves the modes n <= 2 to round-off, far inside the 1e-4
+# motion and H-tilde tolerances
+_SHO_GRID = Grid1D(-8.0, 8.0, 128)
+# oscillator lengths of Gaussian tail the sho grid keeps beyond a mode's
+# turning point at the largest swing: |f| falls to about 1.5e-8 of its peak
+_SHO_TAIL = 5.0
 # ten times the 200 snapshot intervals a sho run asks for, plus the start
 _SHO_MAX_SNAPSHOTS = 2001
 _AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
+# the Airy construction residual skips 16 cells of the default grid at each edge
+_AIRY_MARGIN = 16 * _AIRY_GRID.dx
 _AIRY_MASK = AbsorbingMask(width=8.0, strength=40.0)
 _AIRY_WINDOW = (-10.0, 4.0)  # where the Airy runs compare densities
 # Under V = -F(t) x the split step's error is a global phase; what is left is
@@ -99,8 +106,9 @@ class NswpCase:
     its family predicts: ``v_run(x, t)``, the closed form of its supporting
     potential V_nswp, which ``support`` names and ``support_times`` sample
     (none where ``v_run`` is V_nswp itself); the times of the construction
-    residual, taken ``margin`` cells in from the edges; and the ``window``
-    (x_lo, x_hi) its density is compared on, None for the whole grid."""
+    residual, taken ``margin``, a length in x, in from the edges; and the
+    ``window`` (x_lo, x_hi) its density is compared on, None for the whole
+    grid."""
 
     sol: NswpSolution
     v: StaticPotential
@@ -108,7 +116,7 @@ class NswpCase:
     support: str
     support_times: tuple
     residual_times: tuple
-    margin: int = 8
+    margin: float = RESIDUAL_MARGIN
     window: Optional[tuple] = None
 
     def reference(self, grid: Grid1D):
@@ -136,7 +144,8 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
     sol, grid = case.sol, config.grid
     psi0 = analytic_psi(sol, grid, 0.0)
     peak = float(np.max(np.abs(psi0.values)))
-    if isinstance(config.boundary, AbsorbingMask):
+    masked = isinstance(config.boundary, AbsorbingMask)
+    if masked:
         # a non-normalizable mode ends abruptly at the domain edges; its kink
         # would radiate fast spurious components across the whole window
         # within a few steps, so take it smoothly to zero across the mask
@@ -149,7 +158,8 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
                                            - case.v_run(grid.x, t))))
                        for t in case.support_times), default=0.0)
-        residual = max(tdse_residual(sol, case.v, grid, t, margin=case.margin)
+        residual = max(tdse_residual(sol, case.v, grid, t, margin=case.margin,
+                                     dirichlet=not masked)
                        for t in case.residual_times) / peak
         return [CheckResult.below(case.support, support, 1e-10),
                 CheckResult.below("construction_tdse_residual", residual, 1e-4,
@@ -163,17 +173,43 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
 # Shifted SHO eigenstates (Schrodinger / Senitzky family)
 # ---------------------------------------------------------------------------
 
+def sho_grid(n: int = 0, amplitude: float = 2.0, omega: float = 1.0,
+             consts: PhysicalConstants = PhysicalConstants()) -> Grid1D:
+    """The grid of the n-th oscillator mode swinging by ``amplitude``: +-L
+    with L = |amplitude| + (sqrt(2n + 1) + ``_SHO_TAIL``) sigma, the mode's
+    turning point at the largest swing plus its Gaussian tail, in units of
+    the oscillator length sigma = sqrt(hbar / m omega), on the fewest points
+    that keep dx at most ``_SHO_GRID.dx`` sigma. The walls are where the
+    sine DVR puts them, so the tail they cut off sets the residual checks'
+    floor. At the paper's defaults it is ``_SHO_GRID``. Raises RangeError,
+    before any grid is built, when that takes more than
+    ``grids.MAX_DENSE_POINTS`` points."""
+    sigma = math.sqrt(consts.hbar / (consts.mass * omega))
+    half = abs(amplitude) + (math.sqrt(2 * n + 1) + _SHO_TAIL) * sigma
+    intervals = 2.0 * half / (_SHO_GRID.dx * sigma)
+    # an inf or NaN count fails here too
+    if not intervals <= MAX_DENSE_POINTS - 1:
+        raise RangeError(
+            f"the sho grid of n = {n}, amplitude = {amplitude:g}, omega = {omega:g}, "
+            f"hbar = {consts.hbar:g} and mass = {consts.mass:g} takes {intervals + 1:.3g} "
+            f"points, more than the dense basis budget of {MAX_DENSE_POINTS}")
+    return Grid1D(-half, half, math.ceil(intervals - 1e-9) + 1)
+
+
 def sho_case(
     n: int = 0,
     amplitude: float = 2.0,
     omega: float = 1.0,
-    grid: Grid1D = _SHO_GRID,
+    grid: Grid1D = None,
     consts: PhysicalConstants = PhysicalConstants(),
     t_max: float = 10.0,
 ) -> NswpCase:
     """The n-th oscillator mode swinging on d = amplitude sin(omega t), with
     the gauge that keeps its supporting potential the static oscillator,
-    sampled on ``grid``. ``t_max`` is the phi0 cache horizon."""
+    sampled on ``grid``, by default ``sho_grid``. ``t_max`` is the phi0
+    cache horizon."""
+    if grid is None:
+        grid = sho_grid(n, amplitude, omega, consts)
     v_static = StaticPotential.harmonic(omega, consts.mass)
     pair = lowest_eigenpairs(v_static, grid, consts, n + 1)[n]
     traj = Sinusoid(amplitude=amplitude, omega=omega)
@@ -190,11 +226,12 @@ def run_sho_shifted(
     n: int = 0,
     amplitude: float = 2.0,
     omega: float = 1.0,
-    grid: Grid1D = _SHO_GRID,
+    grid: Grid1D = None,
     dt: float = None,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
-    """Propagate the shifted n-th SHO eigenstate for one period.
+    """Propagate the shifted n-th SHO eigenstate for one period, on
+    ``grid``, by default ``sho_grid``.
 
     The default dt is period/1000, cut where the grid's max|V| needs it. A
     snapshot is recorded every period/200, or for a dt that does not divide
@@ -205,6 +242,8 @@ def run_sho_shifted(
     the eigensolve."""
     period = 2.0 * math.pi / omega
     t_end = period
+    if grid is None:
+        grid = sho_grid(n, amplitude, omega, consts)
     if dt is None:
         v_max = float(np.max(np.abs(StaticPotential.harmonic(omega, consts.mass)(grid.x))))
         dt = guarded_dt(period / 1000.0, v_max, t_end, consts)
@@ -340,7 +379,8 @@ def airy_forced_case(B: float = 1.0, F: Callable[[float], float] = lambda t: 0.0
                        gauge_linear_case(A, traj), consts=consts, t_max=t_max)
     return NswpCase(sol, StaticPotential.linear(A), lambda x, t: -F(t) * x,
                     "supporting_potential_is_minus_Fx", _AIRY_SUPPORT_TIMES,
-                    residual_times=_AIRY_RESIDUAL_TIMES, margin=16, window=_AIRY_WINDOW)
+                    residual_times=_AIRY_RESIDUAL_TIMES, margin=_AIRY_MARGIN,
+                    window=_AIRY_WINDOW)
 
 
 def run_airy_forced(
@@ -422,11 +462,12 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
     """Free Gaussian spreading control: width must follow the analytic law.
 
     sigma(t) = sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2) with sigma0 = 1,
-    to t = 2 at dt = 1e-3; a propagator that kept this packet rigid would
-    be broken.
+    to t = 2 at dt = 1e-3, on 128 points over [-16, 16] (the width law
+    holds there to 7e-13, and |psi| at the walls stays under 1e-13 of its
+    peak); a propagator that kept this packet rigid would be broken.
     """
     sigma0, dt, t_end = 1.0, 1e-3, 2.0
-    grid = Grid1D(-30.0, 30.0, 2048)
+    grid = Grid1D(-16.0, 16.0, 128)
     x = grid.x
     psi = np.exp(-(x**2) / (4.0 * sigma0**2)).astype(complex)
     psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
@@ -578,11 +619,10 @@ def run_sho_timedep_frequency(
 
 def run_corrupted_phase(consts: PhysicalConstants = PhysicalConstants()) -> ScenarioResult:
     """Self-test without propagation: the TDSE residual of the shifted SHO
-    packet on 2048 points over [-8, 8] must inflate at least 100x when its
-    global phase is dropped."""
-    grid = Grid1D(-8.0, 8.0, 2048)
-    case = sho_case(grid=grid, consts=consts, t_max=20.0)
-    sol, v = case.sol, case.v
+    packet on its default grid (``sho_grid``) must inflate at least 100x
+    when its global phase is dropped."""
+    case = sho_case(consts=consts, t_max=20.0)
+    sol, v, grid = case.sol, case.v, case.sol.shape.field.grid
     peak = float(np.max(np.abs(analytic_psi(sol, grid, 1.0).values)))
     good = tdse_residual(sol, v, grid, 1.0) / peak
     bad = tdse_residual(sol, v, grid, 1.0, drop_phi0=True) / peak
@@ -629,7 +669,8 @@ class Scenario:
 
     ``run(**kwargs)`` returns a ScenarioResult. Every scenario takes hbar and
     mass (as ``consts``) besides its own ``keys``; one with a default
-    ``grid`` also takes the grid keys (as ``grid``) and, if it has a
+    ``grid``, a Grid1D or a function of the other keyword arguments that
+    derives one, also takes the grid keys (as ``grid``) and, if it has a
     ``case``, ``case(**kwargs, t_max=...)`` returns its ``NswpCase``. ``run``
     and ``case`` are lambdas, so the module functions they call are looked
     up when called, not when this table is built.
@@ -637,7 +678,7 @@ class Scenario:
 
     run: Callable[..., ScenarioResult]
     keys: tuple = ()
-    grid: Optional[Grid1D] = None
+    grid: object = None
     case: Optional[Callable] = None
     propagates: bool = True
 
@@ -651,7 +692,8 @@ class Scenario:
               for k, v in config.items() if k in self.keys and k not in FORCE_KEYS}
         kw["consts"] = consts_from(config)
         if self.grid is not None:
-            kw["grid"] = grid_from(config, self.grid)
+            default = self.grid(**kw) if callable(self.grid) else self.grid
+            kw["grid"] = grid_from(config, default)
         if "force_kind" in self.keys:
             kw["F"], kw["force_label"] = uniform_force(
                 **{k: config[k] for k in FORCE_KEYS if k in config})
@@ -661,7 +703,9 @@ class Scenario:
 SCENARIOS = {
     "sho": Scenario(
         run=lambda **kw: run_sho_shifted(**kw),
-        keys=("mode_index", "amplitude", "omega", "dt"), grid=_SHO_GRID,
+        keys=("mode_index", "amplitude", "omega", "dt"),
+        grid=lambda n=0, amplitude=2.0, omega=1.0, consts=PhysicalConstants(), dt=None:
+            sho_grid(n, amplitude, omega, consts),
         case=lambda **kw: sho_case(**kw)),
     # the zero-force member of the Airy family; the grid only samples a
     # closed-form Airy packet

@@ -97,10 +97,10 @@ def cmd_eigen(config: dict, out: Path) -> int:
     consts = cases.consts_from(config)
     if kind == "harmonic":
         v = StaticPotential.harmonic(config.get("omega", 1.0), consts.mass)
-        default_grid, other = Grid1D(-12.0, 12.0, 2048), "lam"
+        default_grid, other = Grid1D(-12.0, 12.0, 256), "lam"
     elif kind == "quartic":
         v = StaticPotential.quartic(config.get("lam", 1.0))
-        default_grid, other = Grid1D(-8.0, 8.0, 2048), "omega"
+        default_grid, other = Grid1D(-8.0, 8.0, 256), "omega"
     else:
         raise ConfigurationError(
             f"potential '{kind}' not supported by eigen (linear has a "

@@ -21,9 +21,14 @@ import numpy as np
 from .airy import ai_values
 from .eigensolver import EigenPair, StaticPotential
 from .errors import RangeError
-from .grids import Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second, shift_values
+from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second, interior,
+                    shift_values, sine_apply)
 from .quadrature import cumulative_antiderivative, integrate_time
 from .trajectory import Trajectory
+
+# the residual checks' default margin, a length in x: it keeps one cell of
+# the default sho grid (dx = 16/127) out at each edge
+RESIDUAL_MARGIN = 0.125
 
 
 @dataclass(frozen=True)
@@ -208,13 +213,18 @@ def analytic_psi(sol: NswpSolution, grid: Grid1D, t: float) -> WaveField:
 
 
 def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
-                  margin: int = 8, drop_phi0: bool = False) -> float:
+                  margin: float = RESIDUAL_MARGIN, drop_phi0: bool = False,
+                  dirichlet: bool = True) -> float:
     """Max |i hbar dPsi/dt - H Psi| for the analytic packet over the points
-    at least ``margin`` cells from either edge.
+    at least ``margin``, a length in x, from either edge
+    (``grids.interior``).
 
-    Time derivative by 5-point central FD at step 1e-5; spatial second
-    derivative by the 5-point stencil. ``drop_phi0`` deliberately corrupts
-    the global phase (falsification control).
+    Time derivative by 5-point central FD at step 1e-5. The spatial second
+    derivative is that of the sine series between walls one dx beyond the
+    grid (``grids.sine_apply``) when ``dirichlet``, else the 5-point
+    stencil, whose two end points at each side are never read.
+    ``drop_phi0`` deliberately corrupts the global phase (falsification
+    control).
     """
     hbar, m = sol.consts.hbar, sol.consts.mass
 
@@ -228,9 +238,11 @@ def tdse_residual(sol: NswpSolution, v: StaticPotential, grid: Grid1D, t: float,
     stack = np.array([psi_at(t + k * h) for k in (-2, -1, 0, 1, 2)])
     dpsi_dt = fd5_first(stack, h)[2]
     psi = stack[2]
-    d2 = fd5_second(psi, grid.dx)
+    d2 = sine_apply(psi, grid.dx, lambda k: -k * k) if dirichlet else fd5_second(psi, grid.dx)
 
     vloc = v_nswp(sol, v, grid.x, t)
     residual = 1j * hbar * dpsi_dt - (-(hbar**2) / (2 * m) * d2 + vloc * psi)
-    lo, hi = max(margin, 2), grid.n - max(margin, 2)
-    return float(np.max(np.abs(residual[lo:hi])))
+    sel = interior(grid, margin)
+    if not dirichlet:
+        sel = slice(max(sel.start, 2), min(sel.stop, grid.n - 2))
+    return float(np.max(np.abs(residual[sel])))

@@ -1,11 +1,11 @@
 """Bound-state shapes from a static potential.
 
-Solves the time-independent problem on the grid with the fourth-order
-Numerov Hamiltonian H_N = M^-1 K + V and Dirichlet walls, as the
-generalized tridiagonal problem (K + M V) f = E M f (``grids.numerov_bands``).
-The k lowest pairs of the 3-point K + V (``grids.tridiagonal_eigenpairs``)
-seed Rayleigh-quotient inverse iteration by ``grids.tridiagonal_solver``,
-which converges in a few steps.
+Solves the time-independent problem on the grid between Dirichlet walls in
+the sine discrete variable representation: the dense Hamiltonian
+T + V, T the Colbert-Miller kinetic matrix (``grids.kinetic_matrix``), is
+diagonalised by one ``numpy.linalg.eigh``. The modes converge spectrally in
+the number of points, so a few points per oscillation of the highest mode
+resolve it; the dense basis stops at ``grids.MAX_DENSE_POINTS``.
 
 The linear potential V = A x has a continuous spectrum and bypasses the
 eigensolver: its shape is the closed-form Airy mode, ``constructor.AiryShape``.
@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, RangeError
-from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, bands_apply, m_solve,
-                    numerov_bands, tridiagonal_eigenpairs, tridiagonal_solver, write_csv,
-                    write_json)
-
-_MAX_ITERATIONS = 20
+from .grids import Grid1D, PhysicalConstants, WaveField, kinetic_matrix, write_csv, write_json
 
 
 class StaticPotential:
@@ -72,75 +68,46 @@ def lowest_eigenpairs(
 ) -> list[EigenPair]:
     """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
 
-    Raises RangeError when k exceeds the grid's n points, AccuracyError
-    when a returned mode has not decayed below 1e-6 of its peak at the
-    domain edges, and ConvergenceError if the seed eigensolve fails, the
-    iteration does not settle, or the refined energies are not distinct
-    and ascending. ``residual`` is
-    ||(K + M V) f - E M f|| / ||f||.
+    The modes of the sine-DVR Hamiltonian T + V (``grids.kinetic_matrix``)
+    from one dense ``numpy.linalg.eigh``. Raises RangeError when k exceeds
+    the grid's n points or n exceeds ``grids.MAX_DENSE_POINTS`` (before any
+    n x n allocation), AccuracyError when a returned mode has not decayed
+    below 1e-6 of its peak at the domain edges, and ConvergenceError if the
+    eigensolve fails or the energies are not distinct and ascending.
+    ``residual`` is ||(T + V) f - E f|| / ||f||.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > grid.n:
         raise RangeError(f"k = {k} modes asked of a grid of n = {grid.n} points")
-    dx = grid.dx
-    v_x = np.asarray(v(grid.x), dtype=float)
-    diag, off = numerov_bands(v_x, dx, consts)
-    k_diag, k_off = numerov_bands(0.0, dx, consts)
+    h = kinetic_matrix(grid.n, grid.dx, consts)
+    h[np.diag_indices(grid.n)] += np.asarray(v(grid.x), dtype=float)
     try:
-        seeds, vectors = tridiagonal_eigenpairs(k_diag + v_x, np.full(grid.n - 1, k_off), k)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-
-    # |E_{j+1} - E_j| below this is round-off in the Rayleigh quotient
-    settled = 64 * np.finfo(float).eps * (k_diag + np.max(np.abs(v_x)))
+        energies, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+    energies = [float(e) for e in energies[:k]]
+    if not np.all(np.diff(energies) > 0):
+        raise ConvergenceError(f"energies {energies} are not distinct and ascending")
     pairs = []
-    for i in range(k):
-        energy, f = _refine(diag, off, seeds[i], vectors[:, i], settled)
-        f = _sign_normalize(f)
-        f /= np.sqrt(np.trapezoid(f**2, dx=dx))
+    for i, energy in enumerate(energies):
+        f = _sign_normalize(vectors[:, i])
+        f /= np.sqrt(np.trapezoid(f**2, dx=grid.dx))
         edge = max(abs(f[0]), abs(f[-1]))
         if edge > 1e-6 * np.max(np.abs(f)):
             raise AccuracyError(
                 f"mode {i} leaks at the boundary (relative edge value "
                 f"{edge / np.max(np.abs(f)):.2e}); widen the domain"
             )
-        r = bands_apply(diag, off, f) - energy * bands_apply(M_DIAG, M_OFF, f)
         pairs.append(
             EigenPair(
                 energy=energy,
                 shape=WaveField(grid=grid, values=f.astype(complex), time=0.0),
                 index=i,
-                residual=float(np.linalg.norm(r) / np.linalg.norm(f)),
+                residual=float(np.linalg.norm(h @ f - energy * f) / np.linalg.norm(f)),
             )
         )
-    energies = [p.energy for p in pairs]
-    if not np.all(np.diff(energies) > 0):
-        raise ConvergenceError(
-            f"refined energies {energies} are not distinct and ascending"
-        )
     return pairs
-
-
-def _refine(diag, off, energy, f, settled):
-    """Rayleigh-quotient inverse iteration for (K + M V) f = E M f from the
-    pair (energy, f); returns the converged (E, f), f of unit 2-norm.
-
-    Each step solves (K + M V - E M) g = M f, which is (H_N - E) g = f, and
-    takes E = f.H_N f with H_N f = M^-1 (K + M V) f.
-    """
-    for _ in range(_MAX_ITERATIONS):
-        solve = tridiagonal_solver(diag - energy * M_DIAG, off - energy * M_OFF)
-        if solve is not None:
-            g = solve(bands_apply(M_DIAG, M_OFF, f), overwrite_b=True)
-            f = g / np.linalg.norm(g)
-        # None: the shift is an eigenvalue to working precision
-        previous, energy = energy, float(f @ m_solve(bands_apply(diag, off, f)))
-        if solve is None or abs(energy - previous) <= settled:
-            return energy, f
-    raise ConvergenceError(
-        f"inverse iteration did not settle in {_MAX_ITERATIONS} steps (E ~ {energy})"
-    )
 
 
 def write_eigenpair(pair: EigenPair, csv_path, json_path) -> None:

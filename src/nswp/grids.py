@@ -1,29 +1,30 @@
 """Spatial grid, wave field and observable primitives.
 
 ``observables`` takes its integrals as plain sums dx * sum(.), each one
-dot product, the inner product that the propagator's (2,2) Pade step
-conserves exactly; ``inner_product`` uses the trapezoidal rule. The
-Hamiltonian is the fourth-order matrix Numerov operator H_N = M^-1 K + V
-(Pillai, Goglio & Walker, Am. J. Phys. 80, 1017 (2012)), with K the 3-point
-kinetic matrix and M = tridiag(1, 10, 1)/12, both with Dirichlet walls;
-``numerov_bands`` is the one builder of its bands, shared by the
-eigensolver, both stages of the Pade step and <H>; ``tridiagonal_solver``
-solves with all of them. <P> uses the 5-point first derivative; the 5-point
-weights ``FD5_FIRST`` and ``FD5_SECOND`` are spelled here only. Fractional
-spatial shifts are done by Fourier interpolation so that sub-grid
-displacements are representable.
+dot product, the inner product that the Dirichlet step conserves exactly;
+``inner_product`` uses the trapezoidal rule. Between Dirichlet walls the
+Hamiltonian is the sine discrete variable representation (DVR) T + V of
+Colbert & Miller (J. Chem. Phys. 96, 1982 (1992)): the grid's n points are
+the interior points of a box whose walls lie one dx beyond either end, and
+``kinetic_matrix`` is its dense kinetic matrix, shared by the eigensolver
+and the propagator. ``sine_apply`` differentiates the same sine series by
+an FFT of its odd extension, for <P>, <H> and the residual checks; the
+dense basis stops at ``MAX_DENSE_POINTS``. The 5-point weights
+``FD5_FIRST`` and ``FD5_SECOND``, spelled here only, serve the masked
+(periodic) Airy grids and time series. Fractional spatial shifts are done by
+Fourier interpolation so that sub-grid displacements are representable.
+Everything here is numpy only.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 from .errors import DegenerateFieldError, GridMismatchError, RangeError
 
@@ -141,72 +142,71 @@ def fd5_second(values: np.ndarray, dx: float) -> np.ndarray:
     return _fd5(values, FD5_SECOND, FD5_DIVISOR * dx**2)
 
 
-# bands of the Numerov matrix M = tridiag(1, 10, 1) / 12
-M_DIAG = 10.0 / 12.0
-M_OFF = 1.0 / 12.0
+def interior(grid: Grid1D, margin: float) -> slice:
+    """The points at least ``margin``, a length in x, from either edge; a
+    margin of a whole number of cells, up to round-off, keeps that many
+    cells out. Raises RangeError when no point is left."""
+    cells = max(0, math.ceil(margin / grid.dx - 1e-9))
+    if 2 * cells >= grid.n:
+        raise RangeError(f"a margin of {margin:g} leaves no point of a grid "
+                         f"{grid.width:g} wide")
+    return slice(cells, grid.n - cells)
 
 
-def numerov_bands(v, dx: float, consts: PhysicalConstants):
-    """Bands ``(diag, off)`` of K + M V, the Numerov Hamiltonian times M.
-
-    diag_i = hbar^2/(m dx^2) + 10 V_i/12 and off_i = -hbar^2/(2 m dx^2) + V_i/12.
-    Row i of K + M V is (off_{i-1}, diag_i, off_{i+1}): ``off[:-1]`` is the
-    sub-diagonal and ``off[1:]`` the super-diagonal. ``v = 0`` gives K alone
-    (as scalars); M's bands are ``M_DIAG`` and ``M_OFF``.
-    """
-    kin = consts.hbar**2 / (consts.mass * dx**2)
-    v = np.asarray(v, dtype=float)
-    return kin + M_DIAG * v, M_OFF * v - 0.5 * kin
+# the most points a dense n x n Hamiltonian is built for: 32 MB per real matrix
+MAX_DENSE_POINTS = 2048
 
 
-def bands_apply(diag, off, values: np.ndarray) -> np.ndarray:
-    """Product of the tridiagonal matrix with bands ``(diag, off)`` (laid out
-    as in :func:`numerov_bands`) and ``values``."""
-    w = off * values
-    out = diag * values
-    out[:-1] += w[1:]
-    out[1:] += w[:-1]
-    return out
+def _dense_points(n: int) -> int:
+    """``n``, or RangeError when an n x n matrix would pass MAX_DENSE_POINTS."""
+    if n > MAX_DENSE_POINTS:
+        raise RangeError(f"a dense basis of n = {n} points exceeds the cap of "
+                         f"{MAX_DENSE_POINTS}; use fewer points")
+    return n
 
 
-def tridiagonal_solver(diag, off):
-    """``b -> A^-1 b`` for the tridiagonal A with bands ``(diag, off)`` laid out
-    as in :func:`numerov_bands`, or None if A is exactly singular. A is
-    LU-factored once by LAPACK gttrf, real or complex as the bands are; each
-    solve is one gttrs, in place on ``b`` when ``overwrite_b``."""
-    dtype = complex if np.iscomplexobj(diag) or np.iscomplexobj(off) else float
-    gttrf, gttrs = (zgttrf, zgttrs) if dtype is complex else (dgttrf, dgttrs)
-    off = np.broadcast_to(np.asarray(off, dtype=dtype), np.shape(diag))
-    # gttrf overwrites its inputs: the sub- and super-diagonal must not share memory
-    *lu, info = gttrf(off[:-1].copy(), np.array(diag, dtype=dtype), off[1:].copy(),
-                      overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info < 0:
-        raise ValueError(f"gttrf rejected argument {-info}")
-
-    def solve(b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
-        x, info = gttrs(*lu, b, overwrite_b=overwrite_b)
-        if info != 0:
-            raise ValueError(f"gttrs rejected argument {-info}")
-        return x
-
-    return solve if info == 0 else None  # info > 0: a zero pivot
-
-
-def tridiagonal_eigenpairs(diag, sub, k: int):
-    """k lowest (eigenvalues, eigenvector columns) of the symmetric tridiagonal
-    matrix with ``diag`` and n - 1 ``sub``; LAPACK stebz/stein form only those."""
-    return eigh_tridiagonal(diag, sub, select="i", select_range=(0, k - 1))
+def kinetic_matrix(n: int, dx: float, consts: PhysicalConstants) -> np.ndarray:
+    """The n x n sine-DVR kinetic matrix of an n-point grid between walls one
+    ``dx`` beyond its ends (Colbert & Miller, J. Chem. Phys. 96, 1982 (1992),
+    their particle-in-a-box DVR with N = n + 1 intervals of a box
+    L = N dx long): with c = hbar^2 pi^2 / (4 m L^2),
+    T_ii = c [(2 N^2 + 1) / 3 - 1 / sin^2(pi i / N)] and
+    T_ij = c (-1)^(i - j) [1 / sin^2(pi (i - j) / 2N) - 1 / sin^2(pi (i + j) / 2N)].
+    It is ``sine_apply`` with the symbol hbar^2 k^2 / 2m. Raises RangeError
+    past ``MAX_DENSE_POINTS`` before anything n x n is allocated."""
+    big_n = _dense_points(n) + 1
+    c = consts.hbar**2 * np.pi**2 / (4.0 * consts.mass * (big_n * dx) ** 2)
+    i = np.arange(1, n + 1)
+    diff = i[:, None] - i
+    angle = (np.pi / (2 * big_n)) * diff
+    np.fill_diagonal(angle, 1.0)  # any nonzero angle; the diagonal is set below
+    t = 1.0 / np.sin(angle) ** 2
+    t -= 1.0 / np.sin((np.pi / (2 * big_n)) * (i[:, None] + i)) ** 2
+    t[diff % 2 == 1] *= -1.0
+    np.fill_diagonal(t, (2 * big_n**2 + 1) / 3.0 - 1.0 / np.sin(np.pi * i / big_n) ** 2)
+    t *= c
+    return t
 
 
-@lru_cache(maxsize=8)
-def _m_solver(n: int, dtype: type):
-    return tridiagonal_solver(np.full(n, M_DIAG, dtype=dtype), M_OFF)
+def _sine_spectrum(values: np.ndarray, dx: float):
+    """``numpy.fft`` spectrum of the odd extension (0, v, 0, -v reversed) of
+    n samples, one period of 2(n + 1) points, and its wavenumbers."""
+    n = len(values)
+    ext = np.zeros(2 * (n + 1), dtype=complex)
+    ext[1:n + 1] = values
+    ext[n + 2:] = -values[::-1]
+    return np.fft.fft(ext), _wavenumbers(2 * (n + 1), dx, False)
 
 
-def m_solve(values: np.ndarray) -> np.ndarray:
-    """M^-1 values by M's LU factors in the dtype of ``values``, built once per
-    grid size (M is strictly diagonally dominant, so never singular)."""
-    return _m_solver(len(values), complex if np.iscomplexobj(values) else float)(values)
+def sine_apply(values: np.ndarray, dx: float, symbol) -> np.ndarray:
+    """The operator of Fourier symbol ``symbol(k)`` (d/dx has ik) applied to
+    the sine series through ``values`` that vanishes on walls one ``dx``
+    beyond either end, at the grid points: one FFT of the odd extension,
+    times the symbol, and back; complex. The symbol must be even or odd in
+    k, so the result is again a sine or a cosine series. Spectrally
+    accurate for a field that is smooth and small at the walls."""
+    spectrum, k = _sine_spectrum(values, dx)
+    return np.fft.ifft(symbol(k) * spectrum)[1:len(values) + 1]
 
 
 def observables(
@@ -216,12 +216,12 @@ def observables(
     """Norm, <x>, <P>, <H> and spatial variance of a field.
 
     The density re^2 + im^2 is formed once; <x> and the variance are its
-    dot products with x and (x - <x>)^2. <P> is four ``vdot``s of the points
-    with a 5-point difference against their shifted neighbours, so no
-    derivative array is built; <H> is the Numerov expectation
-    <psi|M^-1 K psi> + <V rho>. ``v_of_x`` holds potential samples on the
-    grid; when None the energy is purely kinetic. Raises
-    DegenerateFieldError for an (almost) zero field.
+    dot products with x and (x - <x>)^2. <P> and the kinetic part of <H>
+    are those of the sine series through the points (walls one dx beyond
+    either end), from one FFT of its odd extension: <H> is
+    <psi|T psi> + <V rho> with T the sine-DVR ``kinetic_matrix``.
+    ``v_of_x`` holds potential samples on the grid; when None the energy is
+    purely kinetic. Raises DegenerateFieldError for an (almost) zero field.
     """
     dx = psi.grid.dx
     x = psi.grid.x
@@ -235,16 +235,17 @@ def observables(
     xc = x - centroid
     variance = dx * float(np.dot(xc * xc, rho)) / nrm2
 
-    # dx * sum conj(psi) (-i hbar) psi' with psi' the 5-point difference,
-    # which is zero at the two points at each end
-    n = len(values)
-    inner = values[2:-2]
-    s = sum(w * np.vdot(inner, values[k:n - 4 + k]) for k, w in enumerate(FD5_FIRST) if w)
-    p_mean = consts.hbar * float(s.imag) / (FD5_DIVISOR * nrm2)
+    # one spectrum of the sine series: <P> = dx sum conj(psi) (-i hbar) psi'
+    # with psi' its derivative, and the kinetic sum sum conj(psi) T psi by
+    # Parseval over the odd extension's 2(n + 1) points, which hold psi twice
+    spectrum, k = _sine_spectrum(values, dx)
+    d1 = np.fft.ifft(1j * k * spectrum)[1:len(values) + 1]
+    p_mean = consts.hbar * dx * float(np.vdot(values, d1).imag) / nrm2
 
-    # <H> of the Numerov Hamiltonian, the energy the Pade step conserves
-    k_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), values))
-    e_sum = float(np.vdot(values, k_psi).real)
+    # <H> of T + V, the energy the Dirichlet step conserves
+    power = spectrum.real * spectrum.real
+    power += spectrum.imag * spectrum.imag
+    e_sum = consts.hbar**2 / (2.0 * consts.mass) * float(np.dot(k * k, power)) / (2 * len(k))
     if v_of_x is not None:
         e_sum += float(np.dot(v_of_x, rho))
     e_mean = dx * e_sum / nrm2

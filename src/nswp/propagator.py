@@ -1,5 +1,6 @@
-"""Time evolution under an arbitrary V(x, t): a fourth-order Pade step
-between Dirichlet walls, Strang split-step Fourier with an absorbing mask.
+"""Time evolution under an arbitrary V(x, t): the exact evolution of a
+reference Hamiltonian in its sine-DVR eigenbasis between Dirichlet walls,
+Strang split-step Fourier with an absorbing mask.
 
 ``propagate`` runs one loop for both boundaries. Each step splits H(t) into
 a fixed part, prepared once per run, and the diagonal remainder
@@ -9,21 +10,14 @@ exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
 alone. The step guard dt * max|V| / hbar < 0.5 runs on V_ref and on the full
 V(t + dt/2) of every step where it moved off V_ref.
 
-``Dirichlet``: the fixed part is the (2,2) diagonal Pade approximant of the
-evolution exponential at V_ref = V(t_start + dt/2),
-R(z) = (1 + z/2 + z^2/12) / (1 - z/2 + z^2/12) with z = -i dt H_N / hbar
-(the fourth-order generalisation of Crank-Nicolson; van Dijk & Toyama,
-Phys. Rev. E 75, 036707 (2007)). The step is fourth order in dt for a
-static V and second order for a time-dependent one. The Hamiltonian is the
-fourth-order Numerov operator H_N = M^-1 K + V of ``grids.numerov_bands``.
-R factors over the roots r = -3 +- i sqrt(3) of its numerator into two
-Crank-Nicolson-shaped stages (1 - i c H_N) psi' = (1 + i c H_N) psi,
-c = dt / (hbar r); multiplied by M each reads
-(M - i c (K + M V)) psi' = (M + i c (K + M V)) psi, tridiagonal on both
-sides. The two c are complex conjugates, so the product of the stages is
-exactly unitary up to the tridiagonal-solve round-off, and so are the
-kicks. Each stage's left-hand matrix is LU-factored once per run by
-``grids.tridiagonal_solver`` and each step is two of its solves.
+``Dirichlet``: the fixed part is exp(-i dt H_ref / hbar) for the sine-DVR
+Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T the
+Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
+``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T, and the step is the one
+complex matrix U diag(exp(-i E dt / hbar)) U^T, unitary up to round-off. A
+static V is therefore exact in time at any dt, and a time-dependent V is
+second order, through the kicks. The dense basis stops at
+``grids.MAX_DENSE_POINTS``.
 
 ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
 period of a periodic domain, V_ref = 0 and the fixed part is the exact
@@ -40,15 +34,14 @@ edge; the record step raises ``BoundaryError`` when it does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundaryError, ConfigurationError, RangeError
-from .grids import (M_DIAG, M_OFF, Grid1D, PhysicalConstants, WaveField, _wavenumbers,
-                    bands_apply, numerov_bands, observables, tridiagonal_solver)
+from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, _wavenumbers,
+                    kinetic_matrix, observables)
 
 
 @dataclass(frozen=True)
@@ -67,10 +60,11 @@ class AbsorbingMask:
 @dataclass(frozen=True)
 class PropagationConfig:
     """Steps of ``dt`` from ``t_start`` to ``t_end``. ``boundary`` picks the
-    fixed part of each step: ``Dirichlet()`` the Pade stages, factored once
-    per run at V(t_start + dt/2); an ``AbsorbingMask`` the kinetic phase on
-    the periodic grid, then the mask. More than ``MAX_STEPS`` steps raise
-    RangeError."""
+    fixed part of each step: ``Dirichlet()`` the exact sine-DVR evolution
+    of V(t_start + dt/2), built once per run; an ``AbsorbingMask`` the
+    kinetic phase on the periodic grid, then the mask. More than
+    ``MAX_STEPS`` steps raise RangeError, and a Dirichlet grid of more than
+    ``grids.MAX_DENSE_POINTS`` points raises RangeError."""
 
     dt: float
     t_end: float
@@ -102,7 +96,9 @@ class PropagationConfig:
                 raise ConfigurationError("mask width must be < half the domain")
             if not self.boundary.strength >= 0:
                 raise ConfigurationError("mask strength must be >= 0")
-        elif not isinstance(self.boundary, Dirichlet):
+        elif isinstance(self.boundary, Dirichlet):
+            _dense_points(self.grid.n)
+        else:
             raise ConfigurationError(f"unknown boundary {self.boundary!r}")
 
     @property
@@ -131,19 +127,6 @@ class RunReport:
         """The metric columns the run recorded; an empty one is left out."""
         return {f.name: list(getattr(self, f.name)) for f in fields(self)
                 if f.name != "snapshots" and getattr(self, f.name)}
-
-
-def pade_step(psi: WaveField, v_mid: np.ndarray, dt: float,
-              consts: PhysicalConstants) -> WaveField:
-    """One (2,2) Pade step between Dirichlet walls; ``v_mid`` holds the
-    potential at the midpoint time."""
-    stages = _pade_factor(v_mid, dt, psi.grid.n, psi.grid.dx, consts)
-    return WaveField(grid=psi.grid, values=_pade_solve(stages, psi.values),
-                     time=psi.time + dt)
-
-
-# roots of the (2,2) Pade numerator 1 + z/2 + z^2/12, one per stage
-_PADE_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 
 
 _STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
@@ -179,25 +162,18 @@ def guarded_dt(dt: float, v_max: float, t_span: float, consts: PhysicalConstants
     return dt / k
 
 
-def _pade_factor(v_mid, dt, n, dx, consts) -> tuple:
-    """The two stages of the (2,2) Pade step for one midpoint potential: bands
-    of M + i c (K + M V) and the solver of M - i c (K + M V) for each."""
-    v_mid = _guarded_potential(v_mid, dt, n, consts)
-    diag, off = numerov_bands(v_mid, dx, consts)
-    stages = []
-    for r in _PADE_ROOTS:
-        ic = 1j * dt / (consts.hbar * r)
-        solve = tridiagonal_solver(M_DIAG - ic * diag, M_OFF - ic * off)
-        if solve is None:
-            raise ConfigurationError("singular step matrix")
-        stages.append((M_DIAG + ic * diag, M_OFF + ic * off, solve))
-    return tuple(stages)
-
-
-def _pade_solve(stages, values: np.ndarray) -> np.ndarray:
-    for rhs_diag, rhs_off, solve in stages:
-        values = solve(bands_apply(rhs_diag, rhs_off, values), overwrite_b=True)
-    return values
+def _eigen_step(v_ref, dt: float, grid: Grid1D, consts: PhysicalConstants) -> np.ndarray:
+    """exp(-i dt (T + V_ref) / hbar) as one dense complex matrix, from the
+    eigenpairs of the sine-DVR Hamiltonian, after the step guard on V_ref."""
+    v_ref = _guarded_potential(v_ref, dt, grid.n, consts)
+    h = kinetic_matrix(grid.n, grid.dx, consts)
+    h[np.diag_indices(grid.n)] += v_ref
+    energies, vectors = np.linalg.eigh(h)
+    angle = (-dt / consts.hbar) * energies
+    phase = np.empty(grid.n, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return (vectors * phase) @ vectors.T
 
 
 def edge_ramp(grid: Grid1D, width: float) -> np.ndarray:
@@ -241,7 +217,8 @@ def propagate(
 
     Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
     prepared once (see the module docstring). Between Dirichlet walls the
-    fixed part is the (2,2) Pade step at V_ref = V(t_start + dt/2) and each
+    fixed part is the exact evolution of T + V_ref, V_ref = V(t_start + dt/2),
+    over dt, and each
     snapshot records the norm and the observables under ``v_fn``; under an
     absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
     follows the second kick and each snapshot records the norm only. The
@@ -274,7 +251,7 @@ def propagate(
             report.centroid.append(obs.centroid)
             report.momentum_mean.append(obs.momentum_mean)
             report.energy_mean.append(obs.energy_mean)
-            # the Pade step with Dirichlet walls is exactly unitary, so a
+            # the Dirichlet step is unitary, so a
             # boundary hit shows up as amplitude piling onto the edge cells
             # (reflection), not as norm loss; check both anyway.
             edge = max(abs(values[1]), abs(values[-2]))
@@ -304,7 +281,7 @@ def propagate(
     if dirichlet:
         # a copy: a v_fn may refill and return one buffer
         v_ref = np.array(v_fn(x, t + 0.5 * dt), dtype=float)
-        stages = _pade_factor(v_ref, dt, grid.n, grid.dx, consts)
+        step = _eigen_step(v_ref, dt, grid, consts)
     else:
         v_ref = 0.0
         kinetic = _kinetic_phase(grid, dt, consts)
@@ -313,12 +290,12 @@ def propagate(
         v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
         dv = v_mid - v_ref
         kick = None
-        if np.any(dv):  # V moved off V_ref; a NaN counts as a move
+        if dv.any():  # V moved off V_ref; a NaN counts as a move
             _guarded_potential(v_mid, dt, grid.n, consts)
             kick = _half_kick(dv, dt, grid.n, consts)
             values = kick * values
         if dirichlet:
-            values = _pade_solve(stages, values)
+            values = step @ values
         else:
             values = np.fft.ifft(kinetic * np.fft.fft(values))
         if kick is not None:

@@ -22,11 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constructor import NswpSolution, analytic_psi
+from .constructor import RESIDUAL_MARGIN, NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
 from .errors import ConfigurationError
-from .grids import (FD5_DIVISOR, FD5_FIRST, FD5_SECOND, Grid1D, PhysicalConstants,
-                    WaveField, fd5_first, shift_field, shift_values)
+from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, interior, shift_field,
+                    shift_values, sine_apply)
 from .propagator import RunReport
 from .trajectory import Trajectory
 
@@ -65,28 +65,22 @@ class CheckResult:
 
 
 def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
-                    consts: PhysicalConstants, E_f: float, t: float) -> float:
-    """|| [H_tilde - E_tilde] psi || / ||psi|| over the points at least 8
-    cells from either edge, with psi'' and psi' the 5-point differences.
-
-    The residual is built on those points only, in one 5-point pass: the
-    kinetic and -d_dot P terms fold into one complex weight per offset k,
-    -hbar^2/2m FD5_SECOND[k] / (FD5_DIVISOR dx^2)
-    + i hbar d_dot FD5_FIRST[k] / (FD5_DIVISOR dx),
-    and the centre also carries V(x - d) - E_tilde."""
+                    consts: PhysicalConstants, E_f: float, t: float,
+                    margin: float = RESIDUAL_MARGIN) -> float:
+    """|| [H_tilde - E_tilde] psi || / ||psi|| over the points at least
+    ``margin``, a length in x, from either edge (``grids.interior``), with
+    psi'' and psi' those of the sine series between the grid's Dirichlet
+    walls: the kinetic and -d_dot P terms are one ``grids.sine_apply`` of
+    the symbol hbar^2 k^2 / 2m - hbar d_dot k."""
     hbar, m = consts.hbar, consts.mass
-    dx, n = psi.grid.dx, psi.grid.n
     d, d_dot, _ = traj.eval(t)
     e_tilde = E_f - 0.5 * m * d_dot**2
 
     values = psi.values
-    inner = values[8:-8]
-    kinetic = -(hbar**2) / (2 * m) / (FD5_DIVISOR * dx**2)
-    drift = 1j * hbar * d_dot / (FD5_DIVISOR * dx)
-    r = (v(psi.grid.x[8:-8] - d) - e_tilde + kinetic * FD5_SECOND[2]) * inner
-    for k in (0, 1, 3, 4):
-        r += (kinetic * FD5_SECOND[k] + drift * FD5_FIRST[k]) * values[6 + k:n - 10 + k]
-    return float(np.linalg.norm(r) / np.linalg.norm(inner))
+    r = sine_apply(values, psi.grid.dx, lambda k: (hbar**2 / (2 * m) * k - hbar * d_dot) * k)
+    r += (v(psi.grid.x - d) - e_tilde) * values
+    sel = interior(psi.grid, margin)
+    return float(np.linalg.norm(r[sel]) / np.linalg.norm(values[sel]))
 
 
 def shape_deviation(report: RunReport, reference: Callable[[float], np.ndarray],

@@ -6,7 +6,7 @@ and the acceptance suite.
 import numpy as np
 import pytest
 
-from nswp import (Grid1D, PhysicalConstants, StaticPotential, lowest_eigenpairs)
+from nswp import PhysicalConstants
 from nswp.cases import (run_airy_forced, run_gaussian_spreading, run_sho_shifted,
                         run_sho_timedep_frequency, uniform_force)
 
@@ -42,13 +42,6 @@ def timedep_result():
     # the modulated trap and its static control; the report is the modulated
     # run's, the extras the negative-claim record
     return run_sho_timedep_frequency(modulation=0.2)
-
-
-@pytest.fixture(scope="session")
-def sho_ground_pair():
-    grid = Grid1D(-12.0, 12.0, 2048)
-    v = StaticPotential.harmonic(1.0, 1.0)
-    return lowest_eigenpairs(v, grid, PhysicalConstants(), 1)[0]
 
 
 def check_by_name(result, name):

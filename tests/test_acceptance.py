@@ -31,17 +31,20 @@ def report(n, label, passed, detail):
 
 def test_criterion_01_sho_eigenvalues():
     v = StaticPotential.harmonic(1.0)
-    grid = Grid1D(-12.0, 12.0, 2048)
+    grid = Grid1D(-12.0, 12.0, 256)
     pairs = lowest_eigenpairs(v, grid, CONSTS, 3)
     rel_errors = [abs(p.energy - (n + 0.5)) / (n + 0.5) for n, p in enumerate(pairs)]
-    # halving dx: n - 1 points doubles to 2(n - 1)
-    fine = lowest_eigenpairs(v, Grid1D(-12.0, 12.0, 4095), CONSTS, 1)[0]
-    ratio = abs(pairs[0].energy - 0.5) / abs(fine.energy - 0.5)
-    # the Numerov operator is fourth order in dx
-    ok = max(rel_errors) < 5e-5 and 16.0 * 0.85 < ratio < 16.0 * 1.15
+    # the sine DVR converges spectrally in n: from 32 to 40 points the E0
+    # error falls by more than 1000 (a fourth-order operator would give
+    # (39/31)^4 = 2.5), and by 48 points it is round-off
+    e0_error = {n: abs(lowest_eigenpairs(v, Grid1D(-12.0, 12.0, n), CONSTS, 1)[0].energy - 0.5)
+                for n in (32, 40, 48)}
+    fall = e0_error[32] / e0_error[40]
+    ok = max(rel_errors) < 5e-5 and fall > 1000.0 and e0_error[48] < 1e-13
     report(1, "SHO eigenvalues", ok,
            f"max relative error {max(rel_errors):.2e} (tol 5e-5), "
-           f"dx-halving ratio {ratio:.3f} (16 +/- 15%)")
+           f"E0 error falls {fall:.3g}x from 32 to 40 points (need > 1000x), "
+           f"{e0_error[48]:.1e} at 48 (tol 1e-13)")
 
 
 def test_criterion_02_constructor_exactness(sho_result):
@@ -61,7 +64,8 @@ def test_criterion_02_constructor_exactness(sho_result):
                  airy_forced_case(1.0, lambda t: 0.3 * np.sin(2 * t), CONSTS).sol):
         v_lin = StaticPotential.linear(asol.shape.A)
         apeak = float(np.max(np.abs(analytic_psi(asol, agrid, 0.0).values)))
-        res = max(tdse_residual(asol, v_lin, agrid, t, margin=16)
+        res = max(tdse_residual(asol, v_lin, agrid, t, margin=16 * agrid.dx,
+                                dirichlet=False)
                   for t in (0.2, 1.5)) / apeak
         worst = max(worst, res)
     ok = worst < 1e-4 and corrupt_ratio >= 100.0

@@ -1,13 +1,14 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nswp import cases, cli
 from nswp.cli import main
-from nswp.grids import write_json
+from nswp.grids import MAX_DENSE_POINTS, write_json
 
 from test_eigensolver import QUARTIC_E0
 
@@ -72,6 +73,23 @@ def test_eigen_more_modes_than_points_exits_2(tmp_path, capsys):
     assert main(["eigen", "--k", "100", "--n-points", "64", "--out", str(out)]) == 2
     assert not out.exists()
     assert "k = 100 modes asked of a grid of n = 64 points" in capsys.readouterr().err
+
+
+def test_eigen_past_the_dense_basis_cap_exits_2_without_allocating(tmp_path, capsys):
+    # one point past the cap: the refusal names n, and the command's peak
+    # allocation stays far under the 33 MB of one n x n matrix
+    n = MAX_DENSE_POINTS + 1
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = main(["eigen", "--n-points", str(n), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert not out.exists()
+    assert f"n = {n} points exceeds the cap of {MAX_DENSE_POINTS}" in capsys.readouterr().err
+    assert peak < 0.01 * 8 * n * n
 
 
 def test_sho_run_keeping_too_many_snapshots_exits_2_before_the_eigensolve(
@@ -351,6 +369,22 @@ def test_verify_sho_mode_passes_at_defaults(n, tmp_path):
     assert read_json(out / "manifest.json")["config"]["mode_index"] == n
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--omega", "0.5"], {}),
+    (["--n", "5"], {}),
+    ([], {"hbar": 0.5}),
+    ([], {"mass": 3.0}),
+])
+def test_verify_sho_passes_off_its_defaults(flags, config, tmp_path):
+    # each run's grid is derived from its parameters (cases.sho_grid), so
+    # the mode's tail is cut off as far out as at the defaults
+    args = ["verify", "--scenario", "sho", *flags, "--out", str(tmp_path / "v")]
+    if config:
+        args += ["--config", str(make_config(tmp_path, scenario="sho", **config))]
+    assert main(args) == 0
+    assert read_json(tmp_path / "v" / "report.json")["pass"] is True
+
+
 def test_verify_strong_modulation_keeps_the_step_guard(tmp_path):
     # eps = 0.5: on the derived +-11.9 grid the default dt = 1e-2 gives
     # dt max|V| = 1.6 at the peak of w(t), so the default is cut to 2.5e-3
@@ -410,7 +444,8 @@ EXTREME_CONSTANTS = [
 def test_extreme_hbar_or_mass_ends_in_a_typed_error(scenario, constants, code, tmp_path,
                                                     capsys, monkeypatch):
     if code == 2:
-        # the step budget is checked before any grid is sized or step taken
+        # the step budget, or the sho grid's point budget, is checked before
+        # any grid is sized or step taken
         def not_reached(*args, **kwargs):
             raise AssertionError("ran past the step budget")
 

@@ -15,7 +15,7 @@ CONSTS = PhysicalConstants()
 
 @pytest.fixture(scope="module")
 def sho_pieces():
-    grid = Grid1D(-8.0, 8.0, 4096)
+    grid = Grid1D(-8.0, 8.0, 256)
     v = StaticPotential.harmonic(1.0)
     pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
     traj = Sinusoid(amplitude=2.0, omega=1.0)
@@ -179,7 +179,8 @@ def test_tdse_residual_free_airy():
     grid = Grid1D(-15.0, 10.0, 4096)
     peak = float(np.max(np.abs(analytic_psi(sol, grid, 0.0).values)))
     for t in (0.1, 1.0):
-        assert tdse_residual(sol, v_lin, grid, t, margin=16) < 1e-4 * peak
+        assert tdse_residual(sol, v_lin, grid, t, margin=16 * grid.dx,
+                             dirichlet=False) < 1e-4 * peak
 
 
 def test_tdse_residual_detects_corrupted_phase(sho_pieces):
@@ -204,18 +205,20 @@ def test_sampled_shape_guards(sho_pieces):
 
 
 def test_sampled_shift_does_not_wrap_around():
-    # on +-8 at |d| near 2 the periodic image of the right tail held the
-    # construction residual at about 1.5e-7 (ratio 0.93 from 1024 to 2048
-    # points); with f = 0 off the grid it falls 16-fold, as on +-12
+    # on +-8 at d = 2 the spectral shift's periodic image of the right tail
+    # (about 1.5e-8 of the peak) would sit left of x_min + d; there f = 0,
+    # as beyond the wall. The construction residual at 512 points then reads
+    # 5.1e-8, the floor of the tail the walls cut off; with the image it
+    # read 1.5e-7
     v = StaticPotential.harmonic(1.0)
     traj = Sinusoid(amplitude=2.0, omega=1.0)
-
-    def residual(n):
-        grid = Grid1D(-8.0, 8.0, n)
-        pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
-        sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
-                           gauge_sho_case(1.0, traj, CONSTS), consts=CONSTS)
-        peak = np.max(np.abs(pair.shape.values))
-        return max(tdse_residual(sol, v, grid, t) for t in (0.3, 1.1, 1.9)) / peak
-
-    assert 15.0 < residual(1024) / residual(2048) < 17.0
+    grid = Grid1D(-8.0, 8.0, 512)
+    pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
+    sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
+                       gauge_sho_case(1.0, traj, CONSTS), consts=CONSTS)
+    shifted = sol.shape.on_grid_shifted(grid, 2.0)
+    off = grid.x - 2.0 < grid.x_min
+    assert off.sum() > 0 and not np.any(shifted[off])
+    peak = np.max(np.abs(pair.shape.values))
+    residual = max(tdse_residual(sol, v, grid, t) for t in (0.3, 1.1, 1.9)) / peak
+    assert residual < 1e-7

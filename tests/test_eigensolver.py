@@ -5,124 +5,84 @@ import numpy as np
 import pytest
 
 from nswp import (AiryShape, Grid1D, PhysicalConstants, StaticPotential,
-                  eigensolver, lowest_eigenpairs)
+                  lowest_eigenpairs)
 from nswp.eigensolver import write_eigenpair
 from nswp.errors import AccuracyError, ConvergenceError, RangeError
-from nswp.grids import (M_DIAG, M_OFF, bands_apply, fd5_second, m_solve, numerov_bands,
-                        tridiagonal_solver)
+from nswp.grids import MAX_DENSE_POINTS, fd5_second, kinetic_matrix, sine_apply
 
 CONSTS = PhysicalConstants()
 
-# ground energy of V = x^4 (hbar = m = 1), frozen from a Richardson-
-# extrapolated eigensolve at n = 16384 on [-8, 8]
-QUARTIC_E0 = 0.6679862590775
+# ground energy of V = x^4 (hbar = m = 1): the sine-DVR eigensolve on [-8, 8]
+# agrees with itself to 2e-13 from 128 to 512 points (0.66798625915577...)
+QUARTIC_E0 = 0.6679862591557771
 
 
-def dense(diag, off, n):
-    """Dense matrix with the bands laid out as in ``numerov_bands``."""
-    off = np.broadcast_to(off, (n,))
-    return (np.diag(np.broadcast_to(diag, (n,))) + np.diag(off[:-1], -1)
-            + np.diag(off[1:], 1))
+def sine_basis(n):
+    """The orthonormal DST-I matrix S_ij = sqrt(2/N) sin(pi i j / N), N = n + 1."""
+    i = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
 
 
-def test_numerov_bands_free():
-    # v = 0 gives the 3-point kinetic matrix K
-    grid = Grid1D(0.0, 1.0, 8)
-    diag, off = numerov_bands(0.0, grid.dx, CONSTS)
-    kin = 1.0 / grid.dx**2
-    assert diag == pytest.approx(kin)
-    assert off == pytest.approx(-0.5 * kin)
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
+def test_kinetic_matrix_is_the_sine_basis_kinetic_energy(hbar, mass):
+    # Colbert-Miller's closed form is S diag(hbar^2 k^2 / 2m) S with
+    # k_j = pi j / ((n + 1) dx): walls one dx beyond either end of the grid
+    grid = Grid1D(-2.0, 3.0, 37)
+    consts = PhysicalConstants(hbar, mass)
+    s = sine_basis(grid.n)
+    k = np.pi * np.arange(1, grid.n + 1) / ((grid.n + 1) * grid.dx)
+    expected = (s * (hbar**2 * k**2 / (2.0 * mass))) @ s
+    t = kinetic_matrix(grid.n, grid.dx, consts)
+    assert np.max(np.abs(t - expected)) < 1e-13 * np.max(np.abs(t))
 
 
-def test_numerov_bands_harmonic():
-    # the bands are those of K + M V, M = tridiag(1, 10, 1) / 12
-    grid = Grid1D(-2.0, 2.0, 9)
-    v = 0.5 * grid.x**2
-    diag, off = numerov_bands(v, grid.dx, CONSTS)
-    k = dense(*numerov_bands(0.0, grid.dx, CONSTS), grid.n)
-    m = dense(M_DIAG, M_OFF, grid.n)
-    assert np.allclose(dense(diag, off, grid.n), k + m @ np.diag(v))
-    w = np.random.default_rng(3).normal(size=grid.n)
-    assert np.allclose(bands_apply(diag, off, w), (k + m @ np.diag(v)) @ w)
+def test_kinetic_matrix_is_the_sine_second_derivative():
+    # T psi = -hbar^2/2m psi'' with psi'' the sine-series derivative that
+    # observables and the residual checks take
+    grid = Grid1D(-4.0, 4.0, 64)
+    consts = PhysicalConstants(1.3, 0.8)
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+    t_w = kinetic_matrix(grid.n, grid.dx, consts) @ w
+    second = sine_apply(w, grid.dx, lambda k: -k * k)
+    assert np.max(np.abs(t_w + consts.hbar**2 / (2 * consts.mass) * second)) \
+        < 1e-13 * np.max(np.abs(t_w))
 
 
 def test_hamiltonian_symmetry():
-    # H_N = M^-1 (K + M V) is symmetric: <v, H w> == <w, H v> for random vectors
-    grid = Grid1D(-3.0, 3.0, 64)
-    bands = numerov_bands(StaticPotential.quartic(1.0)(grid.x), grid.dx, CONSTS)
-    rng = np.random.default_rng(7)
-    v, w = rng.normal(size=64), rng.normal(size=64)
-    assert np.dot(v, m_solve(bands_apply(*bands, w))) == pytest.approx(
-        np.dot(w, m_solve(bands_apply(*bands, v))))
+    # T is exactly symmetric, so T + V is too and eigh sees all of it
+    t = kinetic_matrix(64, 6.0 / 63, CONSTS)
+    assert np.array_equal(t, t.T)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_tridiagonal_solver_matches_a_dense_solve(dtype):
-    rng = np.random.default_rng(11)
-    n = 40
-
-    def sample():
-        a = rng.normal(size=n)
-        return a + 1j * rng.normal(size=n) if dtype is complex else a
-
-    diag, off, b = 4.0 + sample(), sample(), sample()
-    bands = diag.copy(), off.copy()
-    solve = tridiagonal_solver(diag, off)
-    x = solve(b)
-    assert x.dtype == np.dtype(dtype)
-    assert np.allclose(x, np.linalg.solve(dense(diag, off, n), b), rtol=1e-13, atol=0)
-    # the factorization works on copies: the caller's bands are untouched
-    assert np.array_equal(diag, bands[0]) and np.array_equal(off, bands[1])
-    # a second solve reuses the factors
-    assert np.allclose(solve(2.0 * b), 2.0 * x, rtol=1e-14, atol=0)
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("diag, off", [
-    (np.zeros(8), np.zeros(8)),
-    (np.ones(4), np.array([1.0, 1.0, 0.0, 1.0])),  # rows 0 and 1 are equal
-])
-def test_tridiagonal_solver_returns_none_for_a_singular_matrix(diag, off, dtype):
-    assert np.linalg.matrix_rank(dense(diag, off, len(diag))) < len(diag)
-    assert tridiagonal_solver(diag.astype(dtype), off) is None
-
-
-@pytest.mark.parametrize("n", [64, 1024])
-@pytest.mark.parametrize("kind", [float, complex])
-def test_m_solve_equals_a_dgtsv_reference(n, kind):
-    # every report's energy column goes through m_solve, so it must stay
-    # bit for bit the one real tridiagonal solve it replaced
-    from scipy.linalg.lapack import dgtsv
-
-    rng = np.random.default_rng(n)
-    values = rng.normal(size=n)
-    if kind is complex:
-        values = values + 1j * rng.normal(size=n)
-    off = np.full(n - 1, M_OFF)
-    rhs = np.column_stack((values.real, values.imag)) if kind is complex else values
-    x = dgtsv(off, np.full(n, M_DIAG), off.copy(), rhs)[3]
-    reference = x[:, 0] + 1j * x[:, 1] if kind is complex else x
-    kept = values.copy()
-    assert np.array_equal(m_solve(values), reference)
-    assert np.array_equal(values, kept)
+def test_sine_apply_is_spectrally_accurate():
+    # a Gaussian far from the walls: its first and second derivatives to
+    # round-off on 128 points, where a 5-point stencil is off by 8e-4
+    grid = Grid1D(-10.0, 10.0, 128)
+    x = grid.x
+    f = np.exp(-(x - 0.5) ** 2)
+    d1 = -2.0 * (x - 0.5) * f
+    d2 = (4.0 * (x - 0.5) ** 2 - 2.0) * f
+    assert np.max(np.abs(sine_apply(f, grid.dx, lambda k: 1j * k) - d1)) < 1e-12
+    assert np.max(np.abs(sine_apply(f, grid.dx, lambda k: -k * k) - d2)) < 1e-11
+    assert np.max(np.abs(fd5_second(f, grid.dx) - d2)[2:-2]) > 1e-5
 
 
 def test_sho_energies():
-    grid = Grid1D(-12.0, 12.0, 2048)
+    grid = Grid1D(-12.0, 12.0, 256)
     pairs = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 3)
     for n, pair in enumerate(pairs):
-        exact = n + 0.5
-        assert abs(pair.energy - exact) / exact < 5e-5
+        assert abs(pair.energy - (n + 0.5)) < 1e-12
 
 
 def test_quartic_ground_energy():
-    grid = Grid1D(-8.0, 8.0, 2048)
+    grid = Grid1D(-8.0, 8.0, 256)
     pair = lowest_eigenpairs(StaticPotential.quartic(1.0), grid, CONSTS, 1)[0]
-    assert abs(pair.energy - QUARTIC_E0) < 1e-4
+    assert abs(pair.energy - QUARTIC_E0) < 1e-12
 
 
 def test_mode_normalization_and_sign():
-    grid = Grid1D(-12.0, 12.0, 1024)
+    grid = Grid1D(-12.0, 12.0, 256)
     pairs = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 4)
     for pair in pairs:
         f = pair.shape.values.real
@@ -133,7 +93,7 @@ def test_mode_normalization_and_sign():
 
 
 def test_sho_parity():
-    grid = Grid1D(-12.0, 12.0, 1025)
+    grid = Grid1D(-12.0, 12.0, 257)
     pairs = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 2)
     even = pairs[0].shape.values.real
     odd = pairs[1].shape.values.real
@@ -142,7 +102,7 @@ def test_sho_parity():
 
 
 def test_orthogonality():
-    grid = Grid1D(-12.0, 12.0, 1024)
+    grid = Grid1D(-12.0, 12.0, 256)
     pairs = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 4)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -152,44 +112,49 @@ def test_orthogonality():
             assert abs(ip) < 1e-8
 
 
-def test_fourth_order_convergence():
-    # Numerov: halving dx shrinks the E0 error by 16 +/- 15%
+def test_spectral_convergence_in_n():
+    # the sine DVR converges faster than any power of dx: on [-8, 8] each 4
+    # more points cut the E0 error by more than 100 (a fourth-order scheme
+    # would cut it by about 2), down to round-off by 32 points
     v = StaticPotential.harmonic(1.0)
-    e_coarse = lowest_eigenpairs(v, Grid1D(-12.0, 12.0, 512), CONSTS, 1)[0].energy
-    e_fine = lowest_eigenpairs(v, Grid1D(-12.0, 12.0, 1023), CONSTS, 1)[0].energy
-    ratio = abs(e_coarse - 0.5) / abs(e_fine - 0.5)
-    assert 16.0 * 0.85 < ratio < 16.0 * 1.15
+    err = {n: abs(lowest_eigenpairs(v, Grid1D(-8.0, 8.0, n), CONSTS, 1)[0].energy - 0.5)
+           for n in (20, 24, 28, 32)}
+    assert err[20] / err[24] > 100.0
+    assert err[24] / err[28] > 100.0
+    assert err[32] < 1e-13
 
 
 def test_residual_recheck():
-    # residual of the Numerov pair: ||(K + M V) f - E M f|| / ||f||
-    grid = Grid1D(-12.0, 12.0, 1024)
+    # residual of the dense pair: ||(T + V) f - E f|| / ||f||
+    grid = Grid1D(-12.0, 12.0, 256)
     v = StaticPotential.harmonic(1.0)
-    diag, off = numerov_bands(v(grid.x), grid.dx, CONSTS)
+    h = kinetic_matrix(grid.n, grid.dx, CONSTS) + np.diag(v(grid.x))
     for pair in lowest_eigenpairs(v, grid, CONSTS, 3):
         f = pair.shape.values.real
-        r = np.linalg.norm(bands_apply(diag, off, f)
-                           - pair.energy * bands_apply(M_DIAG, M_OFF, f)) / np.linalg.norm(f)
+        r = np.linalg.norm(h @ f - pair.energy * f) / np.linalg.norm(f)
         assert r <= pair.residual * (1.0 + 1e-9) + 1e-12
-        assert pair.residual < 1e-8
+        assert pair.residual < 1e-11
 
 
-def test_unsettled_iteration_raises(monkeypatch):
-    monkeypatch.setattr(eigensolver, "_MAX_ITERATIONS", 1)
-    with pytest.raises(ConvergenceError):
+def test_failed_eigensolve_raises(monkeypatch):
+    def failing(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 1)
 
 
-def test_out_of_order_refinement_raises(monkeypatch):
-    # seeds handed over in the wrong order refine to descending energies
-    seed = eigensolver.tridiagonal_eigenpairs
+def test_out_of_order_energies_raise(monkeypatch):
+    # a solver that hands the energies back in the wrong order
+    eigh = np.linalg.eigh
 
-    def swapped(*args, **kwargs):
-        energies, vectors = seed(*args, **kwargs)
+    def swapped(h):
+        energies, vectors = eigh(h)
         return energies[::-1], vectors[:, ::-1]
 
-    monkeypatch.setattr(eigensolver, "tridiagonal_eigenpairs", swapped)
+    monkeypatch.setattr(np.linalg, "eigh", swapped)
     with pytest.raises(ConvergenceError):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 2)
@@ -205,7 +170,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 0)
-    # more modes than grid points, before the seed eigensolve
+    # more modes than grid points, before the eigensolve
     with pytest.raises(RangeError, match="k = 300 .* n = 256 "):
         lowest_eigenpairs(StaticPotential.harmonic(1.0),
                           Grid1D(-12.0, 12.0, 256), CONSTS, 300)
@@ -213,6 +178,18 @@ def test_input_validation():
         StaticPotential.harmonic(-1.0)
     with pytest.raises(ValueError):
         StaticPotential.quartic(0.0)
+
+
+def test_dense_basis_cap_raises_before_the_matrix(monkeypatch):
+    # one point past the cap: RangeError naming n, and V is never sampled
+    def untouched(x):
+        raise AssertionError("V sampled past the cap")
+
+    grid = Grid1D(-12.0, 12.0, MAX_DENSE_POINTS + 1)
+    with pytest.raises(RangeError, match=f"n = {MAX_DENSE_POINTS + 1} points"):
+        lowest_eigenpairs(StaticPotential(untouched, {}), grid, CONSTS, 1)
+    with pytest.raises(RangeError, match=f"n = {MAX_DENSE_POINTS + 1} points"):
+        kinetic_matrix(MAX_DENSE_POINTS + 1, grid.dx, CONSTS)
 
 
 # V = A x has no bound states; its mode is the closed-form AiryShape

@@ -7,8 +7,8 @@ from nswp import (Grid1D, PhysicalConstants, WaveField, inner_product,
                   observables, read_wavefield_csv, shift_field,
                   write_wavefield_csv)
 from nswp.errors import DegenerateFieldError, GridMismatchError, RangeError
-from nswp.grids import (bands_apply, fd5_first, fd5_second, m_solve, numerov_bands,
-                        shift_values)
+from nswp.grids import (fd5_first, fd5_second, interior, kinetic_matrix, shift_values,
+                        sine_apply)
 
 REFERENCE = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -97,7 +97,7 @@ def test_observables_sho_ground():
     obs = observables(psi, 0.5 * grid.x**2)
     assert abs(obs.centroid) < 1e-10
     assert abs(obs.momentum_mean) < 1e-10
-    assert abs(obs.energy_mean - 0.5) < 2e-4
+    assert abs(obs.energy_mean - 0.5) < 1e-12
     assert abs(obs.norm - 1.0) < 1e-10
 
 
@@ -117,22 +117,17 @@ def test_observables_plane_wave_boost():
     grid = Grid1D(-12.0, 12.0, 2048)
     psi = gaussian_field(grid, k=2.0)
     obs = observables(psi, None)
-    # 5-point truncation ~ k^5 dx^4 / 30 ~ 2e-8 here
-    assert abs(obs.momentum_mean - 2.0) < 5e-4
+    # the sine-series derivative is exact to round-off for this packet
+    assert abs(obs.momentum_mean - 2.0) < 1e-10
 
 
-def test_observables_energy_is_numerov_expectation():
-    # <H> = psi^H M^-1 (K + M V) psi / psi^H psi, the plain-sum quadratic form
-    # Crank-Nicolson conserves; reference from dense K = -(1/2) d^2/dx^2 and
-    # M = 1 + d^2/12
+def test_observables_energy_is_the_dvr_expectation():
+    # <H> = psi^H (T + V) psi / psi^H psi with T the dense sine-DVR kinetic
+    # matrix, the plain-sum quadratic form the Dirichlet step conserves
     grid = Grid1D(-8.0, 8.0, 128)
     v = 0.5 * grid.x**2
     psi = gaussian_field(grid, center=1.0, k=0.5).values
-    second = (np.diag(np.full(grid.n - 1, 1.0), -1) - 2.0 * np.eye(grid.n)
-              + np.diag(np.full(grid.n - 1, 1.0), 1))
-    k = -0.5 * second / grid.dx**2
-    m = np.eye(grid.n) + second / 12.0
-    h_psi = np.linalg.solve(m, k @ psi) + v * psi
+    h_psi = kinetic_matrix(grid.n, grid.dx, PhysicalConstants()) @ psi + v * psi
     expected = np.vdot(psi, h_psi).real / np.vdot(psi, psi).real
     obs = observables(WaveField(grid=grid, values=psi), v)
     assert obs.energy_mean == pytest.approx(expected, rel=1e-12)
@@ -151,14 +146,16 @@ def packet_with_noise(n, seed, noise):
 
 def observables_by_derivative_arrays(psi, v, consts):
     """(norm, <x>, <P>, <H>, variance) as plain sums: <P> over the
-    ``fd5_first`` array and <H> as one sum over M^-1 K psi + V psi."""
+    ``sine_apply`` derivative array and <H> as one sum over T psi + V psi, T the
+    dense ``kinetic_matrix``."""
     dx, x, values = psi.grid.dx, psi.grid.x, psi.values
     rho = np.abs(values) ** 2
     nrm2 = dx * np.sum(rho)
     centroid = dx * np.sum(x * rho) / nrm2
     variance = dx * np.sum((x - centroid) ** 2 * rho) / nrm2
-    p = dx * np.sum(np.conj(values) * (-1j * consts.hbar) * fd5_first(values, dx)).real / nrm2
-    h_psi = m_solve(bands_apply(*numerov_bands(0.0, dx, consts), values)) + v * values
+    d1 = sine_apply(values, dx, lambda k: 1j * k)
+    p = dx * np.sum(np.conj(values) * (-1j * consts.hbar) * d1).real / nrm2
+    h_psi = kinetic_matrix(len(values), dx, consts) @ values + v * values
     e = dx * np.sum(np.conj(values) * h_psi).real / nrm2
     return np.sqrt(nrm2), centroid, p, e, variance
 
@@ -178,9 +175,10 @@ def test_observables_is_the_derivative_array_formula(n, seed, noise, hbar, mass)
     assert obs.energy_mean == pytest.approx(e, rel=1e-12)
     assert obs.variance == pytest.approx(variance, rel=1e-12)
     # <x> and <P> may vanish: each is held relative to its scale, the
-    # grid's half-width and the rms 5-point momentum
+    # grid's half-width and the rms sine-series momentum
     assert abs(obs.centroid - centroid) <= 1e-12 * psi.grid.x_max
-    p_rms = hbar * np.linalg.norm(fd5_first(psi.values, psi.grid.dx)) / np.linalg.norm(psi.values)
+    p_rms = (hbar * np.linalg.norm(sine_apply(psi.values, psi.grid.dx, lambda k: 1j * k))
+             / np.linalg.norm(psi.values))
     assert abs(obs.momentum_mean - p) <= 1e-12 * p_rms
 
 
@@ -270,3 +268,24 @@ def test_fd5_stencils_exact_on_quartic():
     assert np.allclose(d1[2:-2], 4 * x[2:-2] ** 3 - 1, atol=1e-10)
     assert np.allclose(d2[2:-2], 20 * x[2:-2] ** 3 + 2, atol=1e-9)
     assert not np.any(d1[[0, 1, -2, -1]]) and not np.any(d2[[0, 1, -2, -1]])
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4095])
+def test_interior_reads_the_same_x_range_at_any_resolution(n):
+    # a margin is a length in x: 16 cells of 4096 points on [-36, 12]
+    grid = Grid1D(-36.0, 12.0, n)
+    margin = 16 * 48.0 / 4095
+    sel = interior(grid, margin)
+    kept = grid.x[sel]
+    assert kept[0] >= grid.x_min + margin - 1e-12 and kept[-1] <= grid.x_max - margin + 1e-12
+    assert kept[0] - grid.dx < grid.x_min + margin and kept[-1] + grid.dx > grid.x_max - margin
+    assert sel.start == grid.n - sel.stop
+
+
+def test_interior_keeps_whole_cells_and_refuses_an_empty_range():
+    grid = Grid1D(-36.0, 12.0, 4096)
+    # a whole number of cells up to round-off keeps exactly that many out
+    assert interior(grid, 16 * grid.dx) == slice(16, 4096 - 16)
+    assert interior(grid, 0.0) == slice(0, 4096)
+    with pytest.raises(RangeError, match="leaves no point"):
+        interior(grid, 24.0)

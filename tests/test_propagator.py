@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
-                  inner_product, lowest_eigenpairs, observables, pade_step,
+                  inner_product, lowest_eigenpairs, observables,
                   propagate, shift_field)
 from nswp import propagator
-from nswp.grids import write_json
+from nswp.grids import MAX_DENSE_POINTS, write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
 from nswp.errors import BoundaryError, ConfigurationError, RangeError
 from nswp.propagator import MAX_STEPS, guarded_dt
@@ -23,10 +22,16 @@ def gaussian(grid, center=0.0, k=0.0):
     return WaveField(grid=grid, values=psi)
 
 
+def one_step(psi, v, dt):
+    """``psi`` after one Dirichlet step of ``dt`` under the static ``v``."""
+    config = PropagationConfig(dt=dt, t_end=dt, grid=psi.grid)
+    return propagate(psi, lambda x, t: v, config, CONSTS).snapshots[-1]
+
+
 def test_single_step_unitarity():
     grid = Grid1D(-10.0, 10.0, 512)
     psi = gaussian(grid)
-    out = pade_step(psi, np.zeros(grid.n), 1e-3, CONSTS)
+    out = one_step(psi, np.zeros(grid.n), 1e-3)
     assert abs(observables(out).norm - observables(psi).norm) < 1e-12
     assert out.time == pytest.approx(1e-3)
 
@@ -35,7 +40,7 @@ def test_step_guard():
     grid = Grid1D(-10.0, 10.0, 128)
     psi = gaussian(grid)
     with pytest.raises(ConfigurationError):
-        pade_step(psi, np.full(grid.n, 100.0), 1e-2, CONSTS)
+        one_step(psi, np.full(grid.n, 100.0), 1e-2)
 
 
 def test_non_finite_potential_rejected():
@@ -44,7 +49,17 @@ def test_non_finite_potential_rejected():
     v = np.zeros(grid.n)
     v[5] = np.nan
     with pytest.raises(ConfigurationError):
-        pade_step(psi, v, 1e-3, CONSTS)
+        one_step(psi, v, 1e-3)
+
+
+def test_dense_basis_cap_raises_before_the_run():
+    # a Dirichlet grid past the cap is refused by the config, naming n;
+    # a masked run of the same size takes no dense matrix and is allowed
+    grid = Grid1D(-10.0, 10.0, MAX_DENSE_POINTS + 1)
+    with pytest.raises(RangeError, match=f"n = {MAX_DENSE_POINTS + 1} points"):
+        PropagationConfig(dt=1e-3, t_end=1.0, grid=grid)
+    PropagationConfig(dt=1e-3, t_end=1.0, grid=grid,
+                      boundary=AbsorbingMask(width=2.0, strength=1.0))
 
 
 def test_config_validation():
@@ -87,7 +102,7 @@ def test_run_ends_at_t_end():
 
 def test_stationary_state_evolution():
     # ground state under static SHO for T = 1: unit overlap, phase -E0 T
-    grid = Grid1D(-12.0, 12.0, 2048)
+    grid = Grid1D(-12.0, 12.0, 256)
     v = StaticPotential.harmonic(1.0)
     pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
     v_samples = np.asarray(v(grid.x))
@@ -104,41 +119,48 @@ def test_stationary_state_evolution():
     assert max(abs(c - report.centroid[0]) for c in report.centroid) < 1e-8
 
 
-def test_fourth_order_in_dt():
-    # a static V: compare against a fine-dt run on the same grid so the
-    # error is purely temporal; halving dt must cut it by ~16. dt max|V|
-    # is 0.4 at the coarser step, and the finer error (about 8e-10) stays
-    # far above round-off
-    grid = Grid1D(-8.0, 8.0, 512)
-    v = StaticPotential.harmonic(1.0)
-    v_samples = np.asarray(v(grid.x))
-    initial = gaussian(grid, center=1.0)
+def exact_evolution(initial, v_samples, t):
+    """exp(-i t (T + V) / hbar) psi from the eigenpairs of T + V, with T
+    built test-side as S diag(hbar^2 k^2 / 2m) S, S the orthonormal DST-I
+    matrix and k_j = pi j / ((n + 1) dx)."""
+    grid = initial.grid
+    n = grid.n
+    j = np.arange(1, n + 1)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    k = np.pi * j / ((n + 1) * grid.dx)
+    h = (s * (CONSTS.hbar**2 * k**2 / (2.0 * CONSTS.mass))) @ s + np.diag(v_samples)
+    e, u = np.linalg.eigh(h)
+    return u @ (np.exp(-1j * e * t / CONSTS.hbar) * (u.T @ initial.values))
+
+
+@pytest.mark.parametrize("n_steps", [40, 57, 1280])
+def test_static_v_is_exact_at_any_dt(n_steps):
+    # a static V: the run is the exact evolution of T + V whatever the step
+    # the guard allows (dt max|V| is 0.4 at 40 steps), up to round-off that
+    # grows with the step count
+    grid = Grid1D(-8.0, 8.0, 128)
+    v_samples = 0.5 * grid.x**2
+    initial = gaussian(grid, center=1.0, k=0.5)
     t_end = 0.5
-
-    def run(dt):
-        config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                                   snapshot_stride=10**9)
-        report = propagate(initial, lambda x, t: v_samples, config, CONSTS)
-        return report.snapshots[-1].values
-
-    ref = run(t_end / 1280)
-    err1 = np.linalg.norm(run(t_end / 40) - ref)
-    err2 = np.linalg.norm(run(t_end / 80) - ref)
-    ratio = err1 / err2
-    assert 16.0 * 0.8 < ratio < 16.0 * 1.2
+    config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
+                               snapshot_stride=10**9)
+    final = propagate(initial, lambda x, t: v_samples, config, CONSTS).snapshots[-1]
+    assert final.time == pytest.approx(t_end, abs=1e-12)
+    err = np.max(np.abs(final.values - exact_evolution(initial, v_samples, t_end)))
+    assert err < 1e-13 * n_steps + 1e-12
 
 
 def test_time_reversal():
-    grid = Grid1D(-10.0, 10.0, 512)
+    grid = Grid1D(-10.0, 10.0, 256)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
-    fwd = pade_step(psi, v, 1e-3, CONSTS)
-    back = pade_step(fwd, v, -1e-3, CONSTS)
-    assert np.max(np.abs(back.values - psi.values)) < 1e-10
+    fwd = propagator._eigen_step(v, 1e-3, grid, CONSTS)
+    back = propagator._eigen_step(v, -1e-3, grid, CONSTS)
+    assert np.max(np.abs(back @ (fwd @ psi.values) - psi.values)) < 1e-12
 
 
 def test_boundary_hit_raises():
-    grid = Grid1D(-8.0, 8.0, 512)
+    grid = Grid1D(-8.0, 8.0, 256)
     psi = gaussian(grid, center=0.0, k=6.0)
     config = PropagationConfig(dt=1e-3, t_end=4.0, grid=grid, snapshot_stride=50)
     with pytest.raises(BoundaryError) as exc_info:
@@ -199,32 +221,10 @@ def test_initial_time_must_be_the_start_time():
 
 # --- both steppers against test-side references -----------------------------
 
-def reference_step(values, v_mid, dt, dx):
-    """Numerov (2,2) Pade step as its two stages, one per root r of
-    1 + z/2 + z^2/12: (M - i c S) psi' = (M + i c S) psi with c = dt / (hbar
-    r) and S = K + M V, each solved by scipy's generic banded solver, the
-    matrices rebuilt."""
-    kin = CONSTS.hbar**2 / (CONSTS.mass * dx**2)
-    s_diag = kin + 10.0 / 12.0 * v_mid
-    s_off = 1.0 / 12.0 * v_mid - 0.5 * kin
-    for r in (complex(-3.0, np.sqrt(3.0)), complex(-3.0, -np.sqrt(3.0))):
-        ic = 1j * dt / (CONSTS.hbar * r)
-        w = (1.0 / 12.0 + ic * s_off) * values
-        rhs = (10.0 / 12.0 + ic * s_diag) * values
-        rhs[:-1] += w[1:]
-        rhs[1:] += w[:-1]
-        a_off = 1.0 / 12.0 - ic * s_off
-        ab = np.zeros((3, len(values)), dtype=complex)
-        ab[0, 1:] = a_off[1:]
-        ab[1, :] = 10.0 / 12.0 - ic * s_diag
-        ab[2, :-1] = a_off[:-1]
-        values = solve_banded((1, 1), ab, rhs)
-    return values
-
-
 def reference_run(initial, v_fn, config):
-    """The Pade stages at V_ref = V(t_start + dt/2) between two half kicks
-    exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's midpoint."""
+    """The exact evolution of T + V_ref, V_ref = V(t_start + dt/2), between two
+    half kicks exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's
+    midpoint, with ``exact_evolution`` for the fixed part."""
     x, dt = config.grid.x, config.dt
     values = initial.values.copy()
     t = config.t_start
@@ -232,7 +232,8 @@ def reference_run(initial, v_fn, config):
     for i in range(config.n_steps):
         angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
         kick = np.cos(angle) + 1j * np.sin(angle)
-        values = kick * reference_step(kick * values, v_ref, dt, config.grid.dx)
+        moved = WaveField(grid=config.grid, values=kick * values)
+        values = kick * exact_evolution(moved, v_ref, dt)
         t = config.t_start + (i + 1) * dt
     return values
 
@@ -242,28 +243,28 @@ def final_values(initial, v_fn, config):
     return report.snapshots[-1].values
 
 
-def test_static_v_bit_identical_to_banded_reference():
-    grid = Grid1D(-8.0, 8.0, 512)
+def test_static_v_matches_the_dense_reference():
+    grid = Grid1D(-8.0, 8.0, 128)
     v_samples = 0.5 * grid.x**2
-    config = PropagationConfig(dt=1e-3, t_end=0.2, grid=grid,
-                               snapshot_stride=50)
+    config = PropagationConfig(dt=1e-2, t_end=0.2, grid=grid,
+                               snapshot_stride=5)
     initial = gaussian(grid, center=1.0)
     v_fn = lambda x, t: v_samples
-    assert np.array_equal(final_values(initial, v_fn, config),
-                          reference_run(initial, v_fn, config))
+    assert np.max(np.abs(final_values(initial, v_fn, config)
+                         - reference_run(initial, v_fn, config))) < 1e-12
 
 
-def test_time_dependent_v_bit_identical_to_banded_reference():
-    grid = Grid1D(-8.0, 8.0, 512)
-    config = PropagationConfig(dt=1e-3, t_end=0.2, grid=grid,
-                               snapshot_stride=50)
+def test_time_dependent_v_matches_the_dense_reference():
+    grid = Grid1D(-8.0, 8.0, 128)
+    config = PropagationConfig(dt=1e-2, t_end=0.2, grid=grid,
+                               snapshot_stride=5)
     initial = gaussian(grid, center=1.0)
 
     def v_fn(x, t):
         return 0.5 * (1.0 + 0.2 * np.sin(t)) ** 2 * x**2
 
-    assert np.array_equal(final_values(initial, v_fn, config),
-                          reference_run(initial, v_fn, config))
+    assert np.max(np.abs(final_values(initial, v_fn, config)
+                         - reference_run(initial, v_fn, config))) < 1e-12
 
 
 def reference_split_run(initial, v_fn, config):
@@ -298,23 +299,31 @@ def test_masked_run_bit_identical_to_split_step_reference():
                           reference_split_run(initial, v_fn, config))
 
 
-def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
-    # the masked Airy run against the Pade step plus the same mask at half
-    # its step, from the same tapered packet
+def test_split_step_agrees_with_a_sine_basis_split_step_on_forced_airy():
+    # the masked Airy run against the same splitting with its kinetic part
+    # taken in the sine basis of walls one dx beyond the grid (an FFT of
+    # the odd extension) instead of the periodic one, at half its step and
+    # with the same mask, from the same tapered packet
     F = lambda t: 0.3 * np.sin(2.0 * t)
     result = run_airy_forced(F, force_label="sin", t_end=1.0)
     start, final = result.report.snapshots[0], result.report.snapshots[-1]
-    grid, dt = start.grid, 2e-3
+    grid, dt = start.grid, 5e-3
+    n = grid.n
+    k = np.pi * np.arange(2 * (n + 1)) / ((n + 1) * grid.dx)
+    k = np.minimum(k, 2.0 * np.pi / grid.dx - k)  # |k| of numpy.fft's order
+    kinetic = np.exp(-0.5j * CONSTS.hbar * dt / CONSTS.mass * k**2)
     mask = propagator._mask_profile(grid, _AIRY_MASK, dt)
-    psi = start
+    values = start.values.copy()
     for i in range(int(round(1.0 / dt))):
-        psi = pade_step(psi, -F((i + 0.5) * dt) * grid.x, dt, CONSTS)
-        psi = WaveField(grid=grid, values=psi.values * mask, time=psi.time)
-    assert final.time == pytest.approx(psi.time, abs=1e-12)
+        half = np.exp(0.5j * dt * F((i + 0.5) * dt) * grid.x / CONSTS.hbar)
+        ext = np.zeros(2 * (n + 1), dtype=complex)
+        ext[1:n + 1] = half * values
+        ext[n + 2:] = -ext[1:n + 1][::-1]
+        values = half * np.fft.ifft(kinetic * np.fft.fft(ext))[1:n + 1] * mask
     window = result.extras["window"]
     sel = (grid.x >= window[0]) & (grid.x <= window[1])
-    rho_cn = psi.density()[sel]
-    assert np.max(np.abs(final.density()[sel] - rho_cn)) / np.max(rho_cn) < 1e-4
+    rho_sine = np.abs(values[sel]) ** 2
+    assert np.max(np.abs(final.density()[sel] - rho_sine)) / np.max(rho_sine) < 1e-4
 
 
 def test_weak_mask_wraps_around_and_raises():
@@ -355,29 +364,17 @@ def test_split_step_guard():
         run(v, 1e-3)
 
 
-def test_reversed_step_bit_identical_to_banded_reference():
-    grid = Grid1D(-10.0, 10.0, 512)
-    v = 0.5 * grid.x**2
-    psi = gaussian(grid, center=0.7)
-    fwd = pade_step(psi, v, 1e-3, CONSTS)
-    back = pade_step(fwd, v, -1e-3, CONSTS)
-    ref_fwd = reference_step(psi.values, v, 1e-3, grid.dx)
-    assert np.array_equal(fwd.values, ref_fwd)
-    assert np.array_equal(back.values, reference_step(ref_fwd, v, -1e-3, grid.dx))
-    assert back.time == pytest.approx(0.0, abs=1e-15)
-
-
 def test_factor_once_per_distinct_v(monkeypatch):
     # one factorization per run: a static V, a time-dependent V, and a v_fn
     # that refills and returns one buffer
     calls = []
-    factor = propagator._pade_factor
+    factor = propagator._eigen_step
 
     def counting_factor(*args):
         calls.append(1)
         return factor(*args)
 
-    monkeypatch.setattr(propagator, "_pade_factor", counting_factor)
+    monkeypatch.setattr(propagator, "_eigen_step", counting_factor)
     grid = Grid1D(-8.0, 8.0, 256)
     config = PropagationConfig(dt=1e-3, t_end=0.05, grid=grid,
                                snapshot_stride=10)

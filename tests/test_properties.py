@@ -1,8 +1,8 @@
-"""Properties of the Numerov (2,2) Pade stepper between Dirichlet walls and
-of the masked split-step Fourier stepper over random potentials, states and
-time steps, all drawn inside the step guard dt max|V| / hbar < 0.5; and of
-the construction's TDSE residual over random trajectories, the quartic
-shape and random forces.
+"""Properties of the sine-DVR stepper between Dirichlet walls and of the
+masked split-step Fourier stepper over random potentials, states and time
+steps, all drawn inside the step guard dt max|V| / hbar < 0.5; and of the
+construction's TDSE residual over random trajectories, the quartic shape
+and random forces.
 
 Examples are derandomized and few, so the suite stays fast and repeatable.
 """
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
                   Polynomial, PropagationConfig, SampledShape, Sinusoid, StaticPotential,
-                  WaveField, lowest_eigenpairs, pade_step, observables, propagate,
-                  tdse_residual)
+                  WaveField, lowest_eigenpairs, propagate, tdse_residual)
+from nswp import propagator
 from nswp.cases import airy_forced_case
 
 CONSTS = PhysicalConstants()
@@ -53,10 +53,9 @@ def test_step_is_unitary(n, seed, dt, v_scale):
     rng = np.random.default_rng(seed)
     grid = Grid1D(-5.0, 5.0, n)
     v = rng.uniform(-1.0, 1.0, n) * v_scale / dt
-    psi = WaveField(grid=grid, values=rng.normal(size=n) + 1j * rng.normal(size=n))
-    out = pade_step(psi, v, dt, CONSTS)
-    assert np.linalg.norm(out.values) == pytest.approx(np.linalg.norm(psi.values),
-                                                       rel=1e-12)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    out = propagator._eigen_step(v, dt, grid, CONSTS) @ psi
+    assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(psi), rel=1e-12)
 
 
 @PROPERTY
@@ -64,7 +63,7 @@ def test_step_is_unitary(n, seed, dt, v_scale):
        eps=st.floats(0.05, 0.3), w=st.floats(0.5, 3.0))
 def test_second_order_in_dt(setup, steps, eps, w):
     # V(x, t) = V(x) (1 + eps sin(w t)); errors against a 16x finer run.
-    # eps > 0: for a static V the step is fourth order (next property)
+    # eps > 0: for a static V the step is exact (the property after next)
     grid, v, initial = setup
     t_end = 0.5
 
@@ -84,8 +83,8 @@ def test_second_order_in_dt(setup, steps, eps, w):
 @given(setup=smooth_setup(), steps=st.integers(60, 120),
        eps=st.floats(0.05, 0.3), w=st.floats(0.5, 3.0))
 def test_norm_kept_for_time_dependent_v(setup, steps, eps, w):
-    # V(x, t) = V(x) (1 + eps sin(w t)): the half kicks and the Pade stages
-    # at V_ref are each unitary
+    # V(x, t) = V(x) (1 + eps sin(w t)): the half kicks and the exact step
+    # of V_ref are each unitary
     grid, v, initial = setup
     config = PropagationConfig(dt=0.5 / steps, t_end=0.5, grid=grid,
                                snapshot_stride=10)
@@ -96,8 +95,9 @@ def test_norm_kept_for_time_dependent_v(setup, steps, eps, w):
 
 @PROPERTY
 @given(setup=smooth_setup(), steps=st.integers(40, 80))
-def test_fourth_order_in_dt_for_static_v(setup, steps):
-    # a static V: the Pade step's own order; errors against a 16x finer run
+def test_static_v_is_exact_in_time(setup, steps):
+    # a static V: the run at any step the guard allows ends where a 16x
+    # finer run does, to round-off
     grid, v, initial = setup
     t_end = 0.5
 
@@ -107,9 +107,7 @@ def test_fourth_order_in_dt_for_static_v(setup, steps):
         report = propagate(initial, lambda x, t: v, config, CONSTS)
         return report.snapshots[-1].values
 
-    ref = final(16 * steps)
-    ratio = np.linalg.norm(final(steps) - ref) / np.linalg.norm(final(2 * steps) - ref)
-    assert 16.0 * 0.85 < ratio < 16.0 * 1.15
+    assert np.linalg.norm(final(steps) - final(16 * steps)) < 1e-11
 
 
 @PROPERTY
@@ -129,8 +127,8 @@ def test_run_ends_at_t_end(t_start, dt, steps, stride):
 
 @PROPERTY
 @given(setup=smooth_setup(), steps=st.integers(64, 128))
-# amplitude up to 5e-4 at the walls: <H> must be the plain-sum form CN
-# conserves; a trapezoid weighting of it drifts by 3.0e-8 on this example
+# amplitude up to 5e-4 at the walls: <H> must be the plain-sum form the
+# step conserves, with the sine-DVR kinetic energy
 @example(setup=packet_setup(Grid1D(-8.0, 8.0, 96), 0.1, 0.5, 1.0, 1.0, 2.0, 0.9),
          steps=64)
 def test_energy_constant_for_static_v(setup, steps):
@@ -152,7 +150,7 @@ def test_split_step_without_absorption_is_unitary(setup, steps, eps, w):
     # V(x, t) = V(x) (1 + eps sin(w t)) under a mask of strength 0: the half
     # kicks and the kinetic phase are each unitary. A smooth packet, because a
     # rough state or V scatters into the edge cells and trips the wrap check;
-    # rough V is covered on the Pade route by test_step_is_unitary
+    # rough V is covered on the Dirichlet route by test_step_is_unitary
     grid, v, initial = setup
     config = PropagationConfig(dt=0.5 / steps, t_end=0.5, grid=grid, snapshot_stride=10,
                                boundary=AbsorbingMask(width=2.0, strength=0.0))
@@ -214,14 +212,14 @@ def bounded_trajectory(draw):
 
 @PROPERTY
 @given(traj=bounded_trajectory(), t=st.floats(1e-4, 1.5))
-def test_construction_residual_is_fourth_order_in_dx(traj, t):
-    # the sho ground mode carried on d(t) under its V_nswp: from 640 to 1280
-    # points on +-10, dx^4 falls by (1279/639)^4 = 16.05. Over 2000 random
-    # draws from this box the ratio read 15.44 to 16.29, over its 129
-    # corners 15.58 to 16.08. On +-8 the residual stalls at the left edge
-    # for |d| near 1.5 (ratio 12.5 from 512 to 1024 points at a turning
-    # point), so the domain is +-10. t >= 1e-4 keeps the 5-point time
-    # stencil (h = 1e-5) at t >= 0
+def test_construction_residual_converges_spectrally_in_n(traj, t):
+    # the sho ground mode carried on d(t) under its V_nswp, on +-10: from 32
+    # to 48 points the relative residual falls by more than 1000 (a
+    # fourth-order operator would give (47/31)^4 = 5.3) until it meets the
+    # time stencil's floor, and at 128 points it sits on that floor. Over
+    # 300 random draws from this box it fell by at least 1.5e5 where it
+    # stayed above 1e-9 at 48 points, and read at most 5.6e-11 at 128.
+    # t >= 1e-4 keeps the 5-point time stencil (h = 1e-5) at t >= 0
     v = StaticPotential.harmonic(1.0)
 
     def residual(n):
@@ -231,7 +229,9 @@ def test_construction_residual_is_fourth_order_in_dx(traj, t):
                            consts=CONSTS, t_max=t + 1.0)
         return tdse_residual(sol, v, grid, t) / np.max(np.abs(pair.shape.values))
 
-    assert 15.0 < residual(640) / residual(1280) < 17.0
+    r32, r48 = residual(32), residual(48)
+    assert r48 < max(r32 / 1000.0, 1e-9)
+    assert residual(128) < 1e-9
 
 
 # the demo's quartic round trip: out to 1.14, through 0 at t = 1 to -1.14
@@ -246,13 +246,14 @@ def _quartic_ground_pair(n):
 
 @PROPERTY
 @given(scale=st.floats(-1.0, 1.0), t=st.floats(1e-4, 2.0))
-def test_construction_residual_is_fourth_order_in_dx_for_the_quartic_shape(scale, t):
+def test_construction_residual_converges_spectrally_in_n_for_the_quartic_shape(scale, t):
     # the quartic ground mode on the demo's round trip scaled by `scale`,
-    # under its time-dependent V_nswp: from 256 to 512 points on +-5, dx^4
-    # falls by (511/255)^4 = 16.13. Over 300 random draws from this box the
-    # ratio read 15.85 to 16.16, over 20 corners 15.86 to 16.07. From 512 to
-    # 1024 points it reads as low as 13.2 near scale 0.93, t >= 1.5, where
-    # the residual flattens at about 2e-9 at the packet's centre
+    # under its time-dependent V_nswp, on +-5: from 32 to 48 points the
+    # residual falls by more than 1000 until it meets a floor that does not
+    # move with n, and at 128 points it sits on that floor. Over 281 draws
+    # (a 9 x 9 lattice of the box and 200 random points) it fell by at
+    # least 9.7e3 where it stayed above 1e-8 at 48 points, and read at most
+    # 2.9e-9 at 128 (t = 2, scale +-1)
     v = StaticPotential.quartic(1.0)
     traj = Polynomial(tuple(scale * c for c in _ROUND_TRIP))
 
@@ -262,7 +263,9 @@ def test_construction_residual_is_fourth_order_in_dx_for_the_quartic_shape(scale
                            consts=CONSTS, t_max=t + 1.0)
         return tdse_residual(sol, v, pair.shape.grid, t) / np.max(np.abs(pair.shape.values))
 
-    assert 15.0 < residual(256) / residual(512) < 17.0
+    r32, r48 = residual(32), residual(48)
+    assert r48 < max(r32 / 1000.0, 1e-8)
+    assert residual(128) < 1e-8
 
 
 @PROPERTY
@@ -270,16 +273,17 @@ def test_construction_residual_is_fourth_order_in_dx_for_the_quartic_shape(scale
 def test_construction_residual_is_fourth_order_in_dx_on_a_force_trajectory(amp, freq, t):
     # the forced Airy packet (A = 1/2) pushed by F = amp sin(freq t), the
     # airy-forced scenario's range of sin forces: from 1024 to 2048 points
-    # on [-20, 8], dx^4 falls by (2047/1023)^4 = 16.03. The margin stays
-    # 0.44 wide (16 cells, then 32): the residual peaks at its left end,
-    # where the Airy tail oscillates fastest, so a margin of 16 cells on
-    # both grids moves that end and read 14.65 to 16.02. With the width
-    # held, 150 random draws from this box read 15.99 to 16.02, its 8
-    # corners 16.00 to 16.02
+    # on [-20, 8], dx^4 falls by (2047/1023)^4 = 16.03. The margin is a
+    # length in x, 16 cells of the 1024-point grid, so both grids read the
+    # same x-range: the residual peaks at its left end, where the Airy tail
+    # oscillates fastest, and a margin of 16 cells on both grids moved that
+    # end and read 14.65 to 16.02. With the width held, 150 random draws
+    # from this box read 15.99 to 16.02, its 8 corners 16.00 to 16.02
     case = airy_forced_case(1.0, lambda tt: amp * np.sin(freq * tt), CONSTS, t_max=t + 1.0)
 
     def residual(n):
         grid = Grid1D(-20.0, 8.0, n)
-        return tdse_residual(case.sol, case.v, grid, t, margin=n // 64)
+        return tdse_residual(case.sol, case.v, grid, t, margin=16 * 28.0 / 1023,
+                             dirichlet=False)
 
     assert 15.0 < residual(1024) / residual(2048) < 17.0

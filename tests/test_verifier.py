@@ -14,7 +14,8 @@ from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
                   rigid_shape_deviation, shape_deviation, shift_field)
 from nswp.constructor import gauge_sho_case
 from nswp.errors import ConfigurationError
-from nswp.grids import fd5_first, fd5_second, shift_values
+from nswp.constructor import RESIDUAL_MARGIN
+from nswp.grids import interior, kinetic_matrix, shift_values
 
 CONSTS = PhysicalConstants()
 OMEGA = 1.0
@@ -23,7 +24,7 @@ PERIOD = 2.0 * math.pi / OMEGA
 
 @pytest.fixture(scope="module")
 def sho_sol():
-    grid = Grid1D(-8.0, 8.0, 4096)
+    grid = Grid1D(-8.0, 8.0, 256)
     v = StaticPotential.harmonic(OMEGA)
     pair = lowest_eigenpairs(v, grid, CONSTS, 1)[0]
     traj = Sinusoid(amplitude=2.0, omega=OMEGA)
@@ -54,19 +55,32 @@ def test_htilde_detects_off_trajectory_shape(sho_sol):
     assert r > 1e-2
 
 
+def sine_first_derivative_matrix(n, dx):
+    """psi -> psi' of the sine series through psi, as a dense matrix: with
+    S the orthonormal DST-I matrix, c = S psi, and psi' at x_i (i dx from
+    the left wall) is sum_j c_j sqrt(2/N) k_j cos(k_j i dx), N = n + 1."""
+    j = np.arange(1, n + 1)
+    k = np.pi * j / ((n + 1) * dx)
+    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j) / (n + 1))
+    c = np.sqrt(2.0 / (n + 1)) * np.cos(np.pi * np.outer(j, j) / (n + 1))
+    return (c * k) @ s
+
+
 def htilde_residual_by_derivative_arrays(psi, v, traj, consts, E_f, t):
-    """The residual from the ``fd5_second`` and ``fd5_first`` arrays over the
-    whole grid, and the size of its largest term, both relative to ||psi||
-    over the points 8 cells in."""
+    """The residual from the dense sine-DVR kinetic matrix and sine-series
+    first-derivative matrix over the whole grid, and the size of its
+    largest term, both relative to ||psi|| over the points the default
+    margin keeps."""
     hbar, m = consts.hbar, consts.mass
     d, d_dot, _ = traj.eval(t)
-    values, dx = psi.values, psi.grid.dx
-    terms = (-(hbar**2) / (2 * m) * fd5_second(values, dx),
-             (v(psi.grid.x - d) - (E_f - 0.5 * m * d_dot**2)) * values,
-             -d_dot * (-1j * hbar) * fd5_first(values, dx))
-    den = np.linalg.norm(values[8:-8])
-    return (np.linalg.norm(sum(terms)[8:-8]) / den,
-            max(np.linalg.norm(term[8:-8]) for term in terms) / den)
+    values, grid = psi.values, psi.grid
+    terms = (kinetic_matrix(grid.n, grid.dx, consts) @ values,
+             (v(grid.x - d) - (E_f - 0.5 * m * d_dot**2)) * values,
+             -d_dot * (-1j * hbar) * (sine_first_derivative_matrix(grid.n, grid.dx) @ values))
+    sel = interior(grid, RESIDUAL_MARGIN)
+    den = np.linalg.norm(values[sel])
+    return (np.linalg.norm(sum(terms)[sel]) / den,
+            max(np.linalg.norm(term[sel]) for term in terms) / den)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
