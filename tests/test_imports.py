@@ -21,6 +21,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.fft")
 
 
 def test_cli_import_loads_no_heavy_scipy_package():
@@ -53,13 +54,29 @@ def test_ai_values_loads_no_scipy_special():
     assert out == []
 
 
-def test_no_source_file_imports_scipy():
-    # `import scipy`, `import scipy.x`, `from scipy import ...` or
-    # `from scipy.x import ...`, at any indent
-    statement = re.compile(r"^\s*(?:import|from)\s+scipy\b", re.MULTILINE)
+def test_no_source_file_imports_heavy_scipy_package():
+    heavy = "|".join(name.split(".")[1] for name in HEAVY)
+    statement = re.compile(
+        rf"^\s*(import\s+scipy\.({heavy})\b|from\s+scipy\.({heavy})\b"
+        rf"|from\s+scipy\s+import\s+.*\b({heavy})\b)", re.MULTILINE)
     offenders = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                  if statement.search(path.read_text())]
     assert offenders == []
+
+
+def test_scipy_is_imported_only_by_grids():
+    # a bare `import scipy` or `from scipy import ...` counts as "scipy".
+    # grids, the last importer, dropped scipy.linalg with the tridiagonal
+    # solves, so no source file imports any part of scipy
+    imports = {}
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        found = set(re.findall(r"^\s*(?:import|from)\s+scipy\.(\w+)", text, re.MULTILINE))
+        if re.search(r"^\s*(?:import|from)\s+scipy\b(?!\.)", text, re.MULTILINE):
+            found.add("scipy")
+        if found:
+            imports[str(path.relative_to(SRC))] = found
+    assert imports == {}
 
 
 def test_no_source_file_outside_grids_names_a_lapack_routine():

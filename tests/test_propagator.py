@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
@@ -133,21 +134,23 @@ def exact_evolution(initial, v_samples, t):
     return u @ (np.exp(-1j * e * t / CONSTS.hbar) * (u.T @ initial.values))
 
 
-@pytest.mark.parametrize("n_steps", [40, 57, 1280])
-def test_static_v_is_exact_at_any_dt(n_steps):
-    # a static V: the run is the exact evolution of T + V whatever the step
-    # the guard allows (dt max|V| is 0.4 at 40 steps), up to round-off that
-    # grows with the step count
+def test_fourth_order_in_dt():
+    # a static V: the error must fall at least as fast as dt^4, as the Pade
+    # step's did (about 1.3e-8 at t_end / 40 and 8e-10 at t_end / 80). The
+    # eigenbasis step has no time error at all: at every step the guard
+    # allows (dt max|V| is 0.4 at 40 steps) the run is the exact evolution
+    # of T + V, up to round-off that grows with the step count
     grid = Grid1D(-8.0, 8.0, 128)
     v_samples = 0.5 * grid.x**2
     initial = gaussian(grid, center=1.0, k=0.5)
     t_end = 0.5
-    config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
-                               snapshot_stride=10**9)
-    final = propagate(initial, lambda x, t: v_samples, config, CONSTS).snapshots[-1]
-    assert final.time == pytest.approx(t_end, abs=1e-12)
-    err = np.max(np.abs(final.values - exact_evolution(initial, v_samples, t_end)))
-    assert err < 1e-13 * n_steps + 1e-12
+    exact = exact_evolution(initial, v_samples, t_end)
+    for n_steps in (40, 57, 80, 1280):
+        config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
+                                   snapshot_stride=10**9)
+        final = propagate(initial, lambda x, t: v_samples, config, CONSTS).snapshots[-1]
+        assert final.time == pytest.approx(t_end, abs=1e-12)
+        assert np.max(np.abs(final.values - exact)) < 1e-13 * n_steps + 1e-12
 
 
 def test_time_reversal():
@@ -221,10 +224,11 @@ def test_initial_time_must_be_the_start_time():
 
 # --- both steppers against test-side references -----------------------------
 
-def reference_run(initial, v_fn, config):
+def reference_run(initial, v_fn, config, step=None):
     """The exact evolution of T + V_ref, V_ref = V(t_start + dt/2), between two
     half kicks exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's
-    midpoint, with ``exact_evolution`` for the fixed part."""
+    midpoint. The fixed part is ``exact_evolution``, or the matrix ``step``
+    when one is given."""
     x, dt = config.grid.x, config.dt
     values = initial.values.copy()
     t = config.t_start
@@ -232,9 +236,35 @@ def reference_run(initial, v_fn, config):
     for i in range(config.n_steps):
         angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
         kick = np.cos(angle) + 1j * np.sin(angle)
-        moved = WaveField(grid=config.grid, values=kick * values)
-        values = kick * exact_evolution(moved, v_ref, dt)
+        if step is None:
+            moved = WaveField(grid=config.grid, values=kick * values)
+            values = kick * exact_evolution(moved, v_ref, dt)
+        else:
+            values = kick * (step @ (kick * values))
         t = config.t_start + (i + 1) * dt
+    return values
+
+
+def reference_step(values, v_mid, dt, dx):
+    """Numerov (2,2) Pade step, the Crank-Nicolson form of fourth order in
+    dt and dx, as its two stages, one per root r of 1 + z/2 + z^2/12:
+    (M - i c S) psi' = (M + i c S) psi with c = dt / (hbar r) and
+    S = K + M V, each solved by scipy's generic banded solver."""
+    kin = CONSTS.hbar**2 / (CONSTS.mass * dx**2)
+    s_diag = kin + 10.0 / 12.0 * v_mid
+    s_off = 1.0 / 12.0 * v_mid - 0.5 * kin
+    for r in (complex(-3.0, np.sqrt(3.0)), complex(-3.0, -np.sqrt(3.0))):
+        ic = 1j * dt / (CONSTS.hbar * r)
+        w = (1.0 / 12.0 + ic * s_off) * values
+        rhs = (10.0 / 12.0 + ic * s_diag) * values
+        rhs[:-1] += w[1:]
+        rhs[1:] += w[:-1]
+        a_off = 1.0 / 12.0 - ic * s_off
+        ab = np.zeros((3, len(values)), dtype=complex)
+        ab[0, 1:] = a_off[1:]
+        ab[1, :] = 10.0 / 12.0 - ic * s_diag
+        ab[2, :-1] = a_off[:-1]
+        values = solve_banded((1, 1), ab, rhs)
     return values
 
 
@@ -265,6 +295,38 @@ def test_time_dependent_v_matches_the_dense_reference():
 
     assert np.max(np.abs(final_values(initial, v_fn, config)
                          - reference_run(initial, v_fn, config))) < 1e-12
+
+
+# The two tests below held the loop to a reference built on scipy's banded
+# solver. The fixed part is now one dense matrix, checked against the
+# independent ``exact_evolution`` above; with that same matrix as its fixed
+# part the reference holds the loop (V_ref, the midpoint kicks and their
+# order) to propagate's result bit for bit.
+
+def test_static_v_bit_identical_to_banded_reference():
+    grid = Grid1D(-8.0, 8.0, 128)
+    v_samples = 0.5 * grid.x**2
+    config = PropagationConfig(dt=1e-2, t_end=0.2, grid=grid,
+                               snapshot_stride=5)
+    initial = gaussian(grid, center=1.0)
+    v_fn = lambda x, t: v_samples
+    step = propagator._eigen_step(v_samples, config.dt, grid, CONSTS)
+    assert np.array_equal(final_values(initial, v_fn, config),
+                          reference_run(initial, v_fn, config, step))
+
+
+def test_time_dependent_v_bit_identical_to_banded_reference():
+    grid = Grid1D(-8.0, 8.0, 128)
+    config = PropagationConfig(dt=1e-2, t_end=0.2, grid=grid,
+                               snapshot_stride=5)
+    initial = gaussian(grid, center=1.0)
+
+    def v_fn(x, t):
+        return 0.5 * (1.0 + 0.2 * np.sin(t)) ** 2 * x**2
+
+    step = propagator._eigen_step(v_fn(grid.x, 0.5 * config.dt), config.dt, grid, CONSTS)
+    assert np.array_equal(final_values(initial, v_fn, config),
+                          reference_run(initial, v_fn, config, step))
 
 
 def reference_split_run(initial, v_fn, config):
@@ -299,31 +361,23 @@ def test_masked_run_bit_identical_to_split_step_reference():
                           reference_split_run(initial, v_fn, config))
 
 
-def test_split_step_agrees_with_a_sine_basis_split_step_on_forced_airy():
-    # the masked Airy run against the same splitting with its kinetic part
-    # taken in the sine basis of walls one dx beyond the grid (an FFT of
-    # the odd extension) instead of the periodic one, at half its step and
-    # with the same mask, from the same tapered packet
+def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
+    # the masked Airy run against the test-side Pade step plus the same mask
+    # at half its step, from the same tapered packet
     F = lambda t: 0.3 * np.sin(2.0 * t)
     result = run_airy_forced(F, force_label="sin", t_end=1.0)
     start, final = result.report.snapshots[0], result.report.snapshots[-1]
-    grid, dt = start.grid, 5e-3
-    n = grid.n
-    k = np.pi * np.arange(2 * (n + 1)) / ((n + 1) * grid.dx)
-    k = np.minimum(k, 2.0 * np.pi / grid.dx - k)  # |k| of numpy.fft's order
-    kinetic = np.exp(-0.5j * CONSTS.hbar * dt / CONSTS.mass * k**2)
+    grid, dt = start.grid, 2e-3
     mask = propagator._mask_profile(grid, _AIRY_MASK, dt)
     values = start.values.copy()
-    for i in range(int(round(1.0 / dt))):
-        half = np.exp(0.5j * dt * F((i + 0.5) * dt) * grid.x / CONSTS.hbar)
-        ext = np.zeros(2 * (n + 1), dtype=complex)
-        ext[1:n + 1] = half * values
-        ext[n + 2:] = -ext[1:n + 1][::-1]
-        values = half * np.fft.ifft(kinetic * np.fft.fft(ext))[1:n + 1] * mask
+    n_steps = int(round(1.0 / dt))
+    for i in range(n_steps):
+        values = reference_step(values, -F((i + 0.5) * dt) * grid.x, dt, grid.dx) * mask
+    assert final.time == pytest.approx(n_steps * dt, abs=1e-12)
     window = result.extras["window"]
     sel = (grid.x >= window[0]) & (grid.x <= window[1])
-    rho_sine = np.abs(values[sel]) ** 2
-    assert np.max(np.abs(final.density()[sel] - rho_sine)) / np.max(rho_sine) < 1e-4
+    rho_cn = np.abs(values[sel]) ** 2
+    assert np.max(np.abs(final.density()[sel] - rho_cn)) / np.max(rho_cn) < 1e-4
 
 
 def test_weak_mask_wraps_around_and_raises():
@@ -362,6 +416,21 @@ def test_split_step_guard():
     v[5] = np.nan
     with pytest.raises(ConfigurationError):
         run(v, 1e-3)
+
+
+def test_reversed_step_bit_identical_to_banded_reference():
+    # the reference was the banded Pade solve at -dt; H is real symmetric,
+    # so the step back is, bit for bit, the complex conjugate of the step
+    # forward, and one step of propagate is that matrix's product
+    grid = Grid1D(-10.0, 10.0, 256)
+    v = 0.5 * grid.x**2
+    psi = gaussian(grid, center=0.7)
+    fwd = propagator._eigen_step(v, 1e-3, grid, CONSTS)
+    back = propagator._eigen_step(v, -1e-3, grid, CONSTS)
+    assert np.array_equal(back, np.conj(fwd))
+    out = one_step(psi, v, 1e-3)
+    assert np.array_equal(out.values, fwd @ psi.values)
+    assert out.time == pytest.approx(1e-3, abs=1e-15)
 
 
 def test_factor_once_per_distinct_v(monkeypatch):
