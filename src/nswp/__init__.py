@@ -16,13 +16,11 @@ from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           phase, tdse_residual, v_nswp)
 from .eigensolver import EigenPair, StaticPotential, lowest_eigenpairs
 from .grids import (Grid1D, Observables, PhysicalConstants, WaveField,
-                    inner_product, observables, read_wavefield_csv,
-                    shift_field, write_wavefield_csv)
-from .propagator import (AbsorbingMask, Dirichlet, PropagationConfig,
-                         RunReport, propagate)
+                    inner_product, observables, shift_field,
+                    write_wavefield_csv)
+from .propagator import AbsorbingMask, PropagationConfig, RunReport, propagate
 from .quadrature import integrate_time, nested_triple_integral
-from .trajectory import (ForceTrajectory, Polynomial, Rest, Sinusoid,
-                         Trajectory, UniformAcceleration)
+from .trajectory import ForceTrajectory, Polynomial, Sinusoid, Trajectory
 from .verifier import (CheckResult, classical_motion_check, energy_split_check,
                        htilde_residual, infinitesimal_evolution_check,
                        no_nswp_for_time_dependent_frequency, rigid_shape_deviation,

@@ -121,12 +121,19 @@ class NswpCase:
 
     def reference(self, grid: Grid1D):
         """t -> |f(x - d(t))|^2 at the window's points only, and the slice of
-        the grid that holds them: the window checks read no other point."""
+        the grid that holds them: the window checks read no other point.
+        Raises RangeError unless the window and the two points either side
+        of it, which the 5-point <P> stencil reads, lie inside the grid."""
         shape, d = self.sol.shape, self.sol.trajectory.d
         if self.window is None:
             return (lambda t: shape.on_grid_shifted(grid, d(t)) ** 2), slice(None)
         sel = slice(int(np.searchsorted(grid.x, self.window[0], "left")),
                     int(np.searchsorted(grid.x, self.window[1], "right")))
+        if sel.start < 2 or sel.stop > grid.n - 2:
+            raise RangeError(
+                f"the comparison window [{self.window[0]:g}, {self.window[1]:g}] and "
+                f"two points either side of it do not fit the grid of {grid.n} points "
+                f"on [{grid.x_min:g}, {grid.x_max:g}]")
         x_window = grid.x[sel]
         return (lambda t: shape.values_at(x_window - d(t)) ** 2), sel
 
@@ -142,17 +149,19 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
     relative to max|Psi(0)|, then ``family_checks(report)``. Its extras are
     ``extras`` with the run's dt and t_end."""
     sol, grid = case.sol, config.grid
+    # first: it refuses a window the grid does not hold before any work
+    reference, sel = case.reference(grid)
     psi0 = analytic_psi(sol, grid, 0.0)
     peak = float(np.max(np.abs(psi0.values)))
-    masked = isinstance(config.boundary, AbsorbingMask)
+    masked = config.mask is not None
     if masked:
         # a non-normalizable mode ends abruptly at the domain edges; its kink
         # would radiate fast spurious components across the whole window
         # within a few steps, so take it smoothly to zero across the mask
-        s = edge_ramp(grid, config.boundary.width)
+        s = edge_ramp(grid, config.mask.width)
         psi0 = WaveField(grid=grid, values=psi0.values * np.cos(0.5 * np.pi * s) ** 2)
     report = propagate(psi0, case.v_run, config, sol.consts)
-    report.shape_deviation = shape_deviation(report, *case.reference(grid))
+    report.shape_deviation = shape_deviation(report, reference, sel)
 
     def evaluate():
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
@@ -415,7 +424,7 @@ def run_airy_forced(
     # time the checks sample (the phase_dual_route mesh stops 0.5 short).
     # A snapshot every 0.1
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                               snapshot_stride=max(1, round(0.1 / dt)), boundary=_AIRY_MASK)
+                               snapshot_stride=max(1, round(0.1 / dt)), mask=_AIRY_MASK)
     t_max = max(t_end, *_AIRY_SUPPORT_TIMES, *_AIRY_RESIDUAL_TIMES) + 1.0
     case = airy_forced_case(B, F, consts, t_max=t_max)
     sol, A = case.sol, case.sol.shape.A
@@ -536,38 +545,32 @@ def trap_envelope_half_width(omega0: float, modulation: float,
 
 
 def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
-                      grid: Grid1D = None, dt: float = None,
                       consts: PhysicalConstants = PhysicalConstants()):
-    """The given grid and dt, or the defaults of the modulated trap.
+    """The grid and dt of the modulated trap.
 
-    The default grid is +-L with L = ``trap_envelope_half_width``, on the
-    fewest points, a multiple of 64, that keep dx at most the sho grid's
-    16/1023 in units of the oscillator length sqrt(hbar / m omega0). The
-    default dt is 1e-2/omega0, cut where dt max|V| reaches the step guard's
-    0.5 (``propagator.guarded_dt``). Raises ``RangeError`` unless
-    |modulation| < 1, where w(t) stays positive; at |modulation| >= 1 the
-    trap opens for an instant."""
+    The grid is +-L with L = ``trap_envelope_half_width``, on the fewest
+    points, a multiple of 64, that keep dx at most the sho grid's
+    ``_SHO_GRID.dx`` = 16/127 in units of the oscillator length
+    sqrt(hbar / m omega0). The dt is 1e-2/omega0, cut where dt max|V|
+    reaches the step guard's 0.5 (``propagator.guarded_dt``). Raises
+    ``RangeError`` unless |modulation| < 1, where w(t) stays positive; at
+    |modulation| >= 1 the trap opens for an instant."""
     if not abs(modulation) < 1.0:
         raise RangeError(f"modulation must satisfy |eps| < 1, got {modulation!r}")
-    reach = (trap_envelope_half_width(omega0, modulation, consts) if grid is None
-             else max(-grid.x_min, grid.x_max))
-    if dt is None:
-        # before the grid is sized, so that an hbar or mass the step budget
-        # refuses never sizes one
-        w_max = omega0 * (1.0 + abs(modulation))
-        dt = guarded_dt(1e-2 / omega0, 0.5 * consts.mass * w_max**2 * reach**2,
-                        _TRAP_HORIZON / omega0, consts)
-    if grid is None:
-        dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
-        grid = Grid1D(-reach, reach, 64 * math.ceil((1.0 + 2.0 * reach / dx_max) / 64.0))
+    reach = trap_envelope_half_width(omega0, modulation, consts)
+    # before the grid is sized, so that an hbar or mass the step budget
+    # refuses never sizes one
+    w_max = omega0 * (1.0 + abs(modulation))
+    dt = guarded_dt(1e-2 / omega0, 0.5 * consts.mass * w_max**2 * reach**2,
+                    _TRAP_HORIZON / omega0, consts)
+    dx_max = _SHO_GRID.dx * math.sqrt(consts.hbar / (consts.mass * omega0))
+    grid = Grid1D(-reach, reach, 64 * math.ceil((1.0 + 2.0 * reach / dx_max) / 64.0))
     return grid, dt
 
 
 def run_sho_timedep_frequency(
     omega0: float = 1.0,
     modulation: float = 0.2,
-    grid: Grid1D = None,
-    dt: float = None,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
     """The negative claim: the ground state shifted by 2 under
@@ -584,14 +587,14 @@ def run_sho_timedep_frequency(
     ``verifier.no_nswp_for_time_dependent_frequency``, which makes the one
     check. |eps| >= 1 raises ``RangeError``.
 
-    The default grid is sized from the packet's exact classical envelope
+    The grid is sized from the packet's exact classical envelope
     (``_trap_grid_and_dt``): at eps = 0.2 and hbar = m = omega0 = 1 it is
-    1024 points on +-7.78. The default dt is 1e-2/omega0, there with
+    128 points on +-7.78. The dt is 1e-2/omega0, there with
     dt max|V| = 0.44; where dt max|V| reaches the step guard's 0.5, dt is
     cut. A snapshot is recorded every 0.1/omega0 for any dt.
     """
     m = consts.mass
-    grid, dt = _trap_grid_and_dt(omega0, modulation, grid, dt, consts)
+    grid, dt = _trap_grid_and_dt(omega0, modulation, consts)
     t_end = dt * round(_TRAP_HORIZON / (omega0 * dt))
     pair = lowest_eigenpairs(StaticPotential.harmonic(omega0, m), grid, consts, 1)[0]
     initial = shift_field(pair.shape, _TRAP_AMPLITUDE)
@@ -704,8 +707,7 @@ SCENARIOS = {
     "sho": Scenario(
         run=lambda **kw: run_sho_shifted(**kw),
         keys=("mode_index", "amplitude", "omega", "dt"),
-        grid=lambda n=0, amplitude=2.0, omega=1.0, consts=PhysicalConstants(), dt=None:
-            sho_grid(n, amplitude, omega, consts),
+        grid=lambda dt=None, **kw: sho_grid(**kw),
         case=lambda **kw: sho_case(**kw)),
     # the zero-force member of the Airy family; the grid only samples a
     # closed-form Airy packet

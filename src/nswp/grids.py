@@ -18,7 +18,6 @@ Everything here is numpy only.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -323,18 +322,3 @@ def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
-
-def read_wavefield_csv(path, time: float = 0.0) -> WaveField:
-    """Read a field written by :func:`write_wavefield_csv`."""
-    xs, res, ims = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["x", "re", "im"]:
-            raise ValueError(f"unexpected wavefield CSV header: {header}")
-        for row in reader:
-            xs.append(float(row[0]))
-            res.append(float(row[1]))
-            ims.append(float(row[2]))
-    grid = Grid1D(x_min=xs[0], x_max=xs[-1], n=len(xs))
-    return WaveField(grid=grid, values=np.array(res) + 1j * np.array(ims), time=time)

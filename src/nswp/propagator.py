@@ -2,7 +2,8 @@
 reference Hamiltonian in its sine-DVR eigenbasis between Dirichlet walls,
 Strang split-step Fourier with an absorbing mask.
 
-``propagate`` runs one loop for both boundaries. Each step splits H(t) into
+``propagate`` runs one loop for both boundaries, walls when the config's
+``mask`` is None and an absorbing mask otherwise. Each step splits H(t) into
 a fixed part, prepared once per run, and the diagonal remainder
 dV = V(t + dt/2) - V_ref, applied exactly as two half kicks
 exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
@@ -10,7 +11,7 @@ exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
 alone. The step guard dt * max|V| / hbar < 0.5 runs on V_ref and on the full
 V(t + dt/2) of every step where it moved off V_ref.
 
-``Dirichlet``: the fixed part is exp(-i dt H_ref / hbar) for the sine-DVR
+Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for the sine-DVR
 Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T the
 Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
 ``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T, and the step is the one
@@ -19,7 +20,7 @@ static V is therefore exact in time at any dt, and a time-dependent V is
 second order, through the kicks. The dense basis stops at
 ``grids.MAX_DENSE_POINTS``.
 
-``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
+An ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
 period of a periodic domain, V_ref = 0 and the fixed part is the exact
 kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space (Feit, Fleck
 & Steiger, J. Comput. Phys. 47, 412 (1982)); after the second kick comes a
@@ -45,11 +46,6 @@ from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, _wavenu
 
 
 @dataclass(frozen=True)
-class Dirichlet:
-    """Walls at both grid edges: the wave function vanishes beyond them."""
-
-
-@dataclass(frozen=True)
 class AbsorbingMask:
     """Multiplicative cos^2-ramp absorber of given width at both edges."""
 
@@ -59,18 +55,19 @@ class AbsorbingMask:
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Steps of ``dt`` from ``t_start`` to ``t_end``. ``boundary`` picks the
-    fixed part of each step: ``Dirichlet()`` the exact sine-DVR evolution
-    of V(t_start + dt/2), built once per run; an ``AbsorbingMask`` the
-    kinetic phase on the periodic grid, then the mask. More than
-    ``MAX_STEPS`` steps raise RangeError, and a Dirichlet grid of more than
+    """Steps of ``dt`` from ``t_start`` to ``t_end``. ``mask`` picks the
+    fixed part of each step: None puts Dirichlet walls at both grid edges
+    and makes it the exact sine-DVR evolution of V(t_start + dt/2), built
+    once per run; an ``AbsorbingMask`` makes it the kinetic phase on the
+    periodic grid, followed by the mask. More than ``MAX_STEPS`` steps raise
+    RangeError, and a grid between walls of more than
     ``grids.MAX_DENSE_POINTS`` points raises RangeError."""
 
     dt: float
     t_end: float
     grid: Grid1D
     snapshot_stride: int = 1
-    boundary: object = Dirichlet()
+    mask: AbsorbingMask | None = None
     t_start: float = 0.0
 
     def __post_init__(self):
@@ -91,15 +88,13 @@ class PropagationConfig:
             )
         if self.snapshot_stride < 1:
             raise ConfigurationError("snapshot_stride must be >= 1")
-        if isinstance(self.boundary, AbsorbingMask):
-            if not 0 < self.boundary.width < 0.5 * self.grid.width:
-                raise ConfigurationError("mask width must be < half the domain")
-            if not self.boundary.strength >= 0:
-                raise ConfigurationError("mask strength must be >= 0")
-        elif isinstance(self.boundary, Dirichlet):
+        if self.mask is None:
             _dense_points(self.grid.n)
         else:
-            raise ConfigurationError(f"unknown boundary {self.boundary!r}")
+            if not 0 < self.mask.width < 0.5 * self.grid.width:
+                raise ConfigurationError("mask width must be < half the domain")
+            if not self.mask.strength >= 0:
+                raise ConfigurationError("mask strength must be >= 0")
 
     @property
     def n_steps(self) -> int:
@@ -237,7 +232,7 @@ def propagate(
     x = grid.x
     dt = config.dt
     n_steps = config.n_steps
-    dirichlet = isinstance(config.boundary, Dirichlet)
+    dirichlet = config.mask is None
     peak0 = float(np.max(np.abs(initial.values)))
     report = RunReport()
 
@@ -285,7 +280,7 @@ def propagate(
     else:
         v_ref = 0.0
         kinetic = _kinetic_phase(grid, dt, consts)
-        mask = _mask_profile(grid, config.boundary, dt)
+        mask = _mask_profile(grid, config.mask, dt)
     for i in range(n_steps):
         v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
         dv = v_mid - v_ref

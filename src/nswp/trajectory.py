@@ -31,17 +31,6 @@ class Trajectory:
     def d_dot(self, t: float) -> float:
         return self.eval(t)[1]
 
-    def d_ddot(self, t: float) -> float:
-        return self.eval(t)[2]
-
-
-@dataclass(frozen=True)
-class Rest(Trajectory):
-    kind = "rest"
-
-    def eval(self, t):
-        return (0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class Polynomial(Trajectory):
@@ -65,33 +54,16 @@ class Polynomial(Trajectory):
 
 @dataclass(frozen=True)
 class Sinusoid(Trajectory):
-    """d(t) = A sin(omega t + phase) - A sin(phase)."""
+    """d(t) = A sin(omega t), so d(0) = 0."""
 
     amplitude: float
     omega: float
-    phase: float = 0.0
 
     kind = "sinusoid"
 
     def eval(self, t):
-        a, w, p = self.amplitude, self.omega, self.phase
-        return (
-            a * np.sin(w * t + p) - a * np.sin(p),
-            a * w * np.cos(w * t + p),
-            -a * w**2 * np.sin(w * t + p),
-        )
-
-
-@dataclass(frozen=True)
-class UniformAcceleration(Trajectory):
-    """d(t) = a t^2 / 2."""
-
-    a: float
-
-    kind = "uniform_acceleration"
-
-    def eval(self, t):
-        return (0.5 * self.a * t**2, self.a * t, self.a)
+        a, w = self.amplitude, self.omega
+        return (a * np.sin(w * t), a * w * np.cos(w * t), -a * w**2 * np.sin(w * t))
 
 
 class ForceTrajectory(Trajectory):

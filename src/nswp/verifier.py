@@ -65,13 +65,12 @@ class CheckResult:
 
 
 def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
-                    consts: PhysicalConstants, E_f: float, t: float,
-                    margin: float = RESIDUAL_MARGIN) -> float:
+                    consts: PhysicalConstants, E_f: float, t: float) -> float:
     """|| [H_tilde - E_tilde] psi || / ||psi|| over the points at least
-    ``margin``, a length in x, from either edge (``grids.interior``), with
-    psi'' and psi' those of the sine series between the grid's Dirichlet
-    walls: the kinetic and -d_dot P terms are one ``grids.sine_apply`` of
-    the symbol hbar^2 k^2 / 2m - hbar d_dot k."""
+    ``RESIDUAL_MARGIN``, a length in x, from either edge
+    (``grids.interior``), with psi'' and psi' those of the sine series
+    between the grid's Dirichlet walls: the kinetic and -d_dot P terms are
+    one ``grids.sine_apply`` of the symbol hbar^2 k^2 / 2m - hbar d_dot k."""
     hbar, m = consts.hbar, consts.mass
     d, d_dot, _ = traj.eval(t)
     e_tilde = E_f - 0.5 * m * d_dot**2
@@ -79,7 +78,7 @@ def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
     values = psi.values
     r = sine_apply(values, psi.grid.dx, lambda k: (hbar**2 / (2 * m) * k - hbar * d_dot) * k)
     r += (v(psi.grid.x - d) - e_tilde) * values
-    sel = interior(psi.grid, margin)
+    sel = interior(psi.grid, RESIDUAL_MARGIN)
     return float(np.linalg.norm(r[sel]) / np.linalg.norm(values[sel]))
 
 

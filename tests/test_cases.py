@@ -193,22 +193,28 @@ def test_phase_check_work_counts():
     assert 0 < calls["integrand"] < 2_000
 
 
-def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result):
-    # 10/omega0 is not a whole number of 1e-3 steps for omega0 = 3; the
-    # grid is narrow enough for the step guard dt max|V| < 0.5 at this omega0
-    res = run_sho_timedep_frequency(omega0=3.0, grid=Grid1D(-6.0, 6.0, 256), dt=1e-3)
-    t_end = res.report.times[-1]
-    assert abs(t_end - 10.0 / 3.0) <= 0.5e-3
-    assert t_end / 1e-3 == pytest.approx(round(t_end / 1e-3), abs=1e-9)
+@pytest.fixture(scope="module")
+def trap_omega3_result():
+    return run_sho_timedep_frequency(omega0=3.0)
+
+
+def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result,
+                                                        trap_omega3_result):
+    # at omega0 = 3 the step guard cuts dt below 1e-2/3; the run ends at
+    # 10/omega0 rounded to a whole number of those steps
+    _, dt = nswp.cases._trap_grid_and_dt(3.0)
+    t_end = trap_omega3_result.report.times[-1]
+    assert abs(t_end - 10.0 / 3.0) <= 0.5 * dt
+    assert t_end / dt == pytest.approx(round(t_end / dt), abs=1e-9)
     # omega0 = 1 keeps exactly the old horizon
     assert timedep_result.report.times[-1] == 10.0
 
 
-def test_timedep_frequency_default_grid_and_dt_scale_with_omega0():
+def test_timedep_frequency_default_grid_and_dt_scale_with_omega0(trap_omega3_result):
     # at omega0 = 3 the grid is +-L from the packet's classical envelope and
     # the default dt = 1e-2/3 is cut to keep the step guard; the static
     # control on that grid stays rigid
-    result = run_sho_timedep_frequency(omega0=3.0)
+    result = trap_omega3_result
     assert result.passed
     assert result.extras["control_max_deviation"] < 5e-4
     grid = result.report.snapshots[0].grid

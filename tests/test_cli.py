@@ -68,6 +68,25 @@ def test_airy_scenarios_reject_nonpositive_B(command, scenario, B, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid_keys", [{"x_min": -9.0}, {"x_max": 3.95, "n_points": 3330}],
+                         ids=["left-edge", "right-edge"])
+def test_airy_window_off_the_grid_exits_2_before_the_first_step(grid_keys, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the comparison window [-10, 4] and the two points either side of it,
+    # which the 5-point <P> stencil reads, must lie inside the grid: x_min =
+    # -9 starts the grid inside the window and x_max = 3.95 ends it there
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the run took a step")
+
+    monkeypatch.setattr(cases, "propagate", not_reached)
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", "airy-free",
+                 "--config", str(make_config(tmp_path, **grid_keys)),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "window [-10, 4]" in capsys.readouterr().err
+
+
 def test_eigen_more_modes_than_points_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["eigen", "--k", "100", "--n-points", "64", "--out", str(out)]) == 2

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nswp import (AiryShape, GaugeFunction, Grid1D, NswpSolution,
-                  PhysicalConstants, Rest, SampledShape, Sinusoid,
-                  StaticPotential, UniformAcceleration, analytic_psi,
+                  PhysicalConstants, Polynomial, SampledShape, Sinusoid,
+                  StaticPotential, analytic_psi,
                   gauge_linear_case, gauge_sho_case, lowest_eigenpairs, phase,
                   integrate_time, tdse_residual, v_nswp)
 from nswp.errors import RangeError
@@ -27,14 +27,15 @@ def sho_pieces():
 def airy_free_pieces(B=1.0):
     A = B**3 / 2.0
     shape = AiryShape(A=A, energy=0.0, consts=CONSTS)
-    traj = UniformAcceleration(A)
+    # d = A t^2 / 2m, the uniform acceleration of the free packet (m = 1)
+    traj = Polynomial((0.0, 0.0, 0.5 * A))
     sol = NswpSolution(shape, traj, gauge_linear_case(A, traj), consts=CONSTS)
     return sol, StaticPotential.linear(A)
 
 
 def test_vnswp_rest_reduces_to_static(sho_pieces):
     _, v, grid, pair = sho_pieces
-    sol = NswpSolution(SampledShape.from_eigenpair(pair), Rest(),
+    sol = NswpSolution(SampledShape.from_eigenpair(pair), Polynomial((0.0,)),
                        GaugeFunction.zero(), consts=CONSTS)
     for t in (0.0, 1.3, 7.7):
         assert np.max(np.abs(v_nswp(sol, v, grid.x, t) - v(grid.x))) == 0.0
@@ -56,7 +57,7 @@ def test_vnswp_sho_is_static(sho_pieces):
 
 def test_phase_rest_stationary(sho_pieces):
     _, _, _, pair = sho_pieces
-    sol = NswpSolution(SampledShape.from_eigenpair(pair), Rest(),
+    sol = NswpSolution(SampledShape.from_eigenpair(pair), Polynomial((0.0,)),
                        GaugeFunction.zero(), consts=CONSTS)
     for t in (0.5, 2.0):
         assert phase(sol, 0.0, t) == pytest.approx(-pair.energy * t, abs=1e-10)

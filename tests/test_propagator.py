@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from nswp import (AbsorbingMask, Dirichlet, Grid1D, PhysicalConstants,
+from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
                   inner_product, lowest_eigenpairs, observables,
                   propagate, shift_field)
@@ -60,7 +60,7 @@ def test_dense_basis_cap_raises_before_the_run():
     with pytest.raises(RangeError, match=f"n = {MAX_DENSE_POINTS + 1} points"):
         PropagationConfig(dt=1e-3, t_end=1.0, grid=grid)
     PropagationConfig(dt=1e-3, t_end=1.0, grid=grid,
-                      boundary=AbsorbingMask(width=2.0, strength=1.0))
+                      mask=AbsorbingMask(width=2.0, strength=1.0))
 
 
 def test_config_validation():
@@ -73,7 +73,7 @@ def test_config_validation():
         PropagationConfig(dt=1e-3, t_end=1.0, grid=grid, snapshot_stride=0)
     with pytest.raises(ConfigurationError):
         PropagationConfig(dt=1e-3, t_end=1.0, grid=grid,
-                          boundary=AbsorbingMask(width=15.0, strength=10.0))
+                          mask=AbsorbingMask(width=15.0, strength=10.0))
 
 
 def test_config_rejects_partial_last_step():
@@ -114,7 +114,7 @@ def test_stationary_state_evolution():
     assert abs(abs(ovl) - 1.0) < 1e-6
     phase_err = np.angle(ovl * np.exp(1j * pair.energy * 1.0))
     assert abs(phase_err) < 1e-4
-    # cumulative norm drift stays tiny under Dirichlet
+    # cumulative norm drift stays tiny between walls
     assert max(abs(n - report.norm[0]) for n in report.norm) < 1e-8
     # stationary state: centroid constant
     assert max(abs(c - report.centroid[0]) for c in report.centroid) < 1e-8
@@ -179,7 +179,7 @@ def test_absorbing_mask_run():
     psi = gaussian(grid, center=0.0, k=6.0)
     config = PropagationConfig(dt=1e-3, t_end=2.0, grid=grid,
                                snapshot_stride=500,
-                               boundary=AbsorbingMask(width=2.0, strength=40.0))
+                               mask=AbsorbingMask(width=2.0, strength=40.0))
     report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert report.norm[-1] < 0.1 * report.norm[0]
     # a masked run records the norm only
@@ -336,7 +336,7 @@ def reference_split_run(initial, v_fn, config):
     x = grid.x
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
     kinetic = np.exp(-0.5j * CONSTS.hbar * dt / CONSTS.mass * k**2)
-    mask = propagator._mask_profile(grid, config.boundary, dt)
+    mask = propagator._mask_profile(grid, config.mask, dt)
     values = initial.values.copy()
     t = config.t_start
     for i in range(config.n_steps):
@@ -351,7 +351,7 @@ def test_masked_run_bit_identical_to_split_step_reference():
     grid = Grid1D(-8.0, 8.0, 512)
     mask = AbsorbingMask(width=2.0, strength=40.0)
     config = PropagationConfig(dt=1e-3, t_end=0.5, grid=grid,
-                               snapshot_stride=100, boundary=mask)
+                               snapshot_stride=100, mask=mask)
     initial = gaussian(grid, center=0.0, k=6.0)
 
     def v_fn(x, t):
@@ -387,19 +387,17 @@ def test_weak_mask_wraps_around_and_raises():
     psi = gaussian(grid, center=0.0, k=6.0)
     config = PropagationConfig(dt=1e-3, t_end=2.0, grid=grid,
                                snapshot_stride=500,
-                               boundary=AbsorbingMask(width=2.0, strength=4.0))
+                               mask=AbsorbingMask(width=2.0, strength=4.0))
     with pytest.raises(BoundaryError, match="wrapped around") as exc_info:
         propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert exc_info.value.partial_report.times[-1] == pytest.approx(1.0)
 
 
-def test_config_rejects_negative_mask_and_unknown_boundary():
+def test_config_rejects_negative_mask():
     grid = Grid1D(-10.0, 10.0, 128)
     with pytest.raises(ConfigurationError):
         PropagationConfig(dt=1e-3, t_end=1.0, grid=grid,
-                          boundary=AbsorbingMask(width=2.0, strength=-1.0))
-    with pytest.raises(ConfigurationError):
-        PropagationConfig(dt=1e-3, t_end=1.0, grid=grid, boundary="periodic")
+                          mask=AbsorbingMask(width=2.0, strength=-1.0))
 
 
 def test_split_step_guard():
@@ -407,7 +405,7 @@ def test_split_step_guard():
     mask = AbsorbingMask(width=2.0, strength=1.0)
 
     def run(v, dt):
-        config = PropagationConfig(dt=dt, t_end=dt, grid=grid, boundary=mask)
+        config = PropagationConfig(dt=dt, t_end=dt, grid=grid, mask=mask)
         propagate(gaussian(grid), lambda x, t: v, config, CONSTS)
 
     with pytest.raises(ConfigurationError):

@@ -154,7 +154,7 @@ def test_split_step_without_absorption_is_unitary(setup, steps, eps, w):
     # rough V is covered on the Dirichlet route by test_step_is_unitary
     grid, v, initial = setup
     config = PropagationConfig(dt=0.5 / steps, t_end=0.5, grid=grid, snapshot_stride=10,
-                               boundary=AbsorbingMask(width=2.0, strength=0.0))
+                               mask=AbsorbingMask(width=2.0, strength=0.0))
     report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
                        config, CONSTS)
     assert np.max(np.abs(np.asarray(report.norm) - report.norm[0])) < 1e-12 * report.norm[0]
@@ -172,7 +172,7 @@ def test_split_step_second_order_in_dt(setup, steps, eps, w):
     def final(n_steps):
         config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
                                    snapshot_stride=n_steps,
-                                   boundary=AbsorbingMask(width=2.0, strength=0.0))
+                                   mask=AbsorbingMask(width=2.0, strength=0.0))
         report = propagate(initial, lambda x, t: v * (1.0 + eps * np.sin(w * t)),
                            config, CONSTS)
         return report.snapshots[-1].values
@@ -190,7 +190,7 @@ def test_split_step_run_ends_at_t_end(t_start, dt, steps, stride):
     t_end = t_start + steps * dt
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, t_start=t_start,
                                snapshot_stride=stride,
-                               boundary=AbsorbingMask(width=2.0, strength=10.0))
+                               mask=AbsorbingMask(width=2.0, strength=10.0))
     psi = WaveField(grid=grid, values=np.exp(-grid.x**2 / 8.0), time=t_start)
     report = propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     assert len(report.times) == 1 + steps // stride + (steps % stride != 0)
@@ -205,8 +205,7 @@ def bounded_trajectory(draw):
     """d(t) with d(0) = 0 and |d| <= 1.5 for 0 <= t <= 1.5: a sinusoid of
     amplitude up to 0.75, or a cubic."""
     if draw(st.booleans()):
-        return Sinusoid(draw(st.floats(-0.75, 0.75)), draw(st.floats(0.5, 3.0)),
-                        draw(st.floats(0.0, 2.0 * np.pi)))
+        return Sinusoid(draw(st.floats(-0.75, 0.75)), draw(st.floats(0.5, 3.0)))
     return Polynomial((0.0, draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.2, 0.2)),
                        draw(st.floats(-0.1, 0.1))))
 

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from nswp import (ForceTrajectory, PhysicalConstants, Polynomial, Rest, Sinusoid,
-                  UniformAcceleration)
+from nswp import ForceTrajectory, PhysicalConstants, Polynomial, Sinusoid
 from nswp.errors import RangeError
 
 CONSTS = PhysicalConstants()
 
 
 def test_rest():
-    traj = Rest()
+    # a packet at rest is the zero polynomial
+    traj = Polynomial((0.0,))
     assert traj.eval(3.7) == (0.0, 0.0, 0.0)
 
 
@@ -23,14 +23,9 @@ def test_sinusoid_at_zero():
     assert d_ddot == pytest.approx(0.0)
 
 
-def test_sinusoid_with_phase_starts_at_origin():
-    traj = Sinusoid(amplitude=1.5, omega=1.0, phase=0.8)
-    assert traj.d(0.0) == 0.0
-
-
 def test_uniform_acceleration():
     # d = a t^2 / 2 with a = A/m = 1: (2, 2, 1) at t = 2
-    traj = UniformAcceleration(1.0)
+    traj = Polynomial((0.0, 0.0, 0.5))
     assert traj.eval(2.0) == (2.0, 2.0, 1.0)
 
 
@@ -56,8 +51,8 @@ def test_polynomial_matches_numpy_polynomial_bit_for_bit():
 
 def all_kinds():
     return [
-        Sinusoid(amplitude=2.0, omega=1.3, phase=0.4),
-        UniformAcceleration(0.7),
+        Sinusoid(amplitude=2.0, omega=1.3),
+        Polynomial((0.0, 0.0, 0.35)),
         Polynomial((0.0, 0.2, -0.1, 0.05)),
         ForceTrajectory(0.5, lambda t: 0.3 * math.sin(2.0 * t), CONSTS, t_max=4.0),
     ]
@@ -71,9 +66,10 @@ def test_derivative_consistency():
             fd_v = (traj.d(t + h) - traj.d(t - h)) / (2 * h)
             fd_a = (traj.d_dot(t + h) - traj.d_dot(t - h)) / (2 * h)
             scale_v = max(abs(traj.d_dot(t)), 1.0)
-            scale_a = max(abs(traj.d_ddot(t)), 1.0)
+            d_ddot = traj.eval(t)[2]
+            scale_a = max(abs(d_ddot), 1.0)
             assert abs(fd_v - traj.d_dot(t)) / scale_v < 1e-6
-            assert abs(fd_a - traj.d_ddot(t)) / scale_a < 1e-6
+            assert abs(fd_a - d_ddot) / scale_a < 1e-6
 
 
 def test_all_kinds_start_at_origin():
@@ -84,11 +80,13 @@ def test_all_kinds_start_at_origin():
 def test_force_trajectory_zero_force():
     A = 0.5
     traj = ForceTrajectory(A, lambda t: 0.0, CONSTS, t_max=10.0)
-    ref = UniformAcceleration(A / CONSTS.mass)
+    # the closed form d = a t^2 / 2, a = A/m
+    ref = Polynomial((0.0, 0.0, 0.5 * A / CONSTS.mass))
     for t in np.linspace(0.0, 10.0, 21):
-        assert abs(traj.d(t) - ref.d(t)) < 1e-10
-        assert abs(traj.d_dot(t) - ref.d_dot(t)) < 1e-10
-        assert abs(traj.d_ddot(t) - ref.d_ddot(t)) < 1e-12
+        (d, d_dot, d_ddot), (r, r_dot, r_ddot) = traj.eval(t), ref.eval(t)
+        assert abs(d - r) < 1e-10
+        assert abs(d_dot - r_dot) < 1e-10
+        assert abs(d_ddot - r_ddot) < 1e-12
 
 
 def test_force_trajectory_constant_force():
@@ -106,7 +104,7 @@ def test_force_trajectory_sinusoidal_force():
     for t in np.linspace(0.0, 6.0, 13):
         assert abs(traj.d(t) - (0.5 * A * t**2 + t - math.sin(t))) < 1e-9
         assert abs(traj.d_dot(t) - (A * t + 1.0 - math.cos(t))) < 1e-9
-        assert abs(traj.d_ddot(t) - (A + math.sin(t))) < 1e-12
+        assert abs(traj.eval(t)[2] - (A + math.sin(t))) < 1e-12
 
 
 def test_force_trajectory_rejects_t_outside_cache():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
-                  PhysicalConstants, PropagationConfig, Rest, RunReport,
+                  PhysicalConstants, Polynomial, PropagationConfig, RunReport,
                   SampledShape, Sinusoid, StaticPotential, Trajectory, WaveField,
                   analytic_psi, classical_motion_check, energy_split_check,
                   htilde_residual, infinitesimal_evolution_check, lowest_eigenpairs,
@@ -20,6 +20,7 @@ from nswp.grids import interior, kinetic_matrix, shift_values
 CONSTS = PhysicalConstants()
 OMEGA = 1.0
 PERIOD = 2.0 * math.pi / OMEGA
+REST = Polynomial((0.0,))  # d(t) = 0
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def test_htilde_residual_sho(sho_sol):
 
 def test_htilde_rest_reduces_to_eigen_residual(sho_sol):
     _, v, grid, pair = sho_sol
-    r = htilde_residual(pair.shape, v, Rest(), CONSTS, pair.energy, 0.0)
+    r = htilde_residual(pair.shape, v, REST, CONSTS, pair.energy, 0.0)
     assert r < 1e-4
 
 
@@ -114,7 +115,7 @@ def test_infinitesimal_evolution_second_order(sho_sol):
 
 def test_infinitesimal_evolution_rest(sho_sol):
     _, _, grid, pair = sho_sol
-    sol = NswpSolution(SampledShape.from_eigenpair(pair), Rest(),
+    sol = NswpSolution(SampledShape.from_eigenpair(pair), REST,
                        GaugeFunction.zero(), consts=CONSTS)
     err = infinitesimal_evolution_check(sol, grid, 0.8, 1e-3)
     assert err < 1e-9
@@ -163,9 +164,9 @@ def test_classical_motion_needs_uniform_snapshots():
     report = RunReport(times=[0.0, 0.1, 0.2, 0.3, 0.45], centroid=[0.0] * 5,
                        momentum_mean=[0.0] * 5)
     with pytest.raises(ConfigurationError, match="uniformly spaced"):
-        classical_motion_check(report, Rest(), CONSTS)
+        classical_motion_check(report, REST, CONSTS)
     report.times[-1] = 0.4
-    assert all(c.passed for c in classical_motion_check(report, Rest(), CONSTS))
+    assert all(c.passed for c in classical_motion_check(report, REST, CONSTS))
 
 
 def test_energy_split_sho_run(sho_result):
@@ -226,7 +227,7 @@ def test_shape_deviation_is_the_in_loop_formula_on_a_masked_window():
         return exact(t)[sel]
 
     config = PropagationConfig(dt=1e-2, t_end=1.0, grid=grid, snapshot_stride=10,
-                               boundary=AbsorbingMask(width=4.0, strength=40.0))
+                               mask=AbsorbingMask(width=4.0, strength=40.0))
     report = propagate(launched_gaussian(grid, 2.0), lambda x, t: np.zeros_like(x),
                        config, CONSTS)
     ref_peak = float(np.max(reference(config.t_start)))
