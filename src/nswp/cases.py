@@ -121,7 +121,8 @@ class NswpCase:
 
     def reference(self, grid: Grid1D):
         """t -> |f(x - d(t))|^2 at the window's points only, and the slice of
-        the grid that holds them: the window checks read no other point.
+        the grid that holds them: the window checks read no other point. For
+        an array of times the reference has one row per time.
         Raises RangeError unless the window and the two points either side
         of it, which the 5-point <P> stencil reads, lie inside the grid."""
         shape, d = self.sol.shape, self.sol.trajectory.d
@@ -135,7 +136,16 @@ class NswpCase:
                 f"two points either side of it do not fit the grid of {grid.n} points "
                 f"on [{grid.x_min:g}, {grid.x_max:g}]")
         x_window = grid.x[sel]
-        return (lambda t: shape.values_at(x_window - d(t)) ** 2), sel
+
+        def reference(t):
+            # Ai one time at a time: Ai of a block of rows holds several
+            # temporaries of the block's size
+            d_t = np.asarray(d(t))
+            rows = np.empty(d_t.shape + x_window.shape)
+            for i in np.ndindex(d_t.shape):
+                rows[i] = shape.values_at(x_window - d_t[i]) ** 2
+            return rows
+        return reference, sel
 
 
 def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
@@ -285,9 +295,9 @@ def run_sho_shifted(
                       {"n": n, "amplitude": amplitude, "omega": omega, "energy": sol.E_f},
                       family_checks)
     report = result.report
-    report.htilde_residual = [
-        htilde_residual(snap, v_static, sol.trajectory, consts, sol.E_f, t)
-        for snap, t in zip(report.snapshots, report.times)]
+    report.htilde_residual = htilde_residual(
+        report.snapshot_values, grid, v_static, sol.trajectory, consts, sol.E_f,
+        np.asarray(report.times)).tolist()
     return result
 
 
@@ -438,7 +448,7 @@ def run_airy_forced(
         )
         _, sel = case.reference(grid)
         times = np.asarray(report.times)
-        d, d_dot = np.array([sol.trajectory.eval(t)[:2] for t in times]).T
+        d, d_dot, _ = sol.trajectory.eval(times)
         peaks = np.array([_quadratic_peak(grid.x[sel], snap.density()[sel])
                           for snap in report.snapshots])
         peak_err = float(np.max(np.abs(peaks[1:] - peaks[0] - d[1:])
@@ -488,9 +498,7 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
 
     def evaluate():
         times = np.asarray(report.times)
-        width = np.sqrt(np.array([
-            observables(s, None, consts).variance for s in report.snapshots
-        ]))
+        width = np.sqrt(observables(report.snapshot_values, grid, None, consts).variance)
         law = sigma0 * np.sqrt(1.0 + (consts.hbar * times / (2 * consts.mass * sigma0**2)) ** 2)
         width_err = float(np.max(np.abs(width - law) / law))
         return [

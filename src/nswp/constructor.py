@@ -63,8 +63,9 @@ class Shape:
     def values_at(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def on_grid_shifted(self, grid: Grid1D, d: float) -> np.ndarray:
-        """Samples of f(x - d) on the grid."""
+    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
+        """Samples of f(x - d) on the grid: n of them for one shift d, one
+        row of n per shift for an array of shifts."""
         raise NotImplementedError
 
 
@@ -83,17 +84,19 @@ class SampledShape(Shape):
         # direct evaluation off-grid is not supported for sampled shapes
         raise NotImplementedError("sampled shapes evaluate on their own grid")
 
-    def on_grid_shifted(self, grid: Grid1D, d: float) -> np.ndarray:
+    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
         if grid != self.field.grid:
             raise RangeError("sampled shape must be evaluated on its own grid")
-        if abs(d) >= 0.5 * grid.width:
+        d = np.asarray(d, dtype=float)
+        if np.any(np.abs(d) >= 0.5 * grid.width):
             raise RangeError(f"shift {d} leaves the shape window")
-        if d == 0.0:
-            return self.field.values.real.copy()
-        shifted = shift_values(self.field.values.real, d, grid.dx)
+        f = self.field.values.real
+        shifted = shift_values(f, d, grid.dx)
+        # a zero shift is the samples themselves, not their FFT round trip
+        shifted[d == 0.0] = f
         # the spectral shift is periodic: where x - d lies off the grid it
         # holds the periodic image f(x - d -+ L), not the mode's f = 0 there
-        source = grid.x - d
+        source = grid.x - d[..., None]
         shifted[(source < grid.x_min) | (source > grid.x_max)] = 0.0
         return shifted
 
@@ -122,8 +125,8 @@ class AiryShape(Shape):
     def values_at(self, x):
         return ai_values(self.scale * (np.asarray(x) - self.energy / self.A))
 
-    def on_grid_shifted(self, grid: Grid1D, d: float) -> np.ndarray:
-        return self.values_at(grid.x - d)
+    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
+        return self.values_at(grid.x - np.asarray(d)[..., None])
 
 
 class NswpSolution:

@@ -3,7 +3,8 @@
 Solves the time-independent problem on the grid between Dirichlet walls in
 the sine discrete variable representation: the dense Hamiltonian
 T + V, T the Colbert-Miller kinetic matrix (``grids.kinetic_matrix``), is
-diagonalised by one ``numpy.linalg.eigh``. The modes converge spectrally in
+diagonalised by one ``numpy.linalg.eigh`` (``grids.hamiltonian_eigenpairs``,
+which the propagator shares). The modes converge spectrally in
 the number of points, so a few points per oscillation of the highest mode
 resolve it; the dense basis stops at ``grids.MAX_DENSE_POINTS``.
 
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConvergenceError, RangeError
-from .grids import Grid1D, PhysicalConstants, WaveField, kinetic_matrix, write_csv, write_json
+from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, hamiltonian_eigenpairs,
+                    sine_apply, write_csv, write_json)
 
 
 class StaticPotential:
@@ -69,30 +71,36 @@ def lowest_eigenpairs(
     """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
 
     The modes of the sine-DVR Hamiltonian T + V (``grids.kinetic_matrix``)
-    from one dense ``numpy.linalg.eigh``. Raises RangeError when k exceeds
-    the grid's n points or n exceeds ``grids.MAX_DENSE_POINTS`` (before any
-    n x n allocation), AccuracyError when a returned mode has not decayed
-    below 1e-6 of its peak at the domain edges, and ConvergenceError if the
-    eigensolve fails or the energies are not distinct and ascending.
-    ``residual`` is ||(T + V) f - E f|| / ||f||.
+    from one dense ``numpy.linalg.eigh`` (``grids.hamiltonian_eigenpairs``).
+    Raises RangeError when k exceeds the grid's n points or n exceeds
+    ``grids.MAX_DENSE_POINTS`` (before V is sampled), AccuracyError when a
+    returned mode has not decayed below 1e-6 of its peak at the domain
+    edges, and ConvergenceError if the eigensolve fails or the energies are
+    not distinct and ascending.
+    ``residual`` is ||(T + V) f - E f|| / ||f||, with T f the sine series'
+    ``grids.sine_apply`` of the symbol hbar^2 k^2 / 2m.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > grid.n:
         raise RangeError(f"k = {k} modes asked of a grid of n = {grid.n} points")
-    h = kinetic_matrix(grid.n, grid.dx, consts)
-    h[np.diag_indices(grid.n)] += np.asarray(v(grid.x), dtype=float)
+    _dense_points(grid.n)  # before V is sampled
+    v_samples = np.asarray(v(grid.x), dtype=float)
     try:
-        energies, vectors = np.linalg.eigh(h)
+        energies, vectors = hamiltonian_eigenpairs(grid, v_samples, consts)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
     energies = [float(e) for e in energies[:k]]
     if not np.all(np.diff(energies) > 0):
         raise ConvergenceError(f"energies {energies} are not distinct and ascending")
+
+    def kinetic(wavenumber):
+        return consts.hbar**2 / (2.0 * consts.mass) * wavenumber**2
+
     pairs = []
     for i, energy in enumerate(energies):
         f = _sign_normalize(vectors[:, i])
-        f /= np.sqrt(np.trapezoid(f**2, dx=grid.dx))
+        f = f / np.sqrt(np.trapezoid(f**2, dx=grid.dx))
         edge = max(abs(f[0]), abs(f[-1]))
         if edge > 1e-6 * np.max(np.abs(f)):
             raise AccuracyError(
@@ -104,7 +112,9 @@ def lowest_eigenpairs(
                 energy=energy,
                 shape=WaveField(grid=grid, values=f.astype(complex), time=0.0),
                 index=i,
-                residual=float(np.linalg.norm(h @ f - energy * f) / np.linalg.norm(f)),
+                residual=float(np.linalg.norm(sine_apply(f, grid.dx, kinetic).real
+                                              + (v_samples - energy) * f)
+                               / np.linalg.norm(f)),
             )
         )
     return pairs

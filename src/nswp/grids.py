@@ -7,9 +7,13 @@ Hamiltonian is the sine discrete variable representation (DVR) T + V of
 Colbert & Miller (J. Chem. Phys. 96, 1982 (1992)): the grid's n points are
 the interior points of a box whose walls lie one dx beyond either end, and
 ``kinetic_matrix`` is its dense kinetic matrix, shared by the eigensolver
-and the propagator. ``sine_apply`` differentiates the same sine series by
-an FFT of its odd extension, for <P>, <H> and the residual checks; the
-dense basis stops at ``MAX_DENSE_POINTS``. The 5-point weights
+and the propagator, which share its eigenpairs through the memoised
+``hamiltonian_eigenpairs``. ``sine_apply`` differentiates the same sine
+series by an FFT of its odd extension, for <P>, <H> and the residual
+checks; the dense basis stops at ``MAX_DENSE_POINTS``. ``observables``,
+``sine_apply`` and ``shift_values`` act along the last axis, so a
+(snapshots x n) array is measured in one call, ``BLOCK_ROWS`` rows per
+transform. The 5-point weights
 ``FD5_FIRST`` and ``FD5_SECOND``, spelled here only, serve the masked
 (periodic) Airy grids and time series. Fractional spatial shifts are done by
 Fourier interpolation so that sub-grid displacements are representable.
@@ -95,6 +99,8 @@ class WaveField:
 
 @dataclass(frozen=True)
 class Observables:
+    """Floats for one field; arrays of one value per row for a batch."""
+
     norm: float
     centroid: float
     momentum_mean: float
@@ -187,13 +193,45 @@ def kinetic_matrix(n: int, dx: float, consts: PhysicalConstants) -> np.ndarray:
     return t
 
 
+# the most snapshots one batched transform takes: a transform of k rows
+# holds a few complex k x 2(n + 1) temporaries, so memory grows with k
+BLOCK_ROWS = 32
+
+
+def row_blocks(rows: int) -> list:
+    """Slices of at most ``BLOCK_ROWS`` consecutive rows covering ``rows``."""
+    return [slice(i, min(i + BLOCK_ROWS, rows)) for i in range(0, rows, BLOCK_ROWS)]
+
+
+def hamiltonian_eigenpairs(grid: Grid1D, v, consts: PhysicalConstants):
+    """(E, U) of the sine-DVR Hamiltonian H = T + V on ``grid``, the
+    samples ``v`` of V on its diagonal: H = U diag(E) U^T from one dense
+    ``numpy.linalg.eigh`` of T + V, E ascending. Memoised on (n, dx,
+    consts, the bytes of V), so a run that diagonalises the matrix a mode
+    came from reuses its eigenpairs; the arrays are shared, so read-only.
+    Raises RangeError past ``MAX_DENSE_POINTS`` before anything n x n is
+    allocated."""
+    v = np.ascontiguousarray(np.broadcast_to(np.asarray(v, dtype=float), (grid.n,)))
+    return _hamiltonian_eigenpairs(_dense_points(grid.n), grid.dx, consts, v.tobytes())
+
+
+@lru_cache(maxsize=2)
+def _hamiltonian_eigenpairs(n: int, dx: float, consts: PhysicalConstants, v: bytes):
+    h = kinetic_matrix(n, dx, consts)
+    h[np.diag_indices(n)] += np.frombuffer(v)
+    energies, vectors = np.linalg.eigh(h)
+    energies.flags.writeable = vectors.flags.writeable = False
+    return energies, vectors
+
+
 def _sine_spectrum(values: np.ndarray, dx: float):
     """``numpy.fft`` spectrum of the odd extension (0, v, 0, -v reversed) of
-    n samples, one period of 2(n + 1) points, and its wavenumbers."""
-    n = len(values)
-    ext = np.zeros(2 * (n + 1), dtype=complex)
-    ext[1:n + 1] = values
-    ext[n + 2:] = -values[::-1]
+    the n samples along the last axis, one period of 2(n + 1) points, and
+    its wavenumbers."""
+    n = values.shape[-1]
+    ext = np.zeros(values.shape[:-1] + (2 * (n + 1),), dtype=complex)
+    ext[..., 1:n + 1] = values
+    ext[..., n + 2:] = -values[..., ::-1]
     return np.fft.fft(ext), _wavenumbers(2 * (n + 1), dx, False)
 
 
@@ -201,61 +239,80 @@ def sine_apply(values: np.ndarray, dx: float, symbol) -> np.ndarray:
     """The operator of Fourier symbol ``symbol(k)`` (d/dx has ik) applied to
     the sine series through ``values`` that vanishes on walls one ``dx``
     beyond either end, at the grid points: one FFT of the odd extension,
-    times the symbol, and back; complex. The symbol must be even or odd in
-    k, so the result is again a sine or a cosine series. Spectrally
-    accurate for a field that is smooth and small at the walls."""
+    times the symbol, and back; complex. Acts along the last axis; a symbol
+    of more than one row broadcasts against the rows of ``values``. The
+    symbol must be even or odd in k, so the result is again a sine or a
+    cosine series. Spectrally accurate for a field that is smooth and small
+    at the walls."""
     spectrum, k = _sine_spectrum(values, dx)
-    return np.fft.ifft(symbol(k) * spectrum)[1:len(values) + 1]
+    return np.fft.ifft(symbol(k) * spectrum)[..., 1:values.shape[-1] + 1]
 
 
 def observables(
-    psi: WaveField, v_of_x: np.ndarray | None = None,
+    values: np.ndarray, grid: Grid1D, v_of_x: np.ndarray | None = None,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> Observables:
-    """Norm, <x>, <P>, <H> and spatial variance of a field.
+    """Norm, <x>, <P>, <H> and spatial variance of the fields ``values``
+    on ``grid``: one field of n samples, whose observables are floats, or a
+    (snapshots x n) array, whose observables are arrays of one value per
+    row, taken ``BLOCK_ROWS`` rows at a time.
 
     The density re^2 + im^2 is formed once; <x> and the variance are its
     dot products with x and (x - <x>)^2. <P> and the kinetic part of <H>
     are those of the sine series through the points (walls one dx beyond
     either end), from one FFT of its odd extension: <H> is
     <psi|T psi> + <V rho> with T the sine-DVR ``kinetic_matrix``.
-    ``v_of_x`` holds potential samples on the grid; when None the energy is
-    purely kinetic. Raises DegenerateFieldError for an (almost) zero field.
+    ``v_of_x`` holds potential samples on the grid, one row for all fields
+    or one per field; when None the energy is purely kinetic. Raises
+    DegenerateFieldError for an (almost) zero field.
     """
-    dx = psi.grid.dx
-    x = psi.grid.x
-    values = psi.values
+    rows = np.atleast_2d(values)
+    v_rows = None if v_of_x is None else np.broadcast_to(v_of_x, rows.shape)
+    columns = np.empty((5, len(rows)))
+    for blk in row_blocks(len(rows)):
+        columns[:, blk] = _observables_block(
+            rows[blk], grid, None if v_rows is None else v_rows[blk], consts)
+    if np.ndim(values) == 1:
+        columns = columns[:, 0].tolist()
+    return Observables(*columns)
+
+
+def _observables_block(values, grid, v_of_x, consts) -> tuple:
+    """(norm, <x>, <P>, <H>, variance) of each row of ``values``."""
+    dx, x = grid.dx, grid.x
     rho = values.real * values.real
     rho += values.imag * values.imag
-    nrm2 = dx * float(rho.sum())
-    if nrm2 < 1e-24:
-        raise DegenerateFieldError(f"field norm {np.sqrt(nrm2):g} below 1e-12")
-    centroid = dx * float(np.dot(x, rho)) / nrm2
-    xc = x - centroid
-    variance = dx * float(np.dot(xc * xc, rho)) / nrm2
+    nrm2 = dx * rho.sum(axis=-1)
+    if np.any(nrm2 < 1e-24):
+        raise DegenerateFieldError(f"field norm {np.sqrt(np.min(nrm2)):g} below 1e-12")
+    centroid = dx * (rho @ x) / nrm2
+    xc = x - centroid[:, None]
+    variance = dx * np.vecdot(xc * xc, rho) / nrm2
 
     # one spectrum of the sine series: <P> = dx sum conj(psi) (-i hbar) psi'
     # with psi' its derivative, and the kinetic sum sum conj(psi) T psi by
     # Parseval over the odd extension's 2(n + 1) points, which hold psi twice
     spectrum, k = _sine_spectrum(values, dx)
-    d1 = np.fft.ifft(1j * k * spectrum)[1:len(values) + 1]
-    p_mean = consts.hbar * dx * float(np.vdot(values, d1).imag) / nrm2
+    d1 = np.fft.ifft(1j * k * spectrum)[:, 1:grid.n + 1]
+    p_mean = consts.hbar * dx * np.vecdot(values, d1).imag / nrm2
 
     # <H> of T + V, the energy the Dirichlet step conserves
     power = spectrum.real * spectrum.real
     power += spectrum.imag * spectrum.imag
-    e_sum = consts.hbar**2 / (2.0 * consts.mass) * float(np.dot(k * k, power)) / (2 * len(k))
+    e_sum = consts.hbar**2 / (2.0 * consts.mass) * (power @ (k * k)) / (2 * len(k))
     if v_of_x is not None:
-        e_sum += float(np.dot(v_of_x, rho))
+        e_sum += np.vecdot(v_of_x, rho)
     e_mean = dx * e_sum / nrm2
+    return np.sqrt(nrm2), centroid, p_mean, e_mean, variance
 
-    return Observables(
-        norm=float(np.sqrt(nrm2)),
-        centroid=centroid,
-        momentum_mean=p_mean,
-        energy_mean=e_mean,
-        variance=variance,
-    )
+
+def _phases(angle: np.ndarray) -> np.ndarray:
+    """exp(i angle), filled by a real cos and sin (about half the cost of a
+    complex exp)."""
+    phase = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phase.real)
+    np.sin(angle, out=phase.imag)
+    return phase
 
 
 @lru_cache(maxsize=8)
@@ -268,21 +325,26 @@ def _wavenumbers(n: int, dx: float, real: bool) -> np.ndarray:
     return k
 
 
-def shift_values(values: np.ndarray, a: float, dx: float) -> np.ndarray:
+def shift_values(values: np.ndarray, a, dx: float) -> np.ndarray:
     """Fourier-interpolated shift: h(x) -> h(x - a), periodic wrap.
 
-    Real ``values`` take the half spectrum (``rfft``/``irfft``) and give a
-    real array; complex ones the full spectrum. The phase exp(-i k a) is
-    filled by a real cos and sin."""
+    ``values`` is one field of n samples; ``a`` is one shift, which gives n
+    samples, or an array of shifts, which gives one row of n per shift,
+    ``BLOCK_ROWS`` rows per inverse transform. Real ``values`` take the half
+    spectrum (``rfft``/``irfft``) and give real rows; complex ones the full
+    spectrum."""
     n = len(values)
     real = not np.iscomplexobj(values)
-    angle = -a * _wavenumbers(n, dx, real)
-    phase = np.empty(len(angle), dtype=complex)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
-    if real:
-        return np.fft.irfft(np.fft.rfft(values) * phase, n)
-    return np.fft.ifft(np.fft.fft(values) * phase)
+    a = np.asarray(a, dtype=float)
+    k = _wavenumbers(n, dx, real)
+    spectrum = np.fft.rfft(values) if real else np.fft.fft(values)
+    out = np.empty(a.shape + (n,), dtype=values.dtype if real else complex)
+    flat_a, flat_out = a.reshape(-1), out.reshape(-1, n)
+    for blk in row_blocks(len(flat_a)):
+        phase = _phases(-flat_a[blk, None] * k)
+        np.multiply(spectrum, phase, out=phase)
+        flat_out[blk] = np.fft.irfft(phase, n) if real else np.fft.ifft(phase)
+    return out
 
 
 def shift_field(psi: WaveField, a: float) -> WaveField:

@@ -11,13 +11,20 @@ exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
 alone. The step guard dt * max|V| / hbar < 0.5 runs on V_ref and on the full
 V(t + dt/2) of every step where it moved off V_ref.
 
-Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for the sine-DVR
-Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T the
-Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
-``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T, and the step is the one
-complex matrix U diag(exp(-i E dt / hbar)) U^T, unitary up to round-off. A
-static V is therefore exact in time at any dt, and a time-dependent V is
-second order, through the kicks. The dense basis stops at
+Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for
+the sine-DVR Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T
+the Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
+``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T
+(``grids.hamiltonian_eigenpairs``, shared with the eigensolver). While V at
+the step midpoints is V_ref, the run is exp(-i k dt H_ref / hbar) after k
+steps, so every snapshot of that stretch, and the state at the step where V
+first moves, is U (exp(-i E k dt / hbar) * U^T psi0), one product for all of
+them; a static V is therefore exact in time at any dt, and a run whose V
+never moves takes no step at all. From the first step where V moves the
+fixed part is the complex matrix U diag(exp(-i E dt / hbar)) U^T, unitary up
+to round-off, and the error is second order in dt, through the kicks. The
+snapshots fill the rows of one array, and their norm and observables are
+measured as one batch when the run ends; the dense basis stops at
 ``grids.MAX_DENSE_POINTS``.
 
 An ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
@@ -30,19 +37,23 @@ steps can be long: the Airy runs step at dt = 1e-2, where F sampled at the
 step midpoints leaves a global error near T dt^2 |F''| / 24 ~ 1e-5, below
 the ~1.6e-4 density floor that the mask and the check window set.
 Amplitude that reaches the outermost cells would wrap around to the other
-edge; the record step raises ``BoundaryError`` when it does.
+edge; the check on each snapshot raises ``BoundaryError`` as the run steps
+when it does. Between walls the batch of snapshots is checked when the run
+ends: the first that lost norm or holds amplitude at the edge cells raises
+``BoundaryError`` with its t, and the partial report ends there.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundaryError, ConfigurationError, RangeError
-from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, _wavenumbers,
-                    kinetic_matrix, observables)
+from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, _phases, _wavenumbers,
+                    hamiltonian_eigenpairs, observables, row_blocks)
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,10 @@ class RunReport:
 
     ``propagate`` fills the times, the norm, the Dirichlet observables and
     the snapshots; ``shape_deviation`` and ``htilde_residual`` stay empty
-    until a scenario measures them from the snapshots (``verifier``)."""
+    until a scenario measures them from the snapshots (``verifier``). The
+    snapshots' samples are the rows of one (snapshots x n) complex array,
+    ``snapshot_values``, which the ``verifier`` measures as one batch;
+    ``snapshots`` holds a ``WaveField`` view of each row, at its time."""
 
     times: list = field(default_factory=list)
     norm: list = field(default_factory=list)
@@ -117,11 +131,13 @@ class RunReport:
     shape_deviation: list = field(default_factory=list)
     htilde_residual: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    snapshot_values: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=complex))
 
     def to_dict(self) -> dict:
         """The metric columns the run recorded; an empty one is left out."""
         return {f.name: list(getattr(self, f.name)) for f in fields(self)
-                if f.name != "snapshots" and getattr(self, f.name)}
+                if f.name not in ("snapshots", "snapshot_values") and getattr(self, f.name)}
 
 
 _STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
@@ -161,14 +177,25 @@ def _eigen_step(v_ref, dt: float, grid: Grid1D, consts: PhysicalConstants) -> np
     """exp(-i dt (T + V_ref) / hbar) as one dense complex matrix, from the
     eigenpairs of the sine-DVR Hamiltonian, after the step guard on V_ref."""
     v_ref = _guarded_potential(v_ref, dt, grid.n, consts)
-    h = kinetic_matrix(grid.n, grid.dx, consts)
-    h[np.diag_indices(grid.n)] += v_ref
-    energies, vectors = np.linalg.eigh(h)
-    angle = (-dt / consts.hbar) * energies
-    phase = np.empty(grid.n, dtype=complex)
-    np.cos(angle, out=phase.real)
-    np.sin(angle, out=phase.imag)
-    return (vectors * phase) @ vectors.T
+    energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
+    return (vectors * _phases((-dt / consts.hbar) * energies)) @ vectors.T
+
+
+def _eigen_evolution(psi0: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
+                     steps, dt: float, hbar: float, out: np.ndarray) -> np.ndarray:
+    """Row r of ``out`` set to exp(-i k dt H / hbar) psi0 = U (exp(-i E k dt /
+    hbar) * U^T psi0), k = ``steps[r]``, for H = U diag(E) U^T; the real and
+    imaginary parts each one real product with U^T per block of
+    ``BLOCK_ROWS`` rows."""
+    re, im = vectors.T @ psi0.real, vectors.T @ psi0.imag
+    steps = np.asarray(steps, dtype=float)
+    for blk in row_blocks(len(steps)):
+        angle = np.outer(steps[blk] * (-dt / hbar), energies)
+        cos, sin = np.cos(angle), np.sin(angle)
+        rows = out[blk]
+        rows.real = (cos * re - sin * im) @ vectors.T
+        rows.imag = (sin * re + cos * im) @ vectors.T
+    return out
 
 
 def edge_ramp(grid: Grid1D, width: float) -> np.ndarray:
@@ -190,15 +217,10 @@ def _kinetic_phase(grid: Grid1D, dt: float, consts: PhysicalConstants) -> np.nda
     return np.exp(-0.5j * consts.hbar * dt / consts.mass * k**2)
 
 
-def _half_kick(dv, dt, n, consts) -> np.ndarray:
-    """exp(-i dV dt / 2 hbar), filled by a real cos and sin (about half the
-    cost of a complex exp). Unguarded: |dV| may exceed the |V| the guard
+def _half_kick(dv, dt, consts) -> np.ndarray:
+    """exp(-i dV dt / 2 hbar). Unguarded: |dV| may exceed the |V| the guard
     passed."""
-    angle = (-0.5 * dt / consts.hbar) * dv
-    kick = np.empty(n, dtype=complex)
-    np.cos(angle, out=kick.real)
-    np.sin(angle, out=kick.imag)
-    return kick
+    return _phases((-0.5 * dt / consts.hbar) * dv)
 
 
 def propagate(
@@ -207,18 +229,20 @@ def propagate(
     config: PropagationConfig,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> RunReport:
-    """Step ``initial`` from ``config.t_start`` to t_end, recording a
+    """Evolve ``initial`` from ``config.t_start`` to t_end, recording a
     snapshot every ``snapshot_stride`` steps and at t_end.
 
     Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
     prepared once (see the module docstring). Between Dirichlet walls the
     fixed part is the exact evolution of T + V_ref, V_ref = V(t_start + dt/2),
-    over dt, and each
-    snapshot records the norm and the observables under ``v_fn``; under an
-    absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
-    follows the second kick and each snapshot records the norm only. The
-    shape deviation and H-tilde residual columns are left empty: the
-    ``verifier`` measures them from the snapshots. ``initial.time`` must be
+    over dt; while V(t + dt/2) is V_ref, every snapshot and the state where
+    V first moves come from one product in the eigenbasis of T + V_ref, and
+    the steps only run from there. Once all snapshots are in, their norm and
+    observables under ``v_fn`` are measured as one batch. Under an absorbing
+    mask V_ref = 0, the fixed part is the kinetic phase, the mask follows
+    the second kick and each snapshot records the norm only. The shape
+    deviation and H-tilde residual columns are left empty: the ``verifier``
+    measures them from the snapshots. ``initial.time`` must be
     ``config.t_start``.
     """
     grid = config.grid
@@ -229,65 +253,73 @@ def propagate(
             f"initial field is at t = {initial.time:.12g} but the run starts at "
             f"t_start = {config.t_start:.12g}"
         )
-    x = grid.x
-    dt = config.dt
-    n_steps = config.n_steps
+    x, dt, t_start, n_steps = grid.x, config.dt, config.t_start, config.n_steps
     dirichlet = config.mask is None
-    peak0 = float(np.max(np.abs(initial.values)))
-    report = RunReport()
+    # the steps a snapshot is taken after: 0, every stride-th, and the last
+    steps = [0, *range(config.snapshot_stride, n_steps, config.snapshot_stride), n_steps]
+    times = [t_start + k * dt for k in steps]
+    rows = np.empty((len(steps), grid.n), dtype=complex)
+    rows[0] = initial.values
 
-    def record(values, t):
-        psi = WaveField(grid=grid, values=values, time=t)
-        report.times.append(t)
-        report.snapshots.append(psi)
-        if dirichlet:
-            obs = observables(psi, v_fn(x, t), consts)
-            report.norm.append(obs.norm)
-            report.centroid.append(obs.centroid)
-            report.momentum_mean.append(obs.momentum_mean)
-            report.energy_mean.append(obs.energy_mean)
-            # the Dirichlet step is unitary, so a
-            # boundary hit shows up as amplitude piling onto the edge cells
-            # (reflection), not as norm loss; check both anyway.
-            edge = max(abs(values[1]), abs(values[-2]))
-            if (report.norm[-1] < report.norm[0] * (1.0 - 1e-3)
-                    or edge > 1e-3 * np.max(np.abs(values))):
-                raise BoundaryError(
-                    f"wave packet hit the boundary at t={t:.6g} "
-                    f"(relative edge amplitude {edge / np.max(np.abs(values)):.2e})",
-                    partial_report=report,
-                )
-        else:
-            report.norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(values) ** 2))))
-            # the split step's domain is periodic: amplitude the mask left
-            # at the edges would come back in at the other side
-            edge = max(abs(values[0]), abs(values[-1]))
-            if not edge <= 1e-2 * peak0:
-                raise BoundaryError(
-                    f"wave packet wrapped around the periodic domain at t={t:.6g} "
-                    f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
-                    "widen or strengthen the absorbing mask",
-                    partial_report=report,
-                )
+    def report(count: int, **columns) -> RunReport:
+        """The run's first ``count`` snapshots with their ``columns``."""
+        return RunReport(
+            times=times[:count], snapshot_values=rows[:count],
+            snapshots=[WaveField(grid=grid, values=row, time=t)
+                       for row, t in zip(rows[:count], times)],
+            **{name: column[:count] for name, column in columns.items()})
 
-    values = initial.values.copy()
-    t = config.t_start
-    record(values, t)
+    def v_mid(i: int) -> np.ndarray:
+        """V at the midpoint of step ``i``."""
+        return np.asarray(v_fn(x, (t_start + i * dt) + 0.5 * dt), dtype=float)
+
     if dirichlet:
         # a copy: a v_fn may refill and return one buffer
-        v_ref = np.array(v_fn(x, t + 0.5 * dt), dtype=float)
-        step = _eigen_step(v_ref, dt, grid, consts)
+        v_ref = np.array(v_fn(x, t_start + 0.5 * dt), dtype=float)
+        energies, vectors = hamiltonian_eigenpairs(
+            grid, _guarded_potential(v_ref, dt, grid.n, consts), consts)
+        # the first step at which V moves off V_ref: V has not moved while
+        # its bytes are V_ref's (a NaN, or a -0.0 for a 0.0, ends the
+        # stretch, which costs steps, not accuracy)
+        ref_bytes = v_ref.tobytes()
+        start = next((i for i in range(n_steps) if v_mid(i).tobytes() != ref_bytes), n_steps)
+        row = bisect.bisect_right(steps, start)  # the first snapshot after it
+        _eigen_evolution(initial.values, energies, vectors, steps[1:row], dt,
+                         consts.hbar, rows[1:row])
+        if start < n_steps:
+            values = _eigen_evolution(initial.values, energies, vectors, [start], dt,
+                                      consts.hbar, np.empty((1, grid.n), dtype=complex))[0]
+            step = _eigen_step(v_ref, dt, grid, consts)
     else:
-        v_ref = 0.0
+        v_ref, start, row = 0.0, 0, 1
+        values = initial.values.copy()
         kinetic = _kinetic_phase(grid, dt, consts)
         mask = _mask_profile(grid, config.mask, dt)
-    for i in range(n_steps):
-        v_mid = np.asarray(v_fn(x, t + 0.5 * dt), dtype=float)
-        dv = v_mid - v_ref
+        peak0 = float(np.max(np.abs(values)))
+        norm = []
+
+        def record(r: int) -> None:
+            """The norm of snapshot ``r``, and the wrap-around check on it."""
+            norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(rows[r]) ** 2))))
+            # the split step's domain is periodic: amplitude the mask left
+            # at the edges would come back in at the other side
+            edge = max(abs(rows[r, 0]), abs(rows[r, -1]))
+            if not edge <= 1e-2 * peak0:
+                raise BoundaryError(
+                    f"wave packet wrapped around the periodic domain at t={times[r]:.6g} "
+                    f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
+                    "widen or strengthen the absorbing mask",
+                    partial_report=report(r + 1, norm=norm),
+                )
+        record(0)
+
+    for i in range(start, n_steps):
+        v = v_mid(i)
+        dv = v - v_ref
         kick = None
         if dv.any():  # V moved off V_ref; a NaN counts as a move
-            _guarded_potential(v_mid, dt, grid.n, consts)
-            kick = _half_kick(dv, dt, grid.n, consts)
+            _guarded_potential(v, dt, grid.n, consts)
+            kick = _half_kick(dv, dt, consts)
             values = kick * values
         if dirichlet:
             values = step @ values
@@ -297,7 +329,31 @@ def propagate(
             values = kick * values
         if not dirichlet:
             values *= mask
-        t = config.t_start + (i + 1) * dt
-        if (i + 1) % config.snapshot_stride == 0 or i + 1 == n_steps:
-            record(values, t)
-    return report
+        if i + 1 == steps[row]:
+            rows[row] = values
+            if not dirichlet:
+                record(row)
+            row += 1
+    if not dirichlet:
+        return report(len(steps), norm=norm)
+
+    v_snap = np.empty((len(steps), grid.n))
+    for r, t in enumerate(times):
+        v_snap[r] = v_fn(x, t)
+    obs = observables(rows, grid, v_snap, consts)
+    columns = {"norm": obs.norm.tolist(), "centroid": obs.centroid.tolist(),
+               "momentum_mean": obs.momentum_mean.tolist(),
+               "energy_mean": obs.energy_mean.tolist()}
+    # the Dirichlet step is unitary, so a boundary hit shows up as amplitude
+    # piling onto the edge cells (reflection), not as norm loss; check both
+    edge = np.maximum(np.abs(rows[:, 1]), np.abs(rows[:, -2]))
+    peak = np.max(np.abs(rows), axis=1)
+    hit = (obs.norm < obs.norm[0] * (1.0 - 1e-3)) | (edge > 1e-3 * peak)
+    if hit.any():
+        j = int(np.argmax(hit))
+        raise BoundaryError(
+            f"wave packet hit the boundary at t={times[j]:.6g} "
+            f"(relative edge amplitude {edge[j] / peak[j]:.2e})",
+            partial_report=report(j + 1, **columns),
+        )
+    return report(len(steps), **columns)

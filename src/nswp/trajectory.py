@@ -18,7 +18,8 @@ from .quadrature import cumulative_antiderivative
 
 
 class Trajectory:
-    """Base: subclasses implement eval(t) -> (d, d_dot, d_ddot)."""
+    """Base: subclasses implement eval(t) -> (d, d_dot, d_ddot), for one
+    time t or, element by element, for an array of times."""
 
     kind = "abstract"
 
@@ -49,7 +50,7 @@ class Polynomial(Trajectory):
         object.__setattr__(self, "_series", (d, d_dot, P.polyder(d_dot)))
 
     def eval(self, t):
-        return tuple(float(P.polyval(t, c)) for c in self._series)
+        return tuple(P.polyval(t, c) for c in self._series)
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,9 @@ class ForceTrajectory(Trajectory):
             raise RangeError(f"t={t} outside cached force range [0, {self.t_max}]")
 
     def eval(self, t):
+        if isinstance(t, np.ndarray) and t.ndim:
+            # F takes one time, so an array of times is taken one at a time
+            return tuple(np.array([self.eval(s) for s in t.tolist()]).reshape(-1, 3).T)
         self._check_range(t)
         m = self.m
         d = 0.5 * self.A * t**2 / m + float(self._int2_f(t)) / m

@@ -11,8 +11,10 @@ a wave code cannot assert operator identities directly).
 A run's measurements beyond the norm and the observables are taken here,
 from the snapshots that ``propagate`` keeps: ``shape_deviation`` (the
 density against a reference, the rigidity claim) and ``htilde_residual``
-(the eigenvalue relation). Each is a few passes over the snapshot's
-points per call, one call per snapshot.
+(the eigenvalue relation). Each takes all of a run's snapshots, the rows
+of its ``snapshot_values``, in one call and transforms them along the
+last axis, ``grids.BLOCK_ROWS`` rows at a time; one field is the one-row
+case.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .constructor import RESIDUAL_MARGIN, NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
 from .errors import ConfigurationError
-from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, interior, shift_field,
+from .grids import (Grid1D, PhysicalConstants, fd5_first, interior, row_blocks, shift_field,
                     shift_values, sine_apply)
 from .propagator import RunReport
 from .trajectory import Trajectory
@@ -64,34 +66,50 @@ class CheckResult:
         }
 
 
-def htilde_residual(psi: WaveField, v: StaticPotential, traj: Trajectory,
-                    consts: PhysicalConstants, E_f: float, t: float) -> float:
+def htilde_residual(values: np.ndarray, grid: Grid1D, v: StaticPotential, traj: Trajectory,
+                    consts: PhysicalConstants, E_f: float, t):
     """|| [H_tilde - E_tilde] psi || / ||psi|| over the points at least
     ``RESIDUAL_MARGIN``, a length in x, from either edge
     (``grids.interior``), with psi'' and psi' those of the sine series
     between the grid's Dirichlet walls: the kinetic and -d_dot P terms are
-    one ``grids.sine_apply`` of the symbol hbar^2 k^2 / 2m - hbar d_dot k."""
+    one ``grids.sine_apply`` of the symbol hbar^2 k^2 / 2m - hbar d_dot k.
+
+    ``values`` is one field of n samples at the time ``t``, which gives a
+    float, or a (snapshots x n) array at the times ``t``, which gives one
+    residual per row, taken ``grids.BLOCK_ROWS`` rows at a time."""
     hbar, m = consts.hbar, consts.mass
-    d, d_dot, _ = traj.eval(t)
+    rows = np.atleast_2d(values)
+    d, d_dot, _ = (np.atleast_1d(c) for c in traj.eval(t))
     e_tilde = E_f - 0.5 * m * d_dot**2
+    sel = interior(grid, RESIDUAL_MARGIN)
+    out = np.empty(len(rows))
+    for blk in row_blocks(len(rows)):
+        psi, d_dot_b = rows[blk], d_dot[blk, None]
+        r = sine_apply(psi, grid.dx, lambda k: (hbar**2 / (2 * m) * k - hbar * d_dot_b) * k)
+        r += (v(grid.x - d[blk, None]) - e_tilde[blk, None]) * psi
+        out[blk] = (np.linalg.norm(r[:, sel], axis=-1)
+                    / np.linalg.norm(psi[:, sel], axis=-1))
+    return float(out[0]) if np.ndim(values) == 1 else out
 
-    values = psi.values
-    r = sine_apply(values, psi.grid.dx, lambda k: (hbar**2 / (2 * m) * k - hbar * d_dot) * k)
-    r += (v(psi.grid.x - d) - e_tilde) * values
-    sel = interior(psi.grid, RESIDUAL_MARGIN)
-    return float(np.linalg.norm(r[sel]) / np.linalg.norm(values[sel]))
 
-
-def shape_deviation(report: RunReport, reference: Callable[[float], np.ndarray],
+def shape_deviation(report: RunReport, reference: Callable[[np.ndarray], np.ndarray],
                     sel=slice(None), peak: Optional[float] = None) -> list[float]:
     """Per snapshot, the sup over the grid points ``sel`` of
     |rho - rho_ref(t)|, relative to ``peak``, by default the peak of
-    rho_ref at the first snapshot. ``reference(t)`` gives rho_ref at the
-    points ``sel``."""
+    rho_ref at the first snapshot. ``reference(times)`` gives rho_ref at
+    the points ``sel``, one row per time; it is asked for
+    ``grids.BLOCK_ROWS`` snapshots at a time."""
+    times = np.asarray(report.times)
     if peak is None:
-        peak = float(np.max(reference(report.times[0])))
-    return [float(np.max(np.abs(snap.density()[sel] - reference(t))) / peak)
-            for snap, t in zip(report.snapshots, report.times)]
+        peak = float(np.max(reference(times[:1])))
+    rows = report.snapshot_values
+    out = np.empty(len(times))
+    for blk in row_blocks(len(times)):
+        dev = np.abs(rows[blk][:, sel])
+        dev *= dev
+        dev -= reference(times[blk])
+        out[blk] = np.max(np.abs(dev, out=dev), axis=-1)
+    return (out / peak).tolist()
 
 
 def rigid_shape_deviation(report: RunReport) -> list[float]:
@@ -100,10 +118,11 @@ def rigid_shape_deviation(report: RunReport) -> list[float]:
     reference for a packet that may spread, relative to that density's
     peak. Needs the centroid column, which Dirichlet runs record."""
     rho0, dx = report.snapshots[0].density(), report.snapshots[0].grid.dx
-    shift = {t: c - report.centroid[0] for t, c in zip(report.times, report.centroid)}
+    times = np.asarray(report.times)
+    shift = np.asarray(report.centroid) - report.centroid[0]
 
-    def reference(t):
-        return shift_values(rho0, shift[t], dx)
+    def reference(ts):
+        return shift_values(rho0, shift[np.searchsorted(times, ts)], dx)
 
     # the peak of rho0 itself: its zero-shift FFT round trip can be an ulp off
     return shape_deviation(report, reference, peak=float(np.max(rho0)))
@@ -146,7 +165,7 @@ def classical_motion_check(report: RunReport, traj: Trajectory,
     centroid = np.asarray(report.centroid)
     momentum = np.asarray(report.momentum_mean)
 
-    d, d_dot, d_ddot = np.array([traj.eval(t) for t in times]).T
+    d, d_dot, d_ddot = traj.eval(times)
 
     dev_x = float(np.max(np.abs(centroid - centroid[0] - d)))
     dev_p = float(np.max(np.abs(momentum - consts.mass * d_dot)))
@@ -171,7 +190,7 @@ def energy_split_check(report: RunReport, sol: NswpSolution, v: StaticPotential,
     Not applicable to the non-normalizable Airy family.
     """
     energy = np.asarray(report.energy_mean)
-    d, d_dot, _ = np.array([sol.trajectory.eval(t) for t in report.times]).T
+    d, d_dot, _ = sol.trajectory.eval(np.asarray(report.times))
     expected = sol.E_f + 0.5 * consts.mass * d_dot**2 + v(d)
     dev = float(np.max(np.abs(energy - expected)))
     drift = float(np.max(energy) - np.min(energy))

@@ -6,7 +6,7 @@ and the acceptance suite.
 import numpy as np
 import pytest
 
-from nswp import PhysicalConstants
+from nswp import PhysicalConstants, grids
 from nswp.cases import (run_airy_forced, run_gaussian_spreading, run_sho_shifted,
                         run_sho_timedep_frequency, uniform_force)
 
@@ -42,6 +42,16 @@ def timedep_result():
     # the modulated trap and its static control; the report is the modulated
     # run's, the extras the negative-claim record
     return run_sho_timedep_frequency(modulation=0.2)
+
+
+@pytest.fixture
+def fresh_eigenpairs():
+    """An empty memo of ``grids.hamiltonian_eigenpairs`` before and after the
+    test, so that each eigensolve the test makes calls ``numpy.linalg.eigh``
+    and none it patched outlives it."""
+    grids._hamiltonian_eigenpairs.cache_clear()
+    yield
+    grids._hamiltonian_eigenpairs.cache_clear()
 
 
 def check_by_name(result, name):

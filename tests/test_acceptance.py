@@ -124,8 +124,8 @@ def test_criterion_07_decomposition(sho_result):
     v = StaticPotential.harmonic(1.0)
     e0 = sho_result.extras["energy"]
     worst = max(
-        htilde_residual(analytic_psi(sol, grid, t), v, sol.trajectory, CONSTS,
-                        e0, t)
+        htilde_residual(analytic_psi(sol, grid, t).values, grid, v, sol.trajectory,
+                        CONSTS, e0, t)
         for t in np.linspace(0.0, 2.0 * math.pi, 9)
     )
     slope = _loglog_slope(sol, grid, 0.9, drop=False)

@@ -254,6 +254,23 @@ def test_trap_verify_sizes_solves_and_configures_once(monkeypatch, tmp_path):
     assert len(configs) == 2 and configs[0] is configs[1]
 
 
+@pytest.mark.parametrize("run, eighs", [(run_sho_shifted, 1), (run_sho_timedep_frequency, 2)],
+                         ids=["sho", "sho-timedep-freq"])
+def test_one_eigensolve_per_distinct_hamiltonian(run, eighs, monkeypatch, fresh_eigenpairs):
+    # sho: the mode and the static run share T + V. The trap: the mode and
+    # the static control share T + V(w0); the modulated run has its own
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args):
+        calls.append(1)
+        return eigh(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run().passed
+    assert len(calls) == eighs
+
+
 @pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("consts", [CONSTS, PhysicalConstants(hbar=2.0, mass=0.5)])
 def test_trap_envelope_is_the_static_packet_without_modulation(omega0, consts):
@@ -267,9 +284,9 @@ def test_trap_envelope_bounds_the_modulated_run(timedep_result):
     # max over the snapshots of |<x>| + c sigma_x, with sigma_x the run's own
     # measured width, lies under the envelope and within 1 % of it
     c = nswp.cases._TRAP_ENVELOPE_SIGMAS
-    measured = max(abs(o.centroid) + c * math.sqrt(o.variance)
-                   for o in (observables(s, None, CONSTS)
-                             for s in timedep_result.report.snapshots))
+    report = timedep_result.report
+    obs = observables(report.snapshot_values, report.snapshots[0].grid, None, CONSTS)
+    measured = float(np.max(np.abs(obs.centroid) + c * np.sqrt(obs.variance)))
     half_width = trap_envelope_half_width(1.0, 0.2, CONSTS)
     assert timedep_result.report.snapshots[0].grid.x_max == half_width
     assert 0.99 * half_width < measured <= half_width

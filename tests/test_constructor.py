@@ -149,6 +149,14 @@ def test_density_is_pure_translation(sho_pieces):
         rho = analytic_psi(sol, grid, t).density()
         f = sol.shape.on_grid_shifted(grid, sol.trajectory.d(t))
         assert np.max(np.abs(rho - f**2)) < 1e-12
+    # an array of shifts gives the one-shift samples as its rows, bit for
+    # bit; the zero shift is the mode itself
+    times = np.array([0.0, 0.4, 2.2])
+    rows = sol.shape.on_grid_shifted(grid, sol.trajectory.d(times))
+    assert rows.shape == (3, grid.n)
+    assert np.array_equal(rows[0], sol.shape.field.values.real)
+    for row, t in zip(rows, times):
+        assert np.array_equal(row, sol.shape.on_grid_shifted(grid, sol.trajectory.d(t)))
 
 
 def test_gauge_change_is_global_phase(sho_pieces):

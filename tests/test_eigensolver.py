@@ -147,7 +147,7 @@ def test_residual_recheck():
         assert pair.residual < 1e-11
 
 
-def test_unsettled_iteration_raises(monkeypatch):
+def test_unsettled_iteration_raises(monkeypatch, fresh_eigenpairs):
     # eigh's QR iteration that does not settle raises LinAlgError
     def failing(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -158,7 +158,7 @@ def test_unsettled_iteration_raises(monkeypatch):
                           Grid1D(-12.0, 12.0, 256), CONSTS, 1)
 
 
-def test_out_of_order_refinement_raises(monkeypatch):
+def test_out_of_order_refinement_raises(monkeypatch, fresh_eigenpairs):
     # a solver that hands the energies back in the wrong order; they are
     # taken as eigh returns them, with no refinement after it
     eigh = np.linalg.eigh

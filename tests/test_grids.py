@@ -93,7 +93,7 @@ def test_observables_sho_ground():
     # ground Gaussian of the SHO (omega = hbar = m = 1): E = 0.5
     grid = Grid1D(-12.0, 12.0, 2048)
     psi = gaussian_field(grid, sigma=np.sqrt(0.5))
-    obs = observables(psi, 0.5 * grid.x**2)
+    obs = observables(psi.values, grid, 0.5 * grid.x**2)
     assert abs(obs.centroid) < 1e-10
     assert abs(obs.momentum_mean) < 1e-10
     assert abs(obs.energy_mean - 0.5) < 1e-12
@@ -105,8 +105,8 @@ def test_observables_phase_invariance():
     psi = gaussian_field(grid, center=0.3, k=0.7)
     rotated = WaveField(grid=grid, values=psi.values * np.exp(1j * 1.234))
     v = 0.5 * grid.x**2
-    o1 = observables(psi, v)
-    o2 = observables(rotated, v)
+    o1 = observables(psi.values, grid, v)
+    o2 = observables(rotated.values, grid, v)
     assert o1.centroid == pytest.approx(o2.centroid, abs=1e-13)
     assert o1.momentum_mean == pytest.approx(o2.momentum_mean, abs=1e-13)
     assert o1.energy_mean == pytest.approx(o2.energy_mean, abs=1e-13)
@@ -115,7 +115,7 @@ def test_observables_phase_invariance():
 def test_observables_plane_wave_boost():
     grid = Grid1D(-12.0, 12.0, 2048)
     psi = gaussian_field(grid, k=2.0)
-    obs = observables(psi, None)
+    obs = observables(psi.values, grid, None)
     # the sine-series derivative is exact to round-off for this packet
     assert abs(obs.momentum_mean - 2.0) < 1e-10
 
@@ -128,7 +128,7 @@ def test_observables_energy_is_the_dvr_expectation():
     psi = gaussian_field(grid, center=1.0, k=0.5).values
     h_psi = kinetic_matrix(grid.n, grid.dx, PhysicalConstants()) @ psi + v * psi
     expected = np.vdot(psi, h_psi).real / np.vdot(psi, psi).real
-    obs = observables(WaveField(grid=grid, values=psi), v)
+    obs = observables(psi, grid, v)
     assert obs.energy_mean == pytest.approx(expected, rel=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_observables_energy_is_numerov_expectation():
         grid = Grid1D(-8.0, 8.0, n)
         v = 0.5 * grid.x**2
         psi = gaussian_field(grid, center=1.0, k=0.5).values
-        energy = observables(WaveField(grid=grid, values=psi), v).energy_mean
+        energy = observables(psi, grid, v).energy_mean
         assert abs(energy - 1.25) < 1e-10
         gaps.append(abs(energy - numerov_energy(grid, v, psi)) / energy)
     dx_ratio4 = (255.0 / 127.0) ** 4
@@ -193,7 +193,7 @@ def test_observables_is_the_derivative_array_formula(n, seed, noise, hbar, mass)
     consts = PhysicalConstants(hbar, mass)
     psi = packet_with_noise(n, seed, noise)
     v = 0.5 * psi.grid.x**2  # V >= 0, so <H> > 0
-    obs = observables(psi, v, consts)
+    obs = observables(psi.values, psi.grid, v, consts)
     norm, centroid, p, e, variance = observables_by_derivative_arrays(psi, v, consts)
     assert obs.norm == pytest.approx(norm, rel=1e-12)
     assert obs.energy_mean == pytest.approx(e, rel=1e-12)
@@ -204,13 +204,23 @@ def test_observables_is_the_derivative_array_formula(n, seed, noise, hbar, mass)
     p_rms = (hbar * np.linalg.norm(sine_apply(psi.values, psi.grid.dx, lambda k: 1j * k))
              / np.linalg.norm(psi.values))
     assert abs(obs.momentum_mean - p) <= 1e-12 * p_rms
+    # a batch is the one-field observables, row by row, with one V per row:
+    # here the field and its complex conjugate (-<P>) under 2 V
+    batch = observables(np.stack([psi.values, np.conj(psi.values)]), psi.grid,
+                        np.stack([v, 2.0 * v]), consts)
+    other = observables(np.conj(psi.values), psi.grid, 2.0 * v, consts)
+    for name in ("norm", "centroid", "momentum_mean", "energy_mean", "variance"):
+        column, scale = getattr(batch, name), (psi.grid.x_max if name == "centroid" else 1.0)
+        assert column.shape == (2,)
+        for value, single in zip(column, (getattr(obs, name), getattr(other, name))):
+            assert abs(value - single) <= 1e-13 * max(scale, abs(single))
 
 
 def test_observables_degenerate_field():
     grid = Grid1D(-1.0, 1.0, 64)
     psi = WaveField(grid=grid, values=np.zeros(64))
     with pytest.raises(DegenerateFieldError):
-        observables(psi, None)
+        observables(psi.values, grid, None)
 
 
 def test_shift_identity():
@@ -221,7 +231,7 @@ def test_shift_identity():
 def test_shift_moves_centroid():
     psi = gaussian_field(Grid1D(-15.0, 15.0, 1024))
     shifted = shift_field(psi, 1.0)
-    assert abs(observables(shifted, None).centroid - 1.0) < 1e-8
+    assert abs(observables(shifted.values, shifted.grid).centroid - 1.0) < 1e-8
 
 
 def test_shift_roundtrip():
@@ -255,6 +265,11 @@ def test_real_shift_is_the_real_part_of_the_complex_shift(n, seed, frac):
     full = shift_values(h.astype(complex), a, grid.dx)
     assert real.dtype == np.float64 and real.shape == (n,)
     assert np.max(np.abs(real - full.real)) <= 1e-12 * np.max(np.abs(h))
+    # an array of shifts gives one row per shift, each the one-shift result
+    rows = shift_values(h, np.array([a, -a]), grid.dx)
+    assert rows.shape == (2, n)
+    assert np.array_equal(rows[0], real)
+    assert np.array_equal(rows[1], shift_values(h, -a, grid.dx))
 
 
 def test_shift_range_error():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
@@ -9,7 +11,7 @@ from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
                   inner_product, lowest_eigenpairs, observables,
                   propagate, shift_field)
 from nswp import propagator
-from nswp.grids import MAX_DENSE_POINTS, write_json
+from nswp.grids import BLOCK_ROWS, MAX_DENSE_POINTS, kinetic_matrix, write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
 from nswp.errors import BoundaryError, ConfigurationError, RangeError
 from nswp.propagator import MAX_STEPS, guarded_dt
@@ -33,7 +35,7 @@ def test_single_step_unitarity():
     grid = Grid1D(-10.0, 10.0, 512)
     psi = gaussian(grid)
     out = one_step(psi, np.zeros(grid.n), 1e-3)
-    assert abs(observables(out).norm - observables(psi).norm) < 1e-12
+    assert abs(observables(out.values, grid).norm - observables(psi.values, grid).norm) < 1e-12
     assert out.time == pytest.approx(1e-3)
 
 
@@ -170,7 +172,17 @@ def test_boundary_hit_raises():
         propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     partial = exc_info.value.partial_report
     assert partial is not None
-    assert len(partial.times) > 0
+    # the whole run is measured as one batch; the error names the first
+    # snapshot whose edge cells hold more than 1e-3 of its peak, and the
+    # partial report ends there
+    t_hit = partial.times[-1]
+    assert 0.0 < t_hit < config.t_end
+    assert f"t={t_hit:.6g} " in str(exc_info.value)
+    rows = partial.snapshot_values
+    assert len(rows) == len(partial.snapshots) == len(partial.norm) == len(partial.times)
+    relative_edge = (np.maximum(np.abs(rows[:, 1]), np.abs(rows[:, -2]))
+                     / np.max(np.abs(rows), axis=1))
+    assert np.all(relative_edge[:-1] <= 1e-3) and relative_edge[-1] > 1e-3
 
 
 def test_absorbing_mask_run():
@@ -224,11 +236,10 @@ def test_initial_time_must_be_the_start_time():
 
 # --- both steppers against test-side references -----------------------------
 
-def reference_run(initial, v_fn, config, step=None):
+def reference_run(initial, v_fn, config):
     """The exact evolution of T + V_ref, V_ref = V(t_start + dt/2), between two
     half kicks exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's
-    midpoint. The fixed part is ``exact_evolution``, or the matrix ``step``
-    when one is given."""
+    midpoint, the fixed part ``exact_evolution``."""
     x, dt = config.grid.x, config.dt
     values = initial.values.copy()
     t = config.t_start
@@ -236,11 +247,8 @@ def reference_run(initial, v_fn, config, step=None):
     for i in range(config.n_steps):
         angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
         kick = np.cos(angle) + 1j * np.sin(angle)
-        if step is None:
-            moved = WaveField(grid=config.grid, values=kick * values)
-            values = kick * exact_evolution(moved, v_ref, dt)
-        else:
-            values = kick * (step @ (kick * values))
+        moved = WaveField(grid=config.grid, values=kick * values)
+        values = kick * exact_evolution(moved, v_ref, dt)
         t = config.t_start + (i + 1) * dt
     return values
 
@@ -297,11 +305,60 @@ def test_time_dependent_v_matches_the_dense_reference():
                          - reference_run(initial, v_fn, config))) < 1e-12
 
 
+def eigen_route_run(initial, v_fn, config):
+    """propagate's route between walls written out with numpy, all snapshots
+    as rows. T + V_ref, V_ref = V(t_start + dt/2), is diagonalised test-side
+    (H = U diag(E) U^T). While V(t + dt/2) is V_ref, the state after k steps
+    is U (exp(-i E k dt / hbar) * U^T psi0), the real and imaginary parts
+    each one real product with U^T per block of ``BLOCK_ROWS`` snapshots;
+    the state at the step where V first moves is one more such product.
+    From there each step is a half kick, the step matrix
+    ``propagator._eigen_step`` and a half kick, as in ``reference_run``."""
+    grid, dt, hbar = config.grid, config.dt, CONSTS.hbar
+    x, n_steps, stride = grid.x, config.n_steps, config.snapshot_stride
+    steps = [0, *range(stride, n_steps, stride), n_steps]
+    v_ref = np.array(v_fn(x, config.t_start + 0.5 * dt), dtype=float)
+    h = kinetic_matrix(grid.n, grid.dx, CONSTS)
+    h[np.diag_indices(grid.n)] += v_ref
+    e, u = np.linalg.eigh(h)
+    start = next((i for i in range(n_steps)
+                  if (v_fn(x, (config.t_start + i * dt) + 0.5 * dt) - v_ref).any()), n_steps)
+
+    def evolved(ks):
+        re, im = u.T @ initial.values.real, u.T @ initial.values.imag
+        out = np.empty((len(ks), grid.n), dtype=complex)
+        for b in range(0, len(ks), BLOCK_ROWS):
+            angle = np.outer(np.asarray(ks[b:b + BLOCK_ROWS], dtype=float) * (-dt / hbar), e)
+            cos, sin = np.cos(angle), np.sin(angle)
+            out[b:b + BLOCK_ROWS].real = (cos * re - sin * im) @ u.T
+            out[b:b + BLOCK_ROWS].imag = (sin * re + cos * im) @ u.T
+        return out
+
+    snapshots = [initial.values, *evolved([k for k in steps[1:] if k <= start])]
+    if start == n_steps:
+        return np.array(snapshots)
+    values = evolved([start])[0]
+    step = propagator._eigen_step(v_ref, dt, grid, CONSTS)
+    for i in range(start, n_steps):
+        t = config.t_start + i * dt
+        angle = (-0.5 * dt / hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
+        kick = np.cos(angle) + 1j * np.sin(angle)
+        values = kick * (step @ (kick * values)) if angle.any() else step @ values
+        if i + 1 in steps:
+            snapshots.append(values)
+    return np.array(snapshots)
+
+
+def all_snapshots(initial, v_fn, config):
+    return propagate(initial, v_fn, config, CONSTS).snapshot_values
+
+
 # The two tests below held the loop to a reference built on scipy's banded
-# solver. The fixed part is now one dense matrix, checked against the
-# independent ``exact_evolution`` above; with that same matrix as its fixed
-# part the reference holds the loop (V_ref, the midpoint kicks and their
-# order) to propagate's result bit for bit.
+# solver, then to the step matrix repeated from the first step. While V is
+# V_ref the snapshots now come from one eigenbasis product, so they hold
+# every snapshot of propagate bit for bit to that route written out,
+# ``eigen_route_run``; the property after them holds it to the repeated
+# step within round-off.
 
 def test_static_v_bit_identical_to_banded_reference():
     grid = Grid1D(-8.0, 8.0, 128)
@@ -310,9 +367,8 @@ def test_static_v_bit_identical_to_banded_reference():
                                snapshot_stride=5)
     initial = gaussian(grid, center=1.0)
     v_fn = lambda x, t: v_samples
-    step = propagator._eigen_step(v_samples, config.dt, grid, CONSTS)
-    assert np.array_equal(final_values(initial, v_fn, config),
-                          reference_run(initial, v_fn, config, step))
+    assert np.array_equal(all_snapshots(initial, v_fn, config),
+                          eigen_route_run(initial, v_fn, config))
 
 
 def test_time_dependent_v_bit_identical_to_banded_reference():
@@ -324,9 +380,54 @@ def test_time_dependent_v_bit_identical_to_banded_reference():
     def v_fn(x, t):
         return 0.5 * (1.0 + 0.2 * np.sin(t)) ** 2 * x**2
 
-    step = propagator._eigen_step(v_fn(grid.x, 0.5 * config.dt), config.dt, grid, CONSTS)
-    assert np.array_equal(final_values(initial, v_fn, config),
-                          reference_run(initial, v_fn, config, step))
+    assert np.array_equal(all_snapshots(initial, v_fn, config),
+                          eigen_route_run(initial, v_fn, config))
+
+
+def repeated_step_run(initial, v_fn, config):
+    """Every snapshot of the step repeated from t_start, static V or not:
+    a half kick, the step matrix and a half kick."""
+    grid, dt = config.grid, config.dt
+    v_ref = np.array(v_fn(grid.x, config.t_start + 0.5 * dt), dtype=float)
+    step = propagator._eigen_step(v_ref, dt, grid, CONSTS)
+    values, snapshots = initial.values, [initial.values]
+    for i in range(config.n_steps):
+        t = config.t_start + i * dt
+        angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(grid.x, t + 0.5 * dt) - v_ref)
+        kick = np.cos(angle) + 1j * np.sin(angle)
+        values = kick * (step @ (kick * values))
+        if (i + 1) % config.snapshot_stride == 0 or i + 1 == config.n_steps:
+            snapshots.append(values)
+    return np.array(snapshots)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(48, 160), dt=st.floats(1e-3, 1e-2), n_steps=st.integers(1, 150),
+       stride=st.integers(1, 40), t_start=st.floats(-1.0, 1.0),
+       move=st.one_of(st.none(), st.floats(0.0, 1.0)))
+@example(n=128, dt=1e-2, n_steps=100, stride=5, t_start=0.0, move=None)
+@example(n=128, dt=1e-2, n_steps=100, stride=5, t_start=0.0, move=0.0)
+def test_static_stretch_agrees_with_the_repeated_step(n, dt, n_steps, stride, t_start, move):
+    # V is the static trap until the step ``move`` of the way through the
+    # run (the second step at least; None: never), then modulated; every
+    # snapshot agrees with the step repeated from t_start
+    grid = Grid1D(-8.0, 8.0, n)
+    v_static = 0.5 * grid.x**2
+    config = PropagationConfig(dt=dt, t_end=t_start + n_steps * dt, grid=grid,
+                               snapshot_stride=stride, t_start=t_start)
+    first = n_steps if move is None else 1 + int(move * (n_steps - 1))
+    t_move = t_start + (first + 0.25) * dt
+
+    def v_fn(x, t):
+        return v_static if t < t_move else v_static * (1.0 + 0.2 * np.sin(t - t_move))
+
+    initial = WaveField(grid=grid, values=gaussian(grid, center=1.0, k=0.5).values,
+                        time=t_start)
+    report = propagate(initial, v_fn, config, CONSTS)
+    reference = repeated_step_run(initial, v_fn, config)
+    assert report.snapshot_values.shape == reference.shape
+    peak = np.max(np.abs(initial.values))
+    assert np.max(np.abs(report.snapshot_values - reference)) < 1e-12 * peak
 
 
 def reference_split_run(initial, v_fn, config):
@@ -419,7 +520,8 @@ def test_split_step_guard():
 def test_reversed_step_bit_identical_to_banded_reference():
     # the reference was the banded Pade solve at -dt; H is real symmetric,
     # so the step back is, bit for bit, the complex conjugate of the step
-    # forward, and one step of propagate is that matrix's product
+    # forward. One step of a static V is the product in its eigenbasis,
+    # that matrix's product up to round-off
     grid = Grid1D(-10.0, 10.0, 256)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
@@ -427,21 +529,28 @@ def test_reversed_step_bit_identical_to_banded_reference():
     back = propagator._eigen_step(v, -1e-3, grid, CONSTS)
     assert np.array_equal(back, np.conj(fwd))
     out = one_step(psi, v, 1e-3)
-    assert np.array_equal(out.values, fwd @ psi.values)
+    assert np.max(np.abs(out.values - fwd @ psi.values)) < 1e-14 * np.max(np.abs(psi.values))
     assert out.time == pytest.approx(1e-3, abs=1e-15)
 
 
-def test_factor_once_per_distinct_v(monkeypatch):
-    # one factorization per run: a static V, a time-dependent V, and a v_fn
-    # that refills and returns one buffer
-    calls = []
-    factor = propagator._eigen_step
+def test_factor_once_per_distinct_v(monkeypatch, fresh_eigenpairs):
+    # one eigensolve per distinct V_ref, shared by every run that has it: a
+    # static V, a time-dependent V and a v_fn that refills and returns one
+    # buffer all start from the same V_ref. The step matrix is built only
+    # once V moves: never for the static V, once for each other run
+    eighs, steps = [], []
+    eigh, step = np.linalg.eigh, propagator._eigen_step
 
-    def counting_factor(*args):
-        calls.append(1)
-        return factor(*args)
+    def counting_eigh(*args):
+        eighs.append(1)
+        return eigh(*args)
 
-    monkeypatch.setattr(propagator, "_eigen_step", counting_factor)
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(propagator, "_eigen_step", counting_step)
     grid = Grid1D(-8.0, 8.0, 256)
     config = PropagationConfig(dt=1e-3, t_end=0.05, grid=grid,
                                snapshot_stride=10)
@@ -452,11 +561,10 @@ def test_factor_once_per_distinct_v(monkeypatch):
 
     v_samples = v_fn(grid.x, 0.5 * config.dt)
     static = final_values(initial, lambda x, t: v_samples, config)
-    assert len(calls) == 1
+    assert (len(eighs), len(steps)) == (1, 0)
 
-    calls.clear()
     moving = final_values(initial, v_fn, config)
-    assert len(calls) == 1
+    assert (len(eighs), len(steps)) == (1, 1)
 
     buf = np.empty(grid.n)
 
@@ -464,9 +572,8 @@ def test_factor_once_per_distinct_v(monkeypatch):
         buf[:] = v_fn(x, t)
         return buf
 
-    calls.clear()
     refilled = final_values(initial, in_place, config)
-    assert len(calls) == 1
+    assert (len(eighs), len(steps)) == (1, 2)
     # V_ref is a copy, so the buffer's later contents act as kicks; without
     # it the run would stay at V_ref, the static run
     assert np.array_equal(refilled, moving)

@@ -72,6 +72,17 @@ def test_derivative_consistency():
             assert abs(fd_a - d_ddot) / scale_a < 1e-6
 
 
+def test_eval_takes_an_array_of_times():
+    # element by element the one-time values; no time gives three empty arrays
+    times = np.array([0.0, 0.5, 1.2, 2.4])
+    for traj in all_kinds():
+        columns = traj.eval(times)
+        assert len(columns) == 3 and all(c.shape == times.shape for c in columns)
+        for i, t in enumerate(times):
+            assert tuple(c[i] for c in columns) == pytest.approx(traj.eval(t), rel=1e-15, abs=0.0)
+        assert all(c.shape == (0,) for c in traj.eval(np.array([])))
+
+
 def test_all_kinds_start_at_origin():
     for traj in all_kinds():
         assert abs(traj.d(0.0)) < 1e-12

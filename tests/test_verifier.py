@@ -38,13 +38,13 @@ def test_htilde_residual_sho(sho_sol):
     sol, v, grid, pair = sho_sol
     t = 0.37 * PERIOD
     psi = analytic_psi(sol, grid, t)
-    r = htilde_residual(psi, v, sol.trajectory, CONSTS, pair.energy, t)
+    r = htilde_residual(psi.values, grid, v, sol.trajectory, CONSTS, pair.energy, t)
     assert r < 1e-4
 
 
 def test_htilde_rest_reduces_to_eigen_residual(sho_sol):
     _, v, grid, pair = sho_sol
-    r = htilde_residual(pair.shape, v, REST, CONSTS, pair.energy, 0.0)
+    r = htilde_residual(pair.shape.values, grid, v, REST, CONSTS, pair.energy, 0.0)
     assert r < 1e-4
 
 
@@ -52,7 +52,7 @@ def test_htilde_detects_off_trajectory_shape(sho_sol):
     sol, v, grid, pair = sho_sol
     t = 0.2 * PERIOD
     corrupted = shift_field(analytic_psi(sol, grid, t), 0.1)
-    r = htilde_residual(corrupted, v, sol.trajectory, CONSTS, pair.energy, t)
+    r = htilde_residual(corrupted.values, grid, v, sol.trajectory, CONSTS, pair.energy, t)
     assert r > 1e-2
 
 
@@ -67,14 +67,13 @@ def sine_first_derivative_matrix(n, dx):
     return (c * k) @ s
 
 
-def htilde_residual_by_derivative_arrays(psi, v, traj, consts, E_f, t):
+def htilde_residual_by_derivative_arrays(values, grid, v, traj, consts, E_f, t):
     """The residual from the dense sine-DVR kinetic matrix and sine-series
     first-derivative matrix over the whole grid, and the size of its
     largest term, both relative to ||psi|| over the points the default
     margin keeps."""
     hbar, m = consts.hbar, consts.mass
     d, d_dot, _ = traj.eval(t)
-    values, grid = psi.values, psi.grid
     terms = (kinetic_matrix(grid.n, grid.dx, consts) @ values,
              (v(grid.x - d) - (E_f - 0.5 * m * d_dot**2)) * values,
              -d_dot * (-1j * hbar) * (sine_first_derivative_matrix(grid.n, grid.dx) @ values))
@@ -98,10 +97,20 @@ def test_htilde_residual_is_the_derivative_array_formula(n, seed, noise, amplitu
     psi = np.exp(-((grid.x - d) ** 2) / 2.0 + 1j * rng.uniform(-3.0, 3.0) * grid.x)
     psi = psi + noise * (rng.normal(size=n) + 1j * rng.normal(size=n))
     consts = PhysicalConstants(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-    args = (WaveField(grid=grid, values=psi), StaticPotential.harmonic(omega, consts.mass),
-            Sinusoid(amplitude=amplitude, omega=omega), consts, E_f, t)
-    reference, scale = htilde_residual_by_derivative_arrays(*args)
-    assert abs(htilde_residual(*args) - reference) <= 1e-12 * scale
+    v, traj = StaticPotential.harmonic(omega, consts.mass), Sinusoid(amplitude=amplitude,
+                                                                     omega=omega)
+    reference, scale = htilde_residual_by_derivative_arrays(psi, grid, v, traj, consts, E_f, t)
+    residual = htilde_residual(psi, grid, v, traj, consts, E_f, t)
+    assert abs(residual - reference) <= 1e-12 * scale
+    # a batch is the one-field residuals, row by row: here the field at t
+    # and its complex conjugate at t + 0.3
+    other, scale_other = htilde_residual_by_derivative_arrays(
+        np.conj(psi), grid, v, traj, consts, E_f, t + 0.3)
+    batch = htilde_residual(np.stack([psi, np.conj(psi)]), grid, v, traj, consts, E_f,
+                            np.array([t, t + 0.3]))
+    assert batch.shape == (2,)
+    assert abs(batch[0] - reference) <= 1e-12 * scale
+    assert abs(batch[1] - other) <= 1e-12 * scale_other
 
 
 def test_infinitesimal_evolution_second_order(sho_sol):
@@ -149,8 +158,8 @@ class ForceDropped(Trajectory):
         self.traj = traj
 
     def eval(self, t):
-        d, d_dot, _ = self.traj.eval(t)
-        return d, d_dot, 0.0
+        d, d_dot, d_ddot = self.traj.eval(t)
+        return d, d_dot, 0.0 * d_ddot
 
 
 def test_classical_motion_detects_dropped_force(sho_result):
@@ -202,8 +211,10 @@ def test_negative_claim_record(timedep_result):
 # --- shape deviation, measured from the snapshots ----------------------------
 
 def moving_gaussian_density(grid, v0):
-    """t -> |psi|^2 of the free unit Gaussian launched at speed v0."""
+    """t -> |psi|^2 of the free unit Gaussian launched at speed v0; one row
+    per time for an array of times."""
     def density(t):
+        t = np.asarray(t)[..., None]
         var = 0.5 * (1.0 + t**2)
         return np.exp(-((grid.x - v0 * t) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
     return density
@@ -224,7 +235,7 @@ def test_shape_deviation_is_the_in_loop_formula_on_a_masked_window():
     exact = moving_gaussian_density(grid, 2.0)
 
     def reference(t):
-        return exact(t)[sel]
+        return exact(t)[..., sel]
 
     config = PropagationConfig(dt=1e-2, t_end=1.0, grid=grid, snapshot_stride=10,
                                mask=AbsorbingMask(width=4.0, strength=40.0))
