@@ -281,7 +281,8 @@ def run_sho_shifted(
     sol, v_static = case.sol, case.v
 
     def family_checks(report):
-        overlap_dev = abs(1.0 - _overlap_mod(report.snapshots[0], report.snapshots[-1]))
+        snaps = report.snapshots
+        overlap_dev = abs(1.0 - _overlap_mod(snaps[0], snaps[-1]))
         return [
             CheckResult.below("shape_deviation", float(np.max(report.shape_deviation)),
                               5e-4),
@@ -332,9 +333,9 @@ def _window_checks(report: RunReport, case: NswpCase) -> list[CheckResult]:
     """The density mismatch over the case's window, and the mask
     contamination: the relative loss of the last snapshot's windowed
     probability content against the reference density's."""
-    reference, sel = case.reference(report.snapshots[-1].grid)
-    dx = report.snapshots[-1].grid.dx
-    content = np.trapezoid(report.snapshots[-1].density()[sel], dx=dx)
+    reference, sel = case.reference(report.grid)
+    dx = report.grid.dx
+    content = np.trapezoid(np.abs(report.snapshot_values[-1, sel]) ** 2, dx=dx)
     absorbed = float(abs(1.0 - content / np.trapezoid(reference(report.times[-1]), dx=dx)))
     return [CheckResult.below("windowed_density_mismatch",
                               float(np.max(report.shape_deviation)), 1e-3,
@@ -449,12 +450,13 @@ def run_airy_forced(
         _, sel = case.reference(grid)
         times = np.asarray(report.times)
         d, d_dot, _ = sol.trajectory.eval(times)
+        snaps = report.snapshots
         peaks = np.array([_quadratic_peak(grid.x[sel], snap.density()[sel])
-                          for snap in report.snapshots])
+                          for snap in snaps])
         peak_err = float(np.max(np.abs(peaks[1:] - peaks[0] - d[1:])
                                 / np.maximum(np.abs(d[1:]), 1.0)))
         p_window = np.array([_windowed_momentum(snap, sel, consts.hbar)
-                             for snap in report.snapshots])
+                             for snap in snaps])
         impulse = consts.mass * d_dot - A * times
         slope = float(np.polyfit(times, p_window - impulse, 1)[0])
         mismatch, loss = _window_checks(report, case)

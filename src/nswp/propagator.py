@@ -38,9 +38,11 @@ step midpoints leaves a global error near T dt^2 |F''| / 24 ~ 1e-5, below
 the ~1.6e-4 density floor that the mask and the check window set.
 Amplitude that reaches the outermost cells would wrap around to the other
 edge; the check on each snapshot raises ``BoundaryError`` as the run steps
-when it does. Between walls the batch of snapshots is checked when the run
-ends: the first that lost norm or holds amplitude at the edge cells raises
-``BoundaryError`` with its t, and the partial report ends there.
+when it does. Between walls the snapshots of the static stretch are checked
+as one batch once the product has made them, and each later one as its step
+makes it: the first that lost norm or holds amplitude at the edge cells
+raises ``BoundaryError`` with its t, before the run goes on, and the partial
+report ends there.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ class RunReport:
     ``propagate`` fills the times, the norm, the Dirichlet observables and
     the snapshots; ``shape_deviation`` and ``htilde_residual`` stay empty
     until a scenario measures them from the snapshots (``verifier``). The
-    snapshots' samples are the rows of one (snapshots x n) complex array,
-    ``snapshot_values``, which the ``verifier`` measures as one batch;
-    ``snapshots`` holds a ``WaveField`` view of each row, at its time."""
+    snapshots' samples on ``grid`` are the rows of one (snapshots x n)
+    complex array, ``snapshot_values``, which the ``verifier`` measures as
+    one batch; ``snapshots`` reads them as ``WaveField`` views, one per
+    row at its time."""
 
     times: list = field(default_factory=list)
     norm: list = field(default_factory=list)
@@ -130,14 +133,20 @@ class RunReport:
     energy_mean: list = field(default_factory=list)
     shape_deviation: list = field(default_factory=list)
     htilde_residual: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
+    grid: Grid1D | None = None
     snapshot_values: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0), dtype=complex))
+
+    @property
+    def snapshots(self) -> list:
+        """A ``WaveField`` view of each row of ``snapshot_values``, at its time."""
+        return [WaveField(grid=self.grid, values=row, time=t)
+                for row, t in zip(self.snapshot_values, self.times)]
 
     def to_dict(self) -> dict:
         """The metric columns the run recorded; an empty one is left out."""
         return {f.name: list(getattr(self, f.name)) for f in fields(self)
-                if f.name not in ("snapshots", "snapshot_values") and getattr(self, f.name)}
+                if f.name not in ("grid", "snapshot_values") and getattr(self, f.name)}
 
 
 _STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
@@ -263,17 +272,45 @@ def propagate(
 
     def report(count: int, **columns) -> RunReport:
         """The run's first ``count`` snapshots with their ``columns``."""
-        return RunReport(
-            times=times[:count], snapshot_values=rows[:count],
-            snapshots=[WaveField(grid=grid, values=row, time=t)
-                       for row, t in zip(rows[:count], times)],
-            **{name: column[:count] for name, column in columns.items()})
+        return RunReport(times=times[:count], grid=grid, snapshot_values=rows[:count],
+                         **{name: column[:count] for name, column in columns.items()})
 
     def v_mid(i: int) -> np.ndarray:
         """V at the midpoint of step ``i``."""
         return np.asarray(v_fn(x, (t_start + i * dt) + 0.5 * dt), dtype=float)
 
     if dirichlet:
+        norm0 = np.sqrt(grid.dx * np.vdot(initial.values, initial.values).real)
+
+        def measured(count: int) -> RunReport:
+            """The first ``count`` snapshots with their norm and observables
+            under ``v_fn``, measured as one batch."""
+            v_snap = np.empty((count, grid.n))
+            for r in range(count):
+                v_snap[r] = v_fn(x, times[r])
+            obs = observables(rows[:count], grid, v_snap, consts)
+            return report(count, norm=obs.norm.tolist(), centroid=obs.centroid.tolist(),
+                          momentum_mean=obs.momentum_mean.tolist(),
+                          energy_mean=obs.energy_mean.tolist())
+
+        def check_walls(lo: int, hi: int) -> None:
+            """BoundaryError at the first of snapshots lo..hi-1 that hit a
+            wall, with the report cut there. The step is unitary, so a hit
+            shows up as amplitude piling onto the edge cells (reflection),
+            not as norm loss; both count."""
+            for blk in row_blocks(hi - lo):
+                mod = np.abs(rows[lo + blk.start:lo + blk.stop])
+                edge, peak = np.maximum(mod[:, 1], mod[:, -2]), np.max(mod, axis=1)
+                norm = np.sqrt(grid.dx * np.vecdot(mod, mod))
+                hit = (norm < norm0 * (1.0 - 1e-3)) | (edge > 1e-3 * peak)
+                if hit.any():
+                    j = int(np.argmax(hit))
+                    raise BoundaryError(
+                        f"wave packet hit the boundary at t={times[lo + blk.start + j]:.6g} "
+                        f"(relative edge amplitude {edge[j] / peak[j]:.2e})",
+                        partial_report=measured(lo + blk.start + j + 1),
+                    )
+
         # a copy: a v_fn may refill and return one buffer
         v_ref = np.array(v_fn(x, t_start + 0.5 * dt), dtype=float)
         energies, vectors = hamiltonian_eigenpairs(
@@ -286,6 +323,7 @@ def propagate(
         row = bisect.bisect_right(steps, start)  # the first snapshot after it
         _eigen_evolution(initial.values, energies, vectors, steps[1:row], dt,
                          consts.hbar, rows[1:row])
+        check_walls(0, row)
         if start < n_steps:
             values = _eigen_evolution(initial.values, energies, vectors, [start], dt,
                                       consts.hbar, np.empty((1, grid.n), dtype=complex))[0]
@@ -331,29 +369,9 @@ def propagate(
             values *= mask
         if i + 1 == steps[row]:
             rows[row] = values
-            if not dirichlet:
+            if dirichlet:
+                check_walls(row, row + 1)
+            else:
                 record(row)
             row += 1
-    if not dirichlet:
-        return report(len(steps), norm=norm)
-
-    v_snap = np.empty((len(steps), grid.n))
-    for r, t in enumerate(times):
-        v_snap[r] = v_fn(x, t)
-    obs = observables(rows, grid, v_snap, consts)
-    columns = {"norm": obs.norm.tolist(), "centroid": obs.centroid.tolist(),
-               "momentum_mean": obs.momentum_mean.tolist(),
-               "energy_mean": obs.energy_mean.tolist()}
-    # the Dirichlet step is unitary, so a boundary hit shows up as amplitude
-    # piling onto the edge cells (reflection), not as norm loss; check both
-    edge = np.maximum(np.abs(rows[:, 1]), np.abs(rows[:, -2]))
-    peak = np.max(np.abs(rows), axis=1)
-    hit = (obs.norm < obs.norm[0] * (1.0 - 1e-3)) | (edge > 1e-3 * peak)
-    if hit.any():
-        j = int(np.argmax(hit))
-        raise BoundaryError(
-            f"wave packet hit the boundary at t={times[j]:.6g} "
-            f"(relative edge amplitude {edge[j] / peak[j]:.2e})",
-            partial_report=report(j + 1, **columns),
-        )
-    return report(len(steps), **columns)
+    return measured(len(steps)) if dirichlet else report(len(steps), norm=norm)

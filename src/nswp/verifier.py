@@ -102,14 +102,7 @@ def shape_deviation(report: RunReport, reference: Callable[[np.ndarray], np.ndar
     times = np.asarray(report.times)
     if peak is None:
         peak = float(np.max(reference(times[:1])))
-    rows = report.snapshot_values
-    out = np.empty(len(times))
-    for blk in row_blocks(len(times)):
-        dev = np.abs(rows[blk][:, sel])
-        dev *= dev
-        dev -= reference(times[blk])
-        out[blk] = np.max(np.abs(dev, out=dev), axis=-1)
-    return (out / peak).tolist()
+    return _deviation(report, lambda blk: reference(times[blk]), sel, peak)
 
 
 def rigid_shape_deviation(report: RunReport) -> list[float]:
@@ -117,15 +110,26 @@ def rigid_shape_deviation(report: RunReport) -> list[float]:
     rigidly by each snapshot's measured centroid shift, the most charitable
     reference for a packet that may spread, relative to that density's
     peak. Needs the centroid column, which Dirichlet runs record."""
-    rho0, dx = report.snapshots[0].density(), report.snapshots[0].grid.dx
-    times = np.asarray(report.times)
+    rho0 = np.abs(report.snapshot_values[0]) ** 2
     shift = np.asarray(report.centroid) - report.centroid[0]
-
-    def reference(ts):
-        return shift_values(rho0, shift[np.searchsorted(times, ts)], dx)
-
     # the peak of rho0 itself: its zero-shift FFT round trip can be an ulp off
-    return shape_deviation(report, reference, peak=float(np.max(rho0)))
+    return _deviation(report, lambda blk: shift_values(rho0, shift[blk], report.grid.dx),
+                      slice(None), float(np.max(rho0)))
+
+
+def _deviation(report: RunReport, reference_rows: Callable[[slice], np.ndarray], sel,
+               peak: float) -> list[float]:
+    """sup over the points ``sel`` of |rho - rho_ref| / ``peak`` for each
+    snapshot, ``reference_rows(blk)`` giving rho_ref at those points for
+    the snapshots ``blk``, ``grids.BLOCK_ROWS`` at a time."""
+    rows = report.snapshot_values
+    out = np.empty(len(rows))
+    for blk in row_blocks(len(rows)):
+        dev = np.abs(rows[blk][:, sel])
+        dev *= dev
+        dev -= reference_rows(blk)
+        out[blk] = np.max(np.abs(dev, out=dev), axis=-1)
+    return (out / peak).tolist()
 
 
 def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,

@@ -172,9 +172,9 @@ def test_boundary_hit_raises():
         propagate(psi, lambda x, t: np.zeros_like(x), config, CONSTS)
     partial = exc_info.value.partial_report
     assert partial is not None
-    # the whole run is measured as one batch; the error names the first
-    # snapshot whose edge cells hold more than 1e-3 of its peak, and the
-    # partial report ends there
+    # a static V: the run is one product, checked as one batch; the error
+    # names the first snapshot whose edge cells hold more than 1e-3 of its
+    # peak, and the partial report ends there
     t_hit = partial.times[-1]
     assert 0.0 < t_hit < config.t_end
     assert f"t={t_hit:.6g} " in str(exc_info.value)
@@ -183,6 +183,26 @@ def test_boundary_hit_raises():
     relative_edge = (np.maximum(np.abs(rows[:, 1]), np.abs(rows[:, -2]))
                      / np.max(np.abs(rows), axis=1))
     assert np.all(relative_edge[:-1] <= 1e-3) and relative_edge[-1] > 1e-3
+
+
+def test_boundary_hit_stops_the_steps():
+    # V moves at every step, so the run steps; it stops at the snapshot that
+    # hit the wall and asks v_fn for no later time
+    grid = Grid1D(-8.0, 8.0, 256)
+    psi = gaussian(grid, center=0.0, k=6.0)
+    config = PropagationConfig(dt=1e-3, t_end=4.0, grid=grid, snapshot_stride=50)
+    asked = []
+
+    def v_fn(x, t):
+        asked.append(t)
+        return np.full_like(x, 1e-6 * t)
+
+    with pytest.raises(BoundaryError) as exc_info:
+        propagate(psi, v_fn, config, CONSTS)
+    t_hit = exc_info.value.partial_report.times[-1]
+    assert 0.0 < t_hit < 2.0
+    assert f"t={t_hit:.6g} " in str(exc_info.value)
+    assert max(asked) == pytest.approx(t_hit, abs=1e-12)
 
 
 def test_absorbing_mask_run():

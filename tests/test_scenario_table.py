@@ -11,7 +11,7 @@ import pytest
 
 import nswp.cases
 import nswp.cli
-from nswp import CheckResult, Grid1D, PhysicalConstants, RunReport, WaveField
+from nswp import CheckResult, Grid1D, PhysicalConstants, RunReport
 from nswp.cases import SCENARIOS, ScenarioResult, airy_forced_case
 from nswp.cli import _load_config, main
 from nswp.propagator import propagate
@@ -35,8 +35,8 @@ OUTPUT_KEYS = {"times", "write_snapshots"}
 
 def _fake_result():
     grid = Grid1D(-1.0, 1.0, 8)
-    psi = WaveField(grid=grid, values=np.ones(8, dtype=complex), time=0.0)
-    report = RunReport(times=[0.0], norm=[1.0], shape_deviation=[0.0], snapshots=[psi])
+    report = RunReport(times=[0.0], norm=[1.0], shape_deviation=[0.0], grid=grid,
+                       snapshot_values=np.ones((1, 8), dtype=complex))
     return ScenarioResult(name="fake", report=report, extras={"t_end": 1.0},
                           evaluate=lambda: [CheckResult("fake_check", 0.0, 1.0, True)])
 
