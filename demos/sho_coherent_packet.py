@@ -3,10 +3,10 @@
 Builds the n-th oscillator eigenstate, attaches the swinging trajectory
 d(t) = A sin(omega t) and the gauge that makes the supporting potential
 static, then propagates independently for one period and prints the
-verification summary. The propagator takes 1000 steps of exp(-i H dt / hbar)
-for the sine-DVR Hamiltonian H of this static potential, exact in time,
-each step one product with a dense 128 x 128 matrix built once from the
-eigenpairs of H. Writes density snapshots to sho_demo_out/ for plotting.
+verification summary. The potential is static, so the propagator takes no
+step: all 201 snapshots, one every period/200, come from one product in the
+eigenbasis of the sine-DVR Hamiltonian H on 128 points, exact in time.
+Writes density snapshots to sho_demo_out/ for plotting.
 """
 
 import pathlib

@@ -44,8 +44,6 @@ _SHO_GRID = Grid1D(-8.0, 8.0, 128)
 # oscillator lengths of Gaussian tail the sho grid keeps beyond a mode's
 # turning point at the largest swing: |f| falls to about 1.5e-8 of its peak
 _SHO_TAIL = 5.0
-# ten times the 200 snapshot intervals a sho run asks for, plus the start
-_SHO_MAX_SNAPSHOTS = 2001
 _AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
 # the Airy construction residual skips 16 cells of the default grid at each edge
 _AIRY_MARGIN = 16 * _AIRY_GRID.dx
@@ -246,37 +244,20 @@ def run_sho_shifted(
     amplitude: float = 2.0,
     omega: float = 1.0,
     grid: Grid1D = None,
-    dt: float = None,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
     """Propagate the shifted n-th SHO eigenstate for one period, on
-    ``grid``, by default ``sho_grid``.
+    ``grid``, by default ``sho_grid``, with a snapshot every period/200.
 
-    The default dt is period/1000, cut where the grid's max|V| needs it. A
-    snapshot is recorded every period/200, or for a dt that does not divide
-    period/200 at the nearest shorter whole number of steps that divides
-    the run, so the <P> series stays uniform for its 5-point difference. A
-    run that would keep more than ``_SHO_MAX_SNAPSHOTS`` snapshots (a step
-    count with no divisor near n_steps/200) raises ``RangeError`` before
-    the eigensolve."""
+    Its V is the static oscillator, so the run takes no step: every
+    snapshot is one product in the eigenbasis of T + V, exact at any dt,
+    and dt = period/200 is only the snapshot interval, uniform for the
+    5-point difference of <P>."""
     period = 2.0 * math.pi / omega
     t_end = period
     if grid is None:
         grid = sho_grid(n, amplitude, omega, consts)
-    if dt is None:
-        v_max = float(np.max(np.abs(StaticPotential.harmonic(omega, consts.mass)(grid.x))))
-        dt = guarded_dt(period / 1000.0, v_max, t_end, consts)
-    # built first: it refuses a dt past the step budget before the stride
-    # search and the eigensolve
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
-    n_steps = config.n_steps
-    stride = max(k for k in range(1, max(1, round(n_steps / 200)) + 1)
-                 if n_steps % k == 0)
-    if n_steps // stride + 1 > _SHO_MAX_SNAPSHOTS:
-        raise RangeError(
-            f"dt = {dt:g} takes {n_steps} steps a period, with no whole stride "
-            f"near period/200: the run would keep {n_steps // stride + 1} "
-            f"snapshots, more than {_SHO_MAX_SNAPSHOTS}")
+    config = PropagationConfig(dt=period / 200.0, t_end=t_end, grid=grid)
     case = sho_case(n, amplitude, omega, grid, consts, t_max=t_end + 1.0)
     sol, v_static = case.sol, case.v
 
@@ -292,7 +273,7 @@ def run_sho_shifted(
             *energy_split_check(report, sol, v_static, consts),
             CheckResult.below("period_end_overlap", overlap_dev, 1e-4),
         ]
-    result = run_case(case, replace(config, snapshot_stride=stride), f"sho_shifted_n{n}",
+    result = run_case(case, config, f"sho_shifted_n{n}",
                       {"n": n, "amplitude": amplitude, "omega": omega, "energy": sol.E_f},
                       family_checks)
     report = result.report
@@ -483,18 +464,19 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
     """Free Gaussian spreading control: width must follow the analytic law.
 
     sigma(t) = sigma0 sqrt(1 + (hbar t / (2 m sigma0^2))^2) with sigma0 = 1,
-    to t = 2 at dt = 1e-3, on 128 points over [-16, 16] (the width law
-    holds there to 7e-13, and |psi| at the walls stays under 1e-13 of its
-    peak); a propagator that kept this packet rigid would be broken.
+    to t = 2 with a snapshot every 0.2, on 128 points over [-16, 16] (the
+    width law holds there to 7e-13, and |psi| at the walls stays under
+    1e-13 of its peak); a propagator that kept this packet rigid would be
+    broken. V = 0 takes no step, so dt is only the snapshot interval.
     """
-    sigma0, dt, t_end = 1.0, 1e-3, 2.0
+    sigma0, dt, t_end = 1.0, 0.2, 2.0
     grid = Grid1D(-16.0, 16.0, 128)
     x = grid.x
     psi = np.exp(-(x**2) / (4.0 * sigma0**2)).astype(complex)
     psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
     initial = WaveField(grid=grid, values=psi, time=0.0)
 
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=200)
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
     report = propagate(initial, lambda xx, t: np.zeros_like(xx), config, consts)
     report.shape_deviation = rigid_shape_deviation(report)
 
@@ -716,8 +698,8 @@ class Scenario:
 SCENARIOS = {
     "sho": Scenario(
         run=lambda **kw: run_sho_shifted(**kw),
-        keys=("mode_index", "amplitude", "omega", "dt"),
-        grid=lambda dt=None, **kw: sho_grid(**kw),
+        keys=("mode_index", "amplitude", "omega"),
+        grid=lambda **kw: sho_grid(**kw),
         case=lambda **kw: sho_case(**kw)),
     # the zero-force member of the Airy family; the grid only samples a
     # closed-form Airy packet

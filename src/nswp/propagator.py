@@ -8,8 +8,11 @@ a fixed part, prepared once per run, and the diagonal remainder
 dV = V(t + dt/2) - V_ref, applied exactly as two half kicks
 exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
 5, 506 (1968)). Where dV is zero everywhere the step is the fixed part
-alone. The step guard dt * max|V| / hbar < 0.5 runs on V_ref and on the full
-V(t + dt/2) of every step where it moved off V_ref.
+alone. The step guard dt * max|V| / hbar < 0.5 runs only where a step runs:
+on V_ref once V moves off it between walls, and on the full V(t + dt/2) of
+every step where it moved off V_ref. A static stretch of V between walls
+takes no step, so its V_ref need only be finite, and its dt is only the
+interval between snapshots.
 
 Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for
 the sine-DVR Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T
@@ -149,22 +152,19 @@ class RunReport:
                 if f.name not in ("grid", "snapshot_values") and getattr(self, f.name)}
 
 
-_STEP_GUARD = 0.5  # both steppers need dt * max|V| / hbar below this
+# a step of either stepper needs dt * max|V| / hbar below this; a static
+# stretch of V between walls takes no step, and no dt bounds it
+_STEP_GUARD = 0.5
 MAX_STEPS = 10**6  # the longest run any config may take
 
 
-def _guarded_potential(v_mid, dt: float, n: int, consts: PhysicalConstants) -> np.ndarray:
-    """``v_mid`` as n real samples, after the step guard of both steppers,
-    dt * max|V| / hbar < 0.5."""
-    v_mid = np.asarray(v_mid, dtype=float)
-    if v_mid.shape != (n,):
-        v_mid = np.broadcast_to(v_mid, (n,))
+def _step_guard(v, dt: float, consts: PhysicalConstants) -> None:
+    """The step guard of both steppers, dt * max|V| / hbar < 0.5."""
     # written so that a NaN in V fails the guard too
-    if not abs(dt) * np.max(np.abs(v_mid)) / consts.hbar < _STEP_GUARD:
+    if not abs(dt) * np.max(np.abs(v)) / consts.hbar < _STEP_GUARD:
         raise ConfigurationError(
             f"dt * max|V| / hbar >= {_STEP_GUARD} or V not finite; reduce the time step"
         )
-    return v_mid
 
 
 def guarded_dt(dt: float, v_max: float, t_span: float, consts: PhysicalConstants) -> float:
@@ -185,7 +185,7 @@ def guarded_dt(dt: float, v_max: float, t_span: float, consts: PhysicalConstants
 def _eigen_step(v_ref, dt: float, grid: Grid1D, consts: PhysicalConstants) -> np.ndarray:
     """exp(-i dt (T + V_ref) / hbar) as one dense complex matrix, from the
     eigenpairs of the sine-DVR Hamiltonian, after the step guard on V_ref."""
-    v_ref = _guarded_potential(v_ref, dt, grid.n, consts)
+    _step_guard(v_ref, dt, consts)
     energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
     return (vectors * _phases((-dt / consts.hbar) * energies)) @ vectors.T
 
@@ -313,8 +313,10 @@ def propagate(
 
         # a copy: a v_fn may refill and return one buffer
         v_ref = np.array(v_fn(x, t_start + 0.5 * dt), dtype=float)
-        energies, vectors = hamiltonian_eigenpairs(
-            grid, _guarded_potential(v_ref, dt, grid.n, consts), consts)
+        # the product is exact at any dt: V_ref need only be finite
+        if not np.isfinite(v_ref).all():
+            raise ConfigurationError("V is not finite")
+        energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
         # the first step at which V moves off V_ref: V has not moved while
         # its bytes are V_ref's (a NaN, or a -0.0 for a 0.0, ends the
         # stretch, which costs steps, not accuracy)
@@ -356,7 +358,7 @@ def propagate(
         dv = v - v_ref
         kick = None
         if dv.any():  # V moved off V_ref; a NaN counts as a move
-            _guarded_potential(v, dt, grid.n, consts)
+            _step_guard(v, dt, consts)
             kick = _half_kick(dv, dt, consts)
             values = kick * values
         if dirichlet:

@@ -31,16 +31,6 @@ def test_sho_period_end_overlap(sho_result):
     assert c.value < 1e-6
 
 
-def test_sho_snapshots_stay_uniform_for_any_dt():
-    # 1100 steps a period: period/200 is 5.5 steps, and the nearest shorter
-    # stride that divides the run is 5
-    result = run_sho_shifted(dt=2.0 * math.pi / 1100)
-    times = np.asarray(result.report.times)
-    assert len(times) == 221
-    assert np.allclose(np.diff(times), times[1], rtol=1e-9, atol=0.0)
-    assert result.passed
-
-
 def test_airy_free_scenario_passes(airy_free_result):
     for c in airy_free_result.checks:
         assert c.passed, f"{c.name}: {c.value:.3e} vs {c.tolerance:.1e}"
@@ -330,31 +320,17 @@ def test_sho_grid_past_the_dense_cap_raises_before_any_grid(monkeypatch):
         nswp.cases.sho_grid(consts=PhysicalConstants(hbar=1e-6))
 
 
-def test_sho_run_with_a_prime_step_count_keeps_every_step():
-    # 997 steps a period is prime: stride 1 keeps 998 snapshots, under the
-    # bound of 2001 that a prime count like 2003 exceeds
-    result = run_sho_shifted(dt=2.0 * math.pi / 997)
-    assert len(result.report.times) == 998
-    assert result.passed
-
-
-def test_sho_default_dt_is_cut_to_the_step_guard():
-    # omega = 3 on the paper's +-8 grid: period/1000 gives dt max|V| = 0.60,
-    # so the default halves dt; the run reaches t_end with snapshots still
-    # every period/200
+def test_sho_snapshots_every_period_over_200_where_a_step_would_fail_the_guard():
+    # omega = 3 on the paper's +-8 grid: max|V| = 288, so a step of
+    # period/200 would read dt max|V| / hbar = 3.0, six times the step
+    # guard; the static trap takes no step, so the run passes with a
+    # snapshot every period/200 up to t_end
     result = run_sho_shifted(omega=3.0, grid=Grid1D(-8.0, 8.0, 128))
     period = 2.0 * np.pi / 3.0
-    assert result.extras["dt"] == pytest.approx(period / 2000.0)
+    assert result.passed
+    assert result.extras["dt"] == pytest.approx(period / 200.0)
     times = np.asarray(result.report.times)
     assert times[-1] == pytest.approx(period, abs=1e-12)
-    assert np.diff(times) == pytest.approx(np.full(200, period / 200.0))
-
-
-def test_sho_snapshot_spacing_does_not_follow_a_given_dt():
-    # a fixed default stride would record 801 snapshots at this dt
-    period = 2.0 * np.pi
-    result = run_sho_shifted(dt=period / 4000.0)
-    times = np.asarray(result.report.times)
     assert np.diff(times) == pytest.approx(np.full(200, period / 200.0))
 
 

@@ -111,20 +111,16 @@ def test_eigen_past_the_dense_basis_cap_exits_2_without_allocating(tmp_path, cap
     assert peak < 0.01 * 8 * n * n
 
 
-def test_sho_run_keeping_too_many_snapshots_exits_2_before_the_eigensolve(
-        tmp_path, monkeypatch, capsys):
-    # 2003 steps a period is prime, so no stride up to round(2003/200) = 10
-    # divides it and every step would be a snapshot
+def test_sho_dt_exits_2_before_the_eigensolve(tmp_path, monkeypatch, capsys):
+    # the static trap takes no step, so sho takes no dt
     def not_reached(*args, **kwargs):
         raise AssertionError("the eigensolve ran")
 
     monkeypatch.setattr(cases, "lowest_eigenpairs", not_reached)
     out = tmp_path / "o"
-    assert main(["propagate", "--scenario", "sho", "--dt", repr(2.0 * math.pi / 2003),
-                 "--out", str(out)]) == 2
+    assert main(["propagate", "--scenario", "sho", "--dt", "1e-3", "--out", str(out)]) == 2
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "dt = 0.00313689 takes 2003 steps" in err and "2004 snapshots" in err
+    assert "scenario 'sho' does not take ['dt']" in capsys.readouterr().err
 
 
 def test_verify_sho_at_omega_2_passes(tmp_path):
@@ -303,7 +299,7 @@ def test_construct_sizes_the_phi0_horizon_from_its_times(tmp_path):
         assert b"\r" not in path.read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["airy-free", "--dt", "1e-6"], ["sho", "--dt", "1e-9"],
+@pytest.mark.parametrize("argv", [["airy-free", "--dt", "1e-6"],
                                   ["airy-forced", "--t-end", "1e5"]])
 def test_propagate_past_the_step_budget_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "prop"

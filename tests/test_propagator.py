@@ -40,10 +40,19 @@ def test_single_step_unitarity():
 
 
 def test_step_guard():
+    # a static V takes no step, so the guard does not bound its dt: at
+    # dt max|V| / hbar = 5, ten times the guard, the run is the exact
+    # evolution of T + V up to round-off. Once V moves off the same V_ref a
+    # step runs, and its V_ref fails the guard, though the V it moved to
+    # (zero) passes
     grid = Grid1D(-10.0, 10.0, 128)
-    psi = gaussian(grid)
-    with pytest.raises(ConfigurationError):
-        one_step(psi, np.full(grid.n, 100.0), 1e-2)
+    psi = gaussian(grid, center=1.0, k=0.5)
+    v = grid.x**2  # max|V| = 100
+    out = one_step(psi, v, 0.05)
+    assert np.max(np.abs(out.values - exact_evolution(psi, v, 0.05))) < 1e-13
+    config = PropagationConfig(dt=0.05, t_end=0.1, grid=grid)
+    with pytest.raises(ConfigurationError, match="reduce the time step"):
+        propagate(psi, lambda x, t: v if t < 0.05 else 0.0 * x, config, CONSTS)
 
 
 def test_non_finite_potential_rejected():
@@ -138,16 +147,17 @@ def exact_evolution(initial, v_samples, t):
 
 def test_fourth_order_in_dt():
     # a static V: the error must fall at least as fast as dt^4, as the Pade
-    # step's did (about 1.3e-8 at t_end / 40 and 8e-10 at t_end / 80). The
-    # eigenbasis step has no time error at all: at every step the guard
-    # allows (dt max|V| is 0.4 at 40 steps) the run is the exact evolution
-    # of T + V, up to round-off that grows with the step count
+    # step's did (about 1.3e-8 at t_end / 40 and 8e-10 at t_end / 80). A
+    # static V takes no step and has no time error at all: at any dt, even
+    # past the step guard (dt max|V| is 16 at 1 step and 4 at 4 steps), the
+    # run is one product in the eigenbasis of T + V, the exact evolution up
+    # to round-off
     grid = Grid1D(-8.0, 8.0, 128)
     v_samples = 0.5 * grid.x**2
     initial = gaussian(grid, center=1.0, k=0.5)
     t_end = 0.5
     exact = exact_evolution(initial, v_samples, t_end)
-    for n_steps in (40, 57, 80, 1280):
+    for n_steps in (1, 4, 40, 57, 80, 1280):
         config = PropagationConfig(dt=t_end / n_steps, t_end=t_end, grid=grid,
                                    snapshot_stride=10**9)
         final = propagate(initial, lambda x, t: v_samples, config, CONSTS).snapshots[-1]

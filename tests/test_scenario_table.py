@@ -113,8 +113,8 @@ def test_every_accepted_key_is_honoured(command, scenario, calls, tmp_path):
 def test_accepted_combinations_count():
     accepted = [(c, s, k) for c in ("construct", "propagate", "verify")
                 for s in SCENARIOS for k in SAMPLES if _accepted(c, s, k)]
-    # 107 with the "scenario" key of each of the 14 (command, scenario) pairs
-    assert len(accepted) == 93
+    # 106 with the "scenario" key of each of the 14 (command, scenario) pairs
+    assert len(accepted) == 92
 
 
 @pytest.mark.parametrize("argv, config", [
