@@ -138,8 +138,8 @@ def cmd_construct(config: dict, out: Path) -> int:
     for i, t in enumerate(times):
         write_wavefield_csv(analytic_psi(sol, grid, t), out / f"psi_{i:03d}.csv")
         write_csv(out / f"vnswp_{i:03d}.csv", ("x", "v"), grid.x, v_nswp(sol, v, grid.x, t))
-    write_csv(out / "phase_table.csv", ("t", "phi1", "phi0"), times,
-              [sol.phi1(t) for t in times], [sol.phi0(t) for t in times])
+    ts = np.asarray(times)
+    write_csv(out / "phase_table.csv", ("t", "phi1", "phi0"), ts, sol.phi1(ts), sol.phi0(ts))
     write_json(out / "manifest.json", {
         "command": "construct", "config": config,
         "E_f": sol.E_f, "gauge": sol.gauge.kind, "trajectory": sol.trajectory.kind,

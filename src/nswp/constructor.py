@@ -6,15 +6,17 @@ the supporting potential is
     V_nswp(x, t) = V(x - d(t)) - m * d_ddot(t) * x + G(t)
 
 and the packet is Psi(x, t) = f(x - d(t)) exp(i [phi1(t) x + phi0(t)]) with
-phi1 = m d_dot / hbar and phi0 the accumulated global phase. phi0 is cached
-on a refined time mesh and can also be evaluated by direct adaptive
-quadrature for cross-checks.
+phi1 = m d_dot / hbar and phi0 the accumulated global phase. Every function
+of time here (d and its derivatives, G, phi1, phi0) takes one time or an
+array of times. The packet carries phi0 from a cache built on a refined time
+mesh; ``NswpSolution.phi0_direct``, one adaptive integral per time, is an
+independent reference for tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,10 +38,10 @@ class GaugeFunction:
     """x-independent additive potential term G(t)."""
 
     kind: str
-    fn: Callable[[float], float]
+    fn: Callable
 
-    def __call__(self, t: float) -> float:
-        return float(self.fn(t))
+    def __call__(self, t):
+        return self.fn(t)
 
     @classmethod
     def zero(cls) -> "GaugeFunction":
@@ -144,55 +146,34 @@ class NswpSolution:
         self.t_max = float(t_max)
         self._phi0_anti = None
 
-    def _phi0_integrand(self, t: float) -> float:
+    def _phi0_integrand(self, t):
         m = self.consts.mass
         d_dot = self.trajectory.d_dot(t)
         return self.E_f + self.gauge(t) + 0.5 * m * d_dot**2
 
-    def phi1(self, t: float) -> float:
+    def phi1(self, t):
         return self.consts.mass * self.trajectory.d_dot(t) / self.consts.hbar
 
-    def phi0(self, t: float) -> float:
-        """Cached phi0(t) = -(1/hbar) integral_0^t (E_f + G + m d_dot^2/2).
-        Raises RangeError for t outside [0, t_max], where the cache would
-        extrapolate its end pieces."""
-        if not -1e-9 <= t <= self.t_max + 1e-9:
+    def phi0(self, t):
+        """Cached phi0(t) = -(1/hbar) integral_0^t (E_f + G + m d_dot^2/2),
+        for a time or an array of times. Raises RangeError if any t lies
+        outside [0, t_max], where the cache would extrapolate its end
+        pieces."""
+        if not np.all((t >= -1e-9) & (t <= self.t_max + 1e-9)):
             raise RangeError(f"t={t} outside the phi0 cache range [0, {self.t_max}]")
         if self._phi0_anti is None:
             self._phi0_anti = cumulative_antiderivative(
                 self._phi0_integrand, self.t_max, 1e-11
             )
-        return -float(self._phi0_anti(t)) / self.consts.hbar
+        return -self._phi0_anti(t) / self.consts.hbar
 
-    def phi0_direct(self, t):
-        """phi0 by direct adaptive quadrature to 1e-12 per piece, independent
-        of the cache.
-
-        ``t`` is a time, or an ascending 1-D array of times, in [0, t_max];
-        anything else raises RangeError. An array is integrated piece by
-        piece over [0, t_0], [t_0, t_1], ... and the pieces summed
-        cumulatively, so each stretch of time is integrated once; a scalar
-        is the one-piece case and returns a float.
-
-        Primitives: adaptive Simpson (``integrate_time``) of
-        E_f + G + m d_dot^2/2, where for a ``ForceTrajectory`` d_dot comes
-        from the piecewise-quintic antiderivative of F
-        (``cumulative_antiderivative``). The nested-integral formula of the
-        forced Airy case (``cases.phi0_forced_airy``) uses only cumulative
-        and composite Simpson sums on a uniform mesh, so the two routes
-        share no primitive.
-        """
-        times = np.asarray(t, dtype=float)
-        if times.ndim > 1 or not np.all((times >= 0.0) & (times <= self.t_max)):
-            raise RangeError(f"phi0_direct needs times in [0, {self.t_max}], got {t}")
-        ends = np.atleast_1d(times)
-        if np.any(np.diff(ends) < 0.0):
-            raise RangeError(f"phi0_direct needs ascending times, got {t}")
-        starts = np.concatenate(([0.0], ends[:-1]))
-        pieces = [integrate_time(self._phi0_integrand, float(a), float(b), 1e-12)
-                  for a, b in zip(starts, ends)]
-        phi0 = -np.cumsum(pieces) / self.consts.hbar
-        return float(phi0[0]) if times.ndim == 0 else phi0
+    def phi0_direct(self, t: float) -> float:
+        """phi0 at one time t in [0, t_max] by one adaptive quadrature to
+        1e-12 over [0, t], independent of the cache; other t raise
+        RangeError. A reference for tests: the packet carries ``phi0``."""
+        if not 0.0 <= t <= self.t_max:
+            raise RangeError(f"phi0_direct needs t in [0, {self.t_max}], got {t}")
+        return -integrate_time(self._phi0_integrand, 0.0, t, 1e-12) / self.consts.hbar
 
 
 def v_nswp(sol: NswpSolution, v: StaticPotential, x, t: float):

@@ -67,10 +67,10 @@ def _doubling_meshes(f, t_max: float, n: int):
 
     The even nodes of linspace(0, t_max, 2n + 1) are linspace(0, t_max,
     n + 1) bit for bit, so each mesh keeps the previous samples and calls f
-    only at its new odd nodes.
+    once, on the array of its new odd nodes.
     """
     ts = np.linspace(0.0, t_max, n + 1)
-    y = np.asarray([f(ti) for ti in ts], dtype=float)
+    y = np.asarray(f(ts), dtype=float)
     while True:
         yield ts, y
         n *= 2
@@ -79,7 +79,7 @@ def _doubling_meshes(f, t_max: float, n: int):
         ts = np.linspace(0.0, t_max, n + 1)
         finer = np.empty(n + 1)
         finer[::2] = y
-        finer[1::2] = [f(ti) for ti in ts[1::2]]
+        finer[1::2] = f(ts[1::2])
         y = finer
 
 
@@ -87,7 +87,8 @@ def mesh_doubling(functional, F, t: float, tol: float) -> float:
     """functional(ts, F(ts)) on a uniform mesh ts over [0, t], converged.
 
     The mesh starts at 64 intervals and doubles until two successive
-    results differ by at most tol; F is called once per node over all
+    results differ by at most tol. F takes an array of times: it is called
+    once per mesh, on that mesh's new nodes, so once per node over all
     meshes. Raises AccuracyError (carrying the last result) past _MAX_MESH
     intervals.
     """
@@ -141,7 +142,10 @@ def cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def nested_triple_integral(F, t: float, tol: float = 1e-10) -> float:
-    """integral_0^t integral_0^tau integral_0^eta F(s) ds deta dtau."""
+    """integral_0^t integral_0^tau integral_0^eta F(s) ds deta dtau.
+
+    F takes an array of times (``mesh_doubling`` samples it a mesh at a
+    time)."""
 
     def triple(ts, y):
         h = ts[1] - ts[0]
@@ -174,12 +178,13 @@ class PiecewisePolynomial:
         self.h = float(h)
         self.coeffs = coeffs
 
-    def __call__(self, t: float) -> float:
-        i = min(max(int(t // self.h), 0), len(self.coeffs) - 1)
+    def __call__(self, t):
+        """The value at a time t, or at each of an array of times."""
+        i = np.clip(np.floor_divide(t, self.h).astype(int), 0, len(self.coeffs) - 1)
         s = t - i * self.h
         acc = 0.0
-        for c in self.coeffs[i, ::-1].tolist():
-            acc = acc * s + c
+        for c in self.coeffs[:, ::-1].T:
+            acc = acc * s + c[i]
         return acc
 
     def antiderivative(self) -> "PiecewisePolynomial":
@@ -216,12 +221,15 @@ def piecewise_quintic(y: np.ndarray, h: float) -> PiecewisePolynomial:
 def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
     """Callable I with I(t) ~= integral_0^t f, valid on [0, t_max].
 
+    f takes an array of times: it is sampled once per doubled mesh, on that
+    mesh's new nodes.
+
     Built as the exact antiderivative of the piecewise local quintic
     through f on a uniform mesh (a ``PiecewisePolynomial``), refined by
     doubling until the endpoint value is stable to tol. Mild extrapolation
     slightly outside [0, t_max] is allowed (the end pieces extend). The
-    returned callable takes a scalar t; its ``antiderivative()`` gives the
-    next integral up.
+    returned callable takes a time or an array of times; its
+    ``antiderivative()`` gives the next integral up.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")

@@ -18,18 +18,18 @@ from .quadrature import cumulative_antiderivative
 
 
 class Trajectory:
-    """Base: subclasses implement eval(t) -> (d, d_dot, d_ddot), for one
-    time t or, element by element, for an array of times."""
+    """Base: subclasses implement eval(t) -> (d, d_dot, d_ddot) for one
+    time t or an array of times, each of the three shaped like t."""
 
     kind = "abstract"
 
-    def eval(self, t: float):
+    def eval(self, t):
         raise NotImplementedError
 
-    def d(self, t: float) -> float:
+    def d(self, t):
         return self.eval(t)[0]
 
-    def d_dot(self, t: float) -> float:
+    def d_dot(self, t):
         return self.eval(t)[1]
 
 
@@ -71,8 +71,9 @@ class ForceTrajectory(Trajectory):
     """Motion satisfying m * d_ddot = A + F(t), with d(0) = d_dot(0) = 0.
 
     d(t) = A t^2/(2m) + (1/m) * double integral of F, via cumulative
-    antiderivatives cached to 1e-11 on [0, t_max]; t outside that range
-    raises RangeError.
+    antiderivatives cached to 1e-11 on [0, t_max]; a t outside that range
+    raises RangeError. F takes a time or an array of times, and so does
+    ``eval``.
     """
 
     kind = "from_force"
@@ -85,17 +86,14 @@ class ForceTrajectory(Trajectory):
         self._int_f = cumulative_antiderivative(F, self.t_max, 1e-11)
         self._int2_f = self._int_f.antiderivative()
 
-    def _check_range(self, t: float) -> None:
-        if t < 0.0 or t > self.t_max:
+    def _check_range(self, t) -> None:
+        if not np.all((t >= 0.0) & (t <= self.t_max)):
             raise RangeError(f"t={t} outside cached force range [0, {self.t_max}]")
 
     def eval(self, t):
-        if isinstance(t, np.ndarray) and t.ndim:
-            # F takes one time, so an array of times is taken one at a time
-            return tuple(np.array([self.eval(s) for s in t.tolist()]).reshape(-1, 3).T)
         self._check_range(t)
         m = self.m
-        d = 0.5 * self.A * t**2 / m + float(self._int2_f(t)) / m
-        d_dot = (self.A * t + float(self._int_f(t))) / m
+        d = 0.5 * self.A * t**2 / m + self._int2_f(t) / m
+        d_dot = (self.A * t + self._int_f(t)) / m
         d_ddot = (self.A + self.F(t)) / m
         return (d, d_dot, d_ddot)

@@ -20,7 +20,7 @@ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -93,15 +93,14 @@ def htilde_residual(values: np.ndarray, grid: Grid1D, v: StaticPotential, traj: 
 
 
 def shape_deviation(report: RunReport, reference: Callable[[np.ndarray], np.ndarray],
-                    sel=slice(None), peak: Optional[float] = None) -> list[float]:
+                    sel=slice(None)) -> list[float]:
     """Per snapshot, the sup over the grid points ``sel`` of
-    |rho - rho_ref(t)|, relative to ``peak``, by default the peak of
-    rho_ref at the first snapshot. ``reference(times)`` gives rho_ref at
-    the points ``sel``, one row per time; it is asked for
-    ``grids.BLOCK_ROWS`` snapshots at a time."""
+    |rho - rho_ref(t)|, relative to the peak of rho_ref at the first
+    snapshot. ``reference(times)`` gives rho_ref at the points ``sel``, one
+    row per time; it is asked for ``grids.BLOCK_ROWS`` snapshots at a
+    time."""
     times = np.asarray(report.times)
-    if peak is None:
-        peak = float(np.max(reference(times[:1])))
+    peak = float(np.max(reference(times[:1])))
     return _deviation(report, lambda blk: reference(times[blk]), sel, peak)
 
 

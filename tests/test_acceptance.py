@@ -106,7 +106,7 @@ def test_criterion_06_forced_airy_phase(airy_forced_result):
     dual = check_by_name(airy_forced_result, "phase_dual_route")
     ok = dual.value < 1e-8
     report(6, "forced-Airy phase cross-validation", ok,
-           f"max |phi0_nested - phi0_direct| = {dual.value:.2e} (tol 1e-8)")
+           f"max |phi0_nested - phi0_carried| = {dual.value:.2e} (tol 1e-8)")
 
 
 def _loglog_slope(sol, grid, t, drop):

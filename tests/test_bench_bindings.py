@@ -3,7 +3,9 @@ checks that pass by exceeding their bound still names the right ones.
 
 ``bench/layers.py`` wraps nswp functions by module path and rebinds
 ``propagate``'s ``v_fn`` by keyword, reading ``config.t_start`` and
-``config.dt``. ``bench/run.py``'s ``MUST_EXCEED`` inverts the ratio of the
+``config.dt``; it also wraps ``integrate_time``'s integrand by the keyword
+``f``, ``ai_values`` as a one-argument callable, and two methods on their
+classes. ``bench/run.py``'s ``MUST_EXCEED`` inverts the ratio of the
 checks it names. Tier-1 does not collect ``bench/tests``, so a rename in
 ``src/`` would otherwise break the benchmark without a failing test.
 """
@@ -15,8 +17,10 @@ from pathlib import Path
 import numpy as np
 
 import nswp.cases
-from nswp import Grid1D, PropagationConfig, WaveField
+from nswp import Grid1D, PropagationConfig, WaveField, airy, quadrature
+from nswp.constructor import NswpSolution
 from nswp.propagator import propagate
+from nswp.trajectory import ForceTrajectory
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -58,3 +62,10 @@ def test_propagate_takes_the_keywords_the_bench_binds():
     assert call.arguments["config"].dt == 0.25
     report = propagate(*call.args, **call.kwargs)
     assert report.times == [0.0, 0.25, 0.5]
+
+
+def test_the_names_bound_outside_functions_keep_their_shape():
+    assert "f" in inspect.signature(quadrature.integrate_time).parameters
+    assert len(inspect.signature(airy.ai_values).parameters) == 1
+    assert "phi0_direct" in vars(NswpSolution) and callable(NswpSolution.phi0_direct)
+    assert "__init__" in vars(ForceTrajectory) and callable(ForceTrajectory.__init__)

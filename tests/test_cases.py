@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nswp.cases
-from nswp import Grid1D, PhysicalConstants, observables
+from nswp import Grid1D, NswpSolution, PhysicalConstants, observables
 from nswp.cases import (SCENARIOS, airy_forced_case, phi0_forced_airy, run_airy_forced,
                         run_corrupted_phase, run_sho_shifted, run_sho_timedep_frequency,
                         trap_envelope_half_width, uniform_force)
@@ -114,7 +114,7 @@ def test_phi0_forced_formula_unforced_limit():
     # with F = 0 the nested-integral formula collapses to the free closed form
     A = 0.5
     for t in (0.5, 1.5, 2.5):
-        val = phi0_forced_airy(A, lambda s: 0.0, 0.0, t, CONSTS)
+        val = phi0_forced_airy(A, np.zeros_like, 0.0, t, CONSTS)
         assert abs(val + A**2 * t**3 / 3.0) < 1e-9
 
 
@@ -124,7 +124,7 @@ def test_phi0_forced_formula_constant_force():
     # phi0 = -[A (A+F0)/2 + (A+F0)^2/2] t^3/3
     A, F0 = 0.5, 0.3
     for t in (1.0, 2.0):
-        val = phi0_forced_airy(A, lambda s: F0, 0.0, t, CONSTS)
+        val = phi0_forced_airy(A, lambda s: np.full_like(s, F0), 0.0, t, CONSTS)
         closed = -(0.5 * A * (A + F0) + 0.5 * (A + F0) ** 2) * t**3 / 3.0
         assert abs(val - closed) < 1e-9
 
@@ -143,27 +143,37 @@ def _sin_force_phi0(A, a, w, t):
 def test_phi0_both_routes_match_sine_force_closed_form():
     # Simpson's rule is exact for F = 0 and F = const; a sine is not
     a, w = 0.3, 2.0
-    F = lambda s: a * math.sin(w * s)
+    F = lambda s: a * np.sin(w * s)
     sol = airy_forced_case(1.0, F, CONSTS, t_max=3.0).sol
     A = sol.shape.A
     ts = np.array([0.3, 0.9, 1.6, 2.2, 2.5])
-    direct = sol.phi0_direct(ts)
-    for t, d in zip(ts, direct):
-        closed = _sin_force_phi0(A, a, w, t)
-        assert abs(phi0_forced_airy(A, F, sol.E_f, t, CONSTS) - closed) < 1e-10
-        assert abs(d - closed) < 1e-10
+    closed = np.array([_sin_force_phi0(A, a, w, t) for t in ts])
+    # the phi0 the packet carries, in one array call
+    assert np.max(np.abs(sol.phi0(ts) - closed)) < 1e-10
+    for t, c in zip(ts, closed):
+        assert abs(phi0_forced_airy(A, F, sol.E_f, t, CONSTS) - c) < 1e-10
+        assert abs(sol.phi0_direct(float(t)) - c) < 1e-10
+
+
+def test_phase_dual_route_sees_an_error_in_the_carried_phi0(monkeypatch):
+    # 1e-6 t^2 added to the phi0 the packet carries leaves every density
+    # unchanged; only the phase check compares that phi0 with another route
+    carried = NswpSolution.phi0
+    monkeypatch.setattr(NswpSolution, "phi0", lambda self, t: carried(self, t) + 1e-6 * t**2)
+    result = run_airy_forced(*uniform_force(), t_end=0.4)
+    assert not check_by_name(result, "phase_dual_route").passed
 
 
 def test_phase_check_work_counts():
-    # counts, not timings: the 13 check times of run_airy_forced's defaults.
-    # An adaptive quadrature nested in an adaptive integrand made ~1.5e6
-    # force calls here.
+    # counts of sampled points, not timings: the 13 check times of
+    # run_airy_forced's defaults. An adaptive quadrature nested in an
+    # adaptive integrand made ~1.5e6 force calls here.
     a, w = 0.3, 2.0
     calls = {"F": 0, "integrand": 0}
 
     def F(s):
-        calls["F"] += 1
-        return a * math.sin(w * s)
+        calls["F"] += np.size(s)
+        return a * np.sin(w * s)
 
     sol = airy_forced_case(1.0, F, CONSTS, t_max=3.0).sol
     ts = np.linspace(0.0, 2.5, 13)
@@ -175,11 +185,12 @@ def test_phase_check_work_counts():
     integrand = sol._phi0_integrand
 
     def counted(t):
-        calls["integrand"] += 1
+        calls["integrand"] += np.size(t)
         return integrand(t)
 
+    # the route the packet carries: the points its phi0 cache samples
     sol._phi0_integrand = counted
-    sol.phi0_direct(ts)
+    sol.phi0(ts)
     assert 0 < calls["integrand"] < 2_000
 
 

@@ -54,7 +54,8 @@ def test_depth_limit_raises_with_best_estimate():
 
 def test_nested_constant():
     c, t = 1.7, 2.0
-    assert nested_triple_integral(lambda s: c, t) == pytest.approx(c * t**3 / 6, abs=1e-10)
+    assert nested_triple_integral(lambda s: np.full_like(s, c), t) == pytest.approx(
+        c * t**3 / 6, abs=1e-10)
 
 
 def test_nested_linear():
@@ -65,7 +66,7 @@ def test_nested_linear():
 def test_nested_sine():
     # pi^2/2 + cos(pi) - 1 = pi^2/2 - 2
     t = math.pi
-    assert nested_triple_integral(math.sin, t) == pytest.approx(
+    assert nested_triple_integral(np.sin, t) == pytest.approx(
         math.pi**2 / 2.0 - 2.0, abs=1e-9)
 
 
@@ -74,7 +75,7 @@ def test_nested_zero_time():
 
 
 def test_nested_monotone_for_nonnegative():
-    f = lambda s: 1.0 + math.sin(s) ** 2
+    f = lambda s: 1.0 + np.sin(s) ** 2
     ts = np.linspace(0.2, 3.0, 8)
     vals = [nested_triple_integral(f, float(t)) for t in ts]
     assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -84,17 +85,17 @@ def test_mesh_doubling_limit_raises_with_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_MESH", 256)
     # a functional that never settles: the number of mesh intervals
     with pytest.raises(AccuracyError) as exc_info:
-        mesh_doubling(lambda ts, y: len(ts) - 1, math.sin, 1.0, 1e-10)
+        mesh_doubling(lambda ts, y: len(ts) - 1, np.sin, 1.0, 1e-10)
     assert exc_info.value.best_estimate == 256
 
 
 def test_cumulative_antiderivative():
-    anti = cumulative_antiderivative(math.sin, 5.0, 1e-11)
+    anti = cumulative_antiderivative(np.sin, 5.0, 1e-11)
     ts = np.linspace(0.0, 5.0, 40)
     err = max(abs(float(anti(t)) - (1.0 - math.cos(t))) for t in ts)
     assert err < 1e-10
     with pytest.raises(ValueError):
-        cumulative_antiderivative(math.sin, 0.0)
+        cumulative_antiderivative(np.sin, 0.0)
 
 
 @pytest.mark.parametrize("t_max", [10.0, 3.0, 2.5, 1.0 / 3.0, math.pi, 1e-3, 7.77e4])
@@ -110,25 +111,42 @@ def test_doublings_sample_each_node_once():
 
     def F(t):
         calls.append(t)
-        return 0.3 * math.sin(2.0 * t)
+        return 0.3 * np.sin(2.0 * t)
 
     anti = cumulative_antiderivative(F, 10.0)
-    # converged at 1024 intervals: 257 + 256 + 512 calls, not 257 + 513 + 1025
-    assert len(calls) == len(set(calls)) == 1025
-    fresh = piecewise_quintic(np.array([F(t) for t in np.linspace(0.0, 10.0, 1025)]),
-                              10.0 / 1024).antiderivative()
+    # converged at 1024 intervals: one call per mesh, on 257 + 256 + 512
+    # nodes, not 257 + 513 + 1025
+    assert [len(ts) for ts in calls] == [257, 256, 512]
+    nodes = np.concatenate(calls)
+    assert len(nodes) == len(set(nodes.tolist())) == 1025
+    fresh = piecewise_quintic(F(np.linspace(0.0, 10.0, 1025)), 10.0 / 1024).antiderivative()
     assert np.array_equal(anti.coeffs, fresh.coeffs)
 
     calls.clear()
     mesh_doubling(lambda ts, y: simpson_uniform(y, ts[1] - ts[0]), F, 10.0, 1e-12)
-    assert len(calls) == len(set(calls)) == len(np.linspace(0.0, 10.0, len(calls)))
+    nodes = np.concatenate(calls)
+    assert [len(ts) for ts in calls] == [65] + [64 << k for k in range(len(calls) - 1)]
+    assert len(nodes) == len(set(nodes.tolist())) == len(np.linspace(0.0, 10.0, len(nodes)))
+
+
+def test_piecewise_polynomial_on_an_array_is_its_scalar_calls():
+    # bit for bit, at every node, between nodes and just past either end
+    h = 10.0 / 1024
+    anti = piecewise_quintic(0.3 * np.sin(2.0 * np.linspace(0.0, 10.0, 1025)),
+                             h).antiderivative()
+    ts = np.concatenate((np.linspace(0.0, 10.0, 1025),
+                         np.linspace(-0.5 * h, 10.0 + 0.5 * h, 301)))
+    values = anti(ts)
+    assert values.shape == ts.shape
+    assert np.array_equal(values, [anti(t) for t in ts.tolist()])
+    assert np.array_equal(anti(ts.reshape(2, -1)), values.reshape(2, -1))
 
 
 def test_cumulative_antiderivative_mesh_limit_raises_with_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_MESH", 512)
     # a jump converges only at first order, far from 1e-11 by 512 intervals
     with pytest.raises(AccuracyError) as exc_info:
-        cumulative_antiderivative(lambda t: 1.0 if t < 0.3 else 0.0, 1.0, 1e-11)
+        cumulative_antiderivative(lambda t: np.where(t < 0.3, 1.0, 0.0), 1.0, 1e-11)
     assert exc_info.value.best_estimate == pytest.approx(0.3, abs=1e-2)
 
 

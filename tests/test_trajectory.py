@@ -54,7 +54,7 @@ def all_kinds():
         Sinusoid(amplitude=2.0, omega=1.3),
         Polynomial((0.0, 0.0, 0.35)),
         Polynomial((0.0, 0.2, -0.1, 0.05)),
-        ForceTrajectory(0.5, lambda t: 0.3 * math.sin(2.0 * t), CONSTS, t_max=4.0),
+        ForceTrajectory(0.5, lambda t: 0.3 * np.sin(2.0 * t), CONSTS, t_max=4.0),
     ]
 
 
@@ -83,6 +83,15 @@ def test_eval_takes_an_array_of_times():
         assert all(c.shape == (0,) for c in traj.eval(np.array([])))
 
 
+def test_force_trajectory_on_an_array_is_its_scalar_calls():
+    traj = ForceTrajectory(0.5, lambda t: 0.3 * np.sin(2.0 * t), CONSTS, t_max=4.0)
+    times = np.linspace(0.0, 4.0, 301)
+    columns = traj.eval(times)
+    scalar = np.array([traj.eval(t) for t in times.tolist()]).T
+    for column, calls in zip(columns, scalar):
+        assert np.array_equal(column, calls)
+
+
 def test_all_kinds_start_at_origin():
     for traj in all_kinds():
         assert abs(traj.d(0.0)) < 1e-12
@@ -90,7 +99,7 @@ def test_all_kinds_start_at_origin():
 
 def test_force_trajectory_zero_force():
     A = 0.5
-    traj = ForceTrajectory(A, lambda t: 0.0, CONSTS, t_max=10.0)
+    traj = ForceTrajectory(A, np.zeros_like, CONSTS, t_max=10.0)
     # the closed form d = a t^2 / 2, a = A/m
     ref = Polynomial((0.0, 0.0, 0.5 * A / CONSTS.mass))
     for t in np.linspace(0.0, 10.0, 21):
@@ -102,7 +111,7 @@ def test_force_trajectory_zero_force():
 
 def test_force_trajectory_constant_force():
     A, F0 = 0.5, 0.3
-    traj = ForceTrajectory(A, lambda t: F0, CONSTS, t_max=5.0)
+    traj = ForceTrajectory(A, lambda t: np.full_like(t, F0), CONSTS, t_max=5.0)
     for t in np.linspace(0.0, 5.0, 11):
         assert abs(traj.d(t) - 0.5 * (A + F0) * t**2) < 1e-10
 
@@ -111,7 +120,7 @@ def test_force_trajectory_sinusoidal_force():
     # m d_ddot = A + sin t with d(0) = d_dot(0) = 0 integrates to
     # d = A t^2/2 + t - sin t (m = 1)
     A = 0.5
-    traj = ForceTrajectory(A, math.sin, CONSTS, t_max=6.0)
+    traj = ForceTrajectory(A, np.sin, CONSTS, t_max=6.0)
     for t in np.linspace(0.0, 6.0, 13):
         assert abs(traj.d(t) - (0.5 * A * t**2 + t - math.sin(t))) < 1e-9
         assert abs(traj.d_dot(t) - (A * t + 1.0 - math.cos(t))) < 1e-9
@@ -121,8 +130,10 @@ def test_force_trajectory_sinusoidal_force():
 def test_force_trajectory_rejects_t_outside_cache():
     # the cached antiderivatives end at t_max; extrapolating the end piece
     # gives d(10) = 126.0 here, against the exact 10 - sin(10) = 10.54
-    traj = ForceTrajectory(0.0, math.sin, CONSTS, t_max=2.0)
+    traj = ForceTrajectory(0.0, np.sin, CONSTS, t_max=2.0)
     assert abs(traj.d(2.0) - (2.0 - math.sin(2.0))) < 1e-9
-    for t in (10.0, 2.0 + 1e-6, -1e-6):
+    # an array is refused if any of its times is, and so is a NaN
+    for t in (10.0, 2.0 + 1e-6, -1e-6, np.nan, np.array([0.5, 2.0 + 1e-6]),
+              np.array([-1e-6, 1.0])):
         with pytest.raises(RangeError):
             traj.eval(t)
