@@ -14,30 +14,38 @@ from nswp import (GaugeFunction, Grid1D, NswpSolution, PhysicalConstants,
                   StaticPotential, lowest_eigenpairs, v_nswp)
 from nswp.cases import NswpCase, run_case
 
+T_END = 2.0
 
-def quartic_round_trip(grid, dt):
-    """The quartic ground state on ``grid``, its polynomial round trip to
-    t = 2 and the run under the derived potential at step ``dt``, with a
-    snapshot every 400 steps. Returns the ground ``EigenPair``, the
-    construction's relative TDSE residual, the max density deviation from
-    the translated mode and the max centroid error against d(t)."""
+
+def quartic_case(grid):
+    """The quartic ground state on ``grid`` and its polynomial round trip to
+    t = 2 under the derived potential: the ground ``EigenPair`` and the
+    ``NswpCase``."""
     consts = PhysicalConstants()
     v = StaticPotential.quartic(1.0)
     pair = lowest_eigenpairs(v, grid, consts, 1)[0]
 
     # smooth round trip: out to x = 1.14, back through 0 at t = 1 to -1.14
     # and home, at rest at both ends
-    t_end = 2.0
     traj = Polynomial((0.0, 0.0, 16.0, -32.0, 20.0, -4.0))
     sol = NswpSolution(SampledShape.from_eigenpair(pair), traj,
-                       GaugeFunction.zero(), consts=consts, t_max=t_end + 1.0)
+                       GaugeFunction.zero(), consts=consts, t_max=T_END + 1.0)
     # no closed form beyond V_nswp itself, so no support times to compare at
-    case = NswpCase(sol, v, lambda x, t: v_nswp(sol, v, x, t), "v_nswp",
-                    support_times=(), residual_times=(0.3, 1.0, 1.7))
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid, snapshot_stride=400)
+    return pair, NswpCase(sol, v, lambda x, t: v_nswp(sol, v, x, t), "v_nswp",
+                          support_times=(), residual_times=(0.3, 1.0, 1.7))
+
+
+def quartic_round_trip(grid, dt):
+    """The run of ``quartic_case`` at step ``dt``, with a snapshot every 400
+    steps. Returns the ground ``EigenPair``, the construction's relative
+    TDSE residual, the max density deviation from the translated mode and
+    the max centroid error against d(t)."""
+    pair, case = quartic_case(grid)
+    config = PropagationConfig(dt=dt, t_end=T_END, grid=grid, snapshot_stride=400)
     result = run_case(case, config, "quartic_round_trip", {}, lambda report: [])
     report, residual = result.report, result.checks[1]
-    drift = max(abs(c - traj.d(t)) for c, t in zip(report.centroid, report.times))
+    d = case.sol.trajectory.d
+    drift = max(abs(c - d(t)) for c, t in zip(report.centroid, report.times))
     return pair, residual.value, max(report.shape_deviation), drift
 
 

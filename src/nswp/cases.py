@@ -152,10 +152,11 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
 
     Its report is Psi(0) propagated under ``case.v_run`` (tapered into the
     mask under an ``AbsorbingMask``), with its shape deviation from
-    |f(x - d(t))|^2 on the case's window. Its checks are, in order: V_nswp
-    is ``v_run`` at the support times, the construction TDSE residual
-    relative to max|Psi(0)|, then ``family_checks(report)``. Its extras are
-    ``extras`` with the run's dt and t_end."""
+    |f(x - d(t))|^2 on the case's window and, between walls, its H-tilde
+    residual. Its checks are, in order: V_nswp is ``v_run`` at the support
+    times, the construction TDSE residual relative to max|Psi(0)|, then
+    ``family_checks(report)``. Its extras are ``extras`` with the run's dt
+    and t_end."""
     sol, grid = case.sol, config.grid
     # first: it refuses a window the grid does not hold before any work
     reference, sel = case.reference(grid)
@@ -170,6 +171,10 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
         psi0 = WaveField(grid=grid, values=psi0.values * np.cos(0.5 * np.pi * s) ** 2)
     report = propagate(psi0, case.v_run, config, sol.consts)
     report.shape_deviation = shape_deviation(report, reference, sel)
+    if not masked:
+        report.htilde_residual = htilde_residual(
+            report.snapshot_values, grid, case.v, sol.trajectory, sol.consts, sol.E_f,
+            np.asarray(report.times)).tolist()
 
     def evaluate():
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
@@ -273,14 +278,9 @@ def run_sho_shifted(
             *energy_split_check(report, sol, v_static, consts),
             CheckResult.below("period_end_overlap", overlap_dev, 1e-4),
         ]
-    result = run_case(case, config, f"sho_shifted_n{n}",
-                      {"n": n, "amplitude": amplitude, "omega": omega, "energy": sol.E_f},
-                      family_checks)
-    report = result.report
-    report.htilde_residual = htilde_residual(
-        report.snapshot_values, grid, v_static, sol.trajectory, consts, sol.E_f,
-        np.asarray(report.times)).tolist()
-    return result
+    return run_case(case, config, f"sho_shifted_n{n}",
+                    {"n": n, "amplitude": amplitude, "omega": omega, "energy": sol.E_f},
+                    family_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +298,16 @@ def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[i] + 0.5 * (y[i - 1] - y[i + 1]) / denom * (x[1] - x[0]))
 
 
-def _windowed_momentum(psi: WaveField, sel: slice, hbar: float) -> float:
-    """<P> over the window ``sel``, with the 5-point derivative taken on the
-    window and the two points either side of it only."""
-    dx = psi.grid.dx
-    values = psi.values[sel.start - 2:sel.stop + 2]
+def _windowed_momentum(values: np.ndarray, sel: slice, dx: float, hbar: float) -> float:
+    """<P> of the samples ``values`` over the window ``sel``, with the 5-point
+    derivative taken on the window and the two points either side of it
+    only."""
+    values = values[sel.start - 2:sel.stop + 2]
     d1 = fd5_first(values, dx)[2:-2]
     values = values[2:-2]
     num = np.trapezoid(np.conj(values) * (-1j * hbar) * d1, dx=dx).real
     den = np.trapezoid(np.abs(values) ** 2, dx=dx)
     return float(num / den)
-
-
-def _window_checks(report: RunReport, case: NswpCase) -> list[CheckResult]:
-    """The density mismatch over the case's window, and the mask
-    contamination: the relative loss of the last snapshot's windowed
-    probability content against the reference density's."""
-    reference, sel = case.reference(report.grid)
-    dx = report.grid.dx
-    content = np.trapezoid(np.abs(report.snapshot_values[-1, sel]) ** 2, dx=dx)
-    absorbed = float(abs(1.0 - content / np.trapezoid(reference(report.times[-1]), dx=dx)))
-    return [CheckResult.below("windowed_density_mismatch",
-                              float(np.max(report.shape_deviation)), 1e-3,
-                              note="sup, relative to peak"),
-            CheckResult.below("window_content_loss", absorbed, 0.01)]
 
 
 _AIRY_RESIDUAL_TIMES = (0.1, 1.0)
@@ -426,28 +412,34 @@ def run_airy_forced(
         ts = np.linspace(0.0, min(3.0, sol.t_max - 0.5), 13)
         nested = [phi0_forced_airy(A, F, sol.E_f, t, consts) for t in ts]
         phase_dev = float(np.max(np.abs(np.subtract(nested, sol.phi0(ts)))))
-        _, sel = case.reference(grid)
+        reference, sel = case.reference(grid)
         times = np.asarray(report.times)
         d, d_dot, _ = sol.trajectory.eval(times)
-        snaps = report.snapshots
-        peaks = np.array([_quadratic_peak(grid.x[sel], snap.density()[sel])
-                          for snap in snaps])
+        rows = report.snapshot_values
+        peaks = np.array([_quadratic_peak(grid.x[sel], np.abs(row[sel]) ** 2)
+                          for row in rows])
         peak_err = float(np.max(np.abs(peaks[1:] - peaks[0] - d[1:])
                                 / np.maximum(np.abs(d[1:]), 1.0)))
-        p_window = np.array([_windowed_momentum(snap, sel, consts.hbar)
-                             for snap in snaps])
+        p_window = np.array([_windowed_momentum(row, sel, grid.dx, consts.hbar)
+                             for row in rows])
         impulse = consts.mass * d_dot - A * times
         slope = float(np.polyfit(times, p_window - impulse, 1)[0])
-        mismatch, loss = _window_checks(report, case)
+        # mask contamination: the relative loss of the last snapshot's
+        # windowed probability content against the reference density's
+        content = np.trapezoid(np.abs(rows[-1, sel]) ** 2, dx=grid.dx)
+        absorbed = float(abs(1.0 - content / np.trapezoid(reference(report.times[-1]),
+                                                          dx=grid.dx)))
         return [
             CheckResult.below("phase_dual_route", phase_dev, 1e-8,
                               note="nested-integral phi0 vs the packet's phi0"),
             CheckResult.below("peak_follows_trajectory", peak_err, 0.02,
                               note="|peak shift - d| / max(|d|, 1)"),
-            mismatch,
+            CheckResult.below("windowed_density_mismatch",
+                              float(np.max(report.shape_deviation)), 1e-3,
+                              note="sup, relative to peak"),
             CheckResult.below("hc_constant_force", abs(slope - A) / A, 0.05,
                               note="d<P_window - int F>/dt vs A, relative"),
-            loss,
+            CheckResult.below("window_content_loss", absorbed, 0.01),
         ]
     return run_case(case, config, f"airy_forced_{force_label}",
                     {"B": B, "A": A, "force": force_label, "window": list(_AIRY_WINDOW)},

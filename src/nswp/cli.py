@@ -6,8 +6,9 @@ directory receives a manifest.json sufficient to re-run the job, and all
 numbers are emitted deterministically (no timestamps, sorted keys), so a
 repeated run produces bit-identical files.
 
-Exit codes: 0 ok, 1 verification failure, 2 bad config, 3 numerical failure
-(an ``ArithmeticError`` or ``MemoryError`` included).
+Exit codes: 0 ok, 1 verification failure, 2 bad config (an unreadable
+``--config`` or an unusable ``--out`` included), 3 numerical failure (an
+``ArithmeticError`` or ``MemoryError`` included).
 """
 
 from __future__ import annotations
@@ -196,6 +197,7 @@ def cmd_reproduce(config: dict, out: Path) -> int:
         all_ok &= code == 0
     write_json(out / "report.json", {"command": "reproduce", "scenarios": summary,
                                      "pass": all_ok})
+    write_json(out / "manifest.json", {"command": "reproduce", "config": config})
     print(f"reproduce: {'all scenarios pass' if all_ok else 'FAILURES present'}")
     return 0 if all_ok else 1
 
@@ -269,7 +271,7 @@ def main(argv=None) -> int:
         # underflow stays quiet (Ai's e^-zeta rounds to 0 far to the right)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](config, out)
-    except (ConfigurationError, RangeError, ValueError) as exc:
+    except (ConfigurationError, RangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, ConvergenceError) as exc:

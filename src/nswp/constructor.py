@@ -22,7 +22,7 @@ import numpy as np
 
 from .airy import ai_values
 from .eigensolver import EigenPair, StaticPotential
-from .errors import RangeError
+from .errors import RangeError, first_outside
 from .grids import (Grid1D, PhysicalConstants, WaveField, fd5_first, fd5_second, interior,
                     shift_values, sine_apply)
 from .quadrature import cumulative_antiderivative, integrate_time
@@ -90,8 +90,10 @@ class SampledShape(Shape):
         if grid != self.field.grid:
             raise RangeError("sampled shape must be evaluated on its own grid")
         d = np.asarray(d, dtype=float)
-        if np.any(np.abs(d) >= 0.5 * grid.width):
-            raise RangeError(f"shift {d} leaves the shape window")
+        inside = ~(np.abs(d) >= 0.5 * grid.width)  # a NaN shift passes
+        if not np.all(inside):
+            raise RangeError(f"shift {first_outside(d, inside)} leaves the shape window "
+                             f"(-{0.5 * grid.width:g}, {0.5 * grid.width:g})")
         f = self.field.values.real
         shifted = shift_values(f, d, grid.dx)
         # a zero shift is the samples themselves, not their FFT round trip
@@ -159,8 +161,10 @@ class NswpSolution:
         for a time or an array of times. Raises RangeError if any t lies
         outside [0, t_max], where the cache would extrapolate its end
         pieces."""
-        if not np.all((t >= -1e-9) & (t <= self.t_max + 1e-9)):
-            raise RangeError(f"t={t} outside the phi0 cache range [0, {self.t_max}]")
+        inside = (t >= -1e-9) & (t <= self.t_max + 1e-9)
+        if not np.all(inside):
+            raise RangeError(f"t={first_outside(t, inside)} outside the phi0 cache "
+                             f"range [0, {self.t_max}]")
         if self._phi0_anti is None:
             self._phi0_anti = cumulative_antiderivative(
                 self._phi0_integrand, self.t_max, 1e-11

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class NswpError(Exception):
     """Base class for all package errors."""
@@ -15,6 +17,12 @@ class DegenerateFieldError(NswpError):
 
 class RangeError(NswpError):
     """An argument lies outside the supported evaluation range."""
+
+
+def first_outside(values, ok):
+    """The first element of ``values``, a number or an array, at which the
+    mask ``ok`` is False: the one value a RangeError names."""
+    return np.asarray(values).flat[np.argmin(ok)]
 
 
 class AccuracyError(NswpError):

@@ -9,25 +9,23 @@ dV = V(t + dt/2) - V_ref, applied exactly as two half kicks
 exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
 5, 506 (1968)). Where dV is zero everywhere the step is the fixed part
 alone. The step guard dt * max|V| / hbar < 0.5 runs only where a step runs:
-on V_ref once V moves off it between walls, and on the full V(t + dt/2) of
-every step where it moved off V_ref. A static stretch of V between walls
-takes no step, so its V_ref need only be finite, and its dt is only the
-interval between snapshots.
+on V_ref when V moves between walls, and on the full V(t + dt/2) of every
+step where it moved off V_ref. A V that never moves between walls takes no
+step, so its V_ref need only be finite, and its dt is only the interval
+between snapshots.
 
 Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for
 the sine-DVR Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T
 the Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
 ``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T
-(``grids.hamiltonian_eigenpairs``, shared with the eigensolver). While V at
-the step midpoints is V_ref, the run is exp(-i k dt H_ref / hbar) after k
-steps, so every snapshot of that stretch, and the state at the step where V
-first moves, is U (exp(-i E k dt / hbar) * U^T psi0), one product for all of
-them; a static V is therefore exact in time at any dt, and a run whose V
-never moves takes no step at all. From the first step where V moves the
-fixed part is the complex matrix U diag(exp(-i E dt / hbar)) U^T, unitary up
-to round-off, and the error is second order in dt, through the kicks. The
-snapshots fill the rows of one array, and their norm and observables are
-measured as one batch when the run ends; the dense basis stops at
+(``grids.hamiltonian_eigenpairs``, shared with the eigensolver). If V at
+every step midpoint is V_ref, the run is exp(-i k dt H_ref / hbar) after k
+steps, so every snapshot is U (exp(-i E k dt / hbar) * U^T psi0), one
+product for all of them, and the run takes no step: a static V is exact in
+time at any dt. If V moves at any step, the run steps from t_start, with
+the complex matrix U diag(exp(-i E dt / hbar)) U^T as the fixed part,
+unitary up to round-off, and the error is second order in dt, through the
+kicks. The snapshots fill the rows of one array; the dense basis stops at
 ``grids.MAX_DENSE_POINTS``.
 
 An ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
@@ -39,18 +37,15 @@ global phase only ([T, [T, V]] = 0 and [V, [V, T]] is a constant), so its
 steps can be long: the Airy runs step at dt = 1e-2, where F sampled at the
 step midpoints leaves a global error near T dt^2 |F''| / 24 ~ 1e-5, below
 the ~1.6e-4 density floor that the mask and the check window set.
-Amplitude that reaches the outermost cells would wrap around to the other
-edge; the check on each snapshot raises ``BoundaryError`` as the run steps
-when it does. Between walls the snapshots of the static stretch are checked
-as one batch once the product has made them, and each later one as its step
-makes it: the first that lost norm or holds amplitude at the edge cells
-raises ``BoundaryError`` with its t, before the run goes on, and the partial
-report ends there.
+Each snapshot meets its boundary's check as it is made (the product's as one
+batch): amplitude at the outermost cells, which would wrap around under the
+mask, or, between walls, lost norm or amplitude at the edge cells. The first
+that fails raises ``BoundaryError`` with its t, and the run ends there as it
+does at t_end: the snapshots kept are measured as one report.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -152,8 +147,8 @@ class RunReport:
                 if f.name not in ("grid", "snapshot_values") and getattr(self, f.name)}
 
 
-# a step of either stepper needs dt * max|V| / hbar below this; a static
-# stretch of V between walls takes no step, and no dt bounds it
+# a step of either stepper needs dt * max|V| / hbar below this; a V that
+# never moves between walls takes no step, and no dt bounds it
 _STEP_GUARD = 0.5
 MAX_STEPS = 10**6  # the longest run any config may take
 
@@ -244,12 +239,12 @@ def propagate(
     Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
     prepared once (see the module docstring). Between Dirichlet walls the
     fixed part is the exact evolution of T + V_ref, V_ref = V(t_start + dt/2),
-    over dt; while V(t + dt/2) is V_ref, every snapshot and the state where
-    V first moves come from one product in the eigenbasis of T + V_ref, and
-    the steps only run from there. Once all snapshots are in, their norm and
-    observables under ``v_fn`` are measured as one batch. Under an absorbing
-    mask V_ref = 0, the fixed part is the kinetic phase, the mask follows
-    the second kick and each snapshot records the norm only. The shape
+    over dt; if V(t + dt/2) is V_ref at every step, every snapshot comes
+    from one product in the eigenbasis of T + V_ref and no step runs, and
+    otherwise the steps run from t_start. Once all snapshots are in, their
+    norm and observables under ``v_fn`` are measured as one batch. Under an
+    absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
+    follows the second kick and the report records the norm only. The shape
     deviation and H-tilde residual columns are left empty: the ``verifier``
     measures them from the snapshots. ``initial.time`` must be
     ``config.t_start``.
@@ -268,32 +263,33 @@ def propagate(
     steps = [0, *range(config.snapshot_stride, n_steps, config.snapshot_stride), n_steps]
     times = [t_start + k * dt for k in steps]
     rows = np.empty((len(steps), grid.n), dtype=complex)
-    rows[0] = initial.values
-
-    def report(count: int, **columns) -> RunReport:
-        """The run's first ``count`` snapshots with their ``columns``."""
-        return RunReport(times=times[:count], grid=grid, snapshot_values=rows[:count],
-                         **{name: column[:count] for name, column in columns.items()})
+    rows[0] = values = initial.values
 
     def v_mid(i: int) -> np.ndarray:
         """V at the midpoint of step ``i``."""
         return np.asarray(v_fn(x, (t_start + i * dt) + 0.5 * dt), dtype=float)
 
-    if dirichlet:
-        norm0 = np.sqrt(grid.dx * np.vdot(initial.values, initial.values).real)
-
-        def measured(count: int) -> RunReport:
-            """The first ``count`` snapshots with their norm and observables
-            under ``v_fn``, measured as one batch."""
+    def measured(count: int) -> RunReport:
+        """The first ``count`` snapshots with their norm and, between walls,
+        their observables under ``v_fn``, measured as one batch."""
+        if dirichlet:
             v_snap = np.empty((count, grid.n))
             for r in range(count):
                 v_snap[r] = v_fn(x, times[r])
             obs = observables(rows[:count], grid, v_snap, consts)
-            return report(count, norm=obs.norm.tolist(), centroid=obs.centroid.tolist(),
-                          momentum_mean=obs.momentum_mean.tolist(),
-                          energy_mean=obs.energy_mean.tolist())
+            columns = dict(norm=obs.norm.tolist(), centroid=obs.centroid.tolist(),
+                           momentum_mean=obs.momentum_mean.tolist(),
+                           energy_mean=obs.energy_mean.tolist())
+        else:
+            columns = dict(norm=[float(np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2)))
+                                 for psi in rows[:count]])
+        return RunReport(times=times[:count], grid=grid, snapshot_values=rows[:count],
+                         **columns)
 
-        def check_walls(lo: int, hi: int) -> None:
+    if dirichlet:
+        norm0 = np.sqrt(grid.dx * np.vdot(initial.values, initial.values).real)
+
+        def check(lo: int, hi: int) -> None:
             """BoundaryError at the first of snapshots lo..hi-1 that hit a
             wall, with the report cut there. The step is unitary, so a hit
             shows up as amplitude piling onto the edge cells (reflection),
@@ -316,44 +312,40 @@ def propagate(
         # the product is exact at any dt: V_ref need only be finite
         if not np.isfinite(v_ref).all():
             raise ConfigurationError("V is not finite")
-        energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
-        # the first step at which V moves off V_ref: V has not moved while
-        # its bytes are V_ref's (a NaN, or a -0.0 for a 0.0, ends the
-        # stretch, which costs steps, not accuracy)
+        # V has not moved while its bytes are V_ref's (a NaN, or a -0.0 for
+        # a 0.0, counts as a move, which costs steps, not accuracy)
         ref_bytes = v_ref.tobytes()
-        start = next((i for i in range(n_steps) if v_mid(i).tobytes() != ref_bytes), n_steps)
-        row = bisect.bisect_right(steps, start)  # the first snapshot after it
-        _eigen_evolution(initial.values, energies, vectors, steps[1:row], dt,
-                         consts.hbar, rows[1:row])
-        check_walls(0, row)
-        if start < n_steps:
-            values = _eigen_evolution(initial.values, energies, vectors, [start], dt,
-                                      consts.hbar, np.empty((1, grid.n), dtype=complex))[0]
-            step = _eigen_step(v_ref, dt, grid, consts)
+        if all(v_mid(i).tobytes() == ref_bytes for i in range(1, n_steps)):
+            energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
+            _eigen_evolution(initial.values, energies, vectors, steps[1:], dt,
+                             consts.hbar, rows[1:])
+            check(0, len(steps))
+            return measured(len(steps))
+        step = _eigen_step(v_ref, dt, grid, consts)
     else:
-        v_ref, start, row = 0.0, 0, 1
-        values = initial.values.copy()
+        v_ref = 0.0
         kinetic = _kinetic_phase(grid, dt, consts)
         mask = _mask_profile(grid, config.mask, dt)
         peak0 = float(np.max(np.abs(values)))
-        norm = []
 
-        def record(r: int) -> None:
-            """The norm of snapshot ``r``, and the wrap-around check on it."""
-            norm.append(float(np.sqrt(grid.dx * np.sum(np.abs(rows[r]) ** 2))))
-            # the split step's domain is periodic: amplitude the mask left
-            # at the edges would come back in at the other side
-            edge = max(abs(rows[r, 0]), abs(rows[r, -1]))
-            if not edge <= 1e-2 * peak0:
-                raise BoundaryError(
-                    f"wave packet wrapped around the periodic domain at t={times[r]:.6g} "
-                    f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
-                    "widen or strengthen the absorbing mask",
-                    partial_report=report(r + 1, norm=norm),
-                )
-        record(0)
+        def check(lo: int, hi: int) -> None:
+            """BoundaryError at the first of snapshots lo..hi-1 that holds
+            amplitude at the edges, with the report cut there: the split
+            step's domain is periodic, so amplitude the mask left at the
+            edges would come back in at the other side."""
+            for r in range(lo, hi):
+                edge = max(abs(rows[r, 0]), abs(rows[r, -1]))
+                if not edge <= 1e-2 * peak0:
+                    raise BoundaryError(
+                        f"wave packet wrapped around the periodic domain at t={times[r]:.6g} "
+                        f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
+                        "widen or strengthen the absorbing mask",
+                        partial_report=measured(r + 1),
+                    )
+        check(0, 1)
 
-    for i in range(start, n_steps):
+    row = 1
+    for i in range(n_steps):
         v = v_mid(i)
         dv = v - v_ref
         kick = None
@@ -371,9 +363,6 @@ def propagate(
             values *= mask
         if i + 1 == steps[row]:
             rows[row] = values
-            if dirichlet:
-                check_walls(row, row + 1)
-            else:
-                record(row)
+            check(row, row + 1)
             row += 1
-    return measured(len(steps)) if dirichlet else report(len(steps), norm=norm)
+    return measured(len(steps))

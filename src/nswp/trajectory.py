@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import RangeError
+from .errors import RangeError, first_outside
 from .grids import PhysicalConstants
 from .quadrature import cumulative_antiderivative
 
@@ -87,8 +87,10 @@ class ForceTrajectory(Trajectory):
         self._int2_f = self._int_f.antiderivative()
 
     def _check_range(self, t) -> None:
-        if not np.all((t >= 0.0) & (t <= self.t_max)):
-            raise RangeError(f"t={t} outside cached force range [0, {self.t_max}]")
+        inside = (t >= 0.0) & (t <= self.t_max)
+        if not np.all(inside):
+            raise RangeError(f"t={first_outside(t, inside)} outside cached force range "
+                             f"[0, {self.t_max}]")
 
     def eval(self, t):
         self._check_range(t)

@@ -240,6 +240,27 @@ def test_unknown_scenario_exits_2(tmp_path):
     assert main(["verify", "--scenario", "bogus", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--config", "missing.json"],
+                                  ["eigen", "--out", "taken"],
+                                  ["reproduce", "--out", "taken"]],
+                         ids=["config-missing", "eigen-out-a-file", "reproduce-out-a-file"])
+def test_unreadable_config_or_unusable_out_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_reproduce_writes_its_manifest(tmp_path, monkeypatch):
+    # the scenarios' own runs are stubbed out: only reproduce's files are read
+    monkeypatch.setattr(cli, "cmd_verify", lambda config, out: 0)
+    out = tmp_path / "r"
+    assert main(["reproduce", "--out", str(out)]) == 0
+    assert read_json(out / "manifest.json") == {"command": "reproduce", "config": {}}
+
+
 def test_flags_override_config(tmp_path):
     # config says k=1, flag says k=2; flags win
     cfg = make_config(tmp_path, potential="harmonic", k=1)

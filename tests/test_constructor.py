@@ -117,6 +117,19 @@ def test_phi0_takes_an_array_and_checks_every_time(sho_pieces):
             sol.phi0(bad)
 
 
+def test_phi0_range_error_names_the_first_bad_time(sho_pieces):
+    # one line, not the whole array of 201 times
+    sol = sho_pieces[0]
+    for bad in (sol.t_max + 1.25, np.nan):
+        ts = np.linspace(0.0, sol.t_max, 201)
+        ts[137] = bad
+        with pytest.raises(RangeError) as exc_info:
+            sol.phi0(ts)
+        message = str(exc_info.value)
+        assert f"t={bad} " in message and f"[0, {sol.t_max}]" in message
+        assert len(message) < 80
+
+
 def test_phi0_refuses_a_negative_time(sho_pieces):
     # below 0 the cache would extrapolate its first piece
     sol = sho_pieces[0]
@@ -208,6 +221,16 @@ def test_sampled_shape_guards(sho_pieces):
         sol.shape.on_grid_shifted(grid, 0.6 * grid.width)
     with pytest.raises(NotImplementedError):
         sol.shape.values_at(np.array([0.0]))
+
+
+def test_sampled_shape_range_error_names_the_first_bad_shift(sho_pieces):
+    sol, _, grid, _ = sho_pieces
+    shifts = np.linspace(-1.0, 1.0, 301)
+    shifts[[40, 200]] = 0.6 * grid.width, -0.7 * grid.width
+    with pytest.raises(RangeError) as exc_info:
+        sol.shape.on_grid_shifted(grid, shifts)
+    message = str(exc_info.value)
+    assert f"shift {0.6 * grid.width} " in message and len(message) < 80
 
 
 def test_sampled_shift_does_not_wrap_around():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nswp import Grid1D
+from nswp import Grid1D, PropagationConfig
+from nswp.cases import run_case
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
@@ -39,3 +40,15 @@ def test_quartic_packet_rides_its_round_trip():
     assert res < 1e-4
     assert dev < 1e-4
     assert drift < 1e-4
+
+
+def test_run_case_measures_the_htilde_residual_of_the_quartic_packet():
+    # a case between walls that is not sho gets its H-tilde column from
+    # run_case: 11 snapshots to t = 0.2, max 2.0e-7
+    demo = load(DEMO_DIR / "quartic_custom_packet.py")
+    grid = Grid1D(-5.0, 5.0, 128)
+    _, case = demo.quartic_case(grid)
+    config = PropagationConfig(dt=2e-4, t_end=0.2, grid=grid, snapshot_stride=100)
+    report = run_case(case, config, "quartic_round_trip", {}, lambda report: []).report
+    assert len(report.htilde_residual) == len(report.times) == 11
+    assert max(report.htilde_residual) < 1e-6

@@ -338,38 +338,33 @@ def test_time_dependent_v_matches_the_dense_reference():
 def eigen_route_run(initial, v_fn, config):
     """propagate's route between walls written out with numpy, all snapshots
     as rows. T + V_ref, V_ref = V(t_start + dt/2), is diagonalised test-side
-    (H = U diag(E) U^T). While V(t + dt/2) is V_ref, the state after k steps
-    is U (exp(-i E k dt / hbar) * U^T psi0), the real and imaginary parts
-    each one real product with U^T per block of ``BLOCK_ROWS`` snapshots;
-    the state at the step where V first moves is one more such product.
-    From there each step is a half kick, the step matrix
-    ``propagator._eigen_step`` and a half kick, as in ``reference_run``."""
+    (H = U diag(E) U^T). If V(t + dt/2) is V_ref at every step, the state
+    after k steps is U (exp(-i E k dt / hbar) * U^T psi0), the real and
+    imaginary parts each one real product with U^T per block of
+    ``BLOCK_ROWS`` snapshots. If V moves at any step, every step from
+    t_start is the step matrix ``propagator._eigen_step``, between half
+    kicks where V is off V_ref, as in ``reference_run``."""
     grid, dt, hbar = config.grid, config.dt, CONSTS.hbar
     x, n_steps, stride = grid.x, config.n_steps, config.snapshot_stride
     steps = [0, *range(stride, n_steps, stride), n_steps]
     v_ref = np.array(v_fn(x, config.t_start + 0.5 * dt), dtype=float)
-    h = kinetic_matrix(grid.n, grid.dx, CONSTS)
-    h[np.diag_indices(grid.n)] += v_ref
-    e, u = np.linalg.eigh(h)
-    start = next((i for i in range(n_steps)
-                  if (v_fn(x, (config.t_start + i * dt) + 0.5 * dt) - v_ref).any()), n_steps)
-
-    def evolved(ks):
+    if not any((v_fn(x, (config.t_start + i * dt) + 0.5 * dt) - v_ref).any()
+               for i in range(n_steps)):
+        h = kinetic_matrix(grid.n, grid.dx, CONSTS)
+        h[np.diag_indices(grid.n)] += v_ref
+        e, u = np.linalg.eigh(h)
         re, im = u.T @ initial.values.real, u.T @ initial.values.imag
-        out = np.empty((len(ks), grid.n), dtype=complex)
-        for b in range(0, len(ks), BLOCK_ROWS):
-            angle = np.outer(np.asarray(ks[b:b + BLOCK_ROWS], dtype=float) * (-dt / hbar), e)
+        out = np.empty((len(steps), grid.n), dtype=complex)
+        out[0] = initial.values
+        for b in range(1, len(steps), BLOCK_ROWS):
+            angle = np.outer(np.asarray(steps[b:b + BLOCK_ROWS], dtype=float) * (-dt / hbar), e)
             cos, sin = np.cos(angle), np.sin(angle)
             out[b:b + BLOCK_ROWS].real = (cos * re - sin * im) @ u.T
             out[b:b + BLOCK_ROWS].imag = (sin * re + cos * im) @ u.T
         return out
-
-    snapshots = [initial.values, *evolved([k for k in steps[1:] if k <= start])]
-    if start == n_steps:
-        return np.array(snapshots)
-    values = evolved([start])[0]
     step = propagator._eigen_step(v_ref, dt, grid, CONSTS)
-    for i in range(start, n_steps):
+    values, snapshots = initial.values, [initial.values]
+    for i in range(n_steps):
         t = config.t_start + i * dt
         angle = (-0.5 * dt / hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
         kick = np.cos(angle) + 1j * np.sin(angle)
@@ -384,11 +379,11 @@ def all_snapshots(initial, v_fn, config):
 
 
 # The two tests below held the loop to a reference built on scipy's banded
-# solver, then to the step matrix repeated from the first step. While V is
-# V_ref the snapshots now come from one eigenbasis product, so they hold
-# every snapshot of propagate bit for bit to that route written out,
-# ``eigen_route_run``; the property after them holds it to the repeated
-# step within round-off.
+# solver, then to the step matrix repeated from the first step. A V that
+# never moves now takes one eigenbasis product instead, so they hold every
+# snapshot of propagate bit for bit to the route written out,
+# ``eigen_route_run``; the property after them holds a V that moves to the
+# repeated step bit for bit, and a static one to it within round-off.
 
 def test_static_v_bit_identical_to_banded_reference():
     grid = Grid1D(-8.0, 8.0, 128)
@@ -440,7 +435,8 @@ def repeated_step_run(initial, v_fn, config):
 def test_static_stretch_agrees_with_the_repeated_step(n, dt, n_steps, stride, t_start, move):
     # V is the static trap until the step ``move`` of the way through the
     # run (the second step at least; None: never), then modulated; every
-    # snapshot agrees with the step repeated from t_start
+    # snapshot agrees with the step repeated from t_start, bit for bit
+    # whenever V moves
     grid = Grid1D(-8.0, 8.0, n)
     v_static = 0.5 * grid.x**2
     config = PropagationConfig(dt=dt, t_end=t_start + n_steps * dt, grid=grid,
@@ -456,6 +452,8 @@ def test_static_stretch_agrees_with_the_repeated_step(n, dt, n_steps, stride, t_
     report = propagate(initial, v_fn, config, CONSTS)
     reference = repeated_step_run(initial, v_fn, config)
     assert report.snapshot_values.shape == reference.shape
+    if first < n_steps:
+        assert np.array_equal(report.snapshot_values, reference)
     peak = np.max(np.abs(initial.values))
     assert np.max(np.abs(report.snapshot_values - reference)) < 1e-12 * peak
 

@@ -137,3 +137,15 @@ def test_force_trajectory_rejects_t_outside_cache():
               np.array([-1e-6, 1.0])):
         with pytest.raises(RangeError):
             traj.eval(t)
+
+
+def test_force_trajectory_range_error_names_the_first_bad_time():
+    traj = ForceTrajectory(0.0, np.sin, CONSTS, t_max=2.0)
+    for bad in (-1e-6, np.nan):
+        ts = np.linspace(0.0, 2.0, 301)
+        ts[[250, 260]] = bad, 3.0
+        with pytest.raises(RangeError) as exc_info:
+            traj.eval(ts)
+        message = str(exc_info.value)
+        assert f"t={bad} " in message and "[0, 2.0]" in message
+        assert len(message) < 80
