@@ -31,12 +31,10 @@ def main():
 
     # peak trajectory table: t, measured peak displacement, B^3 t^2 / 4m^2
     report = result.report
-    grid = report.snapshots[0].grid
+    grid, times = report.grid, report.times
     window = result.extras["window"]
     sel = (grid.x >= window[0]) & (grid.x <= window[1])
-    peaks = np.array([grid.x[sel][np.argmax(snap.density()[sel])]
-                      for snap in report.snapshots])
-    times = np.asarray(report.times)
+    peaks = grid.x[sel][np.argmax(np.abs(report.snapshot_values[:, sel]) ** 2, axis=1)]
     B, m = result.extras["B"], result.solution.consts.mass
     write_csv(out / "peak_trajectory.csv", ("t", "measured", "expected"),
               times, peaks - peaks[0], B**3 * times**2 / (4.0 * m**2))

@@ -119,31 +119,21 @@ class NswpCase:
 
     def reference(self, grid: Grid1D):
         """t -> |f(x - d(t))|^2 at the window's points only, and the slice of
-        the grid that holds them: the window checks read no other point. For
-        an array of times the reference has one row per time.
+        the grid that holds them, all of it without a window: the window
+        checks read no other point. One row per time for an array of times.
         Raises RangeError unless the window and the two points either side
         of it, which the 5-point <P> stencil reads, lie inside the grid."""
         shape, d = self.sol.shape, self.sol.trajectory.d
-        if self.window is None:
-            return (lambda t: shape.on_grid_shifted(grid, d(t)) ** 2), slice(None)
-        sel = slice(int(np.searchsorted(grid.x, self.window[0], "left")),
-                    int(np.searchsorted(grid.x, self.window[1], "right")))
-        if sel.start < 2 or sel.stop > grid.n - 2:
-            raise RangeError(
-                f"the comparison window [{self.window[0]:g}, {self.window[1]:g}] and "
-                f"two points either side of it do not fit the grid of {grid.n} points "
-                f"on [{grid.x_min:g}, {grid.x_max:g}]")
-        x_window = grid.x[sel]
-
-        def reference(t):
-            # Ai one time at a time: Ai of a block of rows holds several
-            # temporaries of the block's size
-            d_t = np.asarray(d(t))
-            rows = np.empty(d_t.shape + x_window.shape)
-            for i in np.ndindex(d_t.shape):
-                rows[i] = shape.values_at(x_window - d_t[i]) ** 2
-            return rows
-        return reference, sel
+        sel = slice(None)
+        if self.window is not None:
+            sel = slice(int(np.searchsorted(grid.x, self.window[0], "left")),
+                        int(np.searchsorted(grid.x, self.window[1], "right")))
+            if sel.start < 2 or sel.stop > grid.n - 2:
+                raise RangeError(
+                    f"the comparison window [{self.window[0]:g}, {self.window[1]:g}] and "
+                    f"two points either side of it do not fit the grid of {grid.n} points "
+                    f"on [{grid.x_min:g}, {grid.x_max:g}]")
+        return (lambda t: shape.on_grid_shifted(grid, d(t), sel) ** 2), sel
 
 
 def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
@@ -174,7 +164,7 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
     if not masked:
         report.htilde_residual = htilde_residual(
             report.snapshot_values, grid, case.v, sol.trajectory, sol.consts, sol.E_f,
-            np.asarray(report.times)).tolist()
+            report.times)
 
     def evaluate():
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
@@ -204,8 +194,11 @@ def sho_grid(n: int = 0, amplitude: float = 2.0, omega: float = 1.0,
     that keep dx at most ``_SHO_GRID.dx`` sigma. The walls are where the
     sine DVR puts them, so the tail they cut off sets the residual checks'
     floor. At the paper's defaults it is ``_SHO_GRID``. Raises RangeError,
-    before any grid is built, when that takes more than
-    ``grids.MAX_DENSE_POINTS`` points."""
+    before any grid is built, unless n >= 0 and omega > 0, or when the grid
+    takes more than ``grids.MAX_DENSE_POINTS`` points."""
+    if not (n >= 0 and omega > 0):
+        raise RangeError(f"the sho mode needs n >= 0 and omega > 0, got n = {n} and "
+                         f"omega = {omega:g}")
     sigma = math.sqrt(consts.hbar / (consts.mass * omega))
     half = abs(amplitude) + (math.sqrt(2 * n + 1) + _SHO_TAIL) * sigma
     intervals = 2.0 * half / (_SHO_GRID.dx * sigma)
@@ -267,8 +260,8 @@ def run_sho_shifted(
     sol, v_static = case.sol, case.v
 
     def family_checks(report):
-        snaps = report.snapshots
-        overlap_dev = abs(1.0 - _overlap_mod(snaps[0], snaps[-1]))
+        first, last = (WaveField(grid=grid, values=row) for row in report.snapshot_values[[0, -1]])
+        overlap_dev = abs(1.0 - _overlap_mod(first, last))
         return [
             CheckResult.below("shape_deviation", float(np.max(report.shape_deviation)),
                               5e-4),
@@ -413,7 +406,7 @@ def run_airy_forced(
         nested = [phi0_forced_airy(A, F, sol.E_f, t, consts) for t in ts]
         phase_dev = float(np.max(np.abs(np.subtract(nested, sol.phi0(ts)))))
         reference, sel = case.reference(grid)
-        times = np.asarray(report.times)
+        times = report.times
         d, d_dot, _ = sol.trajectory.eval(times)
         rows = report.snapshot_values
         peaks = np.array([_quadratic_peak(grid.x[sel], np.abs(row[sel]) ** 2)
@@ -427,8 +420,7 @@ def run_airy_forced(
         # mask contamination: the relative loss of the last snapshot's
         # windowed probability content against the reference density's
         content = np.trapezoid(np.abs(rows[-1, sel]) ** 2, dx=grid.dx)
-        absorbed = float(abs(1.0 - content / np.trapezoid(reference(report.times[-1]),
-                                                          dx=grid.dx)))
+        absorbed = float(abs(1.0 - content / np.trapezoid(reference(times[-1]), dx=grid.dx)))
         return [
             CheckResult.below("phase_dual_route", phase_dev, 1e-8,
                               note="nested-integral phi0 vs the packet's phi0"),
@@ -471,9 +463,9 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
     report.shape_deviation = rigid_shape_deviation(report)
 
     def evaluate():
-        times = np.asarray(report.times)
         width = np.sqrt(observables(report.snapshot_values, grid, None, consts).variance)
-        law = sigma0 * np.sqrt(1.0 + (consts.hbar * times / (2 * consts.mass * sigma0**2)) ** 2)
+        law = sigma0 * np.sqrt(1.0 + (consts.hbar * report.times
+                                      / (2 * consts.mass * sigma0**2)) ** 2)
         width_err = float(np.max(np.abs(width - law) / law))
         return [
             CheckResult.below("width_follows_spreading_law", width_err, 0.01, note="relative"),
@@ -635,16 +627,24 @@ def consts_from(config: dict) -> PhysicalConstants:
     return PhysicalConstants(**{k: config[k] for k in ("hbar", "mass") if k in config})
 
 
-def uniform_force(force_kind: str = "sin", force_amp: float = 0.3,
-                  force_freq: float = 2.0) -> tuple[Callable, str]:
+def uniform_force(force_kind: str = "sin", force_amp: float | None = None,
+                  force_freq: float | None = None) -> tuple[Callable, str]:
     """F(t) for a time or an array of times, and its label: ``none`` (0),
-    ``const`` (force_amp) or ``sin`` (force_amp sin(force_freq t))."""
+    ``const`` (force_amp, default 0.3) or ``sin`` (force_amp sin(force_freq
+    t), default frequency 2.0). A key given that the kind ignores raises."""
+    given = {"force_amp": force_amp, "force_freq": force_freq}
+    unused = {"none": ("force_amp", "force_freq"), "const": ("force_freq",)}.get(force_kind, ())
+    ignored = [k for k in unused if given[k] is not None]
+    if ignored:
+        raise ConfigurationError(f"force_kind '{force_kind}' does not take {ignored}")
+    amp = 0.3 if force_amp is None else force_amp
+    freq = 2.0 if force_freq is None else force_freq
     if force_kind == "none":
         return (lambda t: np.zeros_like(t, dtype=float)), "none"
     if force_kind == "const":
-        return (lambda t: np.full_like(t, force_amp, dtype=float)), f"const{force_amp:g}"
+        return (lambda t: np.full_like(t, amp, dtype=float)), f"const{amp:g}"
     if force_kind == "sin":
-        return (lambda t: force_amp * np.sin(force_freq * t)), f"sin{force_amp:g}x{force_freq:g}"
+        return (lambda t: amp * np.sin(freq * t)), f"sin{amp:g}x{freq:g}"
     raise ConfigurationError(f"unknown force_kind '{force_kind}'")
 
 

@@ -6,9 +6,11 @@ the supporting potential is
     V_nswp(x, t) = V(x - d(t)) - m * d_ddot(t) * x + G(t)
 
 and the packet is Psi(x, t) = f(x - d(t)) exp(i [phi1(t) x + phi0(t)]) with
-phi1 = m d_dot / hbar and phi0 the accumulated global phase. Every function
-of time here (d and its derivatives, G, phi1, phi0) takes one time or an
-array of times. The packet carries phi0 from a cache built on a refined time
+phi1 = m d_dot / hbar and phi0 the accumulated global phase. A shape f, a
+``SampledShape`` or an ``AiryShape``, is sampled one way only:
+``on_grid_shifted(grid, d, sel)``, f(x - d) at the grid points ``sel``, one
+row per shift. Every function of time here (d and its derivatives, G, phi1,
+phi0) takes one time or an array of times. The packet carries phi0 from a cache built on a refined time
 mesh; ``NswpSolution.phi0_direct``, one adaptive integral per time, is an
 independent reference for tests.
 """
@@ -59,21 +61,10 @@ def gauge_sho_case(omega: float, traj: Trajectory, consts: PhysicalConstants) ->
                          lambda t: -0.5 * consts.mass * omega**2 * traj.d(t) ** 2)
 
 
-class Shape:
-    """Shape function f with its energy E_f."""
-
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
-        """Samples of f(x - d) on the grid: n of them for one shift d, one
-        row of n per shift for an array of shifts."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class SampledShape(Shape):
-    """Grid-sampled real shape (an eigensolver mode); shifted spectrally."""
+class SampledShape:
+    """Grid-sampled real shape f (an eigensolver mode) with its energy E_f;
+    shifted spectrally, on its own grid only."""
 
     field: WaveField
     energy: float
@@ -82,15 +73,14 @@ class SampledShape(Shape):
     def from_eigenpair(cls, pair: EigenPair) -> "SampledShape":
         return cls(field=pair.shape, energy=pair.energy)
 
-    def values_at(self, x):
-        # direct evaluation off-grid is not supported for sampled shapes
-        raise NotImplementedError("sampled shapes evaluate on their own grid")
-
-    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
+    def on_grid_shifted(self, grid: Grid1D, d, sel=slice(None)) -> np.ndarray:
+        """f(x - d) at the grid points ``sel``, one row per shift. Raises
+        RangeError off its own grid, or for a shift, NaN included, of half
+        the grid's width or more."""
         if grid != self.field.grid:
             raise RangeError("sampled shape must be evaluated on its own grid")
         d = np.asarray(d, dtype=float)
-        inside = ~(np.abs(d) >= 0.5 * grid.width)  # a NaN shift passes
+        inside = np.abs(d) < 0.5 * grid.width  # a NaN shift fails
         if not np.all(inside):
             raise RangeError(f"shift {first_outside(d, inside)} leaves the shape window "
                              f"(-{0.5 * grid.width:g}, {0.5 * grid.width:g})")
@@ -102,13 +92,14 @@ class SampledShape(Shape):
         # holds the periodic image f(x - d -+ L), not the mode's f = 0 there
         source = grid.x - d[..., None]
         shifted[(source < grid.x_min) | (source > grid.x_max)] = 0.0
-        return shifted
+        return shifted[..., sel]
 
 
 @dataclass(frozen=True)
-class AiryShape(Shape):
-    """Closed-form Airy mode for V = A x, f(x) = Ai[(2Am/hbar^2)^(1/3) (x - E_f/A)];
-    evaluated pointwise, never interpolated, and not normalizable.
+class AiryShape:
+    """Closed-form Airy mode for V = A x, f(x) = Ai[(2Am/hbar^2)^(1/3) (x - E_f/A)]
+    with its energy E_f; evaluated pointwise, never interpolated, and not
+    normalizable.
 
     Raises RangeError unless A > 0: for A < 0 the scale is complex and for
     A = 0 the offset E_f/A is undefined.
@@ -126,19 +117,24 @@ class AiryShape(Shape):
     def scale(self) -> float:
         return (2.0 * self.A * self.consts.mass / self.consts.hbar**2) ** (1.0 / 3.0)
 
-    def values_at(self, x):
-        return ai_values(self.scale * (np.asarray(x) - self.energy / self.A))
-
-    def on_grid_shifted(self, grid: Grid1D, d) -> np.ndarray:
-        return self.values_at(grid.x - np.asarray(d)[..., None])
+    def on_grid_shifted(self, grid: Grid1D, d, sel=slice(None)) -> np.ndarray:
+        """f(x - d) at the grid points ``sel``, one row per shift."""
+        d = np.asarray(d, dtype=float)
+        x = grid.x[sel]
+        out = np.empty(d.shape + x.shape)
+        # Ai one shift at a time: Ai of many rows at once holds several
+        # temporaries of their size
+        for i in np.ndindex(d.shape):
+            out[i] = ai_values(self.scale * ((x - d[i]) - self.energy / self.A))
+        return out
 
 
 class NswpSolution:
     """Immutable closed-form NSWP; phi0 cache is built once on demand, to
     1e-11 on [0, t_max]."""
 
-    def __init__(self, shape: Shape, trajectory: Trajectory, gauge: GaugeFunction,
-                 consts: PhysicalConstants = PhysicalConstants(),
+    def __init__(self, shape: SampledShape | AiryShape, trajectory: Trajectory,
+                 gauge: GaugeFunction, consts: PhysicalConstants = PhysicalConstants(),
                  t_max: float = 10.0):
         self.shape = shape
         self.trajectory = trajectory

@@ -116,24 +116,28 @@ class PropagationConfig:
 class RunReport:
     """Metric time series (plus retained snapshot fields) from one run.
 
-    ``propagate`` fills the times, the norm, the Dirichlet observables and
-    the snapshots; ``shape_deviation`` and ``htilde_residual`` stay empty
-    until a scenario measures them from the snapshots (``verifier``). The
-    snapshots' samples on ``grid`` are the rows of one (snapshots x n)
-    complex array, ``snapshot_values``, which the ``verifier`` measures as
-    one batch; ``snapshots`` reads them as ``WaveField`` views, one per
-    row at its time."""
+    Each metric column is one float array (a list given is converted), one
+    value per snapshot. ``propagate`` fills the times, the norm, the
+    Dirichlet observables and the snapshots; ``shape_deviation`` and
+    ``htilde_residual`` stay empty until a scenario measures them from the
+    snapshots (``verifier``). The snapshots' samples on ``grid`` are the
+    rows of one (snapshots x n) complex array, ``snapshot_values``;
+    ``snapshots`` reads them as ``WaveField`` views, one per row at its time."""
 
-    times: list = field(default_factory=list)
-    norm: list = field(default_factory=list)
-    centroid: list = field(default_factory=list)
-    momentum_mean: list = field(default_factory=list)
-    energy_mean: list = field(default_factory=list)
-    shape_deviation: list = field(default_factory=list)
-    htilde_residual: list = field(default_factory=list)
+    times: np.ndarray = ()
+    norm: np.ndarray = ()
+    centroid: np.ndarray = ()
+    momentum_mean: np.ndarray = ()
+    energy_mean: np.ndarray = ()
+    shape_deviation: np.ndarray = ()
+    htilde_residual: np.ndarray = ()
     grid: Grid1D | None = None
     snapshot_values: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0), dtype=complex))
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def snapshots(self) -> list:
@@ -142,9 +146,12 @@ class RunReport:
                 for row, t in zip(self.snapshot_values, self.times)]
 
     def to_dict(self) -> dict:
-        """The metric columns the run recorded; an empty one is left out."""
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)
-                if f.name not in ("grid", "snapshot_values") and getattr(self, f.name)}
+        """The metric columns the run recorded, as lists; an empty one is left out."""
+        return {name: getattr(self, name).tolist() for name in _COLUMNS
+                if len(getattr(self, name))}
+
+
+_COLUMNS = tuple(f.name for f in fields(RunReport) if f.name not in ("grid", "snapshot_values"))
 
 
 # a step of either stepper needs dt * max|V| / hbar below this; a V that
@@ -261,7 +268,7 @@ def propagate(
     dirichlet = config.mask is None
     # the steps a snapshot is taken after: 0, every stride-th, and the last
     steps = [0, *range(config.snapshot_stride, n_steps, config.snapshot_stride), n_steps]
-    times = [t_start + k * dt for k in steps]
+    times = t_start + np.asarray(steps) * dt
     rows = np.empty((len(steps), grid.n), dtype=complex)
     rows[0] = values = initial.values
 
@@ -277,9 +284,8 @@ def propagate(
             for r in range(count):
                 v_snap[r] = v_fn(x, times[r])
             obs = observables(rows[:count], grid, v_snap, consts)
-            columns = dict(norm=obs.norm.tolist(), centroid=obs.centroid.tolist(),
-                           momentum_mean=obs.momentum_mean.tolist(),
-                           energy_mean=obs.energy_mean.tolist())
+            columns = dict(norm=obs.norm, centroid=obs.centroid,
+                           momentum_mean=obs.momentum_mean, energy_mean=obs.energy_mean)
         else:
             columns = dict(norm=[float(np.sqrt(grid.dx * np.sum(np.abs(psi) ** 2)))
                                  for psi in rows[:count]])

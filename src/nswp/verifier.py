@@ -93,31 +93,31 @@ def htilde_residual(values: np.ndarray, grid: Grid1D, v: StaticPotential, traj: 
 
 
 def shape_deviation(report: RunReport, reference: Callable[[np.ndarray], np.ndarray],
-                    sel=slice(None)) -> list[float]:
+                    sel=slice(None)) -> np.ndarray:
     """Per snapshot, the sup over the grid points ``sel`` of
     |rho - rho_ref(t)|, relative to the peak of rho_ref at the first
     snapshot. ``reference(times)`` gives rho_ref at the points ``sel``, one
     row per time; it is asked for ``grids.BLOCK_ROWS`` snapshots at a
     time."""
-    times = np.asarray(report.times)
+    times = report.times
     peak = float(np.max(reference(times[:1])))
     return _deviation(report, lambda blk: reference(times[blk]), sel, peak)
 
 
-def rigid_shape_deviation(report: RunReport) -> list[float]:
+def rigid_shape_deviation(report: RunReport) -> np.ndarray:
     """``shape_deviation`` against the first snapshot's density translated
     rigidly by each snapshot's measured centroid shift, the most charitable
     reference for a packet that may spread, relative to that density's
     peak. Needs the centroid column, which Dirichlet runs record."""
     rho0 = np.abs(report.snapshot_values[0]) ** 2
-    shift = np.asarray(report.centroid) - report.centroid[0]
+    shift = report.centroid - report.centroid[0]
     # the peak of rho0 itself: its zero-shift FFT round trip can be an ulp off
     return _deviation(report, lambda blk: shift_values(rho0, shift[blk], report.grid.dx),
                       slice(None), float(np.max(rho0)))
 
 
 def _deviation(report: RunReport, reference_rows: Callable[[slice], np.ndarray], sel,
-               peak: float) -> list[float]:
+               peak: float) -> np.ndarray:
     """sup over the points ``sel`` of |rho - rho_ref| / ``peak`` for each
     snapshot, ``reference_rows(blk)`` giving rho_ref at those points for
     the snapshots ``blk``, ``grids.BLOCK_ROWS`` at a time."""
@@ -128,7 +128,7 @@ def _deviation(report: RunReport, reference_rows: Callable[[slice], np.ndarray],
         dev *= dev
         dev -= reference_rows(blk)
         out[blk] = np.max(np.abs(dev, out=dev), axis=-1)
-    return (out / peak).tolist()
+    return out / peak
 
 
 def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,
@@ -160,14 +160,12 @@ def classical_motion_check(report: RunReport, traj: Trajectory,
     """Ehrenfest checks: <x> tracks d(t), <P> tracks m d_dot, d<P>/dt tracks
     m d_ddot. The rate is the 5-point difference of the <P> series, so the
     snapshots must be uniformly spaced, at least five of them."""
-    times = np.asarray(report.times)
+    times = report.times
     h = (times[-1] - times[0]) / (len(times) - 1) if len(times) >= 5 else 0.0
     if not (h > 0 and np.allclose(np.diff(times), h, rtol=1e-9, atol=0.0)):
         raise ConfigurationError(
             "momentum_rate_tracks_force needs at least 5 uniformly spaced snapshots")
-    centroid = np.asarray(report.centroid)
-    momentum = np.asarray(report.momentum_mean)
-
+    centroid, momentum = report.centroid, report.momentum_mean
     d, d_dot, d_ddot = traj.eval(times)
 
     dev_x = float(np.max(np.abs(centroid - centroid[0] - d)))
@@ -192,8 +190,8 @@ def energy_split_check(report: RunReport, sol: NswpSolution, v: StaticPotential,
     supporting potential (for the SHO family that is m omega^2 x^2 / 2).
     Not applicable to the non-normalizable Airy family.
     """
-    energy = np.asarray(report.energy_mean)
-    d, d_dot, _ = sol.trajectory.eval(np.asarray(report.times))
+    energy = report.energy_mean
+    d, d_dot, _ = sol.trajectory.eval(report.times)
     expected = sol.E_f + 0.5 * consts.mass * d_dot**2 + v(d)
     dev = float(np.max(np.abs(energy - expected)))
     drift = float(np.max(energy) - np.min(energy))
@@ -207,8 +205,7 @@ def no_nswp_for_time_dependent_frequency(modulated: RunReport, control: RunRepor
     """Demonstration record for the negative claim: a time-modulated SHO
     frequency destroys the nonspreading property, the static control keeps it.
     """
-    times = np.asarray(modulated.times)
-    dev = np.asarray(modulated.shape_deviation)
+    times, dev = modulated.times, modulated.shape_deviation
     exceeded = bool(np.any(dev > SPREAD_THRESHOLD))
     first_t = float(times[np.argmax(dev > SPREAD_THRESHOLD)]) if exceeded else None
     control_max = float(np.max(control.shape_deviation))

@@ -61,7 +61,7 @@ def test_propagate_takes_the_keywords_the_bench_binds():
     assert call.arguments["config"].t_start == 0.0
     assert call.arguments["config"].dt == 0.25
     report = propagate(*call.args, **call.kwargs)
-    assert report.times == [0.0, 0.25, 0.5]
+    assert report.times.tolist() == [0.0, 0.25, 0.5]
 
 
 def test_the_names_bound_outside_functions_keep_their_shape():

@@ -123,6 +123,23 @@ def test_sho_dt_exits_2_before_the_eigensolve(tmp_path, monkeypatch, capsys):
     assert "scenario 'sho' does not take ['dt']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [(["--omega", "0"], "omega = 0"),
+                                           (["--omega", "-1"], "omega = -1"),
+                                           (["--n", "-1"], "n = -1")],
+                         ids=["omega-0", "omega-minus-1", "n-minus-1"])
+def test_sho_refuses_a_bad_mode_index_or_omega_by_name(flags, named, tmp_path, monkeypatch,
+                                                       capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the eigensolve ran")
+
+    monkeypatch.setattr(cases, "lowest_eigenpairs", not_reached)
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", "sho", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert named in err and err.count("\n") == 1
+
+
 def test_verify_sho_at_omega_2_passes(tmp_path):
     # the rate check used to differentiate <P> with np.gradient, whose own
     # truncation error (1.3e-3) exceeded the 1e-3 bound here

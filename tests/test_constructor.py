@@ -8,6 +8,7 @@ from nswp import (AiryShape, GaugeFunction, Grid1D, NswpSolution,
                   StaticPotential, analytic_psi,
                   gauge_linear_case, gauge_sho_case, lowest_eigenpairs, phase,
                   integrate_time, tdse_residual, v_nswp)
+from nswp.cases import _AIRY_GRID, airy_forced_case, sho_case
 from nswp.errors import RangeError
 
 CONSTS = PhysicalConstants()
@@ -219,8 +220,34 @@ def test_sampled_shape_guards(sho_pieces):
         sol.shape.on_grid_shifted(other, 0.5)
     with pytest.raises(RangeError):
         sol.shape.on_grid_shifted(grid, 0.6 * grid.width)
-    with pytest.raises(NotImplementedError):
-        sol.shape.values_at(np.array([0.0]))
+
+
+def test_sampled_shape_refuses_a_nan_shift(sho_pieces):
+    sol, _, grid, _ = sho_pieces
+    shifts = np.linspace(-1.0, 1.0, 5)
+    shifts[3] = np.nan
+    for d in (np.nan, shifts):
+        with pytest.raises(RangeError) as exc_info:
+            sol.shape.on_grid_shifted(grid, d)
+        assert str(exc_info.value).startswith("shift nan ")
+
+
+@pytest.mark.parametrize("family", ["airy", "sho"])
+def test_on_grid_shifted_at_sel_is_the_whole_grid_rows_at_sel(family):
+    # the Airy packet's comparison window, and a stretch of a sampled sho mode
+    if family == "airy":
+        case = airy_forced_case()
+        grid = _AIRY_GRID
+        sel = case.reference(grid)[1]
+    else:
+        case = sho_case(n=1)
+        grid, sel = case.sol.shape.field.grid, slice(17, 90)
+    shape = case.sol.shape
+    assert 0 < sel.start and sel.stop < grid.n
+    for d in (0.7, case.sol.trajectory.d(np.linspace(0.0, 2.0, 7))):
+        whole = shape.on_grid_shifted(grid, d)
+        assert np.array_equal(shape.on_grid_shifted(grid, d, sel), whole[..., sel])
+        assert whole.shape == np.shape(d) + (grid.n,)
 
 
 def test_sampled_shape_range_error_names_the_first_bad_shift(sho_pieces):

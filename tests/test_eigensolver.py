@@ -230,7 +230,7 @@ def test_linear_mode_ode_residual():
     # -(1/2) f'' + A x f = E_f f, 5-point FD at dx = 1e-2
     A, E_f = 0.5, 0.2
     grid = Grid1D(-5.0, 5.0, 1001)
-    f = AiryShape(A=A, energy=E_f, consts=CONSTS).values_at(grid.x)
+    f = AiryShape(A=A, energy=E_f, consts=CONSTS).on_grid_shifted(grid, 0.0)
     d2 = fd5_second(f, grid.dx)[2:-2]
     x = grid.x[2:-2]
     residual = np.abs(-0.5 * d2 + A * x * f[2:-2] - E_f * f[2:-2])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from nswp import propagator
 from nswp.grids import BLOCK_ROWS, MAX_DENSE_POINTS, kinetic_matrix, write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
 from nswp.errors import BoundaryError, ConfigurationError, RangeError
+from nswp.verifier import shape_deviation
 from nswp.propagator import MAX_STEPS, guarded_dt
 
 CONSTS = PhysicalConstants()
@@ -228,6 +230,32 @@ def test_absorbing_mask_run():
     assert set(report.to_dict()) == {"times", "norm"}
 
 
+@pytest.mark.parametrize("route", ["static", "moving", "mask"])
+def test_every_report_column_is_a_float_array(route):
+    # V static between walls takes the eigenbasis product, V moving takes
+    # steps, and the mask the split step with its row-at-a-time norm
+    grid = Grid1D(-6.0, 6.0, 128)
+    mask = AbsorbingMask(width=1.5, strength=10.0) if route == "mask" else None
+    config = PropagationConfig(dt=0.02, t_end=0.2, grid=grid, snapshot_stride=3, mask=mask)
+    move = 0.0 if route == "static" else 0.1
+    report = propagate(gaussian(grid, k=0.5), lambda x, t: 0.5 * (x - move * t) ** 2,
+                       config, CONSTS)
+    rho0 = np.abs(report.snapshot_values[0]) ** 2
+    report.shape_deviation = shape_deviation(
+        report, lambda t: np.broadcast_to(rho0, (len(t), grid.n)))
+    recorded = ["times", "norm", "shape_deviation"]
+    if mask is None:
+        recorded[2:2] = ["centroid", "momentum_mean", "energy_mean"]
+    columns = {name: getattr(report, name) for name in (
+        "times", "norm", "centroid", "momentum_mean", "energy_mean", "shape_deviation",
+        "htilde_residual")}
+    for name, column in columns.items():
+        assert type(column) is np.ndarray and column.dtype == np.float64, name
+        assert len(column) == (5 if name in recorded else 0), name
+    as_lists = {name: [float(v) for v in columns[name]] for name in recorded}
+    assert json.dumps(report.to_dict()) == json.dumps(as_lists)
+
+
 def test_grid_mismatch_rejected():
     grid = Grid1D(-8.0, 8.0, 512)
     psi = gaussian(Grid1D(-8.0, 8.0, 256))
@@ -246,7 +274,7 @@ def test_report_shape_and_json(tmp_path):
     assert n == len(report.momentum_mean) == len(report.energy_mean)
     # the verifier measures shape deviation and the H-tilde residual from
     # the snapshots; a bare run records neither column, nor writes it
-    assert report.shape_deviation == [] and report.htilde_residual == []
+    assert report.shape_deviation.tolist() == [] and report.htilde_residual.tolist() == []
     assert n == len(report.snapshots)
     path = tmp_path / "report.json"
     write_json(path, report.to_dict())

@@ -134,6 +134,18 @@ def test_keys_a_scenario_does_not_take_exit_2_before_any_run(argv, config, calls
     assert calls == []
 
 
+@pytest.mark.parametrize("flags, ignored", [
+    (["--force-kind", "none", "--force-amp", "0.4"], "force_kind 'none' does not take ['force_amp']"),
+    (["--force-kind", "const", "--force-freq", "5"], "force_kind 'const' does not take ['force_freq']"),
+], ids=["none-amp", "const-freq"])
+def test_a_force_key_the_force_kind_ignores_exits_2_before_any_run(flags, ignored, calls,
+                                                                   tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", "airy-forced", *flags, "--out", str(out)]) == 2
+    assert calls == [] and not out.exists()
+    assert ignored in capsys.readouterr().err
+
+
 def test_timedep_freq_passes_consts_to_both_trap_runs(monkeypatch, tmp_path):
     record = []
 

@@ -246,7 +246,7 @@ def test_shape_deviation_is_the_in_loop_formula_on_a_masked_window():
     for psi, t in zip(report.snapshots, report.times):
         rho = np.abs(psi.values) ** 2
         inline.append(float(np.max(np.abs(rho[sel] - reference(t))) / ref_peak))
-    assert shape_deviation(report, reference, sel) == inline
+    assert shape_deviation(report, reference, sel).tolist() == inline
     # V = 0: the split step is exact, and the mask has not reached the window
     assert len(inline) == 11 and 0.0 < max(inline) < 1e-6
 
@@ -268,7 +268,7 @@ def test_rigid_shape_deviation_is_the_in_loop_formula_between_walls():
         ref = shift_values(rho0, c - report.centroid[0], grid.dx)
         rho = np.abs(psi.values) ** 2
         inline.append(float(np.max(np.abs(rho - ref)) / ref_peak))
-    assert rigid_shape_deviation(report) == inline
+    assert rigid_shape_deviation(report).tolist() == inline
     # the free packet spreads away from the rigid reference, and follows
     # its closed-form density to the accuracy of the step
     assert inline[-1] > 1e-1
