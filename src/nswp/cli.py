@@ -96,12 +96,19 @@ def _load_config(command: str, path: str | None, overrides: dict) -> dict:
 def cmd_eigen(config: dict, out: Path) -> int:
     kind = config.get("potential", "harmonic")
     consts = cases.consts_from(config)
+    k = config.get("k", 3)
+    if k < 1:  # before the harmonic grid is sized for mode k - 1
+        raise ValueError("k must be >= 1")
     if kind == "harmonic":
-        v = StaticPotential.harmonic(config.get("omega", 1.0), consts.mass)
-        default_grid, other = Grid1D(-12.0, 12.0, 256), "lam"
+        omega = config.get("omega", 1.0)
+        v, other = StaticPotential.harmonic(omega, consts.mass), "lam"
+        default_grid = cases.sho_grid(k - 1, 0.0, omega, consts)
     elif kind == "quartic":
-        v = StaticPotential.quartic(config.get("lam", 1.0))
-        default_grid, other = Grid1D(-8.0, 8.0, 256), "omega"
+        lam = config.get("lam", 1.0)
+        v, other = StaticPotential.quartic(lam), "omega"
+        # +-8 quartic lengths (hbar^2 / m lambda)^(1/6)
+        scale = (consts.hbar**2 / (consts.mass * lam)) ** (1.0 / 6.0)
+        default_grid = Grid1D(-8.0 * scale, 8.0 * scale, 256)
     else:
         raise ConfigurationError(
             f"potential '{kind}' not supported by eigen (linear has a "
@@ -110,7 +117,6 @@ def cmd_eigen(config: dict, out: Path) -> int:
     if other in config:
         raise ConfigurationError(f"potential '{kind}' does not take '{other}'")
     grid = cases.grid_from(config, default_grid)
-    k = config.get("k", 3)
     pairs = lowest_eigenpairs(v, grid, consts, k)
     out.mkdir(parents=True, exist_ok=True)
     for pair in pairs:

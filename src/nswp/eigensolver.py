@@ -68,7 +68,7 @@ def _sign_normalize(f: np.ndarray) -> np.ndarray:
 def lowest_eigenpairs(
     v: StaticPotential, grid: Grid1D, consts: PhysicalConstants, k: int,
 ) -> list[EigenPair]:
-    """k lowest bound states, ascending, trapezoid-normalized, sign-fixed.
+    """k lowest bound states, ascending, sign-fixed, normalized to dx sum f^2 = 1.
 
     The modes of the sine-DVR Hamiltonian T + V (``grids.kinetic_matrix``)
     from one dense ``numpy.linalg.eigh`` (``grids.hamiltonian_eigenpairs``).
@@ -100,7 +100,7 @@ def lowest_eigenpairs(
     pairs = []
     for i, energy in enumerate(energies):
         f = _sign_normalize(vectors[:, i])
-        f = f / np.sqrt(np.trapezoid(f**2, dx=grid.dx))
+        f = f / np.sqrt(grid.dx * (f @ f))
         edge = max(abs(f[0]), abs(f[-1]))
         if edge > 1e-6 * np.max(np.abs(f)):
             raise AccuracyError(

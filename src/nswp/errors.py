@@ -7,10 +7,6 @@ class NswpError(Exception):
     """Base class for all package errors."""
 
 
-class GridMismatchError(NswpError):
-    """Two fields that must share a grid do not."""
-
-
 class DegenerateFieldError(NswpError):
     """A wave field is too close to zero to normalize or analyze."""
 

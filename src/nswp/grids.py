@@ -1,8 +1,8 @@
 """Spatial grid, wave field and observable primitives.
 
-``observables`` takes its integrals as plain sums dx * sum(.), each one
-dot product, the inner product that the Dirichlet step conserves exactly;
-``inner_product`` uses the trapezoidal rule. Between Dirichlet walls the
+Every integral between walls is the plain sum dx * sum(.), the inner
+product that the Dirichlet step conserves exactly; ``observables`` takes
+each as one dot product. Between Dirichlet walls the
 Hamiltonian is the sine discrete variable representation (DVR) T + V of
 Colbert & Miller (J. Chem. Phys. 96, 1982 (1992)): the grid's n points are
 the interior points of a box whose walls lie one dx beyond either end, and
@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DegenerateFieldError, GridMismatchError, RangeError
+from .errors import DegenerateFieldError, RangeError
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,6 @@ class Observables:
     momentum_mean: float
     energy_mean: float
     variance: float
-
-
-def inner_product(a: WaveField, b: WaveField) -> complex:
-    """Trapezoidal <a|b> = integral of conj(a)*b dx. Grids must match."""
-    if a.grid != b.grid:
-        raise GridMismatchError("inner_product requires identical grids")
-    return complex(np.trapezoid(np.conj(a.values) * b.values, dx=a.grid.dx))
 
 
 # 5-point central difference weights at offsets -2..2: the first derivative

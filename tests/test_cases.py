@@ -221,10 +221,8 @@ def test_timedep_frequency_default_grid_and_dt_scale_with_omega0(trap_omega3_res
     grid = result.report.snapshots[0].grid
     half_width = trap_envelope_half_width(3.0, 0.2, CONSTS)
     assert grid.x_max == -grid.x_min == half_width
-    assert grid.n % 64 == 0
     dx_max = nswp.cases._SHO_GRID.dx / math.sqrt(3.0)
-    assert (grid.n - 65) * dx_max < 2.0 * half_width
-    assert grid.dx <= dx_max
+    assert grid.dx <= dx_max < 2.0 * half_width / (grid.n - 2)
     default_grid, dt = nswp.cases._trap_grid_and_dt(3.0)
     assert default_grid == grid
     assert dt < 1e-2 / 3.0
@@ -295,12 +293,12 @@ def test_trap_envelope_bounds_the_modulated_run(timedep_result):
 
 def test_trap_check_values_match_a_fine_reference(timedep_result):
     # reference: the modulated run on the same points at dt = 1e-3, which
-    # reads 0.1730962 (0.1730959 at 2.5e-3). The check is a sup over the
+    # reads 0.1714626 (0.1714624 at 2.5e-3). The check is a sup over the
     # grid's points, so a reference on other points differs by how they
     # sample it: on +-12 the sine-DVR run read 0.172795 (512 points),
     # 0.172994 (1024) and 0.173107 (256), each converged in dt
     modulated = float(np.max(timedep_result.report.shape_deviation))
-    assert abs(modulated - 0.1730962) < 5e-5
+    assert abs(modulated - 0.1714626) < 5e-5
     assert timedep_result.extras["modulated_max_deviation"] == modulated
     assert timedep_result.extras["control_max_deviation"] < 1e-5
     assert len(timedep_result.report.times) == 101
@@ -320,6 +318,25 @@ def test_sho_grid_keeps_the_mode_tail_at_the_default_resolution(n, amplitude, om
     assert grid.n == points
     sigma = math.sqrt(consts.hbar / (consts.mass * omega))
     assert grid.dx <= 16.0 / 127.0 * sigma < (2.0 * half_width) / (points - 2)
+
+
+@pytest.mark.parametrize("n, amplitude, points", [
+    (0, 20.0, 432), (0, 25.0, 613), (0, 40.0, 1349), (2, 25.0, 663)])
+def test_sho_grid_resolves_the_wavenumber_of_a_wide_swing(n, amplitude, points):
+    # the packet reaches k = |amplitude| / sigma^2 + (sqrt(2n + 1) + 5) / sigma
+    # (sigma = 1): the carrier at the centre of its swing plus the mode's
+    # tail in k, which the Nyquist wavenumber pi / dx must reach
+    grid = nswp.cases.sho_grid(n, amplitude)
+    assert grid.n == points
+    k_reach = amplitude + math.sqrt(2 * n + 1) + 5.0
+    assert grid.dx <= math.pi / k_reach < grid.width / (points - 2)
+
+
+def test_sho_grid_of_omega_1000_is_past_the_dense_cap():
+    # sigma = 1/sqrt(1000): resolving the carrier 2 / sigma^2 takes about
+    # 3050 points
+    with pytest.raises(RangeError, match="omega = 1000, .* takes 3.05e\\+03 points"):
+        nswp.cases.sho_grid(omega=1000.0)
 
 
 def test_sho_grid_past_the_dense_cap_raises_before_any_grid(monkeypatch):
@@ -399,14 +416,14 @@ CHECKS = {
                     ("window_content_loss", 0.01, 1.00849e-05)],
     "gaussian-control": [("width_follows_spreading_law", 0.01, Below(1e-11)),
                          ("spreading_detected", 1e-2, 0.290082)],
-    "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.173091)],
+    "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.171458)],
     # the good residual sits on the floor of the sho's construction
     # residual, so the ratio rides it: its corrupted residual is pinned and
     # its good one bounded (CORRUPTED_PHASE) instead
     "corrupted-phase": [("residual_inflates_100x", 100.0, None)],
 }
 # the trap's static control, which its one check compares in the record
-TRAP_CONTROL = (5e-4, 1.27683e-08)
+TRAP_CONTROL = (5e-4, 1.18734e-08)
 # corrupted-phase's (corrupted, good) residuals, relative to max|Psi|
 CORRUPTED_PHASE = (0.332294, Below(1e-7))
 

@@ -44,6 +44,48 @@ def test_eigen_quartic(tmp_path):
     assert abs(e0 - QUARTIC_E0) < 1e-4
 
 
+@pytest.mark.parametrize("omega", [0.01, 1.0, 100.0, 400.0])
+def test_eigen_harmonic_sizes_its_grid_from_omega(omega, tmp_path):
+    # the default grid is cases.sho_grid of the highest mode asked for; a
+    # fixed +-12 on 256 points read 0.613, 1.151 and 4.421 hbar omega at
+    # omega = 400 and leaked at the walls at omega = 0.01
+    out = tmp_path / "eig"
+    assert main(["eigen", "--omega", str(omega), "--out", str(out)]) == 0
+    energies = read_json(out / "energies.json")["energies"]
+    assert len(energies) == 3
+    for n, e in enumerate(energies):
+        assert abs(e / omega - (n + 0.5)) < 1e-8
+
+
+# E_n / lambda^(1/3) of V = lambda x^4 at hbar = m = 1, n = 0, 1, 2
+QUARTIC_LEVELS = (0.667986259, 2.393644016, 4.696795387)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e6])
+def test_eigen_quartic_scales_its_grid_with_lambda(lam, tmp_path):
+    # the default grid is +-8 (hbar^2 / m lambda)^(1/6) on 256 points; a
+    # fixed +-8 read E_2 / lambda^(1/3) = 4.6475 at lambda = 1e6 and leaked
+    # at the walls at 1e-4
+    out = tmp_path / "eig"
+    assert main(["eigen", "--potential", "quartic", "--lam", str(lam),
+                 "--out", str(out)]) == 0
+    energies = read_json(out / "energies.json")["energies"]
+    assert len(energies) == 3
+    for e, level in zip(energies, QUARTIC_LEVELS):
+        assert abs(e / lam ** (1.0 / 3.0) - level) < 1e-8
+
+
+def test_eigen_k_below_1_exits_2_before_the_grid_is_sized(tmp_path, monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the grid was sized")
+
+    monkeypatch.setattr(cases, "sho_grid", not_reached)
+    out = tmp_path / "o"
+    assert main(["eigen", "--k", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "k must be >= 1" in capsys.readouterr().err
+
+
 def test_eigen_rejects_linear(tmp_path):
     code = main(["eigen", "--config", str(make_config(tmp_path, potential="linear")),
                  "--out", str(tmp_path / "o")])
@@ -427,6 +469,9 @@ def test_verify_sho_mode_passes_at_defaults(n, tmp_path):
     (["--n", "5"], {}),
     ([], {"hbar": 0.5}),
     ([], {"mass": 3.0}),
+    # the carrier wavenumber m amplitude omega / hbar = 25 / sigma at the
+    # centre of the swing, past the 25 / sigma that 16/127 sigma resolves
+    (["--amplitude", "25"], {}),
 ])
 def test_verify_sho_passes_off_its_defaults(flags, config, tmp_path):
     # each run's grid is derived from its parameters (cases.sho_grid), so

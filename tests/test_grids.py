@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nswp import (Grid1D, PhysicalConstants, WaveField, inner_product,
-                  observables, shift_field, write_wavefield_csv)
-from nswp.errors import DegenerateFieldError, GridMismatchError, RangeError
+from nswp import (Grid1D, PhysicalConstants, WaveField, observables, shift_field,
+                  write_wavefield_csv)
+from nswp.errors import DegenerateFieldError, RangeError
 from nswp.grids import (fd5_first, fd5_second, interior, kinetic_matrix, shift_values,
                         sine_apply)
 
@@ -61,32 +61,6 @@ def test_wavefield_validation():
         bad[5] = bad_value
         with pytest.raises(ValueError, match="non-finite"):
             WaveField(grid=grid, values=bad)
-
-
-def test_inner_product_normalized_gaussian():
-    # exp(-x^2/2)/pi^(1/4) has unit L2 norm; trapezoid is spectrally
-    # accurate for smooth decaying integrands
-    grid = Grid1D(-12.0, 12.0, 2048)
-    psi = np.exp(-grid.x**2 / 2.0) / np.pi**0.25
-    a = WaveField(grid=grid, values=psi)
-    assert abs(inner_product(a, a) - 1.0) < 1e-10
-
-
-def test_inner_product_linearity_and_symmetry():
-    grid = Grid1D(-10.0, 10.0, 512)
-    a = gaussian_field(grid, k=1.3)
-    b = WaveField(grid=grid, values=1j * a.values)
-    val = inner_product(a, b)
-    assert val == pytest.approx(1j * inner_product(a, a))
-    c = gaussian_field(grid, center=0.5)
-    assert inner_product(a, c) == pytest.approx(np.conj(inner_product(c, a)))
-
-
-def test_inner_product_grid_mismatch():
-    a = gaussian_field(Grid1D(-10.0, 10.0, 512))
-    b = gaussian_field(Grid1D(-10.0, 10.0, 256))
-    with pytest.raises(GridMismatchError):
-        inner_product(a, b)
 
 
 def test_observables_sho_ground():

@@ -9,8 +9,7 @@ from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
-                  inner_product, lowest_eigenpairs, observables,
-                  propagate, shift_field)
+                  lowest_eigenpairs, observables, propagate, shift_field)
 from nswp import propagator
 from nswp.grids import BLOCK_ROWS, MAX_DENSE_POINTS, kinetic_matrix, write_json
 from nswp.cases import _AIRY_MASK, run_airy_forced
@@ -123,7 +122,7 @@ def test_stationary_state_evolution():
     config = PropagationConfig(dt=1e-3, t_end=1.0, grid=grid, snapshot_stride=1000)
     report = propagate(pair.shape, lambda x, t: v_samples, config, CONSTS)
     final = report.snapshots[-1]
-    ovl = inner_product(pair.shape, final)
+    ovl = grid.dx * np.vdot(pair.shape.values, final.values)
     assert abs(abs(ovl) - 1.0) < 1e-6
     phase_err = np.angle(ovl * np.exp(1j * pair.energy * 1.0))
     assert abs(phase_err) < 1e-4
