@@ -25,11 +25,11 @@ from .constructor import (RESIDUAL_MARGIN, AiryShape, NswpSolution, SampledShape
                           analytic_psi, gauge_linear_case, gauge_sho_case,
                           tdse_residual, v_nswp)
 from .eigensolver import StaticPotential, lowest_eigenpairs
-from .errors import ConfigurationError, RangeError
+from .errors import AccuracyError, ConfigurationError, RangeError
 from .grids import (MAX_DENSE_POINTS, Grid1D, PhysicalConstants, WaveField, fd5_first,
                     observables, shift_field)
-from .propagator import (AbsorbingMask, PropagationConfig, RunReport, edge_ramp,
-                         guarded_dt, propagate)
+from .propagator import (STEP_TOLERANCE, AbsorbingMask, PropagationConfig, RunReport,
+                         edge_ramp, propagate)
 from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
 from .trajectory import ForceTrajectory, Sinusoid
 from .verifier import (SPREAD_THRESHOLD, CheckResult, classical_motion_check,
@@ -488,6 +488,10 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
 _TRAP_ENVELOPE_SIGMAS = 7.5
 _TRAP_AMPLITUDE = 2.0  # the trap packet's initial shift
 _TRAP_HORIZON = 10.0  # the trap runs' t_end, in units of 1/omega0
+# the trap's step, in units of 1/omega0: one composed step per snapshot,
+# whose step error estimate reads 2.9e-5 at eps = 0.2 and passes
+# propagator.STEP_TOLERANCE for eps in [-0.2, 0.2] (studies/trap_step_error.py)
+_TRAP_DT = 0.1
 
 
 def trap_envelope_half_width(omega0: float, modulation: float,
@@ -527,23 +531,17 @@ def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
 
     The grid is the ``harmonic_grid`` of +-L, L =
     ``trap_envelope_half_width``, for the oscillator length
-    sqrt(hbar / m omega0). The dt is 1e-2/omega0, cut where dt max|V|
-    reaches the step guard's 0.5 (``propagator.guarded_dt``). Raises
+    sqrt(hbar / m omega0). The dt is ``_TRAP_DT``/omega0. Raises
     ``RangeError`` unless |modulation| < 1, where w(t) stays positive; at
     |modulation| >= 1 the trap opens for an instant."""
     if not abs(modulation) < 1.0:
         raise RangeError(f"modulation must satisfy |eps| < 1, got {modulation!r}")
-    reach = trap_envelope_half_width(omega0, modulation, consts)
-    # before the grid is sized, so that an hbar or mass the step budget
-    # refuses never sizes one
-    w_max = omega0 * (1.0 + abs(modulation))
-    dt = guarded_dt(1e-2 / omega0, 0.5 * consts.mass * w_max**2 * reach**2,
-                    _TRAP_HORIZON / omega0, consts)
     grid = harmonic_grid(
-        reach, math.sqrt(consts.hbar / (consts.mass * omega0)),
+        trap_envelope_half_width(omega0, modulation, consts),
+        math.sqrt(consts.hbar / (consts.mass * omega0)),
         f"trap grid of omega0 = {omega0:g}, modulation = {modulation:g}, "
         f"hbar = {consts.hbar:g} and mass = {consts.mass:g}")
-    return grid, dt
+    return grid, _TRAP_DT / omega0
 
 
 def run_sho_timedep_frequency(
@@ -563,21 +561,25 @@ def run_sho_timedep_frequency(
     (``rigid_shape_deviation``, the most charitable comparison). The report
     is the modulated run's, the extras the record of
     ``verifier.no_nswp_for_time_dependent_frequency``, which makes the one
-    check. |eps| >= 1 raises ``RangeError``.
+    check, with the dt the runs took and the modulated run's
+    ``step_error_estimate``. |eps| >= 1 raises ``RangeError``.
 
     The grid is sized from the packet's exact classical envelope
     (``_trap_grid_and_dt``): at eps = 0.2 and hbar = m = omega0 = 1 it is
-    125 points on +-7.78. The dt is 1e-2/omega0, there with
-    dt max|V| = 0.44; where dt max|V| reaches the step guard's 0.5, dt is
-    cut. A snapshot is recorded every 0.1/omega0 for any dt.
+    125 points on +-7.78. The run steps at dt = 0.1/omega0, one step per
+    snapshot, where the estimate of its step error reads 2.9e-5 of the
+    peak. Where the estimate exceeds ``propagator.STEP_TOLERANCE``, the run
+    is taken once more at dt/k, with k the fewest substeps that the dt^4
+    scaling of that estimate predicts to reach half the tolerance, still
+    with a snapshot every 0.1/omega0; an estimate past the tolerance then
+    raises AccuracyError.
     """
     m = consts.mass
     grid, dt = _trap_grid_and_dt(omega0, modulation, consts)
     t_end = dt * round(_TRAP_HORIZON / (omega0 * dt))
     pair = lowest_eigenpairs(StaticPotential.harmonic(omega0, m), grid, consts, 1)[0]
     initial = shift_field(pair.shape, _TRAP_AMPLITUDE)
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid,
-                               snapshot_stride=max(1, round(0.1 / (omega0 * dt))))
+    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
 
     def run(eps):
         def v_fn(x, t):
@@ -588,14 +590,25 @@ def run_sho_timedep_frequency(
         report.shape_deviation = rigid_shape_deviation(report)
         return report
 
-    modulated = run(modulation)
+    try:
+        modulated = run(modulation)
+    except AccuracyError as exc:
+        # the fewest substeps k whose dt^4 scaling of the estimate predicts
+        # half the tolerance: near dt = 0.1 the estimate falls 15x, not 16x,
+        # per halving (studies/trap_step_error.py), and at eps = 0.7 the
+        # exact prediction, k = 2, reads 1.05e-4
+        k = math.ceil((2.0 * exc.best_estimate / STEP_TOLERANCE) ** 0.25)
+        config = PropagationConfig(dt=dt / k, t_end=t_end, grid=grid, snapshot_stride=k)
+        modulated = run(modulation)
     record = no_nswp_for_time_dependent_frequency(modulated, run(0.0))
     check = CheckResult("spread_detected_with_static_control",
                         record["modulated_max_deviation"], record["spread_threshold"],
                         record["pass"],
                         note="expected deviation growth demonstrates the negative claim")
     return ScenarioResult(name="sho_timedep_freq", report=modulated,
-                          evaluate=lambda: [check], extras=record)
+                          evaluate=lambda: [check],
+                          extras={**record, "dt": config.dt,
+                                  "step_error_estimate": modulated.step_error_estimate})
 
 
 def run_corrupted_phase(consts: PhysicalConstants = PhysicalConstants()) -> ScenarioResult:
@@ -623,8 +636,13 @@ FORCE_KEYS = ("force_kind", "force_amp", "force_freq")
 
 
 def grid_from(config: dict, default: Grid1D) -> Grid1D:
-    """``default`` with the grid keys of ``config`` in place of its fields."""
-    return replace(default, **{f: config[k] for k, f in GRID_KEYS.items() if k in config})
+    """``default`` with the grid keys of ``config`` in place of its fields. A
+    span given without ``n_points`` takes the fewest points that keep dx at
+    most ``default``'s, so that a wider span is not sampled more coarsely."""
+    grid = replace(default, **{f: config[k] for k, f in GRID_KEYS.items() if k in config})
+    if "n_points" in config:
+        return grid
+    return replace(grid, n=math.ceil(grid.width / default.dx - 1e-9) + 1)
 
 
 def consts_from(config: dict) -> PhysicalConstants:

@@ -1,42 +1,51 @@
 """Time evolution under an arbitrary V(x, t): the exact evolution of a
 reference Hamiltonian in its sine-DVR eigenbasis between Dirichlet walls,
-Strang split-step Fourier with an absorbing mask.
+composed to fourth order where V moves, and Strang split-step Fourier with
+an absorbing mask.
 
 ``propagate`` runs one loop for both boundaries, walls when the config's
 ``mask`` is None and an absorbing mask otherwise. Each step splits H(t) into
 a fixed part, prepared once per run, and the diagonal remainder
-dV = V(t + dt/2) - V_ref, applied exactly as two half kicks
-exp(-i dV dt / 2 hbar) around the fixed part (Strang, SIAM J. Numer. Anal.
-5, 506 (1968)). Where dV is zero everywhere the step is the fixed part
-alone. The step guard dt * max|V| / hbar < 0.5 runs only where a step runs:
-on V_ref when V moves between walls, and on the full V(t + dt/2) of every
-step where it moved off V_ref. A V that never moves between walls takes no
-step, so its V_ref need only be finite, and its dt is only the interval
-between snapshots.
+dV = V - V_ref, applied exactly as half kicks exp(-i dV h / 2 hbar) around
+the fixed part over h (Strang, SIAM J. Numer. Anal. 5, 506 (1968)).
 
-Between walls (``mask`` None): the fixed part is exp(-i dt H_ref / hbar) for
-the sine-DVR Hamiltonian H_ref = T + V_ref, V_ref = V(t_start + dt/2), with T
-the Colbert-Miller kinetic matrix (``grids.kinetic_matrix``). One dense
-``numpy.linalg.eigh`` gives H_ref = U diag(E) U^T
-(``grids.hamiltonian_eigenpairs``, shared with the eigensolver). If V at
-every step midpoint is V_ref, the run is exp(-i k dt H_ref / hbar) after k
-steps, so every snapshot is U (exp(-i E k dt / hbar) * U^T psi0), one
-product for all of them, and the run takes no step: a static V is exact in
-time at any dt. If V moves at any step, the run steps from t_start, with
-the complex matrix U diag(exp(-i E dt / hbar)) U^T as the fixed part,
-unitary up to round-off, and the error is second order in dt, through the
-kicks. The snapshots fill the rows of one array; the dense basis stops at
-``grids.MAX_DENSE_POINTS``.
+Between walls (``mask`` None): the fixed part over h is
+exp(-i h H_ref / hbar) for the sine-DVR Hamiltonian H_ref = T + V_ref,
+V_ref = V(t_start + dt/2), with T the Colbert-Miller kinetic matrix
+(``grids.kinetic_matrix``). One dense ``numpy.linalg.eigh`` gives
+H_ref = U diag(E) U^T (``grids.hamiltonian_eigenpairs``, shared with the
+eigensolver). If V at every step midpoint is V_ref, the run is
+exp(-i k dt H_ref / hbar) after k steps, so every snapshot is
+U (exp(-i E k dt / hbar) * U^T psi0), one product for all of them, and the
+run takes no step: a static V is exact in time at any dt, its V_ref need
+only be finite, and its dt is only the interval between snapshots. If V
+moves at any step, the run steps from t_start, and each step of dt is
+Yoshida's symmetric triple composition S(w1 dt) S(w0 dt) S(w1 dt) of that
+split step S (Phys. Lett. A 150, 262 (1990); w1 = 1/(2 - 2^(1/3)),
+w0 = 1 - 2 w1 < 0), with the kicks at t + w1 dt/2, t + dt/2 and
+t + dt - w1 dt/2 and the two dense matrices U diag(exp(-i E w dt / hbar)) U^T
+built once per pass: unitary up to round-off, and fourth order in dt. No
+a-priori guard bounds dt; instead a second pass at 2 dt (dt/2 for an odd
+number of steps) gives Richardson's estimate of the final state's step
+error, |Psi_dt - Psi_2dt| / 15 relative to its peak, which the report
+carries as ``step_error_estimate``; past ``STEP_TOLERANCE`` it raises
+AccuracyError, and a state that is not finite (a V that is not)
+ConfigurationError. The snapshots fill the rows of one array; the dense
+basis stops at ``grids.MAX_DENSE_POINTS``.
 
 An ``AbsorbingMask`` (non-normalizable Airy runs): the grid is read as one
-period of a periodic domain, V_ref = 0 and the fixed part is the exact
-kinetic phase exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space (Feit, Fleck
-& Steiger, J. Comput. Phys. 47, 412 (1982)); after the second kick comes a
-multiplicative cos^2-ramp mask. For V = -F(t) x the splitting error is a
-global phase only ([T, [T, V]] = 0 and [V, [V, T]] is a constant), so its
-steps can be long: the Airy runs step at dt = 1e-2, where F sampled at the
-step midpoints leaves a global error near T dt^2 |F''| / 24 ~ 1e-5, below
-the ~1.6e-4 density floor that the mask and the check window set.
+period of a periodic domain, V_ref = 0, each step is one split step of dt
+with its kicks at t + dt/2, and the fixed part is the exact kinetic phase
+exp(-i hbar k^2 dt / 2m) in ``numpy.fft`` space (Feit, Fleck & Steiger,
+J. Comput. Phys. 47, 412 (1982)); after the second kick comes a
+multiplicative cos^2-ramp mask. Every step where V is not zero passes the
+step guard dt * max|V| / hbar < 0.5 first. For V = -F(t) x the splitting
+error is a global phase only ([T, [T, V]] = 0 and [V, [V, T]] is a
+constant), so its steps can be long: the Airy runs step at dt = 1e-2, where
+F sampled at the step midpoints leaves a global error near
+T dt^2 |F''| / 24 ~ 1e-5, below the ~1.6e-4 density floor that the mask and
+the check window set.
+
 Each snapshot meets its boundary's check as it is made (the product's as one
 batch): amplitude at the outermost cells, which would wrap around under the
 mask, or, between walls, lost norm or amplitude at the edge cells. The first
@@ -51,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryError, ConfigurationError, RangeError
+from .errors import AccuracyError, BoundaryError, ConfigurationError, RangeError
 from .grids import (Grid1D, PhysicalConstants, WaveField, _dense_points, _phases, _wavenumbers,
                     hamiltonian_eigenpairs, observables, row_blocks)
 
@@ -122,7 +131,10 @@ class RunReport:
     ``htilde_residual`` stay empty until a scenario measures them from the
     snapshots (``verifier``). The snapshots' samples on ``grid`` are the
     rows of one (snapshots x n) complex array, ``snapshot_values``;
-    ``snapshots`` reads them as ``WaveField`` views, one per row at its time."""
+    ``snapshots`` reads them as ``WaveField`` views, one per row at its time.
+    A run that steps between walls sets ``step_error_estimate``, the
+    Richardson estimate of its final state's step error relative to its
+    peak; ``to_dict`` writes the metric columns only."""
 
     times: np.ndarray = ()
     norm: np.ndarray = ()
@@ -134,6 +146,7 @@ class RunReport:
     grid: Grid1D | None = None
     snapshot_values: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0), dtype=complex))
+    step_error_estimate: float | None = None
 
     def __post_init__(self):
         for name in _COLUMNS:
@@ -151,17 +164,30 @@ class RunReport:
                 if len(getattr(self, name))}
 
 
-_COLUMNS = tuple(f.name for f in fields(RunReport) if f.name not in ("grid", "snapshot_values"))
+_COLUMNS = tuple(f.name for f in fields(RunReport)
+                 if f.name not in ("grid", "snapshot_values", "step_error_estimate"))
 
 
-# a step of either stepper needs dt * max|V| / hbar below this; a V that
-# never moves between walls takes no step, and no dt bounds it
+# a step of the masked stepper needs dt * max|V| / hbar below this
 _STEP_GUARD = 0.5
 MAX_STEPS = 10**6  # the longest run any config may take
+# the largest Richardson estimate of its final state's step error, relative
+# to max|Psi|, that a run stepping between walls may end with. In every row
+# of studies/trap_step_error.py (the modulated trap over eps and dt, the
+# quartic round trip) the estimate reads 0.91 to 1.06 of the true error, so
+# a run that passes errs by at most about 1.1e-4 of its peak
+STEP_TOLERANCE = 1e-4
+# Yoshida's symmetric triple composition S(w1 h) S(w0 h) S(w1 h) of a
+# symmetric second-order step S is fourth order (Phys. Lett. A 150, 262
+# (1990)); w0 < 0, a step back
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+# each substep's weight and kick time, in units of the step from its start
+_SUBSTEPS = ((_W1, 0.5 * _W1), (_W0, 0.5), (_W1, 1.0 - 0.5 * _W1))
 
 
 def _step_guard(v, dt: float, consts: PhysicalConstants) -> None:
-    """The step guard of both steppers, dt * max|V| / hbar < 0.5."""
+    """The masked stepper's step guard, dt * max|V| / hbar < 0.5."""
     # written so that a NaN in V fails the guard too
     if not abs(dt) * np.max(np.abs(v)) / consts.hbar < _STEP_GUARD:
         raise ConfigurationError(
@@ -169,27 +195,15 @@ def _step_guard(v, dt: float, consts: PhysicalConstants) -> None:
         )
 
 
-def guarded_dt(dt: float, v_max: float, t_span: float, consts: PhysicalConstants) -> float:
-    """A default ``dt`` cut to dt/k with the smallest whole k that keeps
-    dt max|V| / hbar under the step guard. Raises RangeError when the cut
-    run over ``t_span`` would take more than MAX_STEPS steps."""
-    # a float k: an overflowing ratio stays inf (or NaN) and fails the budget
-    k = (dt * v_max / (_STEP_GUARD * consts.hbar)) // 1 + 1
-    if not t_span * k / dt <= MAX_STEPS:
-        raise RangeError(
-            f"hbar = {consts.hbar:g} and mass = {consts.mass:g} need "
-            f"{t_span * k / dt:.3g} steps under the step guard, more than "
-            f"the budget of {MAX_STEPS}"
-        )
-    return dt / k
-
-
-def _eigen_step(v_ref, dt: float, grid: Grid1D, consts: PhysicalConstants) -> np.ndarray:
-    """exp(-i dt (T + V_ref) / hbar) as one dense complex matrix, from the
-    eigenpairs of the sine-DVR Hamiltonian, after the step guard on V_ref."""
-    _step_guard(v_ref, dt, consts)
-    energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
-    return (vectors * _phases((-dt / consts.hbar) * energies)) @ vectors.T
+def _evolution_matrix(energies: np.ndarray, vectors: np.ndarray, dt: float,
+                      hbar: float) -> np.ndarray:
+    """exp(-i dt H / hbar) for H = U diag(E) U^T as one dense complex matrix,
+    its real and imaginary parts each one real product with U^T."""
+    angle = (-dt / hbar) * energies
+    matrix = np.empty(vectors.shape, dtype=complex)
+    matrix.real = (vectors * np.cos(angle)) @ vectors.T
+    matrix.imag = (vectors * np.sin(angle)) @ vectors.T
+    return matrix
 
 
 def _eigen_evolution(psi0: np.ndarray, energies: np.ndarray, vectors: np.ndarray,
@@ -229,8 +243,7 @@ def _kinetic_phase(grid: Grid1D, dt: float, consts: PhysicalConstants) -> np.nda
 
 
 def _half_kick(dv, dt, consts) -> np.ndarray:
-    """exp(-i dV dt / 2 hbar). Unguarded: |dV| may exceed the |V| the guard
-    passed."""
+    """exp(-i dV dt / 2 hbar), the half kick of a step of dt."""
     return _phases((-0.5 * dt / consts.hbar) * dv)
 
 
@@ -243,18 +256,21 @@ def propagate(
     """Evolve ``initial`` from ``config.t_start`` to t_end, recording a
     snapshot every ``snapshot_stride`` steps and at t_end.
 
-    Each step is half kicks of V(t + dt/2) - V_ref around a fixed part
-    prepared once (see the module docstring). Between Dirichlet walls the
-    fixed part is the exact evolution of T + V_ref, V_ref = V(t_start + dt/2),
-    over dt; if V(t + dt/2) is V_ref at every step, every snapshot comes
-    from one product in the eigenbasis of T + V_ref and no step runs, and
-    otherwise the steps run from t_start. Once all snapshots are in, their
-    norm and observables under ``v_fn`` are measured as one batch. Under an
-    absorbing mask V_ref = 0, the fixed part is the kinetic phase, the mask
-    follows the second kick and the report records the norm only. The shape
-    deviation and H-tilde residual columns are left empty: the ``verifier``
-    measures them from the snapshots. ``initial.time`` must be
-    ``config.t_start``.
+    Between Dirichlet walls (see the module docstring), V_ref =
+    V(t_start + dt/2): if V at every step midpoint is V_ref, every snapshot
+    comes from one product in the eigenbasis of T + V_ref and no step runs;
+    otherwise each step from t_start is Yoshida's composition of three
+    substeps, each half kicks of V - V_ref around the exact evolution of
+    T + V_ref, and a second pass at 2 dt (dt/2 for an odd number of steps)
+    gives the Richardson estimate of the final state's step error,
+    ``step_error_estimate``. An estimate past ``STEP_TOLERANCE`` raises
+    AccuracyError carrying it. Once all snapshots are in, their norm and
+    observables under ``v_fn`` are measured as one batch. Under an
+    absorbing mask each step is Strang's, half kicks of V(t + dt/2) around
+    the kinetic phase, after the step guard, with the mask after the second
+    kick, and the report records the norm only. The shape deviation and
+    H-tilde residual columns are left empty: the ``verifier`` measures them
+    from the snapshots. ``initial.time`` must be ``config.t_start``.
     """
     grid = config.grid
     if initial.grid != grid:
@@ -270,11 +286,10 @@ def propagate(
     steps = [0, *range(config.snapshot_stride, n_steps, config.snapshot_stride), n_steps]
     times = t_start + np.asarray(steps) * dt
     rows = np.empty((len(steps), grid.n), dtype=complex)
-    rows[0] = values = initial.values
+    rows[0] = initial.values
 
-    def v_mid(i: int) -> np.ndarray:
-        """V at the midpoint of step ``i``."""
-        return np.asarray(v_fn(x, (t_start + i * dt) + 0.5 * dt), dtype=float)
+    def v_at(t: float) -> np.ndarray:
+        return np.asarray(v_fn(x, t), dtype=float)
 
     def measured(count: int) -> RunReport:
         """The first ``count`` snapshots with their norm and, between walls,
@@ -318,21 +333,33 @@ def propagate(
         # the product is exact at any dt: V_ref need only be finite
         if not np.isfinite(v_ref).all():
             raise ConfigurationError("V is not finite")
+        energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
         # V has not moved while its bytes are V_ref's (a NaN, or a -0.0 for
         # a 0.0, counts as a move, which costs steps, not accuracy)
         ref_bytes = v_ref.tobytes()
-        if all(v_mid(i).tobytes() == ref_bytes for i in range(1, n_steps)):
-            energies, vectors = hamiltonian_eigenpairs(grid, v_ref, consts)
+        if all(v_at((t_start + i * dt) + 0.5 * dt).tobytes() == ref_bytes
+               for i in range(1, n_steps)):
             _eigen_evolution(initial.values, energies, vectors, steps[1:], dt,
                              consts.hbar, rows[1:])
             check(0, len(steps))
             return measured(len(steps))
-        step = _eigen_step(v_ref, dt, grid, consts)
+
+        def states(h: float, count: int):
+            """The state after each of ``count`` composed steps of ``h``
+            from t_start."""
+            values = initial.values
+            matrices = {w: _evolution_matrix(energies, vectors, w * h, consts.hbar)
+                        for w in (_W1, _W0)}
+            for i in range(count):
+                t = t_start + i * h
+                for w, at in _SUBSTEPS:
+                    kick = _half_kick(v_at(t + at * h) - v_ref, w * h, consts)
+                    values = kick * (matrices[w] @ (kick * values))
+                yield values
     else:
-        v_ref = 0.0
         kinetic = _kinetic_phase(grid, dt, consts)
         mask = _mask_profile(grid, config.mask, dt)
-        peak0 = float(np.max(np.abs(values)))
+        peak0 = float(np.max(np.abs(initial.values)))
 
         def check(lo: int, hi: int) -> None:
             """BoundaryError at the first of snapshots lo..hi-1 that holds
@@ -350,25 +377,54 @@ def propagate(
                     )
         check(0, 1)
 
+        def states(h: float, count: int):
+            """The state after each of ``count`` Strang steps of ``h`` from
+            t_start, the mask after each."""
+            values = initial.values
+            for i in range(count):
+                v = v_at((t_start + i * h) + 0.5 * h)
+                kick = None
+                if v.any():  # a NaN counts too
+                    _step_guard(v, h, consts)
+                    kick = _half_kick(v, h, consts)
+                    values = kick * values
+                values = np.fft.ifft(kinetic * np.fft.fft(values))
+                if kick is not None:
+                    values = kick * values
+                values *= mask
+                yield values
+
     row = 1
-    for i in range(n_steps):
-        v = v_mid(i)
-        dv = v - v_ref
-        kick = None
-        if dv.any():  # V moved off V_ref; a NaN counts as a move
-            _step_guard(v, dt, consts)
-            kick = _half_kick(dv, dt, consts)
-            values = kick * values
-        if dirichlet:
-            values = step @ values
-        else:
-            values = np.fft.ifft(kinetic * np.fft.fft(values))
-        if kick is not None:
-            values = kick * values
-        if not dirichlet:
-            values *= mask
-        if i + 1 == steps[row]:
+    for i, values in enumerate(states(dt, n_steps), 1):
+        if i == steps[row]:
             rows[row] = values
             check(row, row + 1)
             row += 1
-    return measured(len(steps))
+    if not dirichlet:
+        return measured(len(steps))
+    estimate = _richardson(rows[-1], states, dt, n_steps)
+    # written so that a NaN fails too
+    if not estimate <= STEP_TOLERANCE:
+        if not np.isfinite(estimate):
+            raise ConfigurationError("V is not finite at some step")
+        raise AccuracyError(
+            f"step error estimate {estimate:.2e} of max|Psi| at dt = {dt:.6g} exceeds "
+            f"STEP_TOLERANCE = {STEP_TOLERANCE:g}; reduce the time step",
+            best_estimate=estimate)
+    report = measured(len(steps))
+    report.step_error_estimate = estimate
+    return report
+
+
+def _richardson(final: np.ndarray, states, dt: float, n_steps: int) -> float:
+    """Richardson's estimate of the step error of ``final``, the state after
+    ``n_steps`` fourth-order steps of ``dt``, relative to its peak: a second
+    pass of ``states(h, count)`` at h = 2 dt (dt/2 for an odd ``n_steps``)
+    over the same span, and |Psi_dt - Psi_h| / |1 - (h/dt)^4|, which is
+    |Psi_dt - Psi_2dt| / 15 (16/15 |Psi_dt - Psi_dt/2|)."""
+    ratio = 2.0 if n_steps % 2 == 0 else 0.5
+    other = final
+    for other in states(ratio * dt, round(n_steps / ratio)):
+        pass
+    return float(np.max(np.abs(final - other)) / np.max(np.abs(final))
+                 / abs(1.0 - ratio**4))

@@ -11,7 +11,8 @@ from nswp.cases import (SCENARIOS, airy_forced_case, phi0_forced_airy, run_airy_
                         run_corrupted_phase, run_sho_shifted, run_sho_timedep_frequency,
                         trap_envelope_half_width, uniform_force)
 from nswp.cli import main
-from nswp.errors import RangeError
+from nswp.errors import AccuracyError, RangeError
+from nswp.propagator import STEP_TOLERANCE
 
 from conftest import check_by_name
 
@@ -201,8 +202,8 @@ def trap_omega3_result():
 
 def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result,
                                                         trap_omega3_result):
-    # at omega0 = 3 the step guard cuts dt below 1e-2/3; the run ends at
-    # 10/omega0 rounded to a whole number of those steps
+    # at omega0 = 3 the run steps at dt = 0.1/3; it ends at 10/omega0
+    # rounded to a whole number of those steps
     _, dt = nswp.cases._trap_grid_and_dt(3.0)
     t_end = trap_omega3_result.report.times[-1]
     assert abs(t_end - 10.0 / 3.0) <= 0.5 * dt
@@ -213,8 +214,8 @@ def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result,
 
 def test_timedep_frequency_default_grid_and_dt_scale_with_omega0(trap_omega3_result):
     # at omega0 = 3 the grid is +-L from the packet's classical envelope and
-    # the default dt = 1e-2/3 is cut to keep the step guard; the static
-    # control on that grid stays rigid
+    # the run steps at dt = 0.1/3, whose step error estimate (7.2e-5) passes
+    # at the first try; the static control on that grid stays rigid
     result = trap_omega3_result
     assert result.passed
     assert result.extras["control_max_deviation"] < 5e-4
@@ -225,8 +226,44 @@ def test_timedep_frequency_default_grid_and_dt_scale_with_omega0(trap_omega3_res
     assert grid.dx <= dx_max < 2.0 * half_width / (grid.n - 2)
     default_grid, dt = nswp.cases._trap_grid_and_dt(3.0)
     assert default_grid == grid
-    assert dt < 1e-2 / 3.0
-    assert dt * 0.5 * (3.0 * 1.2) ** 2 * half_width**2 < 0.5
+    assert dt == 0.1 / 3.0 == result.extras["dt"]
+    assert result.extras["step_error_estimate"] <= STEP_TOLERANCE
+
+
+@pytest.mark.parametrize("omega0, modulation, k", [(1.0, 0.5, 2), (1.0, 0.7, 3),
+                                                   (1.0, 0.9, 4), (3.0, 0.5, 3)])
+def test_strong_modulation_passes_through_the_one_retry(omega0, modulation, k, monkeypatch):
+    # at dt = 0.1/omega0 the step error estimate passes STEP_TOLERANCE
+    # (3.6e-4, 1.6e-3, 5.2e-3 and 9.4e-4), so the modulated run is taken
+    # once more at dt/k, k from the dt^4 scaling of that estimate, with a
+    # snapshot every k steps: the same 101 snapshot times. The control
+    # shares the retried config
+    outcomes, configs = [], []
+    propagate = nswp.cases.propagate
+
+    def spy(initial, v_fn, config, consts):
+        configs.append(config)
+        try:
+            report = propagate(initial, v_fn, config, consts)
+        except AccuracyError as exc:
+            outcomes.append(exc.best_estimate)
+            raise
+        outcomes.append(report.step_error_estimate)
+        return report
+
+    monkeypatch.setattr(nswp.cases, "propagate", spy)
+    result = run_sho_timedep_frequency(omega0=omega0, modulation=modulation)
+    assert result.passed
+    first, retried, control = outcomes
+    assert first > STEP_TOLERANCE >= retried and control is None
+    assert configs[1] is configs[2]
+    assert configs[1].dt == pytest.approx(0.1 / (omega0 * k), rel=1e-15)
+    assert configs[1].snapshot_stride == k
+    assert result.extras["dt"] == configs[1].dt
+    assert result.extras["step_error_estimate"] == retried
+    times = result.report.times
+    assert len(times) == 101
+    assert times == pytest.approx(np.arange(101) * 0.1 / omega0, abs=1e-12)
 
 
 def test_trap_verify_sizes_solves_and_configures_once(monkeypatch, tmp_path):

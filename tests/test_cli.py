@@ -9,6 +9,7 @@ import pytest
 from nswp import cases, cli
 from nswp.cli import main
 from nswp.grids import MAX_DENSE_POINTS, write_json
+from nswp.propagator import STEP_TOLERANCE
 
 from test_eigensolver import QUARTIC_E0
 
@@ -55,6 +56,37 @@ def test_eigen_harmonic_sizes_its_grid_from_omega(omega, tmp_path):
     assert len(energies) == 3
     for n, e in enumerate(energies):
         assert abs(e / omega - (n + 0.5)) < 1e-8
+
+
+def test_eigen_span_without_n_points_keeps_the_derived_dx(tmp_path):
+    # +-40 without n_points takes the derived +-7.24 grid's dx (637 points);
+    # keeping its 116 points (dx = 0.70) read E_2 off by 4.9e-6
+    out = tmp_path / "eig"
+    assert main(["eigen", "--x-min", "-40", "--x-max", "40", "--out", str(out)]) == 0
+    energies = read_json(out / "energies.json")["energies"]
+    for n, e in enumerate(energies):
+        assert abs(e - (n + 0.5)) < 1e-10
+
+
+def test_sho_span_without_n_points_keeps_the_derived_dx(tmp_path, monkeypatch):
+    # the sho scenario's grid keys: +-40 without n_points takes the default
+    # grid's dx, and the run passes; on the default 128 points (dx = 0.63)
+    # five checks failed
+    grids = []
+    run = cases.run_sho_shifted
+
+    def spy(**kwargs):
+        grids.append(kwargs["grid"])
+        return run(**kwargs)
+
+    monkeypatch.setattr(cases, "run_sho_shifted", spy)
+    out = tmp_path / "v"
+    assert main(["verify", "--scenario", "sho", "--out", str(out), "--config",
+                 str(make_config(tmp_path, x_min=-40.0, x_max=40.0))]) == 0
+    assert read_json(out / "report.json")["pass"] is True
+    grid, = grids
+    assert (grid.x_min, grid.x_max) == (-40.0, 40.0)
+    assert grid.dx <= cases.sho_grid().dx < 80.0 / (grid.n - 2)
 
 
 # E_n / lambda^(1/3) of V = lambda x^4 at hbar = m = 1, n = 0, 1, 2
@@ -483,13 +515,17 @@ def test_verify_sho_passes_off_its_defaults(flags, config, tmp_path):
     assert read_json(tmp_path / "v" / "report.json")["pass"] is True
 
 
-def test_verify_strong_modulation_keeps_the_step_guard(tmp_path):
-    # eps = 0.5: on the derived +-11.9 grid the default dt = 1e-2 gives
-    # dt max|V| = 1.6 at the peak of w(t), so the default is cut to 2.5e-3
+def test_verify_strong_modulation_takes_the_one_retry(tmp_path):
+    # eps = 0.5: at the default dt = 0.1 the step error estimate reads
+    # 3.6e-4, past STEP_TOLERANCE, so the run is taken once more at 0.05,
+    # where it reads 2.4e-5; the report records the dt and estimate it kept
     out = tmp_path / "v"
     assert main(["verify", "--scenario", "sho-timedep-freq",
                  "--modulation", "0.5", "--out", str(out)]) == 0
-    assert read_json(out / "report.json")["pass"] is True
+    report = read_json(out / "report.json")
+    assert report["pass"] is True
+    assert report["extras"]["dt"] == 0.05
+    assert report["extras"]["step_error_estimate"] <= STEP_TOLERANCE
 
 
 def test_verify_modulation_0_7_sizes_the_grid_to_the_packet(tmp_path):
@@ -518,8 +554,8 @@ def test_verify_modulation_outside_the_box_exits_2(eps, tmp_path, monkeypatch):
 
 
 # finite hbar or mass far from natural units: 3 for an overflow or a
-# division by zero, 2 where the step guard would cut a default dt to more
-# than MAX_STEPS steps
+# division by zero, 2 where the default grid would take more points than the
+# dense basis budget
 EXTREME_CONSTANTS = [
     ("gaussian-control", {"hbar": 1e308}, 3),
     ("gaussian-control", {"hbar": 1e200}, 3),
@@ -542,10 +578,10 @@ EXTREME_CONSTANTS = [
 def test_extreme_hbar_or_mass_ends_in_a_typed_error(scenario, constants, code, tmp_path,
                                                     capsys, monkeypatch):
     if code == 2:
-        # the step budget, or the sho grid's point budget, is checked before
-        # any grid is sized or step taken
+        # the grid's point budget is checked before any grid is built or
+        # step taken
         def not_reached(*args, **kwargs):
-            raise AssertionError("ran past the step budget")
+            raise AssertionError("ran past the point budget")
 
         for name in ("Grid1D", "lowest_eigenpairs", "propagate"):
             monkeypatch.setattr(cli.cases, name, not_reached)

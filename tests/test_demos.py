@@ -32,11 +32,11 @@ def test_demo_imports_and_defines_main(path):
 
 
 def test_quartic_packet_rides_its_round_trip():
-    # the demo's quartic mode and polynomial round trip on its +-5 grid of
-    # 128 points at 2.5 times its step, 8000 steps to t = 2 (dt max|V_nswp|
-    # is 0.34); the shape deviation reads 2.1e-6 and the drift 1.3e-6
+    # the demo's run: its quartic mode and polynomial round trip on its +-5
+    # grid of 128 points, 400 composed steps of its dt = 5e-3 to t = 2; the
+    # shape deviation reads 3.5e-7 and the drift 1.5e-7
     demo = load(DEMO_DIR / "quartic_custom_packet.py")
-    _, res, dev, drift = demo.quartic_round_trip(Grid1D(-5.0, 5.0, 128), dt=2.5e-4)
+    _, res, dev, drift = demo.quartic_round_trip(Grid1D(-5.0, 5.0, 128), dt=demo.DT)
     assert res < 1e-4
     assert dev < 1e-4
     assert drift < 1e-4
@@ -44,11 +44,11 @@ def test_quartic_packet_rides_its_round_trip():
 
 def test_run_case_measures_the_htilde_residual_of_the_quartic_packet():
     # a case between walls that is not sho gets its H-tilde column from
-    # run_case: 11 snapshots to t = 0.2, max 2.0e-7
+    # run_case: 11 snapshots to t = 0.2 at the demo's dt, max 5.0e-8
     demo = load(DEMO_DIR / "quartic_custom_packet.py")
     grid = Grid1D(-5.0, 5.0, 128)
     _, case = demo.quartic_case(grid)
-    config = PropagationConfig(dt=2e-4, t_end=0.2, grid=grid, snapshot_stride=100)
+    config = PropagationConfig(dt=demo.DT, t_end=0.2, grid=grid, snapshot_stride=4)
     report = run_case(case, config, "quartic_round_trip", {}, lambda report: []).report
     assert len(report.htilde_residual) == len(report.times) == 11
     assert max(report.htilde_residual) < 1e-6

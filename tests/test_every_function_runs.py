@@ -1,10 +1,10 @@
 """Every top-level function and method in ``src/nswp`` runs when the
 commands do: one ``reproduce``, then ``construct`` and ``propagate
 --write-snapshots`` for each scenario that offers them, ``eigen`` for both
-potentials, and the demos' work, the quartic demo's on the small config of
-``test_demos``. A function that none of them calls is code no command
-needs; ``NEVER_RUN`` names each exception and why, and an entry that starts
-running fails too, so the list stays exact.
+potentials, and the demos' work, the quartic demo's run at its own dt. A
+function that none of them calls is code no command needs; ``NEVER_RUN``
+names each exception and why, and an entry that starts running fails too,
+so the list stays exact.
 
 The commands run in a fresh interpreter that is traced from before
 ``nswp`` is imported, so what runs at import (the Airy tables) counts.
@@ -77,8 +77,7 @@ def run_the_commands(out: Path):
     # the demos write their outputs to the working directory
     for demo in ("airy_accelerating_packet", "sho_coherent_packet"):
         load(DEMO_DIR / f"{demo}.py").main()
-    load(DEMO_DIR / "quartic_custom_packet.py").quartic_round_trip(
-        Grid1D(-5.0, 5.0, 128), dt=2.5e-4)
+    load(DEMO_DIR / "quartic_custom_packet.py").quartic_round_trip(Grid1D(-5.0, 5.0, 128))
 
 
 def top_level_functions():

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,11 +10,12 @@ from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
                   lowest_eigenpairs, observables, propagate, shift_field)
 from nswp import propagator
-from nswp.grids import BLOCK_ROWS, MAX_DENSE_POINTS, kinetic_matrix, write_json
+from nswp.grids import (BLOCK_ROWS, MAX_DENSE_POINTS, hamiltonian_eigenpairs, kinetic_matrix,
+                        write_json)
 from nswp.cases import _AIRY_MASK, run_airy_forced
-from nswp.errors import BoundaryError, ConfigurationError, RangeError
+from nswp.errors import AccuracyError, BoundaryError, ConfigurationError, RangeError
 from nswp.verifier import shape_deviation
-from nswp.propagator import MAX_STEPS, guarded_dt
+from nswp.propagator import STEP_TOLERANCE, _evolution_matrix
 
 CONSTS = PhysicalConstants()
 
@@ -40,20 +40,58 @@ def test_single_step_unitarity():
     assert out.time == pytest.approx(1e-3)
 
 
-def test_step_guard():
-    # a static V takes no step, so the guard does not bound its dt: at
-    # dt max|V| / hbar = 5, ten times the guard, the run is the exact
-    # evolution of T + V up to round-off. Once V moves off the same V_ref a
-    # step runs, and its V_ref fails the guard, though the V it moved to
-    # (zero) passes
+def breathing_trap(eps):
+    """V(x, t) = x^2 (1 + eps sin 2t) / 2: max|V| = 50 (1 + eps) on +-10."""
+    return lambda x, t: 0.5 * (1.0 + eps * np.sin(2.0 * t)) * x**2
+
+
+def test_a_run_past_the_old_step_guard_passes_on_a_small_estimate():
+    # no a-priori guard bounds a step between walls. A static V takes no
+    # step: at dt max|V| / hbar = 5, ten times the guard the Strang step
+    # had, the run is the exact evolution of T + V up to round-off. A V
+    # that moves, at dt max|V| / hbar = 5.05 on the same grid, passes
+    # because its step error estimate is small, and the estimate tracks the
+    # true error, against the same run at dt / 8 (a 4096x smaller error)
     grid = Grid1D(-10.0, 10.0, 128)
     psi = gaussian(grid, center=1.0, k=0.5)
     v = grid.x**2  # max|V| = 100
     out = one_step(psi, v, 0.05)
     assert np.max(np.abs(out.values - exact_evolution(psi, v, 0.05))) < 1e-13
-    config = PropagationConfig(dt=0.05, t_end=0.1, grid=grid)
-    with pytest.raises(ConfigurationError, match="reduce the time step"):
-        propagate(psi, lambda x, t: v if t < 0.05 else 0.0 * x, config, CONSTS)
+
+    def final(dt):
+        config = PropagationConfig(dt=dt, t_end=2.0, grid=grid, snapshot_stride=10**6)
+        return propagate(psi, breathing_trap(0.01), config, CONSTS)
+
+    coarse, fine = final(0.1), final(0.1 / 8)
+    assert 0.1 * 50.5 / CONSTS.hbar > 10 * 0.5
+    estimate = coarse.step_error_estimate
+    assert estimate < 1e-2 * STEP_TOLERANCE
+    psi_coarse, psi_fine = coarse.snapshot_values[-1], fine.snapshot_values[-1]
+    error = np.max(np.abs(psi_coarse - psi_fine)) / np.max(np.abs(psi_fine))
+    assert 0.8 * error < estimate < 1.25 * error
+
+
+def test_an_estimate_past_the_step_tolerance_raises_accuracy_error():
+    # the same trap breathing by +-90 % at dt = 0.2: the Richardson estimate
+    # of the final state's error, which AccuracyError carries and names,
+    # exceeds STEP_TOLERANCE and tracks the true error against the run at
+    # dt / 8, which passes
+    grid = Grid1D(-10.0, 10.0, 128)
+    psi = gaussian(grid, center=1.0, k=0.5)
+    v_fn = breathing_trap(0.9)
+    config = PropagationConfig(dt=0.2, t_end=2.0, grid=grid)
+    with pytest.raises(AccuracyError, match="reduce the time step") as exc_info:
+        propagate(psi, v_fn, config, CONSTS)
+    estimate = exc_info.value.best_estimate
+    assert estimate > STEP_TOLERANCE
+    assert f"{estimate:.2e}" in str(exc_info.value)
+    fine = propagate(psi, v_fn, PropagationConfig(dt=0.025, t_end=2.0, grid=grid), CONSTS)
+    assert fine.step_error_estimate <= STEP_TOLERANCE
+    # the refused run's final state: propagate's steps written out
+    psi_coarse = eigen_route_run(psi, v_fn, config)[-1]
+    psi_fine = fine.snapshot_values[-1]
+    error = np.max(np.abs(psi_coarse - psi_fine)) / np.max(np.abs(psi_fine))
+    assert 0.8 * error < estimate < 1.25 * error
 
 
 def test_non_finite_potential_rejected():
@@ -63,6 +101,11 @@ def test_non_finite_potential_rejected():
     v[5] = np.nan
     with pytest.raises(ConfigurationError):
         one_step(psi, v, 1e-3)
+    # a V that moves and turns NaN at a later step
+    config = PropagationConfig(dt=1e-3, t_end=0.02, grid=grid)
+    with pytest.raises(ConfigurationError, match="not finite"):
+        propagate(psi, lambda x, t: np.full_like(x, t if t < 5e-3 else np.nan), config,
+                  CONSTS)
 
 
 def test_dense_basis_cap_raises_before_the_run():
@@ -170,8 +213,9 @@ def test_time_reversal():
     grid = Grid1D(-10.0, 10.0, 256)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
-    fwd = propagator._eigen_step(v, 1e-3, grid, CONSTS)
-    back = propagator._eigen_step(v, -1e-3, grid, CONSTS)
+    pairs = hamiltonian_eigenpairs(grid, v, CONSTS)
+    fwd = _evolution_matrix(*pairs, 1e-3, CONSTS.hbar)
+    back = _evolution_matrix(*pairs, -1e-3, CONSTS.hbar)
     assert np.max(np.abs(back @ (fwd @ psi.values) - psi.values)) < 1e-12
 
 
@@ -293,20 +337,27 @@ def test_initial_time_must_be_the_start_time():
 
 # --- both steppers against test-side references -----------------------------
 
+# Yoshida's weights of the composed step and each substep's kick time, in
+# units of dt from the start of the step, written out test-side
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+SUBSTEPS = ((W1, 0.5 * W1), (1.0 - 2.0 * W1, 0.5), (W1, 1.0 - 0.5 * W1))
+
+
 def reference_run(initial, v_fn, config):
-    """The exact evolution of T + V_ref, V_ref = V(t_start + dt/2), between two
-    half kicks exp(-i (V - V_ref) dt / 2 hbar), V taken at each step's
+    """Yoshida's composition of three substeps per step, each the exact
+    evolution of T + V_ref, V_ref = V(t_start + dt/2), over w dt between two
+    half kicks exp(-i (V - V_ref) w dt / 2 hbar), V taken at the substep's
     midpoint, the fixed part ``exact_evolution``."""
     x, dt = config.grid.x, config.dt
     values = initial.values.copy()
-    t = config.t_start
-    v_ref = np.array(v_fn(x, t + 0.5 * dt), dtype=float)
+    v_ref = np.array(v_fn(x, config.t_start + 0.5 * dt), dtype=float)
     for i in range(config.n_steps):
-        angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
-        kick = np.cos(angle) + 1j * np.sin(angle)
-        moved = WaveField(grid=config.grid, values=kick * values)
-        values = kick * exact_evolution(moved, v_ref, dt)
-        t = config.t_start + (i + 1) * dt
+        t = config.t_start + i * dt
+        for w, at in SUBSTEPS:
+            angle = (-0.5 * w * dt / CONSTS.hbar) * (v_fn(x, t + at * dt) - v_ref)
+            kick = np.cos(angle) + 1j * np.sin(angle)
+            moved = WaveField(grid=config.grid, values=kick * values)
+            values = kick * exact_evolution(moved, v_ref, w * dt)
     return values
 
 
@@ -369,17 +420,16 @@ def eigen_route_run(initial, v_fn, config):
     after k steps is U (exp(-i E k dt / hbar) * U^T psi0), the real and
     imaginary parts each one real product with U^T per block of
     ``BLOCK_ROWS`` snapshots. If V moves at any step, every step from
-    t_start is the step matrix ``propagator._eigen_step``, between half
-    kicks where V is off V_ref, as in ``reference_run``."""
+    t_start is ``composed_steps``."""
     grid, dt, hbar = config.grid, config.dt, CONSTS.hbar
     x, n_steps, stride = grid.x, config.n_steps, config.snapshot_stride
     steps = [0, *range(stride, n_steps, stride), n_steps]
     v_ref = np.array(v_fn(x, config.t_start + 0.5 * dt), dtype=float)
+    h = kinetic_matrix(grid.n, grid.dx, CONSTS)
+    h[np.diag_indices(grid.n)] += v_ref
+    e, u = np.linalg.eigh(h)
     if not any((v_fn(x, (config.t_start + i * dt) + 0.5 * dt) - v_ref).any()
                for i in range(n_steps)):
-        h = kinetic_matrix(grid.n, grid.dx, CONSTS)
-        h[np.diag_indices(grid.n)] += v_ref
-        e, u = np.linalg.eigh(h)
         re, im = u.T @ initial.values.real, u.T @ initial.values.imag
         out = np.empty((len(steps), grid.n), dtype=complex)
         out[0] = initial.values
@@ -389,16 +439,36 @@ def eigen_route_run(initial, v_fn, config):
             out[b:b + BLOCK_ROWS].real = (cos * re - sin * im) @ u.T
             out[b:b + BLOCK_ROWS].imag = (sin * re + cos * im) @ u.T
         return out
-    step = propagator._eigen_step(v_ref, dt, grid, CONSTS)
-    values, snapshots = initial.values, [initial.values]
-    for i in range(n_steps):
+    snapshots = composed_steps(initial, v_fn, config)
+    return np.array([snapshots[k] for k in steps])
+
+
+def composed_steps(initial, v_fn, config):
+    """The state after each of the run's steps from t_start, psi0 first, each
+    step Yoshida's three substeps: a half kick exp(-i (V - V_ref) w dt /
+    2 hbar) at the substep's midpoint, U diag(exp(-i E w dt / hbar)) U^T
+    (its real and imaginary parts each one real product) and the same half
+    kick, with T + V_ref = U diag(E) U^T, V_ref = V(t_start + dt/2),
+    diagonalised test-side."""
+    grid, dt, hbar = config.grid, config.dt, CONSTS.hbar
+    x = grid.x
+    v_ref = np.array(v_fn(x, config.t_start + 0.5 * dt), dtype=float)
+    h = kinetic_matrix(grid.n, grid.dx, CONSTS)
+    h[np.diag_indices(grid.n)] += v_ref
+    e, u = np.linalg.eigh(h)
+    matrices = {}
+    for w, _ in SUBSTEPS:
+        angle = (-(w * dt) / hbar) * e
+        matrices[w] = ((u * np.cos(angle)) @ u.T) + 1j * ((u * np.sin(angle)) @ u.T)
+    values, states = initial.values, [initial.values]
+    for i in range(config.n_steps):
         t = config.t_start + i * dt
-        angle = (-0.5 * dt / hbar) * (v_fn(x, t + 0.5 * dt) - v_ref)
-        kick = np.cos(angle) + 1j * np.sin(angle)
-        values = kick * (step @ (kick * values)) if angle.any() else step @ values
-        if i + 1 in steps:
-            snapshots.append(values)
-    return np.array(snapshots)
+        for w, at in SUBSTEPS:
+            angle = (-0.5 * (w * dt) / hbar) * (v_fn(x, t + at * dt) - v_ref)
+            kick = np.cos(angle) + 1j * np.sin(angle)
+            values = kick * (matrices[w] @ (kick * values))
+        states.append(values)
+    return states
 
 
 def all_snapshots(initial, v_fn, config):
@@ -407,10 +477,11 @@ def all_snapshots(initial, v_fn, config):
 
 # The two tests below held the loop to a reference built on scipy's banded
 # solver, then to the step matrix repeated from the first step. A V that
-# never moves now takes one eigenbasis product instead, so they hold every
-# snapshot of propagate bit for bit to the route written out,
-# ``eigen_route_run``; the property after them holds a V that moves to the
-# repeated step bit for bit, and a static one to it within round-off.
+# never moves now takes one eigenbasis product instead, and a V that moves
+# the composed step, so they hold every snapshot of propagate bit for bit to
+# the route written out, ``eigen_route_run``; the property after them holds
+# a V that moves to the repeated composed step bit for bit, and a static one
+# to it within round-off.
 
 def test_static_v_bit_identical_to_banded_reference():
     grid = Grid1D(-8.0, 8.0, 128)
@@ -437,20 +508,11 @@ def test_time_dependent_v_bit_identical_to_banded_reference():
 
 
 def repeated_step_run(initial, v_fn, config):
-    """Every snapshot of the step repeated from t_start, static V or not:
-    a half kick, the step matrix and a half kick."""
-    grid, dt = config.grid, config.dt
-    v_ref = np.array(v_fn(grid.x, config.t_start + 0.5 * dt), dtype=float)
-    step = propagator._eigen_step(v_ref, dt, grid, CONSTS)
-    values, snapshots = initial.values, [initial.values]
-    for i in range(config.n_steps):
-        t = config.t_start + i * dt
-        angle = (-0.5 * dt / CONSTS.hbar) * (v_fn(grid.x, t + 0.5 * dt) - v_ref)
-        kick = np.cos(angle) + 1j * np.sin(angle)
-        values = kick * (step @ (kick * values))
-        if (i + 1) % config.snapshot_stride == 0 or i + 1 == config.n_steps:
-            snapshots.append(values)
-    return np.array(snapshots)
+    """Every snapshot of the composed step repeated from t_start, static V
+    or not (``composed_steps``)."""
+    states = composed_steps(initial, v_fn, config)
+    return np.array([states[k] for k in range(0, config.n_steps, config.snapshot_stride)]
+                    + [states[-1]])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -580,8 +642,9 @@ def test_reversed_step_bit_identical_to_banded_reference():
     grid = Grid1D(-10.0, 10.0, 256)
     v = 0.5 * grid.x**2
     psi = gaussian(grid, center=0.7)
-    fwd = propagator._eigen_step(v, 1e-3, grid, CONSTS)
-    back = propagator._eigen_step(v, -1e-3, grid, CONSTS)
+    pairs = hamiltonian_eigenpairs(grid, v, CONSTS)
+    fwd = _evolution_matrix(*pairs, 1e-3, CONSTS.hbar)
+    back = _evolution_matrix(*pairs, -1e-3, CONSTS.hbar)
     assert np.array_equal(back, np.conj(fwd))
     out = one_step(psi, v, 1e-3)
     assert np.max(np.abs(out.values - fwd @ psi.values)) < 1e-14 * np.max(np.abs(psi.values))
@@ -591,10 +654,11 @@ def test_reversed_step_bit_identical_to_banded_reference():
 def test_factor_once_per_distinct_v(monkeypatch, fresh_eigenpairs):
     # one eigensolve per distinct V_ref, shared by every run that has it: a
     # static V, a time-dependent V and a v_fn that refills and returns one
-    # buffer all start from the same V_ref. The step matrix is built only
-    # once V moves: never for the static V, once for each other run
+    # buffer all start from the same V_ref, and so does each run's second
+    # pass at 2 dt. The step matrices are built only once V moves: never for
+    # the static V, two per pass (weights w1 and w0) for each other run
     eighs, steps = [], []
-    eigh, step = np.linalg.eigh, propagator._eigen_step
+    eigh, step = np.linalg.eigh, propagator._evolution_matrix
 
     def counting_eigh(*args):
         eighs.append(1)
@@ -605,7 +669,7 @@ def test_factor_once_per_distinct_v(monkeypatch, fresh_eigenpairs):
         return step(*args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(propagator, "_eigen_step", counting_step)
+    monkeypatch.setattr(propagator, "_evolution_matrix", counting_step)
     grid = Grid1D(-8.0, 8.0, 256)
     config = PropagationConfig(dt=1e-3, t_end=0.05, grid=grid,
                                snapshot_stride=10)
@@ -619,7 +683,7 @@ def test_factor_once_per_distinct_v(monkeypatch, fresh_eigenpairs):
     assert (len(eighs), len(steps)) == (1, 0)
 
     moving = final_values(initial, v_fn, config)
-    assert (len(eighs), len(steps)) == (1, 1)
+    assert (len(eighs), len(steps)) == (1, 4)
 
     buf = np.empty(grid.n)
 
@@ -628,40 +692,8 @@ def test_factor_once_per_distinct_v(monkeypatch, fresh_eigenpairs):
         return buf
 
     refilled = final_values(initial, in_place, config)
-    assert (len(eighs), len(steps)) == (1, 2)
+    assert (len(eighs), len(steps)) == (1, 8)
     # V_ref is a copy, so the buffer's later contents act as kicks; without
     # it the run would stay at V_ref, the static run
     assert np.array_equal(refilled, moving)
     assert np.max(np.abs(refilled - static)) > 1e-4
-
-
-def test_step_guard_rechecked_for_time_dependent_v():
-    # dt * V(t_mid) / hbar = 1e-3 * 1e5 * t_mid first reaches 0.5 at step 5
-    grid = Grid1D(-10.0, 10.0, 128)
-    config = PropagationConfig(dt=1e-3, t_end=0.02, grid=grid,
-                               snapshot_stride=1)
-    requested = []
-
-    def v_fn(x, t):
-        requested.append(t)
-        return np.full_like(x, 1e5 * t)
-
-    with pytest.raises(ConfigurationError):
-        propagate(gaussian(grid), v_fn, config, CONSTS)
-    assert requested[-1] == pytest.approx(5.5e-3)
-
-
-def test_guarded_dt_cuts_to_the_step_guard_within_the_step_budget():
-    consts = PhysicalConstants()
-    # dt max|V| / hbar = 0.4 < 0.5: no cut; 1.2: cut by 3 to 0.4
-    assert guarded_dt(0.01, 40.0, 1.0, consts) == 0.01
-    assert guarded_dt(0.01, 120.0, 1.0, consts) == 0.01 / 3
-    # the same cut over a run of 1e6 / 3 * 0.01 is exactly at the budget
-    assert guarded_dt(0.01, 120.0, MAX_STEPS / 3 * 0.01, consts) == 0.01 / 3
-    with pytest.raises(RangeError, match="hbar = 1e-30 and mass = 1"):
-        guarded_dt(0.01, 40.0, 1.0, PhysicalConstants(hbar=1e-30))
-    # an overflowing ratio, or a NaN, fails the budget instead of raising
-    # OverflowError or ValueError in a floor
-    for v_max in (1e308, math.nan):
-        with pytest.raises(RangeError):
-            guarded_dt(0.01, v_max, 1.0, PhysicalConstants(hbar=1e-10))
