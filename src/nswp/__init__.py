@@ -16,7 +16,7 @@ from .constructor import (AiryShape, GaugeFunction, NswpSolution, SampledShape,
                           phase, tdse_residual, v_nswp)
 from .eigensolver import EigenPair, StaticPotential, lowest_eigenpairs
 from .grids import (Grid1D, Observables, PhysicalConstants, WaveField, observables,
-                    shift_field, write_wavefield_csv)
+                    write_wavefield_csv)
 from .propagator import AbsorbingMask, PropagationConfig, RunReport, propagate
 from .quadrature import integrate_time, nested_triple_integral
 from .trajectory import ForceTrajectory, Polynomial, Sinusoid, Trajectory

@@ -27,7 +27,7 @@ from .constructor import (RESIDUAL_MARGIN, AiryShape, NswpSolution, SampledShape
 from .eigensolver import StaticPotential, lowest_eigenpairs
 from .errors import AccuracyError, ConfigurationError, RangeError
 from .grids import (MAX_DENSE_POINTS, Grid1D, PhysicalConstants, WaveField, fd5_first,
-                    observables, shift_field)
+                    observables)
 from .propagator import (STEP_TOLERANCE, AbsorbingMask, PropagationConfig, RunReport,
                          edge_ramp, propagate)
 from .quadrature import cumulative_simpson_uniform, mesh_doubling, simpson_uniform
@@ -549,7 +549,8 @@ def run_sho_timedep_frequency(
     modulation: float = 0.2,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
-    """The negative claim: the ground state shifted by 2 under
+    """The negative claim: the ground state sampled at d = 2, as every
+    packet is (``SampledShape.on_grid_shifted``), under
     V = m w(t)^2 x^2 / 2, w = w0 (1 + eps sin w0 t), to t_end = 10/omega0
     rounded to whole steps, must spread, while the same mode under the
     static control eps = 0 (the Schrodinger NSWP, a coherent oscillation)
@@ -578,7 +579,8 @@ def run_sho_timedep_frequency(
     grid, dt = _trap_grid_and_dt(omega0, modulation, consts)
     t_end = dt * round(_TRAP_HORIZON / (omega0 * dt))
     pair = lowest_eigenpairs(StaticPotential.harmonic(omega0, m), grid, consts, 1)[0]
-    initial = shift_field(pair.shape, _TRAP_AMPLITUDE)
+    mode = SampledShape.from_eigenpair(pair)
+    initial = WaveField(grid=grid, values=mode.on_grid_shifted(grid, _TRAP_AMPLITUDE))
     config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
 
     def run(eps):

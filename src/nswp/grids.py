@@ -15,9 +15,10 @@ checks; the dense basis stops at ``MAX_DENSE_POINTS``. ``observables``,
 (snapshots x n) array is measured in one call, ``BLOCK_ROWS`` rows per
 transform. The 5-point weights
 ``FD5_FIRST`` and ``FD5_SECOND``, spelled here only, serve the masked
-(periodic) Airy grids and time series. Fractional spatial shifts are done by
-Fourier interpolation so that sub-grid displacements are representable.
-Everything here is numpy only.
+(periodic) Airy grids and time series. ``shift_values`` is the one spectral
+shift: Fourier interpolation, so that sub-grid displacements are
+representable, with a periodic wrap that ``SampledShape.on_grid_shifted``
+zeroes. Everything here is numpy only.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class WaveField:
         if not np.isfinite(values).all():
             raise ValueError("wave field contains non-finite samples")
         object.__setattr__(self, "values", values)
-
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
 
 
 @dataclass(frozen=True)
@@ -338,22 +336,6 @@ def shift_values(values: np.ndarray, a, dx: float) -> np.ndarray:
         np.multiply(spectrum, phase, out=phase)
         flat_out[blk] = np.fft.irfft(phase, n) if real else np.fft.ifft(phase)
     return out
-
-
-def shift_field(psi: WaveField, a: float) -> WaveField:
-    """Return samples of psi(x - a) via band-limited interpolation.
-
-    Values leaving the domain wrap around periodically; the caller must
-    ensure the field has negligible support near the boundaries. A purely
-    real field is shifted as real, so it stays real.
-    """
-    if abs(a) >= psi.grid.width:
-        raise RangeError(f"shift {a} exceeds domain width {psi.grid.width}")
-    if a == 0.0:
-        return psi
-    values = psi.values if np.any(psi.values.imag) else psi.values.real
-    return WaveField(grid=psi.grid, values=shift_values(values, a, psi.grid.dx),
-                     time=psi.time)
 
 
 def write_csv(path, header, *columns) -> None:

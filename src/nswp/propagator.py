@@ -46,11 +46,14 @@ F sampled at the step midpoints leaves a global error near
 T dt^2 |F''| / 24 ~ 1e-5, below the ~1.6e-4 density floor that the mask and
 the check window set.
 
-Each snapshot meets its boundary's check as it is made (the product's as one
-batch): amplitude at the outermost cells, which would wrap around under the
-mask, or, between walls, lost norm or amplitude at the edge cells. The first
-that fails raises ``BoundaryError`` with its t, and the run ends there as it
-does at t_end: the snapshots kept are measured as one report.
+One check tests every snapshot against its boundary; each boundary gives
+it only a predicate over a block of snapshots and its message: amplitude at
+the outermost cells, which would wrap around under the mask, or, between
+walls, lost norm or amplitude at the edge cells. Every route checks
+snapshot 0 before its first product or step, then the product's snapshots
+as one batch or each stepped one as it is made. The first that fails raises
+``BoundaryError`` with its t, and the run ends there as it does at t_end:
+the snapshots kept are measured as one report.
 """
 
 from __future__ import annotations
@@ -268,9 +271,12 @@ def propagate(
     observables under ``v_fn`` are measured as one batch. Under an
     absorbing mask each step is Strang's, half kicks of V(t + dt/2) around
     the kinetic phase, after the step guard, with the mask after the second
-    kick, and the report records the norm only. The shape deviation and
-    H-tilde residual columns are left empty: the ``verifier`` measures them
-    from the snapshots. ``initial.time`` must be ``config.t_start``.
+    kick, and the report records the norm only. Every route checks snapshot
+    0 against its boundary before its first product or step, then each
+    snapshot made; the first that fails raises BoundaryError carrying the
+    report up to it. The shape deviation and H-tilde residual columns are
+    left empty: the ``verifier`` measures them from the snapshots.
+    ``initial.time`` must be ``config.t_start``.
     """
     grid = config.grid
     if initial.grid != grid:
@@ -309,25 +315,43 @@ def propagate(
 
     if dirichlet:
         norm0 = np.sqrt(grid.dx * np.vdot(initial.values, initial.values).real)
+        message = "wave packet hit the boundary at t={t:.6g} (relative edge amplitude {ratio:.2e})"
 
-        def check(lo: int, hi: int) -> None:
-            """BoundaryError at the first of snapshots lo..hi-1 that hit a
-            wall, with the report cut there. The step is unitary, so a hit
-            shows up as amplitude piling onto the edge cells (reflection),
-            not as norm loss; both count."""
-            for blk in row_blocks(hi - lo):
-                mod = np.abs(rows[lo + blk.start:lo + blk.stop])
-                edge, peak = np.maximum(mod[:, 1], mod[:, -2]), np.max(mod, axis=1)
-                norm = np.sqrt(grid.dx * np.vecdot(mod, mod))
-                hit = (norm < norm0 * (1.0 - 1e-3)) | (edge > 1e-3 * peak)
-                if hit.any():
-                    j = int(np.argmax(hit))
-                    raise BoundaryError(
-                        f"wave packet hit the boundary at t={times[lo + blk.start + j]:.6g} "
-                        f"(relative edge amplitude {edge[j] / peak[j]:.2e})",
-                        partial_report=measured(lo + blk.start + j + 1),
-                    )
+        def hit(block: np.ndarray):
+            """The rows that lost norm or pile amplitude onto the edge cells
+            (the step is unitary, so a wall reflects), their edge amplitude
+            and their peak."""
+            mod = np.abs(block)
+            edge, peak = np.maximum(mod[:, 1], mod[:, -2]), np.max(mod, axis=1)
+            norm = np.sqrt(grid.dx * np.vecdot(mod, mod))
+            return (norm < norm0 * (1.0 - 1e-3)) | (edge > 1e-3 * peak), edge, peak
+    else:
+        peak0 = float(np.max(np.abs(initial.values)))
+        message = ("wave packet wrapped around the periodic domain at t={t:.6g} "
+                   "(edge amplitude {ratio:.2e} of the initial peak); "
+                   "widen or strengthen the absorbing mask")
 
+        def hit(block: np.ndarray):
+            """The rows with amplitude at the outermost cells, which would
+            wrap around the periodic domain, that amplitude and the initial
+            peak."""
+            edge = np.maximum(np.abs(block[:, 0]), np.abs(block[:, -1]))
+            return ~(edge <= 1e-2 * peak0), edge, np.full(len(edge), peak0)
+
+    def check(lo: int, hi: int) -> None:
+        """BoundaryError at the first of snapshots lo..hi-1 that ``hit``
+        finds, with the report cut there."""
+        for blk in row_blocks(hi - lo):
+            first = lo + blk.start
+            found, edge, peak = hit(rows[first:lo + blk.stop])
+            if found.any():
+                j = int(np.argmax(found))
+                raise BoundaryError(message.format(t=times[first + j], ratio=edge[j] / peak[j]),
+                                    partial_report=measured(first + j + 1))
+
+    check(0, 1)
+    static = False
+    if dirichlet:
         # a copy: a v_fn may refill and return one buffer
         v_ref = np.array(v_fn(x, t_start + 0.5 * dt), dtype=float)
         # the product is exact at any dt: V_ref need only be finite
@@ -337,12 +361,8 @@ def propagate(
         # V has not moved while its bytes are V_ref's (a NaN, or a -0.0 for
         # a 0.0, counts as a move, which costs steps, not accuracy)
         ref_bytes = v_ref.tobytes()
-        if all(v_at((t_start + i * dt) + 0.5 * dt).tobytes() == ref_bytes
-               for i in range(1, n_steps)):
-            _eigen_evolution(initial.values, energies, vectors, steps[1:], dt,
-                             consts.hbar, rows[1:])
-            check(0, len(steps))
-            return measured(len(steps))
+        static = all(v_at((t_start + i * dt) + 0.5 * dt).tobytes() == ref_bytes
+                     for i in range(1, n_steps))
 
         def states(h: float, count: int):
             """The state after each of ``count`` composed steps of ``h``
@@ -359,23 +379,6 @@ def propagate(
     else:
         kinetic = _kinetic_phase(grid, dt, consts)
         mask = _mask_profile(grid, config.mask, dt)
-        peak0 = float(np.max(np.abs(initial.values)))
-
-        def check(lo: int, hi: int) -> None:
-            """BoundaryError at the first of snapshots lo..hi-1 that holds
-            amplitude at the edges, with the report cut there: the split
-            step's domain is periodic, so amplitude the mask left at the
-            edges would come back in at the other side."""
-            for r in range(lo, hi):
-                edge = max(abs(rows[r, 0]), abs(rows[r, -1]))
-                if not edge <= 1e-2 * peak0:
-                    raise BoundaryError(
-                        f"wave packet wrapped around the periodic domain at t={times[r]:.6g} "
-                        f"(edge amplitude {edge / peak0:.2e} of the initial peak); "
-                        "widen or strengthen the absorbing mask",
-                        partial_report=measured(r + 1),
-                    )
-        check(0, 1)
 
         def states(h: float, count: int):
             """The state after each of ``count`` Strang steps of ``h`` from
@@ -394,23 +397,28 @@ def propagate(
                 values *= mask
                 yield values
 
-    row = 1
-    for i, values in enumerate(states(dt, n_steps), 1):
-        if i == steps[row]:
-            rows[row] = values
-            check(row, row + 1)
-            row += 1
-    if not dirichlet:
-        return measured(len(steps))
-    estimate = _richardson(rows[-1], states, dt, n_steps)
-    # written so that a NaN fails too
-    if not estimate <= STEP_TOLERANCE:
-        if not np.isfinite(estimate):
-            raise ConfigurationError("V is not finite at some step")
-        raise AccuracyError(
-            f"step error estimate {estimate:.2e} of max|Psi| at dt = {dt:.6g} exceeds "
-            f"STEP_TOLERANCE = {STEP_TOLERANCE:g}; reduce the time step",
-            best_estimate=estimate)
+    estimate = None
+    if static:
+        _eigen_evolution(initial.values, energies, vectors, steps[1:], dt, consts.hbar,
+                         rows[1:])
+        check(1, len(steps))
+    else:
+        row = 1
+        for i, values in enumerate(states(dt, n_steps), 1):
+            if i == steps[row]:
+                rows[row] = values
+                check(row, row + 1)
+                row += 1
+        if dirichlet:
+            estimate = _richardson(rows[-1], states, dt, n_steps)
+            # written so that a NaN fails too
+            if not estimate <= STEP_TOLERANCE:
+                if not np.isfinite(estimate):
+                    raise ConfigurationError("V is not finite at some step")
+                raise AccuracyError(
+                    f"step error estimate {estimate:.2e} of max|Psi| at dt = {dt:.6g} "
+                    f"exceeds STEP_TOLERANCE = {STEP_TOLERANCE:g}; reduce the time step",
+                    best_estimate=estimate)
     report = measured(len(steps))
     report.step_error_estimate = estimate
     return report

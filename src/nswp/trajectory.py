@@ -18,13 +18,9 @@ from .quadrature import cumulative_antiderivative
 
 
 class Trajectory:
-    """Base: subclasses implement eval(t) -> (d, d_dot, d_ddot) for one
-    time t or an array of times, each of the three shaped like t."""
-
-    kind = "abstract"
-
-    def eval(self, t):
-        raise NotImplementedError
+    """Base: each subclass names its ``kind`` and implements eval(t) ->
+    (d, d_dot, d_ddot) for one time t or an array of times, each of the
+    three shaped like t."""
 
     def d(self, t):
         return self.eval(t)[0]

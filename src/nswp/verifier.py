@@ -27,8 +27,8 @@ import numpy as np
 from .constructor import RESIDUAL_MARGIN, NswpSolution, analytic_psi
 from .eigensolver import StaticPotential
 from .errors import ConfigurationError
-from .grids import (Grid1D, PhysicalConstants, fd5_first, interior, row_blocks, shift_field,
-                    shift_values, sine_apply)
+from .grids import (Grid1D, PhysicalConstants, fd5_first, interior, row_blocks, shift_values,
+                    sine_apply)
 from .propagator import RunReport
 from .trajectory import Trajectory
 
@@ -146,11 +146,11 @@ def infinitesimal_evolution_check(sol: NswpSolution, grid: Grid1D, t: float,
     e_tilde = sol.E_f - 0.5 * m * d_dot**2
 
     psi_t = analytic_psi(sol, grid, t)
-    shifted = shift_field(psi_t, d_dot * dt)
+    shifted = shift_values(psi_t.values, d_dot * dt, grid.dx)
     phase = np.full(grid.n, -(e_tilde + sol.gauge(t)) * dt / hbar)
     if not drop_force_factor:
         phase = phase + m * d_ddot * dt * grid.x / hbar
-    approx = shifted.values * np.exp(1j * phase)
+    approx = shifted * np.exp(1j * phase)
     exact = analytic_psi(sol, grid, t + dt).values
     return float(np.max(np.abs(approx - exact)))
 

@@ -8,7 +8,7 @@ one core). nswp does not import this module.
 
 The trap rows run the modulated trap of ``cases.run_sho_timedep_frequency``
 at omega0 = hbar = m = 1: its grid, its initial mode (the oscillator ground
-state shifted by 2) and V = w(t)^2 x^2 / 2, w = 1 + eps sin t, to t = 10.
+state sampled at d = 2) and V = w(t)^2 x^2 / 2, w = 1 + eps sin t, to t = 10.
 The quartic rows run ``demos/quartic_custom_packet.py``'s case on its +-5
 grid of 128 points to t = 2. Both schemes share V_ref = V(dt/2) and the
 exact evolution of T + V_ref from nswp's memoised eigenpairs, and differ
@@ -55,8 +55,8 @@ from pathlib import Path
 import numpy as np
 
 import nswp
-from nswp import (Grid1D, PhysicalConstants, StaticPotential, analytic_psi, lowest_eigenpairs,
-                  shift_field)
+from nswp import (Grid1D, PhysicalConstants, SampledShape, StaticPotential, analytic_psi,
+                  lowest_eigenpairs)
 from nswp.cases import _TRAP_AMPLITUDE, _TRAP_HORIZON, _trap_grid_and_dt
 from nswp.constructor import v_nswp
 from nswp.grids import _phases, hamiltonian_eigenpairs
@@ -79,7 +79,7 @@ def trap(modulation: float):
     """The trap's grid, initial samples and V(x, t) at ``modulation``."""
     grid, _ = _trap_grid_and_dt(1.0, modulation, CONSTS)
     pair = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 1)[0]
-    initial = shift_field(pair.shape, _TRAP_AMPLITUDE).values
+    initial = SampledShape.from_eigenpair(pair).on_grid_shifted(grid, _TRAP_AMPLITUDE)
 
     def v_fn(x, t):
         return 0.5 * (1.0 + modulation * np.sin(t)) ** 2 * x**2

@@ -460,7 +460,7 @@ CHECKS = {
     "corrupted-phase": [("residual_inflates_100x", 100.0, None)],
 }
 # the trap's static control, which its one check compares in the record
-TRAP_CONTROL = (5e-4, 1.18734e-08)
+TRAP_CONTROL = (5e-4, 4.89396e-09)
 # corrupted-phase's (corrupted, good) residuals, relative to max|Psi|
 CORRUPTED_PHASE = (0.332294, Below(1e-7))
 

@@ -157,7 +157,7 @@ def test_analytic_psi_initial_time(sho_pieces):
 def test_density_is_pure_translation(sho_pieces):
     sol, _, grid, _ = sho_pieces
     for t in (0.4, 2.2):
-        rho = analytic_psi(sol, grid, t).density()
+        rho = np.abs(analytic_psi(sol, grid, t).values) ** 2
         f = sol.shape.on_grid_shifted(grid, sol.trajectory.d(t))
         assert np.max(np.abs(rho - f**2)) < 1e-12
     # an array of shifts gives the one-shift samples as its rows, bit for

@@ -34,8 +34,6 @@ NEVER_RUN = {
     "errors.first_outside": "names the value a RangeError refuses",
     "errors.AccuracyError.__init__": "raised only when a tolerance is missed",
     "errors.BoundaryError.__init__": "raised only when a run reaches the walls",
-    "trajectory.Trajectory.eval": "abstract; every trajectory overrides it",
-    "grids.WaveField.density": "only tests call it",
 }
 
 # run in the child, with the profile set before nswp is imported

@@ -8,8 +8,9 @@ reference (the ``test`` extra).
 The one-copy rules are scanned here too: the masked split step's pieces
 are called only by ``propagator.propagate``'s loop, only ``grids`` opens a
 file for writing (no demo does), ``split_step`` is gone, and every NSWP
-family's ``ScenarioResult`` is built by ``cases.run_case``, and only
-``grids`` spells the 5-point difference weights.
+family's ``ScenarioResult`` is built by ``cases.run_case``, only
+``grids`` spells the 5-point difference weights, and one statement raises
+``BoundaryError``.
 """
 
 import ast
@@ -175,3 +176,10 @@ def test_split_step_is_gone():
 
     assert not hasattr(nswp, "split_step")
     assert not hasattr(nswp.propagator, "split_step")
+
+
+def test_one_statement_raises_boundary_error():
+    # propagate's one check, which every route and both boundaries share
+    raises = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+              for _ in re.finditer(r"\braise\s+BoundaryError\b", path.read_text())]
+    assert raises == ["nswp/propagator.py"]

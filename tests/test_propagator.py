@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from nswp import (AbsorbingMask, Grid1D, PhysicalConstants,
                   PropagationConfig, StaticPotential, WaveField,
-                  lowest_eigenpairs, observables, propagate, shift_field)
+                  lowest_eigenpairs, observables, propagate)
 from nswp import propagator
 from nswp.grids import (BLOCK_ROWS, MAX_DENSE_POINTS, hamiltonian_eigenpairs, kinetic_matrix,
                         write_json)
@@ -258,6 +258,32 @@ def test_boundary_hit_stops_the_steps():
     assert 0.0 < t_hit < 2.0
     assert f"t={t_hit:.6g} " in str(exc_info.value)
     assert max(asked) == pytest.approx(t_hit, abs=1e-12)
+
+
+def test_a_packet_that_starts_on_a_wall_is_refused_at_t_0_on_every_route():
+    # its edge cells start at 1.3e-2 of its peak: a static V (the product)
+    # and a V that moves (the steps) both refuse it at t = 0 with a one-row
+    # report, before the first step asks v_fn for any later time
+    grid = Grid1D(-8.0, 8.0, 256)
+    psi = gaussian(grid, center=5.0, k=6.0)
+    config = PropagationConfig(dt=0.05, t_end=1.0, grid=grid, snapshot_stride=10)
+    asked = []
+
+    def moving(x, t):
+        asked.append(t)
+        return np.full_like(x, 1e-6 * t)
+
+    errors = []
+    for v_fn in (lambda x, t: np.zeros_like(x), moving):
+        with pytest.raises(BoundaryError, match="t=0 ") as exc_info:
+            propagate(psi, v_fn, config, CONSTS)
+        errors.append(exc_info.value)
+        partial = exc_info.value.partial_report
+        assert partial.times.tolist() == [0.0]
+        assert np.array_equal(partial.snapshot_values, psi.values[None])
+    assert str(errors[0]) == str(errors[1])
+    assert "relative edge amplitude 1.3" in str(errors[1])
+    assert max(asked) == 0.0
 
 
 def test_absorbing_mask_run():
@@ -595,7 +621,7 @@ def test_split_step_agrees_with_crank_nicolson_on_forced_airy():
     window = result.extras["window"]
     sel = (grid.x >= window[0]) & (grid.x <= window[1])
     rho_cn = np.abs(values[sel]) ** 2
-    assert np.max(np.abs(final.density()[sel] - rho_cn)) / np.max(rho_cn) < 1e-4
+    assert np.max(np.abs(np.abs(final.values[sel]) ** 2 - rho_cn)) / np.max(rho_cn) < 1e-4
 
 
 def test_weak_mask_wraps_around_and_raises():

@@ -11,7 +11,7 @@ from nswp import (AbsorbingMask, GaugeFunction, Grid1D, NswpSolution,
                   analytic_psi, classical_motion_check, energy_split_check,
                   htilde_residual, infinitesimal_evolution_check, lowest_eigenpairs,
                   no_nswp_for_time_dependent_frequency, propagate,
-                  rigid_shape_deviation, shape_deviation, shift_field)
+                  rigid_shape_deviation, shape_deviation)
 from nswp.constructor import gauge_sho_case
 from nswp.errors import ConfigurationError
 from nswp.constructor import RESIDUAL_MARGIN
@@ -51,8 +51,8 @@ def test_htilde_rest_reduces_to_eigen_residual(sho_sol):
 def test_htilde_detects_off_trajectory_shape(sho_sol):
     sol, v, grid, pair = sho_sol
     t = 0.2 * PERIOD
-    corrupted = shift_field(analytic_psi(sol, grid, t), 0.1)
-    r = htilde_residual(corrupted.values, grid, v, sol.trajectory, CONSTS, pair.energy, t)
+    corrupted = shift_values(analytic_psi(sol, grid, t).values, 0.1, grid.dx)
+    r = htilde_residual(corrupted, grid, v, sol.trajectory, CONSTS, pair.energy, t)
     assert r > 1e-2
 
 
@@ -261,7 +261,7 @@ def test_rigid_shape_deviation_is_the_in_loop_formula_between_walls():
     initial = launched_gaussian(grid, 1.0)
     config = PropagationConfig(dt=1e-2, t_end=1.5, grid=grid, snapshot_stride=15)
     report = propagate(initial, lambda x, t: np.zeros_like(x), config, CONSTS)
-    rho0 = initial.density()
+    rho0 = np.abs(initial.values) ** 2
     ref_peak = float(np.max(rho0))
     inline = []
     for psi, c in zip(report.snapshots, report.centroid):
