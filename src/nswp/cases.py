@@ -487,30 +487,28 @@ def run_gaussian_spreading(consts: PhysicalConstants = PhysicalConstants()) -> S
 # deviations of |psi|^2 from its centroid
 _TRAP_ENVELOPE_SIGMAS = 7.5
 _TRAP_AMPLITUDE = 2.0  # the trap packet's initial shift
-_TRAP_HORIZON = 10.0  # the trap runs' t_end, in units of 1/omega0
-# the trap's step, in units of 1/omega0: one composed step per snapshot,
-# whose step error estimate reads 2.9e-5 at eps = 0.2 and passes
-# propagator.STEP_TOLERANCE for eps in [-0.2, 0.2] (studies/trap_step_error.py)
+_TRAP_HORIZON = 10.0  # the trap runs' t_end
+# the trap's step: one composed step per snapshot, whose step error estimate
+# reads 2.9e-5 at eps = 0.2 and passes propagator.STEP_TOLERANCE for eps in
+# [-0.2, 0.2] (studies/trap_step_error.py)
 _TRAP_DT = 0.1
 
 
-def trap_envelope_half_width(omega0: float, modulation: float,
-                             consts: PhysicalConstants) -> float:
-    """max over the trap run, 0 <= t <= ``_TRAP_HORIZON``/w0, of
-    |x_c| + c sigma for the ground state of the w0 oscillator shifted by
-    A = ``_TRAP_AMPLITUDE`` under V = m w(t)^2 x^2 / 2,
-    w = w0 (1 + eps sin w0 t), with c = ``_TRAP_ENVELOPE_SIGMAS``.
+def trap_envelope_half_width(modulation: float, consts: PhysicalConstants) -> float:
+    """max over the trap run, 0 <= t <= ``_TRAP_HORIZON``, of |x_c| + c sigma
+    for the oscillator ground state shifted by A = ``_TRAP_AMPLITUDE`` under
+    V = m w(t)^2 x^2 / 2, w = 1 + eps sin t, with c = ``_TRAP_ENVELOPE_SIGMAS``.
 
     Under a quadratic V a Gaussian stays Gaussian, and its centroid and
     width follow the classical solutions of u'' = -w(t)^2 u (Husimi, Prog.
     Theor. Phys. 9, 381 (1953)): from u1(0) = 1, u1'(0) = 0 and u2(0) = 0,
-    u2'(0) = 1, x_c = A u1 and sigma^2 = sigma0^2 (u1^2 + w0^2 u2^2)
-    with sigma0^2 = hbar / (2 m w0). Both are stepped exactly with w held at
-    each substep's midpoint, on substeps of 1e-2/w0 (second order).
+    u2'(0) = 1, x_c = A u1 and sigma^2 = sigma0^2 (u1^2 + u2^2) with
+    sigma0^2 = hbar / 2m. Both are stepped exactly with w held at each
+    substep's midpoint, on substeps of 1e-2 (second order).
     """
     n = round(_TRAP_HORIZON / 1e-2)
-    h = _TRAP_HORIZON / omega0 / n
-    w = omega0 * (1.0 + modulation * np.sin(omega0 * h * (np.arange(n) + 0.5)))
+    h = _TRAP_HORIZON / n
+    w = 1.0 + modulation * np.sin(h * (np.arange(n) + 0.5))
     # one substep maps (u, u') to (cos u + sin/w u', -w sin u + cos u')
     c, s_w, w_s = np.cos(w * h), h * np.sinc(w * h / np.pi), w * np.sin(w * h)
     u1, v1, u2, v2 = 1.0, 0.0, 0.0, 1.0
@@ -520,41 +518,40 @@ def trap_envelope_half_width(omega0: float, modulation: float,
         u2, v2 = ck * u2 + sk * v2, ck * v2 - wk * u2
         path.append((u1, u2))
     u1s, u2s = np.array(path).T
-    sigma0 = math.sqrt(consts.hbar / (2.0 * consts.mass * omega0))
-    sigma = sigma0 * np.sqrt(u1s**2 + (omega0 * u2s) ** 2)
+    sigma = math.sqrt(consts.hbar / (2.0 * consts.mass)) * np.sqrt(u1s**2 + u2s**2)
     return float(np.max(np.abs(_TRAP_AMPLITUDE * u1s) + _TRAP_ENVELOPE_SIGMAS * sigma))
 
 
-def _trap_grid_and_dt(omega0: float = 1.0, modulation: float = 0.2,
-                      consts: PhysicalConstants = PhysicalConstants()):
-    """The grid and dt of the modulated trap.
-
-    The grid is the ``harmonic_grid`` of +-L, L =
-    ``trap_envelope_half_width``, for the oscillator length
-    sqrt(hbar / m omega0). The dt is ``_TRAP_DT``/omega0. Raises
-    ``RangeError`` unless |modulation| < 1, where w(t) stays positive; at
+def trap_start(modulation: float, consts: PhysicalConstants) -> tuple:
+    """The trap's grid, the ``harmonic_grid`` of +-``trap_envelope_half_width``
+    for the oscillator length sqrt(hbar / m), and its initial samples, the
+    ground state sampled at d = ``_TRAP_AMPLITUDE``. Raises ``RangeError``
+    first unless |modulation| < 1, where w(t) stays positive; at
     |modulation| >= 1 the trap opens for an instant."""
     if not abs(modulation) < 1.0:
         raise RangeError(f"modulation must satisfy |eps| < 1, got {modulation!r}")
     grid = harmonic_grid(
-        trap_envelope_half_width(omega0, modulation, consts),
-        math.sqrt(consts.hbar / (consts.mass * omega0)),
-        f"trap grid of omega0 = {omega0:g}, modulation = {modulation:g}, "
-        f"hbar = {consts.hbar:g} and mass = {consts.mass:g}")
-    return grid, _TRAP_DT / omega0
+        trap_envelope_half_width(modulation, consts), math.sqrt(consts.hbar / consts.mass),
+        f"trap grid of modulation = {modulation:g}, hbar = {consts.hbar:g} and "
+        f"mass = {consts.mass:g}")
+    pair = lowest_eigenpairs(StaticPotential.harmonic(1.0, consts.mass), grid, consts, 1)[0]
+    return grid, SampledShape.from_eigenpair(pair).on_grid_shifted(grid, _TRAP_AMPLITUDE)
+
+
+def trap_potential(modulation: float, consts: PhysicalConstants) -> Callable:
+    """V(x, t) = m w(t)^2 x^2 / 2 of the trap, w = 1 + ``modulation`` sin t."""
+    return lambda x, t: 0.5 * consts.mass * (1.0 + modulation * np.sin(t)) ** 2 * x**2
 
 
 def run_sho_timedep_frequency(
-    omega0: float = 1.0,
     modulation: float = 0.2,
     consts: PhysicalConstants = PhysicalConstants(),
 ) -> ScenarioResult:
-    """The negative claim: the ground state sampled at d = 2, as every
-    packet is (``SampledShape.on_grid_shifted``), under
-    V = m w(t)^2 x^2 / 2, w = w0 (1 + eps sin w0 t), to t_end = 10/omega0
-    rounded to whole steps, must spread, while the same mode under the
-    static control eps = 0 (the Schrodinger NSWP, a coherent oscillation)
-    stays rigid.
+    """The negative claim: the oscillator ground state sampled at d = 2
+    (``trap_start``), under V = m w(t)^2 x^2 / 2, w = 1 + eps sin t
+    (``trap_potential``), to t_end = 10, must spread, while the same mode
+    under the static control eps = 0 (the Schrodinger NSWP, a coherent
+    oscillation) stays rigid. w sets the time unit, hbar and m the length.
 
     Both runs share the grid, dt, snapshots and initial mode, so the control
     differs only in the modulation. Shape deviation is measured against
@@ -565,30 +562,21 @@ def run_sho_timedep_frequency(
     check, with the dt the runs took and the modulated run's
     ``step_error_estimate``. |eps| >= 1 raises ``RangeError``.
 
-    The grid is sized from the packet's exact classical envelope
-    (``_trap_grid_and_dt``): at eps = 0.2 and hbar = m = omega0 = 1 it is
-    125 points on +-7.78. The run steps at dt = 0.1/omega0, one step per
-    snapshot, where the estimate of its step error reads 2.9e-5 of the
-    peak. Where the estimate exceeds ``propagator.STEP_TOLERANCE``, the run
-    is taken once more at dt/k, with k the fewest substeps that the dt^4
-    scaling of that estimate predicts to reach half the tolerance, still
-    with a snapshot every 0.1/omega0; an estimate past the tolerance then
-    raises AccuracyError.
+    The grid is sized from the packet's exact classical envelope: at
+    eps = 0.2 and hbar = m = 1 it is 125 points on +-7.78. The run steps at
+    dt = 0.1, one step per snapshot, where the estimate of its step error
+    reads 2.9e-5 of the peak. Where the estimate exceeds
+    ``propagator.STEP_TOLERANCE``, the run is taken once more at dt/k, with
+    k the fewest substeps that the dt^4 scaling of that estimate predicts to
+    reach half the tolerance, still with a snapshot every 0.1; an estimate
+    past the tolerance then raises AccuracyError.
     """
-    m = consts.mass
-    grid, dt = _trap_grid_and_dt(omega0, modulation, consts)
-    t_end = dt * round(_TRAP_HORIZON / (omega0 * dt))
-    pair = lowest_eigenpairs(StaticPotential.harmonic(omega0, m), grid, consts, 1)[0]
-    mode = SampledShape.from_eigenpair(pair)
-    initial = WaveField(grid=grid, values=mode.on_grid_shifted(grid, _TRAP_AMPLITUDE))
-    config = PropagationConfig(dt=dt, t_end=t_end, grid=grid)
+    grid, values = trap_start(modulation, consts)
+    initial = WaveField(grid=grid, values=values)
+    config = PropagationConfig(dt=_TRAP_DT, t_end=_TRAP_HORIZON, grid=grid)
 
     def run(eps):
-        def v_fn(x, t):
-            w = omega0 * (1.0 + eps * np.sin(omega0 * t))
-            return 0.5 * m * w**2 * x**2
-
-        report = propagate(initial, v_fn, config, consts)
+        report = propagate(initial, trap_potential(eps, consts), config, consts)
         report.shape_deviation = rigid_shape_deviation(report)
         return report
 
@@ -600,7 +588,7 @@ def run_sho_timedep_frequency(
         # per halving (studies/trap_step_error.py), and at eps = 0.7 the
         # exact prediction, k = 2, reads 1.05e-4
         k = math.ceil((2.0 * exc.best_estimate / STEP_TOLERANCE) ** 0.25)
-        config = PropagationConfig(dt=dt / k, t_end=t_end, grid=grid, snapshot_stride=k)
+        config = replace(config, dt=_TRAP_DT / k, snapshot_stride=k)
         modulated = run(modulation)
     record = no_nswp_for_time_dependent_frequency(modulated, run(0.0))
     check = CheckResult("spread_detected_with_static_control",

@@ -162,9 +162,7 @@ class NswpSolution:
             raise RangeError(f"t={first_outside(t, inside)} outside the phi0 cache "
                              f"range [0, {self.t_max}]")
         if self._phi0_anti is None:
-            self._phi0_anti = cumulative_antiderivative(
-                self._phi0_integrand, self.t_max, 1e-11
-            )
+            self._phi0_anti = cumulative_antiderivative(self._phi0_integrand, self.t_max)
         return -self._phi0_anti(t) / self.consts.hbar
 
     def phi0_direct(self, t: float) -> float:

@@ -156,11 +156,15 @@ def nested_triple_integral(F, t: float, tol: float = 1e-10) -> float:
     return mesh_doubling(triple, F, t, tol)
 
 
+# the endpoint stability ``cumulative_antiderivative`` refines to: absolute,
+# or relative past an integral of 1
+ANTIDERIVATIVE_TOL = 1e-11
+
 # _QUINTIC[k] maps the samples of a 6-point stencil to the power
 # coefficients, in u = (t - t_i)/h, of the quintic through them when t_i is
-# node k of the stencil. At tol 1e-11 local quintics converge on a mesh 8x
-# coarser than local cubics (1024 against 8192 intervals for 0.3 sin 2t on
-# [0, 10]).
+# node k of the stencil. At ANTIDERIVATIVE_TOL local quintics converge on a
+# mesh 8x coarser than local cubics (1024 against 8192 intervals for
+# 0.3 sin 2t on [0, 10]).
 _STENCIL = np.arange(6)
 _QUINTIC = np.stack([np.linalg.inv(np.vander(_STENCIL - k, increasing=True))
                      for k in range(5)])
@@ -218,7 +222,7 @@ def piecewise_quintic(y: np.ndarray, h: float) -> PiecewisePolynomial:
     return PiecewisePolynomial(h, coeffs / h**_STENCIL)
 
 
-def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
+def cumulative_antiderivative(f, t_max: float):
     """Callable I with I(t) ~= integral_0^t f, valid on [0, t_max].
 
     f takes an array of times: it is sampled once per doubled mesh, on that
@@ -226,7 +230,7 @@ def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
 
     Built as the exact antiderivative of the piecewise local quintic
     through f on a uniform mesh (a ``PiecewisePolynomial``), refined by
-    doubling until the endpoint value is stable to tol. Mild extrapolation
+    doubling until the endpoint value is stable to ``ANTIDERIVATIVE_TOL``. Mild extrapolation
     slightly outside [0, t_max] is allowed (the end pieces extend). The
     returned callable takes a time or an array of times; its
     ``antiderivative()`` gives the next integral up.
@@ -238,10 +242,11 @@ def cumulative_antiderivative(f, t_max: float, tol: float = 1e-11):
         anti = piecewise_quintic(y, t_max / (len(ts) - 1)).antiderivative()
         end = anti(t_max)
         # tolerance is relative for large integrals, else pure round-off in
-        # the piece sums can keep the endpoint jittering above tol
-        if prev is not None and abs(end - prev) <= tol * max(1.0, abs(end)):
+        # the piece sums can keep the endpoint jittering above it
+        if prev is not None and abs(end - prev) <= ANTIDERIVATIVE_TOL * max(1.0, abs(end)):
             return anti
         prev = end
     raise AccuracyError(
-        f"cumulative antiderivative did not stabilize to {tol}", best_estimate=prev
+        f"cumulative antiderivative did not stabilize to {ANTIDERIVATIVE_TOL}",
+        best_estimate=prev
     )

@@ -79,7 +79,7 @@ class ForceTrajectory(Trajectory):
         self.F = F
         self.m = consts.mass
         self.t_max = float(t_max)
-        self._int_f = cumulative_antiderivative(F, self.t_max, 1e-11)
+        self._int_f = cumulative_antiderivative(F, self.t_max)
         self._int2_f = self._int_f.antiderivative()
 
     def _check_range(self, t) -> None:

@@ -7,8 +7,9 @@ writes ``studies/trap_step_error.json`` beside this file (about 10 s on
 one core). nswp does not import this module.
 
 The trap rows run the modulated trap of ``cases.run_sho_timedep_frequency``
-at omega0 = hbar = m = 1: its grid, its initial mode (the oscillator ground
-state sampled at d = 2) and V = w(t)^2 x^2 / 2, w = 1 + eps sin t, to t = 10.
+at hbar = m = 1, as that scenario builds it: its grid and initial mode
+(``cases.trap_start``, the oscillator ground state sampled at d = 2) and
+V = w(t)^2 x^2 / 2, w = 1 + eps sin t (``cases.trap_potential``), to t = 10.
 The quartic rows run ``demos/quartic_custom_packet.py``'s case on its +-5
 grid of 128 points to t = 2. Both schemes share V_ref = V(dt/2) and the
 exact evolution of T + V_ref from nswp's memoised eigenpairs, and differ
@@ -55,9 +56,8 @@ from pathlib import Path
 import numpy as np
 
 import nswp
-from nswp import (Grid1D, PhysicalConstants, SampledShape, StaticPotential, analytic_psi,
-                  lowest_eigenpairs)
-from nswp.cases import _TRAP_AMPLITUDE, _TRAP_HORIZON, _trap_grid_and_dt
+from nswp import Grid1D, PhysicalConstants, analytic_psi
+from nswp.cases import _TRAP_HORIZON, trap_potential, trap_start
 from nswp.constructor import v_nswp
 from nswp.grids import _phases, hamiltonian_eigenpairs
 from nswp.propagator import _SUBSTEPS, _evolution_matrix
@@ -77,13 +77,7 @@ OUT = HERE / "trap_step_error.json"
 
 def trap(modulation: float):
     """The trap's grid, initial samples and V(x, t) at ``modulation``."""
-    grid, _ = _trap_grid_and_dt(1.0, modulation, CONSTS)
-    pair = lowest_eigenpairs(StaticPotential.harmonic(1.0), grid, CONSTS, 1)[0]
-    initial = SampledShape.from_eigenpair(pair).on_grid_shifted(grid, _TRAP_AMPLITUDE)
-
-    def v_fn(x, t):
-        return 0.5 * (1.0 + modulation * np.sin(t)) ** 2 * x**2
-    return grid, initial, v_fn
+    return (*trap_start(modulation, CONSTS), trap_potential(modulation, CONSTS))
 
 
 def quartic():
@@ -153,6 +147,7 @@ def main() -> int:
         print(f"{r['case']:7s} eps = {r.get('modulation', 0.0):5.2f}  {r['scheme']:7s}  "
               f"dt = {r['dt']:6.4f}  estimate {r['estimate']:.3e}  error {r['error']:.3e}")
     table = {"study": "trap_step_error",
+             # "omega0": the trap's frequency, which is its time unit
              "trap": {"omega0": 1.0, "t_end": _TRAP_HORIZON,
                       "reference": {"scheme": "yoshida", "dt": REFERENCE_DT}},
              "quartic": {"grid": [-5.0, 5.0, 128], "t_end": QUARTIC_T_END,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import nswp.cases
 from nswp import Grid1D, NswpSolution, PhysicalConstants, observables
@@ -195,46 +196,15 @@ def test_phase_check_work_counts():
     assert 0 < calls["integrand"] < 2_000
 
 
-@pytest.fixture(scope="module")
-def trap_omega3_result():
-    return run_sho_timedep_frequency(omega0=3.0)
-
-
-def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result,
-                                                        trap_omega3_result):
-    # at omega0 = 3 the run steps at dt = 0.1/3; it ends at 10/omega0
-    # rounded to a whole number of those steps
-    _, dt = nswp.cases._trap_grid_and_dt(3.0)
-    t_end = trap_omega3_result.report.times[-1]
-    assert abs(t_end - 10.0 / 3.0) <= 0.5 * dt
-    assert t_end / dt == pytest.approx(round(t_end / dt), abs=1e-9)
-    # omega0 = 1 keeps exactly the old horizon
+def test_timedep_frequency_default_t_end_is_whole_steps(timedep_result):
+    # the run ends at exactly t = 10, a whole number of steps of 0.1
     assert timedep_result.report.times[-1] == 10.0
 
 
-def test_timedep_frequency_default_grid_and_dt_scale_with_omega0(trap_omega3_result):
-    # at omega0 = 3 the grid is +-L from the packet's classical envelope and
-    # the run steps at dt = 0.1/3, whose step error estimate (7.2e-5) passes
-    # at the first try; the static control on that grid stays rigid
-    result = trap_omega3_result
-    assert result.passed
-    assert result.extras["control_max_deviation"] < 5e-4
-    grid = result.report.snapshots[0].grid
-    half_width = trap_envelope_half_width(3.0, 0.2, CONSTS)
-    assert grid.x_max == -grid.x_min == half_width
-    dx_max = nswp.cases._SHO_GRID.dx / math.sqrt(3.0)
-    assert grid.dx <= dx_max < 2.0 * half_width / (grid.n - 2)
-    default_grid, dt = nswp.cases._trap_grid_and_dt(3.0)
-    assert default_grid == grid
-    assert dt == 0.1 / 3.0 == result.extras["dt"]
-    assert result.extras["step_error_estimate"] <= STEP_TOLERANCE
-
-
-@pytest.mark.parametrize("omega0, modulation, k", [(1.0, 0.5, 2), (1.0, 0.7, 3),
-                                                   (1.0, 0.9, 4), (3.0, 0.5, 3)])
-def test_strong_modulation_passes_through_the_one_retry(omega0, modulation, k, monkeypatch):
-    # at dt = 0.1/omega0 the step error estimate passes STEP_TOLERANCE
-    # (3.6e-4, 1.6e-3, 5.2e-3 and 9.4e-4), so the modulated run is taken
+@pytest.mark.parametrize("modulation, k", [(0.5, 2), (0.7, 3), (0.9, 4)])
+def test_strong_modulation_passes_through_the_one_retry(modulation, k, monkeypatch):
+    # at dt = 0.1 the step error estimate passes STEP_TOLERANCE (3.6e-4,
+    # 1.6e-3 and 5.2e-3), so the modulated run is taken
     # once more at dt/k, k from the dt^4 scaling of that estimate, with a
     # snapshot every k steps: the same 101 snapshot times. The control
     # shares the retried config
@@ -252,24 +222,24 @@ def test_strong_modulation_passes_through_the_one_retry(omega0, modulation, k, m
         return report
 
     monkeypatch.setattr(nswp.cases, "propagate", spy)
-    result = run_sho_timedep_frequency(omega0=omega0, modulation=modulation)
+    result = run_sho_timedep_frequency(modulation=modulation)
     assert result.passed
     first, retried, control = outcomes
     assert first > STEP_TOLERANCE >= retried and control is None
     assert configs[1] is configs[2]
-    assert configs[1].dt == pytest.approx(0.1 / (omega0 * k), rel=1e-15)
+    assert configs[1].dt == pytest.approx(0.1 / k, rel=1e-15)
     assert configs[1].snapshot_stride == k
     assert result.extras["dt"] == configs[1].dt
     assert result.extras["step_error_estimate"] == retried
     times = result.report.times
     assert len(times) == 101
-    assert times == pytest.approx(np.arange(101) * 0.1 / omega0, abs=1e-12)
+    assert times == pytest.approx(np.arange(101) * 0.1, abs=1e-12)
 
 
 def test_trap_verify_sizes_solves_and_configures_once(monkeypatch, tmp_path):
     # the modulated run and its control share one grid and dt, one
     # eigensolve of the mode and one propagation config
-    calls = {"lowest_eigenpairs": 0, "_trap_grid_and_dt": 0}
+    calls = {"lowest_eigenpairs": 0, "trap_start": 0}
     configs = []
     for name in calls:
         original = getattr(nswp.cases, name)
@@ -286,7 +256,7 @@ def test_trap_verify_sizes_solves_and_configures_once(monkeypatch, tmp_path):
     monkeypatch.setattr(nswp.cases, "propagate", spy)
     assert main(["verify", "--scenario", "sho-timedep-freq",
                  "--out", str(tmp_path / "v")]) == 0
-    assert calls == {"lowest_eigenpairs": 1, "_trap_grid_and_dt": 1}
+    assert calls == {"lowest_eigenpairs": 1, "trap_start": 1}
     assert len(configs) == 2 and configs[0] is configs[1]
 
 
@@ -307,13 +277,12 @@ def test_one_eigensolve_per_distinct_hamiltonian(run, eighs, monkeypatch, fresh_
     assert len(calls) == eighs
 
 
-@pytest.mark.parametrize("omega0", [0.5, 1.0, 3.0])
 @pytest.mark.parametrize("consts", [CONSTS, PhysicalConstants(hbar=2.0, mass=0.5)])
-def test_trap_envelope_is_the_static_packet_without_modulation(omega0, consts):
+def test_trap_envelope_is_the_static_packet_without_modulation(consts):
     # eps = 0: |x_c| + c sigma is largest at t = 0, where sigma = sigma0
-    sigma0 = math.sqrt(consts.hbar / (2.0 * consts.mass * omega0))
+    sigma0 = math.sqrt(consts.hbar / (2.0 * consts.mass))
     c = nswp.cases._TRAP_ENVELOPE_SIGMAS
-    assert trap_envelope_half_width(omega0, 0.0, consts) == 2.0 + c * sigma0
+    assert trap_envelope_half_width(0.0, consts) == 2.0 + c * sigma0
 
 
 def test_trap_envelope_bounds_the_modulated_run(timedep_result):
@@ -323,9 +292,35 @@ def test_trap_envelope_bounds_the_modulated_run(timedep_result):
     report = timedep_result.report
     obs = observables(report.snapshot_values, report.snapshots[0].grid, None, CONSTS)
     measured = float(np.max(np.abs(obs.centroid) + c * np.sqrt(obs.variance)))
-    half_width = trap_envelope_half_width(1.0, 0.2, CONSTS)
+    half_width = trap_envelope_half_width(0.2, CONSTS)
     assert timedep_result.report.snapshots[0].grid.x_max == half_width
     assert 0.99 * half_width < measured <= half_width
+
+
+@pytest.mark.parametrize("modulation, centroid_tol, variance_tol",
+                         [(0.2, 5e-5, 2e-5), (0.5, 5e-5, 2e-5), (0.0, 1e-9, 1e-9)])
+def test_trap_packet_follows_husimis_law(modulation, centroid_tol, variance_tol):
+    # under a quadratic V a Gaussian stays Gaussian: x_c = A u1 and
+    # sigma^2 = sigma0^2 (u1^2 + u2^2), from the classical solutions of
+    # u'' = -w(t)^2 u with u1(0) = 1, u1'(0) = 0 and u2(0) = 0, u2'(0) = 1
+    # (Husimi, Prog. Theor. Phys. 9, 381 (1953)); here A = 2, sigma0^2 = 1/2.
+    # At eps = 0.2 every snapshot meets the law to 1.8e-5 (centroid) and
+    # 6.9e-6 (relative variance) while sigma^2 breathes between 0.363 and
+    # 0.637; eps = 0.5, which takes the retry at dt = 0.05, to 1.4e-5 and
+    # 6.9e-6; the static control to 1.1e-11 and 8.3e-11
+    report = run_sho_timedep_frequency(modulation=modulation).report
+
+    def classical(t, y):
+        w2 = (1.0 + modulation * math.sin(t)) ** 2
+        return [y[1], -w2 * y[0], y[3], -w2 * y[2]]
+
+    u1, _, u2, _ = solve_ivp(classical, (0.0, report.times[-1]), [1.0, 0.0, 0.0, 1.0],
+                             method="DOP853", t_eval=report.times, rtol=1e-12,
+                             atol=1e-12).y
+    obs = observables(report.snapshot_values, report.snapshots[0].grid, None, CONSTS)
+    law = 0.5 * (u1**2 + u2**2)
+    assert np.max(np.abs(obs.centroid - 2.0 * u1)) < centroid_tol
+    assert np.max(np.abs(obs.variance - law) / law) < variance_tol
 
 
 def test_trap_check_values_match_a_fine_reference(timedep_result):

@@ -90,7 +90,7 @@ def test_mesh_doubling_limit_raises_with_best_estimate(monkeypatch):
 
 
 def test_cumulative_antiderivative():
-    anti = cumulative_antiderivative(np.sin, 5.0, 1e-11)
+    anti = cumulative_antiderivative(np.sin, 5.0)
     ts = np.linspace(0.0, 5.0, 40)
     err = max(abs(float(anti(t)) - (1.0 - math.cos(t))) for t in ts)
     assert err < 1e-10
@@ -146,7 +146,7 @@ def test_cumulative_antiderivative_mesh_limit_raises_with_best_estimate(monkeypa
     monkeypatch.setattr(quadrature, "_MAX_MESH", 512)
     # a jump converges only at first order, far from 1e-11 by 512 intervals
     with pytest.raises(AccuracyError) as exc_info:
-        cumulative_antiderivative(lambda t: np.where(t < 0.3, 1.0, 0.0), 1.0, 1e-11)
+        cumulative_antiderivative(lambda t: np.where(t < 0.3, 1.0, 0.0), 1.0)
     assert exc_info.value.best_estimate == pytest.approx(0.3, abs=1e-2)
 
 
