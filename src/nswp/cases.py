@@ -44,17 +44,26 @@ _SHO_GRID = Grid1D(-8.0, 8.0, 128)
 # oscillator lengths of Gaussian tail the sho grid keeps beyond a mode's
 # turning point at the largest swing: |f| falls to about 1.5e-8 of its peak
 _SHO_TAIL = 5.0
-_AIRY_GRID = Grid1D(-36.0, 12.0, 4096)
-# the Airy construction residual skips 16 cells of the default grid at each edge
-_AIRY_MARGIN = 16 * _AIRY_GRID.dx
+# the Airy runs' propagation grid: the fewest points of those that
+# studies/airy_points.py sweeps whose propagated checks hold in every row
+# (the packet carries wavenumbers of about 6 to 7, pi / dx is 100); at 1024
+# points the free run's H_c slope exceeds its tier-1 test's 1e-5
+_AIRY_GRID = Grid1D(-36.0, 12.0, 1536)
+# the Airy construction residual's largest dx, that of 4096 points on
+# [-36, 12]: its 5-point x-stencil on the closed form errs as dx^4, so it
+# keeps a mesh of its own (``NswpCase.residual_mesh``)
+_AIRY_RESIDUAL_DX = 48.0 / 4095
+# the Airy construction residual skips 16 cells of its mesh at each edge,
+# 16 * 48 / 4095 ~ 0.19 in x
+_AIRY_MARGIN = 16 * _AIRY_RESIDUAL_DX
 _AIRY_MASK = AbsorbingMask(width=8.0, strength=40.0)
 _AIRY_WINDOW = (-10.0, 4.0)  # where the Airy runs compare densities
 # Under V = -F(t) x the split step's error is a global phase; what is left is
 # F sampled at step midpoints (~ T dt^2 |F''| / 24) and an O(dt^2 F') shift,
-# both under the ~1.6e-4 density floor the mask and window set. The default
-# sin force's windowed_density_mismatch reads 1.6236e-4 at dt = 4e-3 and
-# 1.6305e-4 at 1e-2; at 2e-2 the frequency-12 sin force rises from 0.13 to
-# 0.20 of that check's bound.
+# both under the ~1.6e-4 density floor the mask and window set. On the
+# default grid the default sin force's windowed_density_mismatch reads
+# 1.6202e-4 at dt = 4e-3 and 1.6218e-4 at 1e-2; at 2e-2 the sin force
+# 0.3 x 12 rises from 0.13 to 0.20 of that check's bound.
 _AIRY_DT = 1e-2
 
 
@@ -88,6 +97,12 @@ class ScenarioResult:
         }
 
 
+def fewest_points(width: float, dx: float) -> int:
+    """The fewest points on a span of ``width`` that lie at most ``dx``
+    apart; a whole number of cells, up to round-off, takes that many."""
+    return math.ceil(width / dx - 1e-9) + 1
+
+
 # ---------------------------------------------------------------------------
 # One NSWP run: construct, self-check, propagate, compare
 # ---------------------------------------------------------------------------
@@ -98,7 +113,8 @@ class NswpCase:
     its family predicts: ``v_run(x, t)``, the closed form of its supporting
     potential V_nswp, which ``support`` names and ``support_times`` sample
     (none where ``v_run`` is V_nswp itself); the times of the construction
-    residual, taken ``margin``, a length in x, in from the edges; and the
+    residual, taken ``margin``, a length in x, in from the edges, on a
+    mesh whose dx is at most ``residual_dx`` (``residual_mesh``); and the
     ``window`` (x_lo, x_hi) its density is compared on, None for the whole
     grid."""
 
@@ -110,6 +126,17 @@ class NswpCase:
     residual_times: tuple
     margin: float = RESIDUAL_MARGIN
     window: Optional[tuple] = None
+    residual_dx: Optional[float] = None
+
+    def residual_mesh(self, grid: Grid1D) -> Grid1D:
+        """The construction residual's mesh for a run on ``grid``: its span
+        on its points or, where they lie more than ``residual_dx`` apart,
+        on the fewest that do not; ``grid`` itself without a
+        ``residual_dx``."""
+        if self.residual_dx is None:
+            return grid
+        n = fewest_points(grid.width, self.residual_dx)
+        return grid if grid.n >= n else replace(grid, n=n)
 
     def reference(self, grid: Grid1D):
         """t -> |f(x - d(t))|^2 at the window's points only, and the slice of
@@ -138,14 +165,13 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
     mask under an ``AbsorbingMask``), with its shape deviation from
     |f(x - d(t))|^2 on the case's window and, between walls, its H-tilde
     residual. Its checks are, in order: V_nswp is ``v_run`` at the support
-    times, the construction TDSE residual relative to max|Psi(0)|, then
-    ``family_checks(report)``. Its extras are ``extras`` with the run's dt
-    and t_end."""
+    times, the construction TDSE residual relative to max|Psi(0)|, both on
+    ``case.residual_mesh(grid)``, then ``family_checks(report)``. Its
+    extras are ``extras`` with the run's dt and t_end."""
     sol, grid = case.sol, config.grid
     # first: it refuses a window the grid does not hold before any work
     reference, sel = case.reference(grid)
     psi0 = analytic_psi(sol, grid, 0.0)
-    peak = float(np.max(np.abs(psi0.values)))
     masked = config.mask is not None
     if masked:
         # a non-normalizable mode ends abruptly at the domain edges; its kink
@@ -164,7 +190,9 @@ def run_case(case: NswpCase, config: PropagationConfig, name: str, extras: dict,
         support = max((float(np.max(np.abs(v_nswp(sol, case.v, grid.x, t)
                                            - case.v_run(grid.x, t))))
                        for t in case.support_times), default=0.0)
-        residual = max(tdse_residual(sol, case.v, grid, t, margin=case.margin,
+        mesh = case.residual_mesh(grid)
+        peak = float(np.max(np.abs(analytic_psi(sol, mesh, 0.0).values)))
+        residual = max(tdse_residual(sol, case.v, mesh, t, margin=case.margin,
                                      dirichlet=not masked)
                        for t in case.residual_times) / peak
         return [CheckResult.below(case.support, support, 1e-10),
@@ -186,12 +214,13 @@ def harmonic_grid(half: float, sigma: float, inputs: str) -> Grid1D:
     k = half / sigma^2 (its carrier plus its tail in k), which the Nyquist
     wavenumber pi / dx must reach too. Raises RangeError naming the
     ``inputs``, before any grid is built, past ``grids.MAX_DENSE_POINTS``."""
-    intervals = 2.0 * half / min(_SHO_GRID.dx * sigma, math.pi * sigma**2 / half)
+    dx = min(_SHO_GRID.dx * sigma, math.pi * sigma**2 / half)
+    intervals = 2.0 * half / dx
     # an inf or NaN count fails here too
     if not intervals <= MAX_DENSE_POINTS - 1:
         raise RangeError(f"the {inputs} takes {intervals + 1:.3g} points, more than the "
                          f"dense basis budget of {MAX_DENSE_POINTS}")
-    return Grid1D(-half, half, math.ceil(intervals - 1e-9) + 1)
+    return Grid1D(-half, half, fewest_points(2.0 * half, dx))
 
 
 def sho_grid(n: int = 0, amplitude: float = 2.0, omega: float = 1.0,
@@ -281,7 +310,7 @@ def run_sho_shifted(
 # Airy packets (Berry-Balazs), free and forced: m d_ddot = A + F(t)
 # ---------------------------------------------------------------------------
 
-def _quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
+def quadratic_peak(x: np.ndarray, y: np.ndarray) -> float:
     """Peak position by quadratic interpolation around the grid maximum."""
     i = int(np.argmax(y))
     if i == 0 or i == len(y) - 1:
@@ -362,7 +391,7 @@ def airy_forced_case(B: float = 1.0, F: Callable = lambda t: np.zeros_like(t, dt
     return NswpCase(sol, StaticPotential.linear(A), lambda x, t: -F(t) * x,
                     "supporting_potential_is_minus_Fx", _AIRY_SUPPORT_TIMES,
                     residual_times=_AIRY_RESIDUAL_TIMES, margin=_AIRY_MARGIN,
-                    window=_AIRY_WINDOW)
+                    window=_AIRY_WINDOW, residual_dx=_AIRY_RESIDUAL_DX)
 
 
 def run_airy_forced(
@@ -381,6 +410,13 @@ def run_airy_forced(
     accelerating packet is fed by right-moving components of the oscillatory
     tail, so the undamped region must cover every tail point whose local
     group velocity can reach the window within t_end.
+
+    The default ``grid`` is ``_AIRY_GRID``, 1536 points on [-36, 12]; its
+    count comes from ``studies/airy_points.py``. The construction residual,
+    and the max|Psi(0)| it is relative to, are taken on a mesh of
+    ``grid``'s span whose dx is at most that of 4096 points on [-36, 12]
+    (``NswpCase.residual_mesh``): exactly ``Grid1D(-36, 12, 4096)`` at the
+    default span, whatever ``grid``'s count up to 4096.
 
     The default dt is ``_AIRY_DT`` = 1e-2. For a uniform force the split
     step's error is a global phase; what remains, F sampled at the step
@@ -411,7 +447,7 @@ def run_airy_forced(
         times = report.times
         d, d_dot, _ = sol.trajectory.eval(times)
         rows = report.snapshot_values
-        peaks = np.array([_quadratic_peak(grid.x[sel], np.abs(row[sel]) ** 2)
+        peaks = np.array([quadratic_peak(grid.x[sel], np.abs(row[sel]) ** 2)
                           for row in rows])
         peak_err = float(np.max(np.abs(peaks[1:] - peaks[0] - d[1:])
                                 / np.maximum(np.abs(d[1:]), 1.0)))
@@ -632,7 +668,7 @@ def grid_from(config: dict, default: Grid1D) -> Grid1D:
     grid = replace(default, **{f: config[k] for k, f in GRID_KEYS.items() if k in config})
     if "n_points" in config:
         return grid
-    return replace(grid, n=math.ceil(grid.width / default.dx - 1e-9) + 1)
+    return replace(grid, n=fewest_points(grid.width, default.dx))
 
 
 def consts_from(config: dict) -> PhysicalConstants:

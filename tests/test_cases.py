@@ -41,8 +41,9 @@ def test_airy_free_scenario_passes(airy_free_result):
 
 def test_airy_free_windowed_momentum_rate_is_the_force(airy_free_result):
     # with the 5-point <P> stencil the slope of the windowed <P> matches
-    # A = 1/2 to 7.6e-7; the 3-point np.gradient stencil read 2.7e-4, its
-    # own truncation error
+    # A = 1/2 to 4.1e-6 on the default 1536 points (7.6e-7 on 4096, 2.4e-5
+    # on 1024, studies/airy_points.py); the 3-point np.gradient stencil read
+    # 2.7e-4 on 4096, its own truncation error
     assert check_by_name(airy_free_result, "hc_constant_force").value < 1e-5
 
 
@@ -67,6 +68,23 @@ def test_airy_default_step_is_converged(fixture, run_fine, request):
     assert [c.name for c in result.checks] == [c.name for c in fine.checks]
     for c, f in zip(result.checks, fine.checks):
         assert abs(c.value - f.value) <= 0.02 * c.tolerance, c.name
+
+
+def test_construction_residual_mesh_keeps_the_dx_of_4096_points():
+    # the Airy residual's mesh has the run grid's span and at most the dx of
+    # 4096 points on [-36, 12]: that grid itself at the default span for any
+    # run grid up to 4096 points, the run grid where it is finer, and
+    # a mesh of at most that dx on a wider span; a case that names no dx takes
+    # the run grid
+    airy = airy_forced_case()
+    for n in (512, 1536, 4096):
+        assert airy.residual_mesh(Grid1D(-36.0, 12.0, n)) == Grid1D(-36.0, 12.0, 4096)
+    fine = Grid1D(-36.0, 12.0, 5000)
+    assert airy.residual_mesh(fine) is fine
+    # 72 / (48 / 4095) = 6142.5 cells
+    assert airy.residual_mesh(Grid1D(-60.0, 12.0, 1536)) == Grid1D(-60.0, 12.0, 6144)
+    sho = nswp.cases.sho_case()
+    assert sho.residual_mesh(sho.sol.shape.field.grid) is sho.sol.shape.field.grid
 
 
 def test_airy_forced_checks_hold_for_a_run_shorter_than_their_times():
@@ -435,17 +453,17 @@ CHECKS = {
     "airy-free": [("supporting_potential_is_minus_Fx", 1e-10, None),
                   ("construction_tdse_residual", 1e-4, 2.27300e-06),
                   ("phase_dual_route", 1e-8, None),
-                  ("peak_follows_trajectory", 0.02, 9.96385e-05),
-                  ("windowed_density_mismatch", 1e-3, 1.47332e-04),
-                  ("hc_constant_force", 0.05, 7.56699e-07),
-                  ("window_content_loss", 0.01, 6.76249e-07)],
+                  ("peak_follows_trajectory", 0.02, 1.57544e-04),
+                  ("windowed_density_mismatch", 1e-3, 1.47261e-04),
+                  ("hc_constant_force", 0.05, 4.14920e-06),
+                  ("window_content_loss", 0.01, 6.66418e-07)],
     "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10, None),
                     ("construction_tdse_residual", 1e-4, 2.50005e-06),
                     ("phase_dual_route", 1e-8, None),
-                    ("peak_follows_trajectory", 0.02, 7.98748e-05),
-                    ("windowed_density_mismatch", 1e-3, 1.63047e-04),
-                    ("hc_constant_force", 0.05, 1.05782e-05),
-                    ("window_content_loss", 0.01, 1.00849e-05)],
+                    ("peak_follows_trajectory", 0.02, 8.98950e-05),
+                    ("windowed_density_mismatch", 1e-3, 1.62177e-04),
+                    ("hc_constant_force", 0.05, 2.85230e-06),
+                    ("window_content_loss", 0.01, 9.87506e-06)],
     "gaussian-control": [("width_follows_spreading_law", 0.01, Below(1e-11)),
                          ("spreading_detected", 1e-2, 0.290082)],
     "sho-timedep-freq": [("spread_detected_with_static_control", 1e-2, 0.171458)],
@@ -458,6 +476,36 @@ CHECKS = {
 TRAP_CONTROL = (5e-4, 4.89396e-09)
 # corrupted-phase's (corrupted, good) residuals, relative to max|Psi|
 CORRUPTED_PHASE = (0.332294, Below(1e-7))
+# the Airy runs' checks on 4096 points over [-36, 12], the grid they
+# stepped on before studies/airy_points.py chose ``_AIRY_GRID``'s count
+AIRY_4096 = {
+    "airy-free": [("supporting_potential_is_minus_Fx", 1e-10, None),
+                  ("construction_tdse_residual", 1e-4, 2.27300e-06),
+                  ("phase_dual_route", 1e-8, None),
+                  ("peak_follows_trajectory", 0.02, 9.96385e-05),
+                  ("windowed_density_mismatch", 1e-3, 1.47332e-04),
+                  ("hc_constant_force", 0.05, 7.56699e-07),
+                  ("window_content_loss", 0.01, 6.76249e-07)],
+    "airy-forced": [("supporting_potential_is_minus_Fx", 1e-10, None),
+                    ("construction_tdse_residual", 1e-4, 2.50005e-06),
+                    ("phase_dual_route", 1e-8, None),
+                    ("peak_follows_trajectory", 0.02, 7.98748e-05),
+                    ("windowed_density_mismatch", 1e-3, 1.63047e-04),
+                    ("hc_constant_force", 0.05, 1.05782e-05),
+                    ("window_content_loss", 0.01, 1.00849e-05)],
+}
+
+
+def assert_pinned(name, result, pins):
+    """``result``'s checks read the (check name, bound, value) ``pins``."""
+    assert [(c.name, c.tolerance) for c in result.checks] == [(n, b) for n, b, _ in pins]
+    for c, (_, _, value) in zip(result.checks, pins):
+        if value is None:
+            assert c.passed, (name, c.name, c.value)
+        elif isinstance(value, Below):
+            assert c.passed and c.value < value, (name, c.name, c.value)
+        else:
+            assert c.value == pytest.approx(value, rel=1e-4), (name, c.name, c.value)
 
 
 def test_check_names_and_bounds_are_pinned(sho_result, airy_free_result,
@@ -482,10 +530,21 @@ def test_check_names_and_bounds_are_pinned(sho_result, airy_free_result,
     assert extras["corrupted_residual"] == pytest.approx(CORRUPTED_PHASE[0], rel=1e-4)
     assert extras["good_residual"] < CORRUPTED_PHASE[1]
     for name, result in results.items():
-        for c, (_, _, value) in zip(result.checks, CHECKS[name]):
-            if value is None:
-                assert c.passed, (name, c.name, c.value)
-            elif isinstance(value, Below):
-                assert c.passed and c.value < value, (name, c.name, c.value)
-            else:
-                assert c.value == pytest.approx(value, rel=1e-4), (name, c.name, c.value)
+        assert_pinned(name, result, CHECKS[name])
+
+
+@pytest.mark.parametrize("scenario, force_kind, fixture", [
+    ("airy-free", "none", "airy_free_result"),
+    ("airy-forced", "sin", "airy_forced_result"),
+])
+def test_airy_runs_on_4096_points_read_their_old_values(scenario, force_kind, fixture,
+                                                        request):
+    # the old grid stays a regression case; the construction residual,
+    # taken on its own mesh of 4096 points over the run grid's span, reads
+    # the same bits on 4096 points as on the default grid's 1536
+    old = run_airy_forced(*uniform_force(force_kind), grid=Grid1D(-36.0, 12.0, 4096))
+    assert_pinned(scenario, old, AIRY_4096[scenario])
+    default = request.getfixturevalue(fixture)
+    assert default.report.grid == Grid1D(-36.0, 12.0, 1536)
+    assert (check_by_name(old, "construction_tdse_residual").value
+            == check_by_name(default, "construction_tdse_residual").value)

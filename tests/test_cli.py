@@ -247,7 +247,7 @@ def test_propagate_writes_a_run_whose_peak_law_is_out_of_reach(argv, tmp_path):
 
 # the helpers only a scenario's checks call
 CHECK_HELPERS = ("classical_motion_check", "energy_split_check", "phi0_forced_airy",
-                 "_quadratic_peak", "_windowed_momentum", "tdse_residual", "observables")
+                 "quadratic_peak", "_windowed_momentum", "tdse_residual", "observables")
 
 
 @pytest.mark.parametrize("scenario", ["sho", "airy-free", "airy-forced", "gaussian-control"])

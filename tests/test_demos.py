@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from nswp import Grid1D, PropagationConfig
 from nswp.cases import run_case
+
+from conftest import check_by_name
 
 DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
@@ -52,3 +56,17 @@ def test_run_case_measures_the_htilde_residual_of_the_quartic_packet():
     report = run_case(case, config, "quartic_round_trip", {}, lambda report: []).report
     assert len(report.htilde_residual) == len(report.times) == 11
     assert max(report.htilde_residual) < 1e-6
+
+
+def test_airy_peak_table_reads_the_peak_check(airy_free_result):
+    # the demo's table of the airy-free run reads its peaks between grid
+    # points, as peak_follows_trajectory does: its worst displacement error,
+    # relative to max(law, 1), is that check's value (1.6e-4 on 1536
+    # points, where a grid-point peak would be off by up to dx / 2 = 0.016)
+    demo = load(DEMO_DIR / "airy_accelerating_packet.py")
+    times, measured, expected = demo.peak_table(airy_free_result)
+    assert len(times) == len(measured) == len(expected) == 21
+    assert measured[0] == expected[0] == 0.0
+    error = np.max(np.abs(measured - expected) / np.maximum(expected, 1.0))
+    peak = check_by_name(airy_free_result, "peak_follows_trajectory").value
+    assert error == pytest.approx(peak, rel=1e-6)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from nswp.cases import _AIRY_GRID
+
 STUDIES = Path(__file__).resolve().parents[1] / "studies"
 
 
@@ -35,4 +37,23 @@ def test_trap_step_error_cheapest_corner_matches_its_table(timedep_result):
     assert rerun["error"] == pytest.approx(row["error"], rel=1e-6)
     assert timedep_result.extras["step_error_estimate"] == pytest.approx(row["estimate"],
                                                                          rel=1e-6)
+    assert set(table["versions"]) == {"nswp", "numpy", "python"}
+
+
+def test_airy_points_cheapest_corner_matches_its_table():
+    # the fewest points with the default sin force: every check value must
+    # read the table's to 1e-6 relative, and the count the table chose is
+    # the Airy runs' default grid
+    study = load("airy_points")
+    table = json.loads((STUDIES / "airy_points.json").read_text())
+    fewest = min(study.POINTS)
+    row, = [r for r in table["rows"] if r["n_points"] == fewest and r["force"] == "sin0.3x2"]
+    rerun = study.row(fewest, ("sin", 0.3, 2.0))
+    assert rerun["checks"].keys() == row["checks"].keys()
+    for name, check in row["checks"].items():
+        assert rerun["checks"][name]["value"] == pytest.approx(check["value"], rel=1e-6,
+                                                               abs=1e-14), name
+        assert rerun["checks"][name]["bound"] == check["bound"]
+    assert table["chosen"] == _AIRY_GRID.n
+    assert table["grid"] == [_AIRY_GRID.x_min, _AIRY_GRID.x_max]
     assert set(table["versions"]) == {"nswp", "numpy", "python"}
